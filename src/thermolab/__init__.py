@@ -7,6 +7,17 @@ quadrature, probes the attenuated ray transform of function/1-form pairs,
 and evaluates hyperbolicity and cohomological-equation diagnostics.
 """
 
+import os as _os
+
 __version__ = "0.1.0"
 
-from .errors import ThermolabError  # noqa: F401
+# LAB_THREADS caps the BLAS/OpenMP thread pools.  It is applied here, before
+# any thermolab module imports numpy, and overrides values already set; it
+# has no effect on a numpy that was imported before thermolab.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+if _os.environ.get("LAB_THREADS"):
+    for _var in _THREAD_VARS:
+        _os.environ[_var] = _os.environ["LAB_THREADS"]
+
+from .errors import ThermolabError  # noqa: E402,F401

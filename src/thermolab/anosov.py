@@ -15,7 +15,9 @@ Three probes of long-time flow behaviour:
   reports the normalized residual: the distance from the right-hand side to
   the coboundaries of fiber degree <= M.  Obstructed right-hand sides leave
   a residual bounded away from zero, the same on every grid with n > 2M + 2
-  points per axis; for n <= 2M nothing is cut and the whole grid is used.
+  points per axis; for n <= 2M nothing is cut and the whole grid is used,
+  and odd n <= 2M + 1 is refused (DomainError), since such a fiber grid has
+  no node with cos theta = 0 and so reads every right-hand side as exact.
   The band limit is what makes the residual a fixed number: over all u the
   continuum L^2 infimum is 0 for obstructed scalars on the flat torus
   (u = c(x) / cos theta cut off near cos theta = 0), and without the band
@@ -252,12 +254,21 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
     with no projection.  Without a band the residual carries no fixed
     meaning: for obstructed scalars on the flat torus the continuum L^2
     infimum over all u is 0, and on a full grid only the fiber nodes with
-    cos theta = 0 are obstructed.
+    cos theta = 0 are obstructed.  An odd full grid (odd n <= 2M + 1) has
+    no such node and reads every right-hand side as exact (sin 2 pi x on
+    the flat torus gives 0 at n = 9, 15 and 17), so it raises DomainError.
 
     Returns the normalized residual, the mean-zero minimizer, and solver
     diagnostics.  Raises SolverDiverged when conjugate gradients on the
     normal equations exhausts the iteration cap without meeting tolerance.
     """
+    if n % 2 == 1 and n <= 2 * FIBER_BAND + 1:
+        raise DomainError(
+            f"cohomology grid n={n}: an odd grid with n <= "
+            f"{2 * FIBER_BAND + 1} is solved on the full fiber grid, which "
+            "has no node with cos(theta) = 0 and so reads obstructed "
+            "right-hand sides as exact; use an even n or an odd n > "
+            f"{2 * FIBER_BAND + 1}")
     op = GridTransportOperator(model, lam, n)
     if rhs_grid is not None:
         rhs = np.asarray(rhs_grid, dtype=float)

@@ -39,16 +39,6 @@ NUMERICAL_ERRORS = (errors.StepFailure, errors.TrappedOrbit,
                     errors.IllConditioned, errors.SolverDiverged)
 
 
-def apply_thread_cap():
-    """Honor LAB_THREADS by capping the usual BLAS/OpenMP thread knobs."""
-    cap = os.environ.get("LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 # ---------------------------------------------------------------------------
@@ -397,7 +387,6 @@ def build_parser():
 
 
 def main(argv=None):
-    apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

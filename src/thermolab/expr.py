@@ -3,12 +3,19 @@
 Expressions are ASTs over the variables x, y, theta, the constant pi,
 the binary operators + - * / ^ (with ^ binding tightest and right
 associative), unary minus, and the functions sin, cos, tan, exp, log,
-sqrt, tanh, abs.  Evaluation is vectorized over numpy arrays and every
-node type knows its own partial derivatives, so arbitrarily nested
-derivatives stay analytic.
+sqrt, tanh, abs.  Every node type knows its own partial derivatives, so
+arbitrarily nested derivatives stay analytic.
+
+`Expr.eval` walks the tree and is the reference evaluator.  Fields and
+right-hand sides evaluate through `Bundle`, which compiles a list of
+trees once, on first use, into one straight-line numpy function that
+computes each common subexpression once and gives the same floats as the
+walk on arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -474,3 +481,168 @@ def parse_expression(text):
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# Compilation: a list of trees to one straight-line numpy function.
+# ---------------------------------------------------------------------------
+
+# points per block when a bundle evaluates a grid: bounds the memory its
+# temporaries hold
+CHUNK_POINTS = 8192
+
+# numpy ufuncs only: math.exp and friends, and the ** operator on numpy
+# scalars (C pow), differ from them in the last bit for some inputs
+_UFUNCS = {**_FUNCTIONS, "power": np.power}
+
+_BINARY_CODE = {Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}",
+                Div: "{} / {}", Pow: "power({}, {})"}
+
+
+def _operands(node):
+    if isinstance(node, Binary):
+        return (node.a, node.b)
+    if isinstance(node, (Neg, Call)):
+        return (node.a,)
+    return ()
+
+
+def _straight_line(exprs):
+    """Statements, output names and constants of a function computing exprs.
+
+    Each node id is visited once and value-numbered on (op, operand
+    names), so shared and repeated subexpressions are computed once.  A
+    subtree without variables is folded by Expr.eval, with the arithmetic
+    it has there.  Returns (lines, outputs, constants), where each line is
+    (target, code, operand names).
+    """
+    names = {}          # id(node) -> operand name, or None for constants
+    numbered = {}       # (op, operand names) -> temporary name
+    constants = {}      # constant name -> value
+    by_value = {}       # float.hex of a constant -> constant name
+    folded = {}         # id(node) -> constant name
+    lines = []
+
+    def constant(node):
+        if id(node) not in folded:
+            value = float(node.value if isinstance(node, Const)
+                          else node.eval(0.0, 0.0, 0.0))
+            key = value.hex()
+            if key not in by_value:
+                by_value[key] = f"c{len(constants)}"
+                constants[by_value[key]] = value
+            folded[id(node)] = by_value[key]
+        return folded[id(node)]
+
+    def operand(node):
+        name = names[id(node)]
+        return constant(node) if name is None else name
+
+    for root in exprs:
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in names:
+                continue
+            kids = _operands(node)
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((k, False) for k in reversed(kids))
+                continue
+            if isinstance(node, Var):
+                names[id(node)] = node.name
+                continue
+            if all(names[id(k)] is None for k in kids):
+                names[id(node)] = None       # Const, or a variable-free tree
+                continue
+            args = tuple(operand(k) for k in kids)
+            if isinstance(node, Call):
+                op, code = node.fn, f"{node.fn}({args[0]})"
+            elif isinstance(node, Neg):
+                op, code = "neg", f"-{args[0]}"
+            else:
+                op, code = type(node).op, _BINARY_CODE[type(node)].format(*args)
+            key = (op,) + args
+            if key not in numbered:
+                numbered[key] = f"t{len(lines)}"
+                lines.append((numbered[key], code, args))
+            names[id(node)] = numbered[key]
+    outputs = [operand(root) for root in exprs]
+    return lines, outputs, constants
+
+
+def _compile(exprs):
+    lines, outputs, constants = _straight_line(exprs)
+    # drop each temporary after its last use, so that a grid block holds
+    # only the live ones
+    last_use = {}
+    for i, (_, _, args) in enumerate(lines):
+        for a in args:
+            last_use[a] = i
+    dead = {}
+    for target, _, _ in lines:
+        if target not in outputs:
+            dead.setdefault(last_use[target], []).append(target)
+    body = []
+    for i, (target, code, _) in enumerate(lines):
+        body.append(f"        {target} = {code}")
+        if i in dead:
+            body.append(f"        del {', '.join(dead[i])}")
+    free = sorted(_UFUNCS) + sorted(constants)
+    source = "\n".join(
+        [f"def _bind({', '.join(free)}):",
+         "    def bundle(x, y, theta):", *body,
+         f"        return ({''.join(o + ', ' for o in outputs)})",
+         "    return bundle"])
+    namespace = {}
+    exec(compile(source, "<expr bundle>", "exec"), namespace)
+    return namespace["_bind"](**_UFUNCS, **constants)
+
+
+class Bundle:
+    """Expression trees evaluated together by one compiled function.
+
+    The function is generated and compiled on first use and kept here.
+    """
+
+    __slots__ = ("exprs", "_kernel")
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self._kernel = None
+
+    @property
+    def kernel(self):
+        """f(x, y, theta) -> tuple of values, one per expression.
+
+        It applies numpy operations to what it is given, so pass float64
+        scalars or arrays: Python floats raise ZeroDivisionError where
+        numpy gives inf or nan.
+        """
+        if self._kernel is None:
+            self._kernel = _compile(self.exprs)
+        return self._kernel
+
+    def __call__(self, x, y, theta):
+        """Values at broadcastable inputs as float arrays of their common
+        shape; a grid is evaluated in blocks of CHUNK_POINTS points."""
+        x, y, theta = (np.asarray(v, dtype=float) for v in (x, y, theta))
+        shape = np.broadcast_shapes(x.shape, y.shape, theta.shape)
+        size = math.prod(shape)
+        kernel = self.kernel
+        if size <= CHUNK_POINTS:
+            return tuple(_filled(v, shape) for v in kernel(x, y, theta))
+        flat = [np.broadcast_to(v, shape).reshape(-1) for v in (x, y, theta)]
+        outs = [np.empty(size) for _ in self.exprs]
+        for lo in range(0, size, CHUNK_POINTS):
+            block = kernel(*(v[lo:lo + CHUNK_POINTS] for v in flat))
+            for out, v in zip(outs, block):
+                out[lo:lo + CHUNK_POINTS] = v
+        return tuple(out.reshape(shape) for out in outs)
+
+
+def _filled(value, shape):
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        value = np.broadcast_to(value, shape).copy()
+    return value

@@ -3,8 +3,10 @@
 An SMScalarField wraps a vectorized evaluator over (x, y, theta) together
 with a recipe for its first partial derivatives: either analytic (via the
 expression AST or user closures) or 4th-order central finite differences.
-Fields compose: derivatives of derived fields are available in every mode,
-so commutators and nested frame applications can always be evaluated.
+Expression-backed fields evaluate through a compiled `expr.Bundle`, built
+on first use.  Fields compose: derivatives of derived fields are available
+in every mode, so commutators and nested frame applications can always be
+evaluated.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class SMScalarField:
     @classmethod
     def from_expression(cls, expression):
         e = ex.as_expr(expression)
-        return cls(e.eval, expression=e, mode="analytic")
+        bundle = ex.Bundle([e])
+        return cls(lambda x, y, theta: bundle(x, y, theta)[0], expression=e,
+                   mode="analytic")
 
     @classmethod
     def from_callable(cls, func, dx=None, dy=None, dtheta=None, fd_step=1e-4):
@@ -188,7 +192,18 @@ def _as_field(obj):
     raise TypeError(f"cannot interpret {type(obj)!r} as SMScalarField")
 
 
-ZERO_FIELD = SMScalarField.from_expression(ex.Const(0.0))
+def compile_fields(fields):
+    """One function (x, y, theta) -> tuple of the fields' values.
+
+    Expression-backed fields are compiled together into one straight-line
+    function, which takes float64 scalars or arrays; any other field makes
+    it fall back to each field's own eval.
+    """
+    exprs = [f.expression for f in fields]
+    if all(e is not None for e in exprs):
+        return ex.Bundle(exprs).kernel
+    evals = [f.eval for f in fields]
+    return lambda x, y, theta: tuple(e(x, y, theta) for e in evals)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ The generator is F = X + lam V; in isothermal coordinates the orbit ODE is
     y' = e^-phi sin(theta)
     theta' = e^-phi (-phi_x sin(theta) + phi_y cos(theta)) + lam.
 
-Integration uses an adaptive RK45 controller; boundary crossings on the
-disk are located by the solver's event machinery and refined well below
-the 1e-10 target.
+The three coefficients are compiled once per spec, on the first
+`ThermostatSpec.rhs()` call, into one straight-line numpy function that
+shares exp(-phi), its partials and cos/sin(theta) between them (see
+`expr.Bundle`).  Integration uses an adaptive RK45 controller; boundary
+crossings on the disk are located by the solver's event machinery and
+refined well below the 1e-10 target.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepFailure, TrappedOrbit
-from .fields import SMPoint, SMScalarField, _as_field
+from .fields import SMPoint, SMScalarField, _as_field, compile_fields
 from .geometry import SurfaceModel, thermostat_generator
 
 DEFAULT_RTOL = 1e-10
@@ -35,19 +38,27 @@ class ThermostatSpec:
 
     model: SurfaceModel
     lam: SMScalarField
+    _rhs: object = dc_field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _as_field(self.lam))
 
     def rhs(self):
-        """Right-hand side f(t, s) of the orbit ODE, s = (x, y, theta)."""
-        gen = thermostat_generator(self.model, self.lam)
-        cx, cy, ct = gen.c_x.eval, gen.c_y.eval, gen.c_theta.eval
+        """Right-hand side f(t, s) of the orbit ODE, s = (x, y, theta).
 
-        def f(t, s):
-            x, y, th = s
-            return (cx(x, y, th), cy(x, y, th), ct(x, y, th))
-        return f
+        Built on the first call and kept on the spec.
+        """
+        if self._rhs is None:
+            gen = thermostat_generator(self.model, self.lam)
+            coeffs = compile_fields((gen.c_x, gen.c_y, gen.c_theta))
+
+            def f(t, s):
+                # float64 scalars, also for states given as Python lists
+                x, y, th = np.asarray(s, dtype=float)
+                return coeffs(x, y, th)
+            object.__setattr__(self, "_rhs", f)
+        return self._rhs
 
 
 def geodesic_spec(model):

@@ -240,20 +240,6 @@ def euclidean_disk(tolerance=1e-6):
 # Operations
 # ---------------------------------------------------------------------------
 
-def apply_frame_operator(model, which, f, p=None):
-    """Apply X, H or V of the model to a field.
-
-    With a point p, returns the real value there (DomainError outside the
-    domain); without, returns the derived SMScalarField for composition.
-    """
-    op = model.frame.get(which)
-    result = op.apply(f)
-    if p is None:
-        return result
-    model.domain.require(p)
-    return result(p)
-
-
 def thermostat_generator(model, lam):
     """The generator F = X + lam V as a FrameOperator."""
     lam = _as_field(lam)

@@ -6,9 +6,12 @@ The variational state (a, y, z) along an orbit satisfies
     y' = lam I y + z
     z' = -{K - H(lam) - lam J + lam^2} y + V(lam) z
 
-and is integrated jointly with the orbit.  Riccati solutions are always
-obtained through the linear system (r = y'/y), which turns blowups into
-exact zeros of y; the fan variant z/y differs from y'/y by lam I.
+and is integrated jointly with the orbit.  The generator's three
+coefficients and lam, lam I, the core curvature and V(lam) are compiled
+once per `JacobiCoefficients` into one straight-line function.  Riccati
+solutions are always obtained through the linear system (r = y'/y), which
+turns blowups into exact zeros of y; the fan variant z/y differs from
+y'/y by lam I.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (BlowupInsideWindow, BoundViolated, NoConvergence,
                      RiccatiUnavailable, StepFailure)
-from .fields import SMPoint, SMScalarField, _as_field
+from .fields import SMPoint, compile_fields
 from .flow import DEFAULT_ATOL, DEFAULT_RTOL, ThermostatSpec, integrate_orbit
 from .geometry import derived_curvatures, thermostat_generator
 
@@ -36,6 +39,7 @@ class JacobiCoefficients:
         model, lam = spec.model, spec.lam
         V, H = model.frame.V, model.frame.H
         F = thermostat_generator(model, lam)
+        self.F = F
         self.lam = lam
         self.lamI = lam * model.I
         self.Vlam = V.apply(lam)
@@ -47,6 +51,25 @@ class JacobiCoefficients:
         self.anosovD = dc.anosovD
         self.FlamI = F.apply(self.lamI)
         self.FVlam = F.apply(self.Vlam)
+        self._rhs = None
+
+    def rhs(self):
+        """Right-hand side f(t, s) of orbit + (a, y, z), built on the first
+        call and kept here."""
+        if self._rhs is None:
+            F = self.F
+            fields = compile_fields((F.c_x, F.c_y, F.c_theta, self.lam,
+                                     self.lamI, self.core, self.Vlam))
+
+            def f(t, s):
+                x, y, th, a, jy, jz = np.asarray(s, dtype=float)
+                dx, dy, dth, lam, lamI, core, Vlam = fields(x, y, th)
+                return (dx, dy, dth,
+                        lam * jy,
+                        lamI * jy + jz,
+                        -core * jy + Vlam * jz)
+            self._rhs = f
+        return self._rhs
 
 
 @dataclass
@@ -95,27 +118,6 @@ class JacobiTrajectory:
         return float(s[5] / s[4])
 
 
-def _combined_rhs(spec, coeffs):
-    orbit_rhs = spec.rhs()
-    lam_f = coeffs.lam.eval
-    lamI_f = coeffs.lamI.eval
-    core_f = coeffs.core.eval
-    Vlam_f = coeffs.Vlam.eval
-
-    def f(t, s):
-        x, y, th, a, jy, jz = s
-        dx, dy, dth = orbit_rhs(t, s[:3])
-        lam = lam_f(x, y, th)
-        lamI = lamI_f(x, y, th)
-        core = core_f(x, y, th)
-        Vlam = Vlam_f(x, y, th)
-        return (dx, dy, dth,
-                lam * jy,
-                lamI * jy + jz,
-                -core * jy + Vlam * jz)
-    return f
-
-
 def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
                      coeffs=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                      events=None, t_eval=None) -> JacobiTrajectory:
@@ -123,7 +125,7 @@ def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
     if coeffs is None:
         coeffs = JacobiCoefficients(spec)
     s0 = [p0.x, p0.y, p0.theta, *initial]
-    res = solve_ivp(_combined_rhs(spec, coeffs), t_span, s0, method="RK45",
+    res = solve_ivp(coeffs.rhs(), t_span, s0, method="RK45",
                     rtol=rtol, atol=atol, dense_output=True, events=events,
                     t_eval=t_eval)
     if res.status == -1:
@@ -218,7 +220,7 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
         p = start_point
 
     direction = 1.0 if t_end > t_start else -1.0
-    rhs = _combined_rhs(spec, coeffs)
+    rhs = coeffs.rhs()
     state = np.array([p.x, p.y, p.theta, 0.0, 0.0, 1.0])
     t_now = t_start
     ts_all, r_all, y_all, z_all, zeros = [], [], [], [], []
@@ -396,30 +398,6 @@ def check_riccati_bound(spec, states, grid_spec=(12, 12, 24), tol=1e-6,
     ode_res = comparison_ode_residuals(A=max(consts["A"], 1.0))
     return {"constants": consts, "bound": bound, "states": rows,
             "comparison_ode_residuals": ode_res}
-
-
-def direct_riccati_residual(trace: RiccatiTrace, spec, p0: SMPoint,
-                            coeffs=None, n_check=40, h=1e-4):
-    """max |r' + r^2 + K_lambda - (lam I + V(lam)) r| along the trace.
-
-    r' is taken by central differences on the interpolated trace, keeping
-    the check independent of the linear substitution that produced it.
-    """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
-    base = integrate_orbit(spec, p0, (float(trace.t[0]), float(trace.t[-1])),
-                           stop_at_boundary=False)
-    lo, hi = float(trace.t[0]), float(trace.t[-1])
-    ts = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), n_check)
-    worst = 0.0
-    for t in ts:
-        r = trace.r_at(t)
-        dr = (trace.r_at(t + h) - trace.r_at(t - h)) / (2 * h)
-        s = base.state(t)
-        Klam = coeffs.K_lambda.eval(*s)
-        damp = (coeffs.lamI + coeffs.Vlam).eval(*s)
-        worst = max(worst, abs(dr + r * r + Klam - damp * r))
-    return float(worst)
 
 
 def exterior_fan_r(spec, states, margin=0.1, horizon=None):

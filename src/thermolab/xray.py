@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import subspace_angles, svd
 
-from .errors import DomainError, IllConditioned, TrappedOrbit
+from .errors import DomainError, IllConditioned, StepFailure, TrappedOrbit
 from .fields import SMPoint, SMScalarField, _as_field
 from .flow import DEFAULT_HORIZON, integrate_orbit
 from .geometry import thermostat_generator
@@ -372,7 +372,8 @@ class DiscreteXRayOperator:
     """Dense matrix realization of the ray transform on nodal pairs.
 
     Columns are [phi nodes | w_x nodes | w_y nodes]; rows are the rays
-    that exited within the horizon.  n_dropped counts trapped rays."""
+    that exited within the horizon.  n_dropped counts the rays that were
+    trapped or whose integration failed."""
 
     matrix: np.ndarray
     rays: list
@@ -396,22 +397,23 @@ class DiscreteXRayOperator:
 def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
                                horizon=DEFAULT_HORIZON):
     """Build the ray matrix: each entry is a quadrature weight times an
-    interpolation coefficient.  Trapped rays are dropped with a warning
-    recording the count."""
+    interpolation coefficient.  Rays trapped past the horizon and rays
+    whose integration fails (StepFailure) are dropped, with a warning that
+    counts each reason; any other error propagates."""
     model = spec.model
     n_nodes = node_grid.n_nodes
     rows = []
     kept = []
-    dropped = 0
-    for entry in rays:
+    dropped = []    # why each dropped ray was dropped
+    for i, entry in enumerate(rays):
         try:
             orbit = integrate_orbit(spec, entry, (0.0, horizon),
                                     stop_at_boundary=True)
-        except Exception:
-            dropped += 1
+        except StepFailure as e:
+            dropped.append(f"ray {i}: {e}")
             continue
         if orbit.exit_time is None:
-            dropped += 1
+            dropped.append(f"ray {i}: trapped past horizon {horizon}")
             continue
         length = float(orbit.exit_time)
         n_panels = max(2, int(np.ceil(length / (8 * quad_spacing))))
@@ -428,11 +430,12 @@ def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
         kept.append(RayRecord(entry=entry, exit=SMPoint(xe, ye, te),
                               length=length, value=0.0))
     if dropped:
-        warnings.warn(f"dropped {dropped} trapped rays during assembly")
+        warnings.warn(f"dropped {len(dropped)} rays during assembly: "
+                      + "; ".join(dropped))
     if not rows:
         raise TrappedOrbit("all rays trapped", horizon=horizon)
     return DiscreteXRayOperator(matrix=np.vstack(rows), rays=kept,
-                                node_grid=node_grid, n_dropped=dropped,
+                                node_grid=node_grid, n_dropped=len(dropped),
                                 quad_spacing=quad_spacing)
 
 

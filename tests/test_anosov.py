@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermolab.anosov import FIBER_BAND
+from thermolab.errors import DomainError
 from thermolab.anosov import GridTransportOperator, cohomological_residual, \
     quadratic_form_rate, theoremD_criterion
 from thermolab.fields import SMPoint, SMScalarField
@@ -143,3 +144,18 @@ def test_cohomology_residual_grid_independent():
         assert res["residual"] == pytest.approx(1.0 / 3.0, rel=1e-8)
         coeffs = np.fft.rfft(res["minimizer"], axis=2)
         assert np.max(np.abs(coeffs[..., FIBER_BAND + 1:])) < 1e-9
+
+
+def test_cohomology_odd_full_grid_refused():
+    # an odd fiber grid with n <= 2M + 1 has no node with cos theta = 0,
+    # so sin 2 pi x read as exact (residual 0) at n = 9, 15 and 17
+    ft = flat_torus()
+    h = SMScalarField.from_expression("sin(2*pi*x)")
+    for n in (9, 17):
+        with pytest.raises(DomainError, match="cos"):
+            cohomological_residual(ft, 0.0, h=h, n=n)
+    # odd grids past the band are solved on the band, even grids as before
+    assert cohomological_residual(ft, 0.0, h=h, n=19)["residual"] == \
+        pytest.approx(1.0 / 3.0, rel=1e-8)
+    assert cohomological_residual(ft, 0.0, h=h, n=16)["residual"] == \
+        pytest.approx(np.sqrt(2.0 / 16), rel=1e-6)

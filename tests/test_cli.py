@@ -1,10 +1,14 @@
 """CLI: config ingestion, subcommand dispatch, exit codes, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import thermolab
 from thermolab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, dumps, main
 
 
@@ -137,6 +141,37 @@ def test_cohomology_command(tmp_path, capsys):
     assert main(["cohomology", "--config", cfg]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["residual"] >= 0.1
+
+
+def test_cohomology_odd_small_grid_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
+        h="sin(2*pi*x)", n=17))
+    assert main(["cohomology", "--config", cfg]) == EXIT_CONFIG
+    assert "n=17" in capsys.readouterr().err
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def thread_vars_after_import(**env):
+    """The thread variables a fresh interpreter sees after importing the CLI."""
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in THREAD_VARS + ("LAB_THREADS",)}
+    base["PYTHONPATH"] = src
+    code = ("import json, os, thermolab.cli; "
+            f"print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_lab_threads_overrides_thread_variables():
+    assert thread_vars_after_import(LAB_THREADS="1", OMP_NUM_THREADS="4") \
+        == ["1", "1", "1", "1"]
+    assert thread_vars_after_import(OMP_NUM_THREADS="4") == \
+        ["4", None, None, None]
 
 
 def test_anosov_command(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Expression language: parsing, precedence, evaluation, derivatives."""
+"""Expression language: parsing, precedence, evaluation, derivatives,
+and the compiled bundles checked against the tree walk."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thermolab.errors import ParseError, UnknownIdentifier
-from thermolab.expr import parse_expression
+from thermolab.expr import CHUNK_POINTS, VARIABLES, Bundle, \
+    _straight_line, parse_expression
 
 FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs"]
 
@@ -79,3 +82,89 @@ def test_vectorized_eval():
     x = np.linspace(0, 1, 7)
     out = e.eval(x, 0.0, np.pi / 2)
     assert np.allclose(out, x ** 2 + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Compiled bundles against the tree walk
+# ---------------------------------------------------------------------------
+
+# a grid that crosses the block size, with zeros for division by zero and
+# log/sqrt of zero and of negatives
+_RNG = np.random.default_rng(3)
+GRID = _RNG.uniform(-3.0, 3.0, (3, CHUNK_POINTS + 123))
+GRID[:, ::97] = 0.0
+
+_LEAVES = st.sampled_from(["x", "y", "theta", "pi", "0", "1", "2", "0.5",
+                           "3"])
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(FUNCS), children).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        children.map(lambda c: f"-({c})"))
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=10)
+PROPERTY = settings(max_examples=120, deadline=None, database=None,
+                    derandomize=True)
+
+
+def _parse_with_derivatives(text):
+    try:
+        e = parse_expression(text)
+        return [e] + [e.diff(v) for v in VARIABLES]
+    except (ArithmeticError, TypeError):
+        # constant folding in Python floats: 1/0, 3^1000 and (-2)^0.5 at
+        # parse time, and 1/0 in the derivative of log(0)
+        assume(False)
+
+
+@PROPERTY
+@given(EXPRESSIONS)
+def test_bundle_matches_tree_walk_on_grid(text):
+    exprs = _parse_with_derivatives(text)
+    x, y, th = GRID
+    with np.errstate(all="ignore"):
+        compiled = Bundle(exprs)(x, y, th)
+        for value, e in zip(compiled, exprs):
+            walked = np.broadcast_to(e.eval(x, y, th), x.shape)
+            assert value.shape == x.shape
+            assert np.array_equal(value, walked, equal_nan=True), str(e)
+
+
+@PROPERTY
+@given(EXPRESSIONS)
+def test_bundle_scalars_match_bundle_grid(text):
+    bundle = Bundle(_parse_with_derivatives(text))
+    x, y, th = GRID[:, :40]
+    with np.errstate(all="ignore"):
+        grid = bundle(x, y, th)
+        for i in range(x.size):
+            point = bundle.kernel(x[i], y[i], th[i])
+            for value, column in zip(point, grid):
+                assert np.array_equal(value, column[i], equal_nan=True)
+
+
+def test_bundle_shares_subexpressions():
+    exprs = [parse_expression(t) for t in
+             ("exp(-x)*cos(theta)", "exp(-x)*sin(theta)", "sin(theta)^2")]
+    lines, outputs, constants = _straight_line(exprs)
+    # -x, exp, cos, product, sin, product, power: each computed once
+    assert [code for _, code, _ in lines].count("exp(t0)") == 1
+    assert len(lines) == 7
+    assert len(set(outputs)) == 3
+    assert sorted(constants.values()) == [2.0]
+
+
+def test_bundle_folds_variable_free_trees_like_the_tree_walk():
+    # sin(1)^2.5 is a numpy scalar ** float in the walk (C pow); the fold
+    # keeps that value, so the grid results agree bit for bit
+    e = parse_expression("sin(1)^2.5*x + (cos(2) + 1)^(1/3)")
+    x = np.linspace(0.0, 1.0, 11)
+    (value,) = Bundle([e])(x, 0.0, 0.0)
+    assert np.array_equal(value, e.eval(x, 0.0, 0.0))
+    lines, _, _ = _straight_line([e])
+    assert len(lines) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import thermolab.flow
 from thermolab.errors import TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import ThermostatSpec, exit_time, exp_map, \
@@ -84,3 +85,40 @@ def test_backward_integration():
     spec = geodesic_spec(euclidean_disk())
     t_exit = exit_time(spec, SMPoint(0.0, 0.0, 0.0), direction=-1)
     assert t_exit == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_rhs_built_once_per_spec(monkeypatch):
+    calls = []
+    build = thermolab.flow.thermostat_generator
+
+    def counted(model, lam):
+        calls.append(1)
+        return build(model, lam)
+    monkeypatch.setattr(thermolab.flow, "thermostat_generator", counted)
+    spec = ThermostatSpec(euclidean_disk(), SMScalarField.from_expression(
+        "0.2 - 0.1*x"))
+    f = spec.rhs()
+    assert spec.rhs() is f
+    orbit = integrate_orbit(spec, SMPoint(0.0, 0.0, 0.3), (0.0, 5.0))
+    orbit.unit_speed_defect()
+    exit_time(spec, SMPoint(0.1, 0.0, 0.3))
+    assert len(calls) == 1
+    # the same values for a state given as a list or as an array
+    assert f(0.0, [0.1, 0.2, 0.3]) == f(0.0, np.array([0.1, 0.2, 0.3]))
+
+
+def test_rhs_with_callable_intensity():
+    # a closure-backed intensity cannot be compiled: the right-hand side
+    # falls back to the fields' own evaluators and agrees with the
+    # expression-backed one
+    model = build_surface_model("conformal_disk", phi="0.04*(x^2+y^2)")
+    lam_text = "0.2 - 0.1*x"
+    compiled = ThermostatSpec(model, SMScalarField.from_expression(lam_text))
+    lam = SMScalarField.from_expression(lam_text)
+    closure = ThermostatSpec(model, SMScalarField.from_callable(
+        lam.eval, dx=lam.partial("x"), dy=lam.partial("y"),
+        dtheta=lam.partial("theta")))
+    assert closure.lam.expression is None
+    for s in ([0.1, 0.2, 0.3], [-0.5, 0.4, 2.0]):
+        assert np.allclose(closure.rhs()(0.0, s), compiled.rhs()(0.0, s),
+                           rtol=1e-15, atol=1e-15)

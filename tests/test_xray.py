@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import thermolab.xray
+from thermolab.errors import DomainError, StepFailure
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import ThermostatSpec, geodesic_spec
 from thermolab.geometry import euclidean_disk
@@ -126,6 +128,31 @@ def test_discrete_operator_matches_transform():
     direct = np.array([r.value for r in [
         transform_pair(spec, pair, r.entry) for r in op.rays]])
     assert np.max(np.abs(op.apply(vec) - direct)) < 0.05
+
+
+def test_assembly_drops_failed_rays_with_reasons(monkeypatch):
+    spec = disk_spec()
+    rays = [entry_state(s, 0.3) for s in (0.0, 1.0, 2.0)]
+    integrate = thermolab.xray.integrate_orbit
+
+    def failing(spec, entry, *args, **kwargs):
+        if entry is rays[1]:
+            raise StepFailure("integration failed: step size too small")
+        return integrate(spec, entry, *args, **kwargs)
+    monkeypatch.setattr(thermolab.xray, "integrate_orbit", failing)
+    with pytest.warns(UserWarning, match="ray 1: integration failed: step"):
+        op = assemble_discrete_operator(spec, PolarNodeGrid(4, 6), rays)
+    assert op.n_dropped == 1
+    assert [r.entry for r in op.rays] == [rays[0], rays[2]]
+
+
+def test_assembly_propagates_other_errors(monkeypatch):
+    def failing(*args, **kwargs):
+        raise DomainError("point outside disk domain")
+    monkeypatch.setattr(thermolab.xray, "integrate_orbit", failing)
+    with pytest.raises(DomainError):
+        assemble_discrete_operator(disk_spec(), PolarNodeGrid(4, 6),
+                                   [entry_state(0.0, 0.3)])
 
 
 def test_gauge_basis_shape():
