@@ -268,7 +268,7 @@ def cmd_identity(cfg):
 
 
 def cmd_xray(cfg):
-    from .xray import PairField, ray_fan, transform_pair
+    from .xray import PairField, ray_fan, transform_fan
     spec = spec_from(cfg)
     pair = PairField.from_expressions(phi=str(cfg.get("phi_field", "0")),
                                       w_x=str(cfg.get("w_x", "0")),
@@ -278,13 +278,11 @@ def cmd_xray(cfg):
     horizon = float(cfg.get("horizon", 100.0))
     scan = nontrapping_scan(spec, grid_spec=(3, 4, 4), T_max=horizon) \
         if bool(cfg.get("trap_scan", True)) else {"trapped": []}
-    records = []
-    n_trapped = 0
-    for entry in ray_fan(nb, na, margin_deg=float(cfg.get("margin_deg", 5.0))):
-        try:
-            records.append(transform_pair(spec, pair, entry, horizon=horizon))
-        except errors.TrappedOrbit:
-            n_trapped += 1
+    fan = transform_fan(spec, pair, ray_fan(
+        nb, na, margin_deg=float(cfg.get("margin_deg", 5.0))),
+        horizon=horizon)
+    records = [r for r in fan if r is not None]
+    n_trapped = len(fan) - len(records)
     if n_trapped:
         warnings.warn(f"{n_trapped} rays trapped past horizon {horizon}; "
                       "emitting the partial fan")
@@ -300,8 +298,7 @@ def cmd_xray(cfg):
 
 def cmd_invert(cfg):
     from .xray import PairField, PolarNodeGrid, analyze_kernel, \
-        assemble_discrete_operator, gauge_basis, ray_fan, reconstruct_pair, \
-        transform_pair
+        assemble_discrete_operator, gauge_basis, ray_fan, reconstruct_pair
     spec = spec_from(cfg)
     nr, na = _grid_tuple(cfg, "nodes", (12, 12))
     node_grid = PolarNodeGrid(nr, na)
@@ -311,8 +308,7 @@ def cmd_invert(cfg):
     pair = PairField.from_expressions(phi=str(cfg.get("phi_field", "0")),
                                       w_x=str(cfg.get("w_x", "0")),
                                       w_y=str(cfg.get("w_y", "0")))
-    values = np.array([transform_pair(spec, pair, r.entry).value
-                       for r in op.rays])
+    values = op.transform(pair)
     G, _ = gauge_basis(node_grid, spacing=float(cfg.get("gauge_spacing",
                                                         0.25)))
     try:

@@ -16,10 +16,11 @@ walk on arrays.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .errors import ParseError, UnknownIdentifier
+from .errors import DomainError, ParseError, UnknownIdentifier
 
 VARIABLES = ("x", "y", "theta")
 
@@ -305,13 +306,32 @@ def mul(a, b):
     return Mul(a, b)
 
 
+_FOLDS = {"/": operator.truediv, "^": operator.pow}
+
+
+def _fold(a, op, b):
+    """Const(a op b) for two constants, folded in Python floats; an
+    undefined, overflowing or non-real result raises DomainError."""
+    try:
+        result = _FOLDS[op](a.value, b.value)
+    except ZeroDivisionError:
+        raise DomainError(f"constant expression {a}{op}{b} divides by "
+                          "zero") from None
+    except OverflowError:
+        raise DomainError(f"constant expression {a}{op}{b} overflows") \
+            from None
+    if isinstance(result, complex):
+        raise DomainError(f"constant expression {a}{op}{b} is not real")
+    return Const(result)
+
+
 def div(a, b):
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
     if _is_const(a) and _is_const(b):
-        return Const(a.value / b.value)
+        return _fold(a, "/", b)
     return Div(a, b)
 
 
@@ -329,7 +349,7 @@ def pow_(a, b):
     if _is_const(b, 0.0):
         return Const(1.0)
     if _is_const(a) and _is_const(b):
-        return Const(a.value ** b.value)
+        return _fold(a, "^", b)
     return Pow(a, b)
 
 

@@ -212,8 +212,17 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
     """
     # walk the base orbit to t_start first
     if t_start != 0.0:
-        base = integrate_orbit(spec, start_point, (0.0, t_start),
-                               stop_at_boundary=False, rtol=rtol, atol=atol)
+        # Far out, the orbit can come within ~1e-10 of the edge of the
+        # model's chart (|k y| = pi/2 for phi = -log cos(k y) on K = -k^2),
+        # and a trial RK stage can step past it, where log gives NaN.  A
+        # NaN stage makes the step's error norm NaN, which the controller
+        # rejects (shrinking the step), so no NaN enters an accepted state,
+        # the dense solution or a result; if no step can avoid it, RK45
+        # fails and StepFailure is raised.
+        with np.errstate(invalid="ignore"):
+            base = integrate_orbit(spec, start_point, (0.0, t_start),
+                                   stop_at_boundary=False, rtol=rtol,
+                                   atol=atol)
         s = base.state(t_start)
         p = SMPoint(s[0], s[1], s[2])
     else:

@@ -8,6 +8,14 @@ source term, a boundary corrector enforcing a prescribed normal
 derivative, and a discretized operator on a polar node grid for kernel
 and inversion experiments: the numerical near-kernel is compared against
 the gauge space of pairs (0, d psi) with psi vanishing on the boundary.
+
+Rays are computed as fans.  `transform_fan` integrates all its rays in
+one batch (`flow.integrate_to_boundary`) and doubles the quadrature
+panels of all unconverged rays together; `transform_pair` is the fan of
+one ray.  `assemble_discrete_operator` integrates its rays the same way,
+and keeps the orbits, so that `DiscreteXRayOperator.transform` gives the
+transform of a pair along the same rays without integrating them again.
+Quadrature nodes are processed in blocks of at most `CHUNK_POINTS`.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from scipy import sparse
 from scipy.linalg import subspace_angles, svd
 
 from .errors import DomainError, IllConditioned, StepFailure, TrappedOrbit
+from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
-from .flow import DEFAULT_HORIZON, integrate_orbit
-from .geometry import thermostat_generator
+from .flow import DEFAULT_HORIZON, EXITED, STEP_FAILED, OrbitBatch, \
+    integrate_orbit, integrate_to_boundary
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,65 +107,143 @@ class RayRecord:
         return self.entry.theta
 
 
-def _panel_quadrature(lo, hi, n_panels):
-    """Nodes and weights of a composite 8-point rule on [lo, hi]."""
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+def _panel_rules(lo, hi, n_panels):
+    """Composite 8-point Gauss-Legendre rules on intervals [lo_i, hi_i].
+
+    Interval i has n_panels[i] panels with edges where np.linspace puts
+    them.  Returns the nodes, the weights and the interval of each node,
+    interval by interval.
+    """
+    hi = np.asarray(hi, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), hi.shape)
+    n_panels = np.asarray(n_panels, dtype=int)
+    which = np.repeat(np.arange(n_panels.size), n_panels)
+    k = np.arange(which.size) - np.repeat(np.cumsum(n_panels) - n_panels,
+                                          n_panels)
+    step = ((hi - lo) / n_panels)[which]
+    left = k * step + lo[which]
+    right = np.where(k + 1 == n_panels[which], hi[which],
+                     (k + 1) * step + lo[which])
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
     ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return ts, ws
+    return ts, ws, np.repeat(which, _GL_NODES.size)
 
 
-def _orbit_integral(model, orbit, values_at, lo, hi, tol=1e-10, max_panels=4096):
-    """Composite Gauss-Legendre integral of a state function along an
-    orbit's dense solution, panel-doubling until the change is below tol."""
-    n = max(4, int(np.ceil(abs(hi - lo) / 0.25)))
-    prev = None
-    while True:
-        ts, ws = _panel_quadrature(lo, hi, n)
-        states = orbit.sol(ts)
-        total = float(np.dot(ws, values_at(states[0], states[1], states[2])))
-        if prev is not None and abs(total - prev) < tol:
-            return total
-        if n >= max_panels:
-            return total
-        prev = total
-        n *= 2
+def _blocks(counts, size=CHUNK_POINTS):
+    """Slices of consecutive items whose counts add up to at most size
+    (or of one item, when its count alone is larger): they bound the
+    memory a batch of quadrature nodes holds."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + size,
+                                             side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
-def transform_pair(spec, pair, entry: SMPoint, tol=1e-10,
-                   horizon=DEFAULT_HORIZON):
-    """Ray transform of the pair along the orbit through the entry state.
+def _integrals(states_at, values_at, lo, hi, tol=1e-10, max_panels=4096):
+    """Composite Gauss-Legendre integrals of a state function over the
+    intervals [lo_i, hi_i] of orbits, the panels of every interval doubled
+    together until its change is below tol (or it has max_panels).
 
-    The entry may sit on the boundary pointing inward or in the
-    interior; integration always runs boundary to boundary.  Raises
-    TrappedOrbit when either direction fails to exit.
+    states_at(i, t) gives the states (n, 3) of the orbits of intervals i
+    at the times t; values_at(x, y, theta) the integrand.
+    """
+    hi = np.asarray(hi, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), hi.shape)
+    n = np.maximum(4, np.ceil(np.abs(hi - lo) / 0.25).astype(int))
+    totals = np.full(hi.size, np.nan)
+    todo = np.arange(hi.size)
+    while todo.size:
+        total = np.empty(todo.size)
+        for block in _blocks(n[todo] * _GL_NODES.size):
+            part = todo[block]
+            ts, ws, which = _panel_rules(lo[part], hi[part], n[part])
+            s = states_at(part[which], ts)
+            total[block] = np.bincount(
+                which, weights=ws * values_at(s[:, 0], s[:, 1], s[:, 2]),
+                minlength=part.size)
+        settled = (np.abs(total - totals[todo]) < tol) | \
+            (n[todo] >= max_panels)
+        totals[todo] = total
+        n[todo] *= 2
+        todo = todo[~settled]
+    return totals
+
+
+def _ray_values(orbits, pair, index, tol=1e-10):
+    """Transform values of the pair along the exited orbits `index` of an
+    OrbitBatch, each over [0, its exit time]."""
+    model = orbits.spec.model
+    return _integrals(lambda i, t: orbits.state(index[i], t),
+                      lambda x, y, t: pair.integrand_values(model, x, y, t),
+                      0.0, orbits.end_time[index], tol=tol)
+
+
+def _require_steps(orbits, rays):
+    """Raise StepFailure for the first orbit whose integration failed,
+    naming its ray; rays[i] is the ray of orbit i."""
+    for i in np.flatnonzero(orbits.outcome == STEP_FAILED)[:1]:
+        raise StepFailure(f"ray {rays[i]}: {orbits.reason(i)}")
+
+
+def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
+    """Ray transform of the pair along the orbit through each entry state.
+
+    An entry may sit on the boundary pointing inward or in the interior;
+    integration always runs boundary to boundary.  All rays are integrated
+    together (`flow.integrate_to_boundary`): interior entries backward to
+    the boundary first, then every ray forward to its exit; the quadrature
+    panels of all unconverged rays are then doubled together.  Returns one
+    RayRecord per entry, None for a ray trapped past the horizon in either
+    direction; raises StepFailure naming the first ray whose integration
+    failed.
     """
     model = spec.model
     if not model.domain.has_boundary:
         raise DomainError("the ray transform needs a disk model")
-    start = entry
-    r2 = entry.x ** 2 + entry.y ** 2
-    if r2 < 1.0 - 1e-12:
-        back = integrate_orbit(spec, entry, (0.0, -horizon),
-                               stop_at_boundary=True)
-        if back.exit_time is None:
-            raise TrappedOrbit("backward orbit trapped", horizon=horizon)
-        s = back.state(back.exit_time)
-        start = SMPoint(s[0], s[1], s[2])
-    orbit = integrate_orbit(spec, start, (0.0, horizon),
-                            stop_at_boundary=True)
-    if orbit.exit_time is None:
-        raise TrappedOrbit("forward orbit trapped", horizon=horizon)
-    length = float(orbit.exit_time)
-    value = _orbit_integral(
-        model, orbit,
-        lambda x, y, t: pair.integrand_values(model, x, y, t),
-        0.0, length, tol=tol)
-    xe, ye, te = orbit.state(length)
-    return RayRecord(entry=start, exit=SMPoint(xe, ye, te),
-                     length=length, value=value)
+    starts = np.array([[p.x, p.y, p.theta] for p in entries],
+                      dtype=float).reshape(-1, 3)
+    records = [None] * len(starts)
+    interior = np.flatnonzero(starts[:, 0] ** 2 + starts[:, 1] ** 2
+                              < 1.0 - 1e-12)
+    alive = np.ones(len(starts), dtype=bool)
+    if interior.size:
+        back = integrate_to_boundary(spec, starts[interior], direction=-1,
+                                     horizon=horizon)
+        _require_steps(back, interior)
+        exited = back.outcome == EXITED
+        starts[interior[exited]] = back.exit_state[exited]
+        starts[interior[exited], 2] %= TWO_PI
+        alive[interior[~exited]] = False
+    rays = np.flatnonzero(alive)
+    orbits = integrate_to_boundary(spec, starts[rays], horizon=horizon)
+    _require_steps(orbits, rays)
+    exited = np.flatnonzero(orbits.outcome == EXITED)
+    values = _ray_values(orbits, pair, exited, tol=tol)
+    for i, value in zip(exited, values):
+        records[rays[i]] = RayRecord(
+            entry=SMPoint(*starts[rays[i]]),
+            exit=SMPoint(*orbits.exit_state[i]),
+            length=float(orbits.end_time[i]), value=float(value))
+    return records
+
+
+def transform_pair(spec, pair, entry: SMPoint, tol=1e-10,
+                   horizon=DEFAULT_HORIZON):
+    """Ray transform of the pair along the orbit through one entry state:
+    `transform_fan` for a fan of one.  Raises TrappedOrbit when either
+    direction fails to exit.
+    """
+    (record,) = transform_fan(spec, pair, [entry], tol=tol, horizon=horizon)
+    if record is None:
+        raise TrappedOrbit(f"orbit trapped past horizon {horizon}",
+                           horizon=horizon)
+    return record
 
 
 def ray_fan(n_boundary=20, n_angles=20, margin_deg=5.0):
@@ -190,7 +277,6 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
     the integration start beyond the exit; the clamped integrand makes
     the value independent of the choice.
     """
-    model = spec.model
     q = _as_field(q)
     if state.x ** 2 + state.y ** 2 > 1.0 + 1e-12:
         return 0.0
@@ -206,15 +292,15 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
         return np.where(np.asarray(x) ** 2 + np.asarray(y) ** 2
                         <= 1.0 + 1e-12, vals, 0.0)
 
+    orbit, lo, hi = back, [t_cross], [0.0]
     if tail > 0.0:
         # split at the boundary crossing: the clamped integrand is only
         # piecewise smooth there
-        ext = integrate_orbit(spec, state, (0.0, t_start),
-                              stop_at_boundary=False)
-        return (_orbit_integral(model, ext, values, t_start, t_cross,
-                                tol=tol)
-                + _orbit_integral(model, ext, values, t_cross, 0.0, tol=tol))
-    return _orbit_integral(model, back, values, t_cross, 0.0, tol=tol)
+        orbit = integrate_orbit(spec, state, (0.0, t_start),
+                                stop_at_boundary=False)
+        lo, hi = [t_start, t_cross], [t_cross, 0.0]
+    return float(np.sum(_integrals(lambda i, t: orbit.sol(t).T, values,
+                                   lo, hi, tol=tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +459,10 @@ class DiscreteXRayOperator:
 
     Columns are [phi nodes | w_x nodes | w_y nodes]; rows are the rays
     that exited within the horizon.  n_dropped counts the rays that were
-    trapped or whose integration failed."""
+    trapped or whose integration failed.  An assembled operator keeps the
+    orbits it integrated (orbit_index[k] is the orbit of row k), so that
+    `transform` can integrate pairs along its rays; a loaded one has none.
+    """
 
     matrix: np.ndarray
     rays: list
@@ -381,6 +470,8 @@ class DiscreteXRayOperator:
     lam_text: str = ""
     n_dropped: int = 0
     quad_spacing: float = 0.02
+    orbits: Optional[OrbitBatch] = dc_field(default=None, repr=False)
+    orbit_index: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
     def n_rays(self):
@@ -393,50 +484,60 @@ class DiscreteXRayOperator:
     def apply(self, pair_vector):
         return self.matrix @ np.asarray(pair_vector, dtype=float)
 
+    def transform(self, pair, tol=1e-10):
+        """Transform values of the pair along the rows' rays, with the
+        quadrature of `transform_fan`, on the orbits of the assembly."""
+        if self.orbits is None:
+            raise ValueError("the operator holds no orbits (loaded from a "
+                             "file); use transform_fan on its entries")
+        return _ray_values(self.orbits, pair, self.orbit_index, tol=tol)
+
 
 def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
                                horizon=DEFAULT_HORIZON):
     """Build the ray matrix: each entry is a quadrature weight times an
-    interpolation coefficient.  Rays trapped past the horizon and rays
-    whose integration fails (StepFailure) are dropped, with a warning that
-    counts each reason; any other error propagates."""
+    interpolation coefficient.  All rays are integrated forward together
+    (`flow.integrate_to_boundary`); their quadrature nodes are then taken
+    in blocks of at most CHUNK_POINTS, with one `coefficient_matrix` call
+    per block.
+    Rays trapped past the horizon and rays whose integration fails are
+    dropped, with a warning that names each one and its reason; any other
+    error propagates."""
     model = spec.model
-    n_nodes = node_grid.n_nodes
-    rows = []
-    kept = []
-    dropped = []    # why each dropped ray was dropped
-    for i, entry in enumerate(rays):
-        try:
-            orbit = integrate_orbit(spec, entry, (0.0, horizon),
-                                    stop_at_boundary=True)
-        except StepFailure as e:
-            dropped.append(f"ray {i}: {e}")
-            continue
-        if orbit.exit_time is None:
-            dropped.append(f"ray {i}: trapped past horizon {horizon}")
-            continue
-        length = float(orbit.exit_time)
-        n_panels = max(2, int(np.ceil(length / (8 * quad_spacing))))
-        ts, ws = _panel_quadrature(0.0, length, n_panels)
-        sx, sy, st = orbit.sol(ts)
-        coeff = node_grid.coefficient_matrix(sx, sy)
-        speed = 1.0 / model.conformal_factor(sx, sy)
-        row = np.empty(3 * n_nodes)
-        row[:n_nodes] = ws @ coeff
-        row[n_nodes:2 * n_nodes] = (ws * speed * np.cos(st)) @ coeff
-        row[2 * n_nodes:] = (ws * speed * np.sin(st)) @ coeff
-        rows.append(row)
-        xe, ye, te = orbit.state(length)
-        kept.append(RayRecord(entry=entry, exit=SMPoint(xe, ye, te),
-                              length=length, value=0.0))
+    orbits = integrate_to_boundary(
+        spec, np.array([[p.x, p.y, p.theta] for p in rays], dtype=float),
+        horizon=horizon)
+    dropped = [f"ray {i}: {orbits.reason(i)}"
+               for i in np.flatnonzero(orbits.outcome != EXITED)]
     if dropped:
         warnings.warn(f"dropped {len(dropped)} rays during assembly: "
                       + "; ".join(dropped))
-    if not rows:
+    kept = np.flatnonzero(orbits.outcome == EXITED)
+    if not kept.size:
         raise TrappedOrbit("all rays trapped", horizon=horizon)
-    return DiscreteXRayOperator(matrix=np.vstack(rows), rays=kept,
+    lengths = orbits.end_time[kept]
+    n_panels = np.maximum(2, np.ceil(lengths / (8 * quad_spacing)).astype(int))
+    matrix = np.empty((kept.size, 3 * node_grid.n_nodes))
+    for block in _blocks(n_panels * _GL_NODES.size):
+        ts, ws, which = _panel_rules(0.0, lengths[block], n_panels[block])
+        sx, sy, st = orbits.state(kept[block][which], ts).T
+        coeff = node_grid.coefficient_matrix(sx, sy)
+        speed = 1.0 / model.conformal_factor(sx, sy)
+        # the rows of a (rays, nodes) matrix: each ray sums its own nodes
+        indptr = np.concatenate([[0], np.cumsum(n_panels[block]
+                                                * _GL_NODES.size)])
+        matrix[block] = np.hstack([
+            (sparse.csr_matrix((w, np.arange(ts.size), indptr),
+                               shape=(indptr.size - 1, ts.size))
+             @ coeff).toarray()
+            for w in (ws, ws * speed * np.cos(st), ws * speed * np.sin(st))])
+    records = [RayRecord(entry=rays[i], exit=SMPoint(*orbits.exit_state[i]),
+                         length=float(orbits.end_time[i]), value=0.0)
+               for i in kept]
+    return DiscreteXRayOperator(matrix=matrix, rays=records,
                                 node_grid=node_grid, n_dropped=len(dropped),
-                                quad_spacing=quad_spacing)
+                                quad_spacing=quad_spacing, orbits=orbits,
+                                orbit_index=kept)
 
 
 # ---------------------------------------------------------------------------

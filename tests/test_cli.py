@@ -47,6 +47,14 @@ def test_unknown_identifier(tmp_path):
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("lam", ["1/0", "log(0)*x"])
+def test_constant_division_by_zero_is_config_error(tmp_path, capsys, lam):
+    # 1/0 is folded at parse time; log(0)*x has 1/0 in its derivative
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg(**{"lambda": lam}))
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert "divides by zero" in capsys.readouterr().err
+
+
 def test_small_grid_rejected(tmp_path):
     cfg = write_config(tmp_path, "c.json", flat_torus_cfg(grid=[2, 2, 2]))
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG

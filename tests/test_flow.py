@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import thermolab.flow
-from thermolab.errors import TrappedOrbit
+from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import ThermostatSpec, exit_time, exp_map, \
-    geodesic_spec, integrate_orbit, nontrapping_scan, scan_regularity
+from thermolab.flow import EXITED, STEP_FAILED, TRAPPED, ThermostatSpec, \
+    exit_time, exp_map, geodesic_spec, integrate_orbit, \
+    integrate_to_boundary, nontrapping_scan, scan_regularity
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 
 
@@ -122,3 +123,85 @@ def test_rhs_with_callable_intensity():
     for s in ([0.1, 0.2, 0.3], [-0.5, 0.4, 2.0]):
         assert np.allclose(closure.rhs()(0.0, s), compiled.rhs()(0.0, s),
                            rtol=1e-15, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against single solve_ivp orbits
+# ---------------------------------------------------------------------------
+
+def curved_disk_spec():
+    model = build_surface_model("conformal_disk",
+                                phi="0.04*(x^2+y^2) + 0.01*x*y")
+    return ThermostatSpec(model, SMScalarField.from_expression(
+        "0.2 - 0.03*x + 0.05*sin(theta)"))
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_batch_matches_integrate_orbit(direction):
+    spec = curved_disk_spec()
+    rng = np.random.default_rng(8)
+    r = np.sqrt(rng.uniform(0.0, 0.95, 12))
+    a = rng.uniform(0.0, 2 * np.pi, 12)
+    states = np.column_stack([r * np.cos(a), r * np.sin(a),
+                              rng.uniform(0.0, 2 * np.pi, 12)])
+    batch = integrate_to_boundary(spec, states, direction=direction)
+    assert np.all(batch.outcome == EXITED)
+    for i, s in enumerate(states):
+        orbit = integrate_orbit(spec, SMPoint(*s), (0.0, direction * 100.0))
+        assert batch.end_time[i] == pytest.approx(orbit.exit_time, abs=1e-10)
+        assert np.allclose(batch.exit_state[i], orbit.state(orbit.exit_time),
+                           rtol=0, atol=1e-10)
+        ts = np.linspace(0.0, orbit.exit_time, 9)
+        assert np.allclose(batch.state(np.full(9, i), ts), orbit.sol(ts).T,
+                           rtol=0, atol=1e-10)
+    # the same steps as solve_ivp, taken for all orbits at once
+    assert batch.iterations < batch.accepted
+    assert batch.rhs_calls == 2 + 6 * batch.iterations
+
+
+def test_batch_trapped_ray_leaves_others_unchanged():
+    # radius-0.2 thermostat circles: the orbit from the centre never exits,
+    # the two near the rim leave within the horizon
+    spec = ThermostatSpec(euclidean_disk(), SMScalarField.constant(5.0))
+    leaving = np.array([[0.9, 0.0, 0.0], [0.0, -0.85, 4.0]])
+    mixed = np.vstack([leaving[:1], [[0.0, 0.0, 0.3]], leaving[1:]])
+    alone = integrate_to_boundary(spec, leaving, horizon=5.0)
+    batch = integrate_to_boundary(spec, mixed, horizon=5.0)
+    assert list(batch.outcome) == [EXITED, TRAPPED, EXITED]
+    assert batch.end_time[1] == 5.0
+    assert "trapped past horizon 5.0" in batch.reason(1)
+    assert np.all(np.isnan(batch.exit_state[1]))
+    for i, j in ((0, 0), (2, 1)):
+        assert batch.end_time[i] == pytest.approx(alone.end_time[j],
+                                                  abs=1e-13)
+        assert np.allclose(batch.exit_state[i], alone.exit_state[j],
+                           rtol=0, atol=1e-13)
+        orbit = integrate_orbit(spec, SMPoint(*mixed[i]), (0.0, 5.0))
+        assert batch.end_time[i] == pytest.approx(orbit.exit_time, abs=1e-10)
+
+
+def test_batch_needs_disk_states():
+    spec = curved_disk_spec()
+    with pytest.raises(DomainError, match="state 1"):
+        integrate_to_boundary(spec, [[0.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
+    with pytest.raises(DomainError):
+        integrate_to_boundary(geodesic_spec(flat_torus()), [[0.1, 0.2, 0.3]])
+
+
+def test_batch_step_failure_matches_integrate_orbit():
+    # lam = sqrt(0.5 - x) is NaN past x = 0.5: trial stages there are
+    # rejected until the step size falls below the float spacing of t,
+    # where solve_ivp fails too; the other orbit of the batch exits
+    spec = ThermostatSpec(euclidean_disk(),
+                          SMScalarField.from_expression("sqrt(0.5 - x)"))
+    states = [[0.3, 0.0, 0.0], [-0.3, 0.0, 3.0]]
+    with np.errstate(invalid="ignore"):
+        batch = integrate_to_boundary(spec, states)
+        with pytest.raises(StepFailure):
+            integrate_orbit(spec, SMPoint(*states[0]), (0.0, 100.0))
+        orbit = integrate_orbit(spec, SMPoint(*states[1]), (0.0, 100.0))
+    assert list(batch.outcome) == [STEP_FAILED, EXITED]
+    assert batch.reason(0).startswith("integration failed: step size")
+    # a path from x = 0.3 to x = 0.5 at unit speed takes at least 0.2
+    assert 0.2 < batch.end_time[0] < 0.21
+    assert batch.end_time[1] == pytest.approx(orbit.exit_time, abs=1e-10)

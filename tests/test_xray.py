@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import thermolab.xray
-from thermolab.errors import DomainError, StepFailure
+from thermolab.errors import DomainError
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import ThermostatSpec, geodesic_spec
-from thermolab.geometry import euclidean_disk
+from thermolab.flow import STEP_FAILED, ThermostatSpec, geodesic_spec
+from thermolab.geometry import build_surface_model, euclidean_disk
 from thermolab.xray import PairField, PolarNodeGrid, \
     assemble_discrete_operator, boundary_corrector, chi_field, \
     corrected_pair, gauge_basis, gauge_bumps, load_operator, ray_fan, \
-    rays_to_csv, reconstruct_pair, save_operator, transform_pair
+    rays_to_csv, reconstruct_pair, save_operator, transform_fan, \
+    transform_pair
 
 
 def disk_spec():
@@ -53,6 +54,62 @@ def test_transform_additive():
     vb = transform_pair(spec, b, e).value
     vab = transform_pair(spec, a + b, e).value
     assert vab == pytest.approx(va + vb, abs=1e-9)
+
+
+def test_fan_chord_lengths():
+    # Euclidean disk: the chord at distance d = |sin beta| from the centre
+    # has length 2 sqrt(1 - d^2), and the transform of phi = 1 is its length
+    fan = ray_fan(8, 9)
+    records = transform_fan(disk_spec(), PairField.from_expressions(phi="1"),
+                            fan)
+    for entry, rec in zip(fan, records):
+        beta = entry.theta - np.arctan2(entry.y, entry.x) - np.pi
+        d = abs(np.sin(beta))
+        assert rec.length == pytest.approx(2 * np.sqrt(1 - d * d), abs=1e-10)
+        assert rec.value == pytest.approx(rec.length, abs=1e-10)
+
+
+def test_fan_matches_one_ray_transform():
+    # a curved disk with a thermostat; boundary entries and interior ones,
+    # which are first followed backward to the boundary
+    model = build_surface_model("conformal_disk",
+                                phi="0.04*(x^2+y^2) + 0.01*x*y")
+    spec = ThermostatSpec(model, SMScalarField.from_expression(
+        "0.2 - 0.03*x"))
+    pair = PairField.from_expressions(phi="exp(-(x^2+y^2))", w_x="0.3*y",
+                                      w_y="-0.3*x")
+    entries = ray_fan(5, 4) + [SMPoint(0.1, -0.2, 0.7), SMPoint(-0.5, 0.3,
+                                                                2.9)]
+    records = transform_fan(spec, pair, entries)
+    for entry, rec in zip(entries, records):
+        one = transform_pair(spec, pair, entry)
+        assert rec.length == pytest.approx(one.length, abs=1e-10)
+        assert rec.value == pytest.approx(one.value, abs=1e-10)
+        for a, b in ((rec.entry, one.entry), (rec.exit, one.exit)):
+            assert np.allclose(a.as_array(), b.as_array(), rtol=0,
+                               atol=1e-10)
+
+
+def test_fan_reports_trapped_rays_as_none():
+    # tight thermostat circles: the interior entry at the centre never
+    # reaches the boundary; the boundary entry leaves at once
+    spec = ThermostatSpec(euclidean_disk(), SMScalarField.constant(5.0))
+    pair = PairField.from_expressions(phi="1")
+    trapped, rec = transform_fan(spec, pair, [SMPoint(0.0, 0.0, 0.3),
+                                              entry_state(0.5, 0.2)],
+                                 horizon=5.0)
+    assert trapped is None
+    assert rec.value == pytest.approx(rec.length, abs=1e-10)
+
+
+def test_operator_transform_matches_fan():
+    # values on the assembled orbits are the fan transform's values
+    spec = disk_spec()
+    rays = ray_fan(6, 5)
+    op = assemble_discrete_operator(spec, PolarNodeGrid(6, 6), rays)
+    pair = PairField.from_expressions(phi="1 - x^2 - y^2", w_x="0.3*y")
+    direct = [r.value for r in transform_fan(spec, pair, rays)]
+    assert np.max(np.abs(op.transform(pair) - direct)) < 1e-12
 
 
 def test_chi_primitive():
@@ -133,13 +190,14 @@ def test_discrete_operator_matches_transform():
 def test_assembly_drops_failed_rays_with_reasons(monkeypatch):
     spec = disk_spec()
     rays = [entry_state(s, 0.3) for s in (0.0, 1.0, 2.0)]
-    integrate = thermolab.xray.integrate_orbit
+    integrate = thermolab.xray.integrate_to_boundary
 
-    def failing(spec, entry, *args, **kwargs):
-        if entry is rays[1]:
-            raise StepFailure("integration failed: step size too small")
-        return integrate(spec, entry, *args, **kwargs)
-    monkeypatch.setattr(thermolab.xray, "integrate_orbit", failing)
+    def failing(*args, **kwargs):
+        # the engine reports a failed step for ray 1
+        orbits = integrate(*args, **kwargs)
+        orbits.outcome[1] = STEP_FAILED
+        return orbits
+    monkeypatch.setattr(thermolab.xray, "integrate_to_boundary", failing)
     with pytest.warns(UserWarning, match="ray 1: integration failed: step"):
         op = assemble_discrete_operator(spec, PolarNodeGrid(4, 6), rays)
     assert op.n_dropped == 1
@@ -149,7 +207,7 @@ def test_assembly_drops_failed_rays_with_reasons(monkeypatch):
 def test_assembly_propagates_other_errors(monkeypatch):
     def failing(*args, **kwargs):
         raise DomainError("point outside disk domain")
-    monkeypatch.setattr(thermolab.xray, "integrate_orbit", failing)
+    monkeypatch.setattr(thermolab.xray, "integrate_to_boundary", failing)
     with pytest.raises(DomainError):
         assemble_discrete_operator(disk_spec(), PolarNodeGrid(4, 6),
                                    [entry_state(0.0, 0.3)])
