@@ -102,7 +102,8 @@ class Const(Expr):
         return Const(0.0)
 
     def __str__(self):
-        if self.value < 0:
+        # -0.0 too: unparenthesized, (-0.0)^theta would read as -(0.0^theta)
+        if math.copysign(1.0, self.value) < 0:
             return f"({self.value!r})"
         return repr(self.value)
 

@@ -81,6 +81,40 @@ def test_rate_matches_fd_along_orbit():
     assert out["sylvester_consistent"]
 
 
+def _central_diff4(u, axis, h):
+    # 4th-order periodic central difference, written with rolls
+    return (-np.roll(u, -2, axis=axis) + 8.0 * np.roll(u, -1, axis=axis)
+            - 8.0 * np.roll(u, 1, axis=axis) + np.roll(u, 2, axis=axis)) \
+        / (12.0 * h)
+
+
+def test_transport_operator_matches_stencil():
+    # the assembled matrix against the roll stencil; at n = 4 the offsets
+    # +2 and -2 wrap onto one column, and the products must sum both
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    lam = SMScalarField.from_expression("0.2*sin(2*pi*y)")
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 16, 17):
+        op = GridTransportOperator(model, lam, n)
+        hs = (op.h_xy, op.h_xy, op.h_t)
+        cs = (op.cx, op.cy, op.ct)
+        u = rng.standard_normal(op.X.shape)
+        v = rng.standard_normal(op.X.shape)
+        Fu = sum(c * _central_diff4(u, a, h)
+                 for a, (c, h) in enumerate(zip(cs, hs)))
+        # central differences are antisymmetric on the periodic grid
+        FTv = -sum(_central_diff4(c * v, a, h)
+                   for a, (c, h) in enumerate(zip(cs, hs)))
+        assert np.linalg.norm(op.apply(u) - Fu) <= \
+            1e-13 * np.linalg.norm(Fu)
+        assert np.linalg.norm(op.apply_adjoint(v) - FTv) <= \
+            1e-13 * np.linalg.norm(FTv)
+        lhs = np.vdot(op.apply(u), v)
+        rhs = np.vdot(u, op.apply_adjoint(v))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 def test_cohomology_exact_gauge():
     ft = flat_torus()
     w_x = SMScalarField.from_expression("2*pi*cos(2*pi*x)")

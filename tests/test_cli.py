@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermolab
 from thermolab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, dumps, main
@@ -87,6 +88,48 @@ def test_dumps_formats():
     assert parsed["b"] == pytest.approx(1.0 / 3.0, rel=1e-16)
     assert parsed["a"] == [1, True, None]
     assert list(json.loads(text)) == ["a", "b", "c"]
+
+
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 18, 10 ** 18), st.floats(),
+    st.floats().map(np.float64), st.text(max_size=6))
+REPORTS = st.dictionaries(st.text(max_size=6), st.recursive(
+    _REPORT_LEAVES,
+    lambda values: st.one_of(
+        st.lists(values, max_size=4),
+        st.lists(st.floats(), max_size=4).map(np.array),
+        st.dictionaries(st.text(max_size=6), values, max_size=4)),
+    max_leaves=20), max_size=5)
+
+
+def _reversed(obj):
+    """The same report with every dict built in reverse key order."""
+    if isinstance(obj, dict):
+        return {k: _reversed(obj[k]) for k in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [_reversed(v) for v in obj]
+    return obj
+
+
+def _same(read, obj):
+    """Whether JSON read back from dumps(obj) holds obj's values."""
+    if isinstance(obj, dict):
+        return isinstance(read, dict) and read.keys() == obj.keys() and \
+            all(_same(read[k], obj[k]) for k in obj)
+    if isinstance(obj, (list, np.ndarray)):
+        return isinstance(read, list) and len(read) == len(obj) and \
+            all(_same(r, v) for r, v in zip(read, obj))
+    if isinstance(obj, (float, np.floating)) and obj != obj:
+        return read != read
+    return read == obj
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(REPORTS)
+def test_dumps_deterministic_on_random_reports(report):
+    text = dumps(report)
+    assert dumps(_reversed(report)) == text
+    assert _same(json.loads(text), report)
 
 
 def test_pestov_command(tmp_path, capsys):

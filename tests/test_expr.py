@@ -3,7 +3,7 @@ and the compiled bundles checked against the tree walk."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from thermolab.errors import DomainError, ParseError, UnknownIdentifier
 from thermolab.expr import CHUNK_POINTS, VARIABLES, Bundle, \
@@ -146,6 +146,26 @@ def test_bundle_scalars_match_bundle_grid(text):
             point = bundle.kernel(x[i], y[i], th[i])
             for value, column in zip(point, grid):
                 assert np.array_equal(value, column[i], equal_nan=True)
+
+
+@PROPERTY
+@given(EXPRESSIONS)
+@example("(-(0.5-0.5))^theta")  # a folded -0.0 base must print in parens
+def test_print_parse_round_trip_random(text):
+    # derivatives are left out: they print the internal sign(), which the
+    # parser does not accept
+    try:
+        e = parse_expression(text)
+    except DomainError:
+        assume(False)
+    printed = str(e)
+    e2 = parse_expression(printed)
+    assert str(e2) == printed
+    x, y, th = GRID
+    with np.errstate(all="ignore"):
+        walked = np.broadcast_to(e.eval(x, y, th), x.shape)
+        reread = np.broadcast_to(e2.eval(x, y, th), x.shape)
+    assert np.array_equal(reread, walked, equal_nan=True), printed
 
 
 def test_bundle_shares_subexpressions():
