@@ -50,7 +50,9 @@ def _format_float(v):
         return "Infinity"
     if v == float("-inf"):
         return "-Infinity"
-    return f"{v:.17g}"
+    text = f"{v:.17g}"
+    # a float reads back as a float, with its sign: 1.0 and -0.0, not 1, -0
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def dumps(obj, indent=0):

@@ -35,13 +35,8 @@ _FUNCTIONS = {
     "sqrt": np.sqrt,
     "tanh": np.tanh,
     "abs": np.abs,
-    # internal only (derivative of abs); not accepted by the parser
-    "sign": np.sign,
+    "sign": np.sign,    # the derivative of abs
 }
-
-_PARSEABLE_FUNCTIONS = frozenset(
-    ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs")
-)
 
 
 class Expr:
@@ -477,7 +472,7 @@ class _Parser:
             return e
         if kind == "ident":
             if self.toks.peek()[0] == "(":
-                if value not in _PARSEABLE_FUNCTIONS:
+                if value not in _FUNCTIONS:
                     raise UnknownIdentifier(value, offset)
                 self.toks.next()
                 arg = self.expr()

@@ -11,27 +11,34 @@ The three coefficients are compiled once per spec, on the first
 shares exp(-phi), its partials and cos/sin(theta) between them (see
 `expr.Bundle`); it takes one state or a (3, N) block of states.
 
-Two integrators use it.  `integrate_orbit` follows a single orbit with
-scipy's RK45 and returns an `Orbit` with scipy's dense solution; boundary
-crossings on the disk are located by the solver's event machinery.
-`integrate_to_boundary` follows a whole batch of disk orbits together
-until each leaves the disk: a vectorized Dormand-Prince 5(4) integrator
-with one step size per orbit and the same tableau, error norm, step
-controller and initial step as RK45, so each orbit takes the steps RK45
-would take.  Each of its loop iterations makes one attempt at the next
-step of every live orbit, with six RHS calls for all of them.  The exit
-time is refined on the step's continuous extension, for all orbits at
-once, to the tolerance of scipy's event finder.  The per-orbit loops of
-the ray transform and the trapping scan run on it.
+Every ODE of the package is solved by `integrate`, a Dormand-Prince 5(4)
+integrator with the tableau, error norm, step controller and initial step
+of scipy's RK45, so that each orbit takes the steps RK45 would take.  It
+integrates many orbits together, each with its own step size and time
+span: one loop iteration makes one attempt at the next step of every live
+orbit, with six RHS calls for all of them.  A single orbit takes a loop of
+its own, without masks or compaction, that drives the same step,
+controller, continuous extension and event refiner: on one orbit, the
+masked loop's small-array numpy calls take about three times as long.  A
+state is an orbit (width 3) or an orbit with a Jacobi field (width 6, see
+`jacobi`).  An `Event` is a function of the state whose zeros are refined
+on the steps' continuous extensions, to the tolerance of scipy's event
+finder: leaving the disk stops an orbit, the zeros of a Jacobi field are
+recorded.
+
+`integrate_orbit` follows one orbit and returns it as an `Orbit` with a
+dense solution.  `integrate_to_boundary` follows a batch of disk orbits
+until each leaves the disk; the per-orbit loops of the ray transform and
+the trapping scan run on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepFailure, TrappedOrbit
 from .fields import SMPoint, SMScalarField, _as_field, compile_fields
@@ -43,7 +50,7 @@ DEFAULT_HORIZON = 100.0
 TRANSVERSALITY_TOL = 1e-6
 
 # Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Solving ODEs I, II.5): stage
-# weights a_ij (the flow is autonomous, so the nodes c_i never enter), the
+# weights a_ij (the ODEs are autonomous, so the nodes c_i never enter), the
 # 5th-order weights b_j, and e_j = b_j - (embedded 4th-order weights) over
 # the seven stages, the last being the derivative at the new state
 DP_A = (np.array([1 / 5]),
@@ -76,12 +83,12 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
-# exit times are refined to EVENT_TOL * (1 + |t|), as by scipy's brentq
+# event zeros are refined to EVENT_TOL * (1 + |t|), as by scipy's brentq
 EVENT_TOL = 4 * np.finfo(float).eps
 
-# outcome of each orbit of a batch
-EXITED = 0        # left the disk; exit time refined
-TRAPPED = 1       # still inside at the horizon
+# outcome of each orbit of a run
+EXITED = 0        # stopped by a terminal event (left the disk); zero refined
+TRAPPED = 1       # reached its end time (the horizon, still inside the disk)
 STEP_FAILED = 2   # step size fell below the float spacing of t
 
 
@@ -118,6 +125,65 @@ def geodesic_spec(model):
     return ThermostatSpec(model, SMScalarField.constant(0.0))
 
 
+@dataclass(frozen=True)
+class Event:
+    """A function g of the state whose zeros a run of `integrate` locates.
+
+    It fires on an accepted step across which g goes from >= 0 to <= 0
+    (direction -1), or either way (direction 0); its zero is then refined
+    on the step's continuous extension.  A terminal event stops the orbit
+    there.  g(s) and slope(s, ds), the derivative of g along ds, take
+    states as (d, n) blocks.
+    """
+
+    g: Callable
+    slope: Callable
+    direction: int
+    terminal: bool
+
+    def fires(self, g_old, g_new):
+        down = (g_old >= 0) & (g_new <= 0)
+        if self.direction < 0:
+            return down
+        return down | ((g_old <= 0) & (g_new >= 0))
+
+
+# leaving the unit disk: 1 - x^2 - y^2 falls to 0
+BOUNDARY = Event(g=lambda s: 1.0 - (s[0] * s[0] + s[1] * s[1]),
+                 slope=lambda s, ds: -2.0 * (s[0] * ds[0] + s[1] * ds[1]),
+                 direction=-1, terminal=True)
+
+
+@dataclass
+class DenseSolution:
+    """The continuous solution of one orbit over its accepted steps.
+
+    Step k covers ts[k] to ts[k + 1]: ts[0] is the start and ts[-1] the end
+    time (the zero of the event that stopped the orbit, if one did).  It is
+    called as scipy's OdeSolution: a time gives the state (d,), an array
+    of n times the states (d, n), each on the continuous extension of the
+    step that covers it (at a step boundary, the earlier step).
+    """
+
+    ts: np.ndarray
+    h: np.ndarray       # step sizes
+    y: np.ndarray       # states at the step starts, (n, d)
+    q: np.ndarray       # extension coefficients Q, (n, d, 4)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        times = t.reshape(-1)
+        n = self.h.size
+        if self.ts[-1] >= self.ts[0]:
+            k = np.searchsorted(self.ts, times, side="left") - 1
+        else:
+            k = n - np.searchsorted(self.ts[::-1], times, side="right")
+        k = np.clip(k, 0, n - 1)
+        states = _extension(self.ts[k], self.h[k], self.y[k], self.q[k],
+                            times)
+        return states[0] if t.ndim == 0 else states.T
+
+
 @dataclass
 class Orbit:
     """A sampled lambda-geodesic lift with dense evaluation."""
@@ -125,7 +191,7 @@ class Orbit:
     spec: ThermostatSpec
     t: np.ndarray
     states: np.ndarray  # shape (n, 3), unwrapped coordinates
-    sol: object  # scipy dense OdeSolution
+    sol: DenseSolution
     exit_time: Optional[float] = None
     exit_transversal: Optional[bool] = None
     regular: Optional[bool] = None
@@ -158,89 +224,76 @@ class Orbit:
             worst = max(worst, abs(float(speed) - 1.0))
         return worst
 
-    def to_csv(self, path):
-        """Write t,x,y,theta rows with 17-significant-digit floats."""
-        with open(path, "w") as fh:
-            fh.write("t,x,y,theta\n")
-            for tk, sk in zip(self.t, self.states):
-                th = sk[2] % (2.0 * np.pi)
-                fh.write(",".join(f"{v:.17g}" for v in (tk, sk[0], sk[1], th))
-                         + "\n")
-
-
-def _boundary_event():
-    def g(t, s):
-        return 1.0 - (s[0] * s[0] + s[1] * s[1])
-    g.terminal = True
-    g.direction = -1  # leaving the disk
-    return g
-
 
 def integrate_orbit(spec, p0: SMPoint, t_span, stop_at_boundary=None,
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, t_eval=None,
-                    max_step=np.inf):
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, t_eval=None):
     """Integrate the thermostat orbit from p0 over t_span.
 
     On bounded domains integration halts at the first boundary crossing
     (when stop_at_boundary, the default there); crossing parameters are
-    event-refined.  t_span may be decreasing for backward orbits.
+    event-refined.  t_span may be decreasing for backward orbits.  The
+    orbit is sampled at the ends of its steps, or at the times of t_eval
+    up to where it stopped.
     """
     model = spec.model
     model.domain.require(p0)
     if stop_at_boundary is None:
         stop_at_boundary = model.domain.has_boundary
-
-    events = [_boundary_event()] if stop_at_boundary else None
-    res = solve_ivp(spec.rhs(), t_span, [p0.x, p0.y, p0.theta],
-                    method="RK45", rtol=rtol, atol=atol, dense_output=True,
-                    events=events, t_eval=t_eval, max_step=max_step)
-    if res.status == -1:
-        raise StepFailure(f"integration failed: {res.message}")
+    run = integrate(spec, [[p0.x, p0.y, p0.theta]], *t_span,
+                    event=BOUNDARY if stop_at_boundary else None,
+                    rtol=rtol, atol=atol)
+    if run.outcome[0] == STEP_FAILED:
+        raise StepFailure(run.reason(0))
+    sol, t, states = run.sampled(0, t_eval)
     exit_time = None
     transversal = None
-    if stop_at_boundary and res.t_events and len(res.t_events[0]):
-        exit_time = float(res.t_events[0][0])
-        s = res.sol(exit_time)
+    if run.outcome[0] == EXITED:
+        exit_time = float(run.end_time[0])
+        s = run.end_state[0]
         vx, vy = spec.rhs()(exit_time, s)[:2]
         nx, ny = s[0], s[1]  # outward normal of the unit circle
         transversal = abs(vx * nx + vy * ny) / max(np.hypot(vx, vy), 1e-300) \
             > TRANSVERSALITY_TOL
-    return Orbit(spec=spec, t=res.t, states=res.y.T, sol=res.sol,
+    return Orbit(spec=spec, t=t, states=states, sol=sol,
                  exit_time=exit_time, exit_transversal=transversal)
 
 
 # ---------------------------------------------------------------------------
-# Batched integration to the disk boundary
+# The Dormand-Prince core
 # ---------------------------------------------------------------------------
 
 @dataclass
 class OrbitBatch:
-    """Disk orbits of many states, integrated together until each stopped.
+    """The orbits of one run of `integrate`, integrated until each stopped.
 
-    Orbit i starts at the i-th state at t = 0 and runs in the time
-    direction direction[i].  outcome[i] is EXITED, TRAPPED or STEP_FAILED,
-    and end_time[i] is where the orbit stopped: the refined exit time, the
-    signed horizon, or the time of the step that failed.  exit_state[i] is
-    the state at the exit (NaN unless EXITED).  The accepted steps are
-    kept, sorted by orbit and then by time, so that `state` can evaluate
-    the continuous extension at many (orbit, t) pairs at once.
+    Orbit i starts at t_start[i] and runs in the time direction
+    direction[i].  outcome[i] is EXITED, TRAPPED or STEP_FAILED, and
+    end_time[i] and end_state[i] are where the orbit stopped: the refined
+    zero of a terminal event, its end time, or the time of the step that
+    failed.  The refined zeros of the run's event are kept in time order
+    (`event_times`).  The accepted steps are kept, sorted by orbit and then
+    by time, so that `state` can evaluate the continuous extension at many
+    (orbit, t) pairs at once and `solution` can give one orbit's.
 
-    The counters give the work done: loop iterations of the batch,
-    accepted and rejected steps summed over orbits, and batched RHS calls.
+    The counters give the work done: loop iterations of the run, accepted
+    and rejected steps summed over orbits, and batched RHS calls.
     """
 
     spec: ThermostatSpec
-    horizon: float
+    t_start: np.ndarray
     direction: np.ndarray
     outcome: np.ndarray
     end_time: np.ndarray
-    exit_state: np.ndarray
+    end_state: np.ndarray
     iterations: int
     accepted: int
     rejected: int
     rhs_calls: int
-    # accepted steps: search key, start time, size, start state (n, 3),
-    # and extension coefficients Q (n, 3, 4)
+    # event zeros: orbit (sorted) and time
+    event_orbit: np.ndarray = dc_field(repr=False)
+    event_t: np.ndarray = dc_field(repr=False)
+    # accepted steps: search key, start time, size, start state (n, d),
+    # and extension coefficients Q (n, d, 4)
     step_key: np.ndarray = dc_field(repr=False)
     step_t: np.ndarray = dc_field(repr=False)
     step_h: np.ndarray = dc_field(repr=False)
@@ -248,15 +301,34 @@ class OrbitBatch:
     step_q: np.ndarray = dc_field(repr=False)
     last_step: np.ndarray = dc_field(repr=False)  # last step of each orbit
 
+    @property
+    def exit_state(self):
+        """The states at the exits (NaN for orbits that did not exit)."""
+        return np.where((self.outcome == EXITED)[:, None], self.end_state,
+                        np.nan)
+
     def reason(self, i):
-        """Why orbit i, which did not exit, stopped."""
+        """Why orbit i, which no event stopped, stopped."""
         if self.outcome[i] == TRAPPED:
-            return f"trapped past horizon {self.horizon}"
+            horizon = abs(float(self.end_time[i] - self.t_start[i]))
+            return f"trapped past horizon {horizon}"
         return ("integration failed: step size below the float spacing at "
                 f"t={float(self.end_time[i])!r}")
 
+    def require_steps(self, name="state", index=None):
+        """Raise StepFailure for the first orbit whose integration failed,
+        naming it "{name} {index[i]}" (index: the orbit numbers)."""
+        for i in np.flatnonzero(self.outcome == STEP_FAILED)[:1]:
+            label = i if index is None else index[i]
+            raise StepFailure(f"{name} {label}: {self.reason(i)}")
+
+    def event_times(self, i):
+        """The refined zeros of the event along orbit i, in time order."""
+        lo, hi = np.searchsorted(self.event_orbit, [i, i + 1])
+        return self.event_t[lo:hi]
+
     def state(self, orbits, t):
-        """States (n, 3) at the pairs (orbits[k], t[k]), each on the
+        """States (n, d) at the pairs (orbits[k], t[k]), each on the
         continuous extension of the orbit's accepted step that covers
         t[k] (orbits that failed before accepting a step have none)."""
         orbits = np.asarray(orbits, dtype=int).ravel()
@@ -270,40 +342,113 @@ class OrbitBatch:
         return _extension(self.step_t[k], self.step_h[k], self.step_y[k],
                           self.step_q[k], t)
 
+    def solution(self, i):
+        """The dense solution of orbit i."""
+        steps = slice(self.last_step[i - 1] + 1 if i else 0,
+                      self.last_step[i] + 1)
+        return DenseSolution(ts=np.append(self.step_t[steps],
+                                          self.end_time[i]),
+                             h=self.step_h[steps], y=self.step_y[steps],
+                             q=self.step_q[steps])
+
+    def sampled(self, i, t_eval=None):
+        """Orbit i's dense solution, with sample times and states (n, d):
+        the ends of its steps, or the times of t_eval up to where it
+        stopped."""
+        sol = self.solution(i)
+        if t_eval is None:
+            t = sol.ts
+        else:
+            t = np.asarray(t_eval, dtype=float)
+            t = t[self.direction[i] * (t - self.end_time[i]) <= 0]
+        return sol, t, sol(t).T
+
 
 def _rms(v):
-    """Root mean square over the three coordinates of each column."""
-    return np.sqrt(np.sum(v * v, axis=0)) / np.sqrt(3.0)
+    """Root mean square over the coordinates (the first axis)."""
+    return np.sqrt((v * v).sum(axis=0)) / math.sqrt(v.shape[0])
+
+
+def _initial_step(derivative, y, f, direction, interval, rtol, atol):
+    """Initial step sizes, as scipy's select_initial_step, for states
+    (d, N) with derivatives f over spans of the given lengths."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1, d1)),
+                    interval)
+    with np.errstate(divide="ignore", invalid="ignore"):   # empty spans
+        d2 = _rms((derivative(y + h0 * direction * f) - f) / scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.where(flat, 1, np.maximum(d1, d2))) ** (1 / 5))
+    # fmin: an empty span (h0 = 0, h1 NaN) gets 0, and one step of size 0
+    return np.fmin(np.minimum(100 * h0, h1), interval)
+
+
+def _attempt(derivative, y, f, h, rtol, atol):
+    """One Dormand-Prince step of size h from the states y (d, ...) with
+    derivatives f: the new states, the seven stage derivatives K
+    (7, d, ...) and the error norm of each orbit."""
+    K = np.empty((7,) + y.shape)
+    stages = K.reshape(7, -1)   # a view: stage j's derivatives in row j
+    K[0] = f
+    for s, a in enumerate(DP_A, start=1):
+        K[s] = derivative(y + h * np.dot(a, stages[:s]).reshape(y.shape))
+    y_new = y + h * np.dot(DP_B, stages[:6]).reshape(y.shape)
+    K[6] = derivative(y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    return y_new, K, _rms(h * np.dot(DP_E, stages).reshape(y.shape) / scale)
+
+
+def _step_factor(error_norm, rejected):
+    """RK45's controller: whether each attempt is accepted, and the factor
+    on its size for the next attempt (at most 1 right after a
+    rejection)."""
+    # an error below 1 gives a factor above SAFETY, and one of 1 or more
+    # (or NaN, from a NaN stage) a factor below it, so one clip serves
+    # both; the 1e-300 changes no error above 1e-284 and takes an error of
+    # 0 to the cap MAX_FACTOR
+    factor = SAFETY * (error_norm + 1e-300) ** ERROR_EXPONENT
+    return error_norm < 1, np.fmax(MIN_FACTOR, np.minimum(
+        np.where(rejected, 1.0, MAX_FACTOR), factor))
+
+
+def _extension_coefficients(K):
+    """Q of the continuous extension: (N, d, 4) from the stage derivatives
+    K (7, d, N), or (d, 4) from K (7, d)."""
+    return K.T @ DP_P
 
 
 def _extension(t_old, h, y_old, q, t):
-    """States (n, 3) at times t on steps' continuous extensions."""
-    s = (t - t_old) / h
+    """States (n, d) at times t on steps' continuous extensions."""
+    s = (t - t_old) / np.where(h == 0, 1.0, h)   # a step of size 0: y_old
     p = np.cumprod(np.repeat(s[:, None], 4, axis=1), axis=1)
     return h[:, None] * np.einsum("nck,nk->nc", q, p) + y_old
 
 
-def _exit_times(t_old, h, y_old, q, g_old, g_new):
-    """Zeros of g = 1 - x^2 - y^2 on steps' continuous extensions, given
-    g_old >= 0 at the start of each step and g_new <= 0 at its end.
+def _event_times(event, t_old, h, y_old, q, g_old, g_new):
+    """Zeros of event.g on steps' continuous extensions, given its values
+    g_old at the start of each step and g_new at its end, of opposite signs
+    or zero.
 
     Newton's method in s = (t - t_old)/h, kept inside the bracket by
     bisection, for all steps at once, to EVENT_TOL * (1 + |t|) in t.
     """
-    hq = h[:, None, None] * q[:, :2, :]       # base-point coefficients
+    hq = h[:, None, None] * q
     powers = np.arange(1, 5)
     lo, hi = np.zeros(h.size), np.ones(h.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = g_old / (g_old - g_new)           # the linear guess
     s = np.where((s >= 0) & (s <= 1), s, 0.5)
     tol = EVENT_TOL * (1 + np.abs(t_old) + np.abs(h)) / np.abs(h)
+    positive = g_old > 0                      # the sign of g before its zero
     done = np.zeros(h.size, dtype=bool)
     for _ in range(100):                      # bisection alone needs ~60
-        xy = y_old[:, :2] + np.einsum("nck,nk->nc", hq, s[:, None] ** powers)
-        dxy = np.einsum("nck,nk->nc", hq, powers * s[:, None] ** (powers - 1))
-        g = 1.0 - (xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1])
-        dg = -2.0 * (xy[:, 0] * dxy[:, 0] + xy[:, 1] * dxy[:, 1])
-        ahead = g >= 0                        # the exit is later in the step
+        y = y_old + np.einsum("nck,nk->nc", hq, s[:, None] ** powers)
+        dy = np.einsum("nck,nk->nc", hq, powers * s[:, None] ** (powers - 1))
+        g, dg = event.g(y.T), event.slope(y.T, dy.T)
+        ahead = (g > 0) == positive           # the zero is later in the step
         lo = np.where(ahead, s, lo)
         hi = np.where(ahead, hi, s)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,70 +463,92 @@ def _exit_times(t_old, h, y_old, q, g_old, g_new):
     return t_old + s * h
 
 
-def integrate_to_boundary(spec, states, direction=1, horizon=DEFAULT_HORIZON):
-    """Integrate the orbits of many disk states together until each stops.
+def integrate(spec, states, t_start, t_end, rhs=None, event=None,
+              rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Integrate the orbits of many states, each over its own time span.
 
-    states is an (N, 3) array of (x, y, theta); direction is +1 or -1, for
-    all orbits or one per orbit.  Each orbit takes the steps scipy's RK45
-    takes for it (same tableau, error norm, controller and initial step,
-    up to rounding), and stops at the first accepted step across which
-    1 - x^2 - y^2 goes from >= 0 to <= 0 (the boundary event of
-    `integrate_orbit`), at the horizon, or when its step size falls below
-    the float spacing of t.  The tolerances are DEFAULT_RTOL and
-    DEFAULT_ATOL, as for `integrate_orbit`.  Returns an OrbitBatch.
+    states is an (N, d) array; orbit i starts at states[i] at time
+    t_start[i] and runs to t_end[i] (a scalar time applies to every
+    orbit).  rhs(t, s) is the spec's orbit RHS unless given (the Jacobi
+    system of `jacobi`); it is called on (d, N) blocks of states.  Each
+    orbit takes the steps scipy's RK45 takes for it (same tableau, error
+    norm, controller and initial step, up to rounding).  It stops at its
+    end time, at the zero of a terminal event, or when its step size falls
+    below the float spacing of t.  Returns an OrbitBatch.
     """
-    rtol, atol = DEFAULT_RTOL, DEFAULT_ATOL
-    model = spec.model
-    if not model.domain.has_boundary:
-        raise DomainError("integrate_to_boundary needs a bounded (disk) "
-                          "domain")
-    y = np.array(states, dtype=float).reshape(-1, 3).T.copy()   # (3, N)
-    n = y.shape[1]
-    inside = model.domain.contains(y[0], y[1])
-    if not np.all(inside):
-        i = int(np.argmin(inside))
-        raise DomainError(f"state {i}: point ({y[0, i]}, {y[1, i]}) outside "
-                          "disk domain")
-    direction = np.broadcast_to(np.asarray(direction, dtype=float),
-                                (n,)).copy()
-    rhs = spec.rhs()
-    rhs_calls = 0
+    rhs = spec.rhs() if rhs is None else rhs
+    y = np.array(states, dtype=float)
+    n, dim = y.shape
+    t0, t1 = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
+              for v in (t_start, t_end))
+    direction = np.where(t1 >= t0, 1.0, -1.0)
 
     def derivative(s):
-        nonlocal rhs_calls
-        rhs_calls += 1
-        out = np.empty_like(s)
-        out[0], out[1], out[2] = rhs(0.0, s)   # the flow is autonomous
-        return out
+        values = rhs(0.0, s)           # the ODEs are autonomous
+        if s.ndim > 1:                 # constant outputs come as scalars
+            values = np.broadcast_arrays(*values)
+        return np.array(values)
 
-    # initial step size, as scipy's select_initial_step
+    y = y.T
     f = derivative(y)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    small = (d0 < 1e-5) | (d1 < 1e-5)
-    h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1, d1)),
-                    horizon)
-    d2 = _rms((derivative(y + h0 * direction * f) - f) / scale) / h0
-    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
-    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.where(flat, 1, np.maximum(d1, d2))) ** (1 / 5))
-    h_abs = np.minimum(np.minimum(100 * h0, h1), horizon)
+    h_abs = _initial_step(derivative, y, f, direction, np.abs(t1 - t0),
+                          rtol, atol)
+    if n == 1:
+        run = _one_orbit(derivative, y[:, 0], f[:, 0], float(t0[0]),
+                         float(t1[0]), float(h_abs[0]), event, rtol, atol)
+    else:
+        run = _all_orbits(derivative, y, f, t0, t1, direction, h_abs, event,
+                          rtol, atol)
+    outcome, end_time, end_state, steps, crossings, counts = run
 
+    # each list starts with an empty entry
+    none, no_y, no_q = np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, 4))
+    e_ids, e_t, e_h, e_y, e_q, e_g, e_g_new = (np.concatenate(c) for c in zip(
+        (none.astype(int), none, none, no_y, no_q, none, none), *crossings))
+    t_event = (_event_times(event, e_t, e_h, e_y, e_q, e_g, e_g_new)
+               if e_ids.size else none)
+    if event is not None and event.terminal:
+        outcome[e_ids] = EXITED
+        end_time[e_ids] = t_event
+        end_state[e_ids] = _extension(e_t, e_h, e_y, e_q, t_event)
+    by_orbit = np.argsort(e_ids, kind="stable")
+
+    orbit, t_old, t_new, h, y_old, q = (np.concatenate(c) for c in zip(
+        (none.astype(int), none, none, none, no_y, no_q), *steps))
+    order = np.argsort(orbit, kind="stable")   # by orbit, then by time
+    orbit = orbit[order]
+    return OrbitBatch(
+        spec=spec, t_start=t0, direction=direction, outcome=outcome,
+        end_time=end_time, end_state=end_state, iterations=counts[0],
+        accepted=counts[1], rejected=counts[2],
+        rhs_calls=2 + 6 * counts[0],   # the initial step's two, six a try
+        event_orbit=e_ids[by_orbit], event_t=t_event[by_orbit],
+        step_key=orbit + 1j * (direction[orbit] * t_new[order]),
+        step_t=t_old[order], step_h=h[order], step_y=y_old[order],
+        step_q=q[order],
+        last_step=np.searchsorted(orbit, np.arange(n), side="right") - 1)
+
+
+def _all_orbits(derivative, y, f, t, t_end, direction, h_abs, event, rtol,
+                atol):
+    """The loop of `integrate` over N orbits: states y (d, N).
+
+    Returns the outcomes, end times and end states, the accepted steps and
+    event crossings of each iteration, and the counters.
+    """
+    n = y.shape[1]
     outcome = np.full(n, TRAPPED, dtype=np.int8)
-    end_time = direction * horizon
-    exit_state = np.full((n, 3), np.nan)
+    end_time = t_end.copy()
+    end_state = np.empty((n, y.shape[0]))
     # per iteration: the accepted steps (orbit, t_old, t_new, h, y_old, Q),
-    # and those that crossed the boundary (orbit, t_old, h, y_old, Q, g_old,
-    # g_new); each list starts with an empty entry
-    none, no_y, no_q = np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3, 4))
-    steps = [(none.astype(int), none, none, none, no_y, no_q)]
-    exits = [(none.astype(int), none, none, no_y, no_q, none, none)]
+    # and those across which the event fired (orbit, t_old, h, y_old, Q,
+    # g_old, g_new)
+    steps, crossings = [], []
     iterations = accepted = rejected_steps = 0
     # the live orbits
     ids = np.arange(n)
-    t = np.zeros(n)
     d = direction
-    g = 1.0 - (y[0] * y[0] + y[1] * y[1])
+    g = event.g(y) if event is not None else None
     rejected = np.zeros(n, dtype=bool)    # the current step was rejected
     while ids.size:
         iterations += 1
@@ -389,27 +556,11 @@ def integrate_to_boundary(spec, states, direction=1, horizon=DEFAULT_HORIZON):
         # rejected step shrinks below it fails
         min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        t_bound = d * horizon
         t_new = t + h_abs * d
-        t_new = np.where(d * (t_new - t_bound) > 0, t_bound, t_new)
+        t_new = np.where(d * (t_new - t_end) > 0, t_end, t_new)
         h = t_new - t
-
-        K = np.empty((7,) + y.shape)
-        stages = K.reshape(7, -1)   # a view: stage j's derivatives in row j
-        K[0] = f
-        for s, a in enumerate(DP_A, start=1):
-            K[s] = derivative(y + (a @ stages[:s]).reshape(y.shape) * h)
-        y_new = y + h * (DP_B @ stages[:6]).reshape(y.shape)
-        K[6] = derivative(y_new)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms((DP_E @ stages).reshape(y.shape) * h / scale)
-
-        ok = error_norm < 1
-        with np.errstate(divide="ignore"):    # error 0: factor MAX_FACTOR
-            factor = SAFETY * error_norm ** ERROR_EXPONENT
-        factor = np.where(ok, np.minimum(MAX_FACTOR, factor),
-                          np.fmax(MIN_FACTOR, factor))   # NaN error: shrink
-        factor = np.where(ok & rejected, np.minimum(1.0, factor), factor)
+        y_new, K, error_norm = _attempt(derivative, y, f, h, rtol, atol)
+        ok, factor = _step_factor(error_norm, rejected)
         h_abs = np.abs(h) * factor
         rejected = ~ok
         failed = rejected & (h_abs < min_step)
@@ -419,44 +570,110 @@ def integrate_to_boundary(spec, states, direction=1, horizon=DEFAULT_HORIZON):
         accepted += n_ok
         rejected_steps += ids.size - n_ok
 
-        q = np.einsum("jcn,jk->nck", K[:, :, ok], DP_P)
+        q = _extension_coefficients(K[:, :, ok])
         steps.append((ids[ok], t[ok], t_new[ok], h[ok], y[:, ok].T, q))
-        g_new = 1.0 - (y_new[0] * y_new[0] + y_new[1] * y_new[1])
-        crossed = ok & (g >= 0) & (g_new <= 0)
-        if crossed.any():
-            exits.append((ids[crossed], t[crossed], h[crossed],
-                          y[:, crossed].T, q[crossed[ok]], g[crossed],
-                          g_new[crossed]))
-        stop = failed | crossed | (ok & (d * (t_new - t_bound) >= 0))
+        stop = failed | (ok & (d * (t_new - t_end) >= 0))
+        if event is not None:
+            g_new = event.g(y_new)
+            fired = ok & event.fires(g, g_new)
+            if fired.any():
+                crossings.append((ids[fired], t[fired], h[fired],
+                                  y[:, fired].T, q[fired[ok]], g[fired],
+                                  g_new[fired]))
+                if event.terminal:
+                    stop |= fired
+            g = np.where(ok, g_new, g)
         t = np.where(ok, t_new, t)
         y = np.where(ok, y_new, y)
         f = np.where(ok, K[6], f)
-        g = np.where(ok, g_new, g)
         if stop.any():
+            end_state[ids[stop]] = y[:, stop].T
             keep = ~stop
-            ids, t, d, g, h_abs, rejected = (
-                v[keep] for v in (ids, t, d, g, h_abs, rejected))
+            ids, t, d, t_end, h_abs, rejected = (
+                v[keep] for v in (ids, t, d, t_end, h_abs, rejected))
             y, f = y[:, keep], f[:, keep]
+            if event is not None:
+                g = g[keep]
+    return (outcome, end_time, end_state, steps, crossings,
+            (iterations, accepted, rejected_steps))
 
-    e_ids, e_t, e_h, e_y, e_q, e_g, e_g_new = (np.concatenate(c)
-                                                for c in zip(*exits))
-    t_exit = _exit_times(e_t, e_h, e_y, e_q, e_g, e_g_new)
-    outcome[e_ids] = EXITED
-    end_time[e_ids] = t_exit
-    exit_state[e_ids] = _extension(e_t, e_h, e_y, e_q, t_exit)
 
-    orbit, t_old, t_end, h, y_old, q = (np.concatenate(c)
-                                        for c in zip(*steps))
-    order = np.argsort(orbit, kind="stable")   # by orbit, then by time
-    orbit = orbit[order]
-    return OrbitBatch(
-        spec=spec, horizon=horizon, direction=direction, outcome=outcome,
-        end_time=end_time, exit_state=exit_state, iterations=iterations,
-        accepted=accepted, rejected=rejected_steps, rhs_calls=rhs_calls,
-        step_key=orbit + 1j * (direction[orbit] * t_end[order]),
-        step_t=t_old[order], step_h=h[order], step_y=y_old[order],
-        step_q=q[order],
-        last_step=np.searchsorted(orbit, np.arange(n), side="right") - 1)
+def _one_orbit(derivative, y, f, t, t_end, h_abs, event, rtol, atol):
+    """The loop of `integrate` for one orbit: state y (d,), times floats.
+
+    The same step, controller and bookkeeping as `_all_orbits`, on one
+    orbit, without its masks and compaction.
+    """
+    d = 1.0 if t_end >= t else -1.0
+    g = event.g(y) if event is not None else None
+    steps, crossings = [], []
+    outcome, attempts, rejected = TRAPPED, 0, False
+    while True:
+        attempts += 1
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        if not rejected:
+            h_abs = max(h_abs, min_step)
+        t_new = t + h_abs * d
+        if d * (t_new - t_end) > 0:
+            t_new = t_end
+        h = t_new - t
+        y_new, K, error_norm = _attempt(derivative, y, f, h, rtol, atol)
+        ok, factor = _step_factor(error_norm, rejected)
+        h_abs = abs(h) * float(factor)
+        rejected = not ok
+        if rejected:
+            if h_abs < min_step:
+                outcome = STEP_FAILED
+                break
+            continue
+        q = _extension_coefficients(K)
+        steps.append((t, t_new, h, y, q))
+        fired = False
+        if event is not None:
+            g_new = event.g(y_new)
+            if event.fires(g, g_new):
+                crossings.append((np.zeros(1, dtype=int), np.array([t]),
+                                  np.array([h]), y[None], q[None],
+                                  np.array([g]), np.array([g_new])))
+                fired = event.terminal
+            g = g_new
+        t, y, f = t_new, y_new, K[6]
+        if fired or d * (t - t_end) >= 0:
+            break
+    k, dim = len(steps), y.shape[0]
+    t_old, t_new, h, y_old, q = (np.array([step[j] for step in steps],
+                                          dtype=float) for j in range(5))
+    block = (np.zeros(k, dtype=int), t_old, t_new, h,
+             y_old.reshape(k, dim), q.reshape(k, dim, 4))
+    return (np.array([outcome], dtype=np.int8), np.array([t]),
+            np.array([y]), [block], crossings,
+            (attempts, k, attempts - k))
+
+
+def integrate_to_boundary(spec, states, direction=1, horizon=DEFAULT_HORIZON):
+    """Integrate the orbits of many disk states together until each stops.
+
+    states is an (N, 3) array of (x, y, theta); direction is +1 or -1, for
+    all orbits or one per orbit.  Each orbit starts at t = 0 and stops at
+    the first accepted step across which 1 - x^2 - y^2 goes from >= 0 to
+    <= 0 (the boundary event of `integrate_orbit`), at the horizon, or when
+    its step size falls below the float spacing of t.  The tolerances are
+    DEFAULT_RTOL and DEFAULT_ATOL, as for `integrate_orbit`.  Returns an
+    OrbitBatch.
+    """
+    model = spec.model
+    if not model.domain.has_boundary:
+        raise DomainError("integrate_to_boundary needs a bounded (disk) "
+                          "domain")
+    states = np.array(states, dtype=float).reshape(-1, 3)
+    inside = model.domain.contains(states[:, 0], states[:, 1])
+    if not np.all(inside):
+        i = int(np.argmin(inside))
+        raise DomainError(f"state {i}: point ({states[i, 0]}, "
+                          f"{states[i, 1]}) outside disk domain")
+    return integrate(spec, states, 0.0,
+                     np.asarray(direction, dtype=float) * horizon,
+                     event=BOUNDARY)
 
 
 def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):

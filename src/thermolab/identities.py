@@ -19,7 +19,6 @@ transport identity driven by the fan Riccati solution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -201,10 +200,6 @@ class IdentityReport:
                 "abs_residual": self.abs_residual,
                 "rel_residual": self.rel_residual,
                 "terms": dict(self.terms)}
-
-    def to_json(self, **kw):
-        kw.setdefault("sort_keys", True)
-        return json.dumps(self.as_dict(), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ The variational state (a, y, z) along an orbit satisfies
     y' = lam I y + z
     z' = -{K - H(lam) - lam J + lam^2} y + V(lam) z
 
-and is integrated jointly with the orbit.  The generator's three
-coefficients and lam, lam I, the core curvature and V(lam) are compiled
-once per `JacobiCoefficients` into one straight-line function.  Riccati
-solutions are always obtained through the linear system (r = y'/y), which
-turns blowups into exact zeros of y; the fan variant z/y differs from
-y'/y by lam I.
+and is integrated jointly with the orbit, as one state of width 6, by the
+Dormand-Prince core of `flow.integrate`, which also locates the zeros of
+y (`Y_ZEROS`).  The generator's three coefficients and lam, lam I, the
+core curvature and V(lam) are compiled once per `JacobiCoefficients` into
+one straight-line function.  Riccati solutions are always obtained
+through the linear system (r = y'/y), which turns blowups into exact
+zeros of y; the fan variant z/y differs from y'/y by lam I.
 """
 
 from __future__ import annotations
@@ -20,16 +21,21 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (BlowupInsideWindow, BoundViolated, NoConvergence,
                      RiccatiUnavailable, StepFailure)
 from .fields import SMPoint, compile_fields
-from .flow import DEFAULT_ATOL, DEFAULT_RTOL, ThermostatSpec, integrate_orbit
+from .flow import DEFAULT_ATOL, DEFAULT_HORIZON, DEFAULT_RTOL, EXITED, \
+    STEP_FAILED, DenseSolution, Event, ThermostatSpec, integrate, \
+    integrate_orbit, integrate_to_boundary
 from .geometry import derived_curvatures, thermostat_generator
 
 GOLDEN_BOUND = 0.5 * (1.0 + np.sqrt(5.0))
 RICCATI_R_CAP = 2 ** 10
+
+# the zeros of the Jacobi field y (state coordinate 4), either way
+Y_ZEROS = Event(g=lambda s: s[4], slope=lambda s, ds: ds[4], direction=0,
+                terminal=False)
 
 
 class JacobiCoefficients:
@@ -79,8 +85,9 @@ class JacobiTrajectory:
     spec: ThermostatSpec
     t: np.ndarray
     states: np.ndarray          # columns x, y_base, theta, a, jy, jz
-    sol: object
+    sol: DenseSolution
     coeffs: JacobiCoefficients
+    zeros: np.ndarray           # the times where y = 0, in time order
 
     def jacobi_state(self, t):
         s = np.asarray(self.sol(t))
@@ -107,11 +114,6 @@ class JacobiTrajectory:
         lamI = self.coeffs.lamI.eval(s[0], s[1], s[2])
         return float(lamI * s[4] + s[5])
 
-    def r_scalar(self, t):
-        """r = y'/y (the scalar Riccati variable)."""
-        s = np.asarray(self.sol(t))
-        return self.ydot(t) / s[4]
-
     def r_fan(self, t):
         """r = z/y (the fan variant; the Lemma-1.10-type variable)."""
         s = np.asarray(self.sol(t))
@@ -120,20 +122,21 @@ class JacobiTrajectory:
 
 def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
                      coeffs=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                     events=None, t_eval=None) -> JacobiTrajectory:
-    """Integrate orbit + Jacobi state jointly from p0 over t_span."""
+                     t_eval=None) -> JacobiTrajectory:
+    """Integrate orbit + Jacobi state jointly from p0 over t_span.
+
+    The trajectory is sampled at the ends of its steps, or at t_eval; the
+    zeros of y on the way are located, the start included when y(0) = 0.
+    """
     if coeffs is None:
         coeffs = JacobiCoefficients(spec)
-    s0 = [p0.x, p0.y, p0.theta, *initial]
-    res = solve_ivp(coeffs.rhs(), t_span, s0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=events,
-                    t_eval=t_eval)
-    if res.status == -1:
-        raise StepFailure(f"Jacobi integration failed: {res.message}")
-    traj = JacobiTrajectory(spec=spec, t=res.t, states=res.y.T, sol=res.sol,
-                            coeffs=coeffs)
-    traj.events = res.t_events
-    return traj
+    run = integrate(spec, [[p0.x, p0.y, p0.theta, *initial]], *t_span,
+                    rhs=coeffs.rhs(), event=Y_ZEROS, rtol=rtol, atol=atol)
+    if run.outcome[0] == STEP_FAILED:
+        raise StepFailure(f"Jacobi {run.reason(0)}")
+    sol, t, states = run.sampled(0, t_eval)
+    return JacobiTrajectory(spec=spec, t=t, states=states, sol=sol,
+                            coeffs=coeffs, zeros=run.event_times(0))
 
 
 def second_order_residual(traj: JacobiTrajectory, n_check=50, h=1e-4):
@@ -158,22 +161,12 @@ def second_order_residual(traj: JacobiTrajectory, n_check=50, h=1e-4):
     return float(worst)
 
 
-def _y_zero_event(t_skip_around=None):
-    def g(t, s):
-        return s[4]
-    g.terminal = False
-    g.direction = 0
-    return g
-
-
 def detect_conjugate_points(spec, p0: SMPoint, T, coeffs=None, rtol=1e-11,
                             atol=1e-12):
     """Zeros of y on (0, T] for the solution y(0)=0, y'(0)=1."""
     traj = integrate_jacobi(spec, p0, (0.0, T), initial=(0.0, 0.0, 1.0),
-                            coeffs=coeffs, rtol=rtol, atol=atol,
-                            events=[_y_zero_event()])
-    times = [float(t) for t in traj.events[0] if t > 1e-8]
-    return times
+                            coeffs=coeffs, rtol=rtol, atol=atol)
+    return [float(t) for t in traj.zeros if t > 1e-8]
 
 
 @dataclass
@@ -217,8 +210,8 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
         # and a trial RK stage can step past it, where log gives NaN.  A
         # NaN stage makes the step's error norm NaN, which the controller
         # rejects (shrinking the step), so no NaN enters an accepted state,
-        # the dense solution or a result; if no step can avoid it, RK45
-        # fails and StepFailure is raised.
+        # the dense solution or a result; if no step can avoid it, the
+        # integration fails and StepFailure is raised.
         with np.errstate(invalid="ignore"):
             base = integrate_orbit(spec, start_point, (0.0, t_start),
                                    stop_at_boundary=False, rtol=rtol,
@@ -234,21 +227,20 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
     t_now = t_start
     ts_all, r_all, y_all, z_all, zeros = [], [], [], [], []
     segments = []
-    event = _y_zero_event()
     lamI_f = coeffs.lamI.eval
 
     while direction * (t_end - t_now) > 1e-14:
         t_next = t_now + direction * min(segment, abs(t_end - t_now))
-        res = solve_ivp(rhs, (t_now, t_next), state, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=[event])
-        if res.status == -1:
-            raise StepFailure(f"Riccati integration failed: {res.message}")
-        for tz in res.t_events[0]:
+        run = integrate(spec, [state], t_now, t_next, rhs=rhs,
+                        event=Y_ZEROS, rtol=rtol, atol=atol)
+        if run.outcome[0] == STEP_FAILED:
+            raise StepFailure(f"Riccati {run.reason(0)}")
+        for tz in run.event_times(0):
             if abs(tz - t_start) > 1e-9:
                 zeros.append(float(tz))
-        ts = np.linspace(t_now, float(res.t[-1]), 64)
-        ys = res.sol(ts)
+        sol = run.solution(0)
+        ts = np.linspace(t_now, t_next, 64)
+        ys = sol(ts)
         lamI = lamI_f(ys[0], ys[1], ys[2])
         with np.errstate(divide="ignore", invalid="ignore"):
             r = (lamI * ys[4] + ys[5]) / ys[4]
@@ -256,12 +248,12 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
         r_all.append(r)
         y_all.append(ys[4])
         z_all.append(ys[5])
-        segments.append((t_now, float(res.t[-1]), res.sol))
-        state = res.y[:, -1].copy()
+        segments.append((t_now, t_next, sol))
+        state = run.end_state[0].copy()
         scale = max(abs(state[4]), abs(state[5]))
         if scale > 1e6:
             state[3:] /= scale
-        t_now = float(res.t[-1])
+        t_now = t_next
 
     return (np.concatenate(ts_all), np.concatenate(r_all),
             np.concatenate(y_all), np.concatenate(z_all), sorted(zeros),
@@ -409,33 +401,35 @@ def check_riccati_bound(spec, states, grid_spec=(12, 12, 24), tol=1e-6,
             "comparison_ode_residuals": ode_res}
 
 
-def exterior_fan_r(spec, states, margin=0.1, horizon=None):
+def exterior_fan_r(spec, states, margin=0.1, horizon=DEFAULT_HORIZON):
     """Fan-variant r (= z/y) at disk states from an exterior starting point.
 
     For each state the backward orbit is continued `margin` beyond the
     boundary; the Jacobi solution launched there from the vertical
-    direction defines r along the fan of orbits through that point.
-    Raises RiccatiUnavailable when y vanishes before reaching the state.
+    direction defines r along the fan of orbits through that point.  All
+    states are integrated together, in three passes: backward to the
+    boundary, from the state to `margin` beyond it, and the Jacobi solution
+    from there forward to the state.  Raises RiccatiUnavailable when a
+    backward orbit is trapped or y vanishes before reaching the state.
     """
-    from .flow import DEFAULT_HORIZON
-    if horizon is None:
-        horizon = DEFAULT_HORIZON
-    coeffs = JacobiCoefficients(spec)
-    out = np.empty(len(states))
-    for i, p in enumerate(states):
-        back = integrate_orbit(spec, p, (0.0, -horizon),
-                               stop_at_boundary=True)
-        if back.exit_time is None:
-            raise RiccatiUnavailable("backward orbit trapped")
-        t0 = float(back.exit_time) - margin
-        ext = integrate_orbit(spec, p, (0.0, t0), stop_at_boundary=False)
-        s0 = ext.state(t0)
-        traj = integrate_jacobi(spec, SMPoint(s0[0], s0[1], s0[2]),
-                                (t0, 0.0), initial=(0.0, 0.0, 1.0),
-                                coeffs=coeffs, events=[_y_zero_event()])
-        zeros = [float(t) for t in traj.events[0] if t > t0 + 1e-9]
-        if zeros:
+    starts = np.array([[p.x, p.y, p.theta] for p in states],
+                      dtype=float).reshape(-1, 3)
+    back = integrate_to_boundary(spec, starts, direction=-1, horizon=horizon)
+    back.require_steps()
+    if np.any(back.outcome != EXITED):
+        raise RiccatiUnavailable("backward orbit trapped")
+    t0 = back.end_time - margin
+    ext = integrate(spec, starts, 0.0, t0)
+    ext.require_steps()
+    launch = np.column_stack([ext.end_state,
+                              np.tile([0.0, 0.0, 1.0], (len(starts), 1))])
+    fan = integrate(spec, launch, t0, 0.0, rhs=JacobiCoefficients(spec).rhs(),
+                    event=Y_ZEROS)
+    fan.require_steps()
+    for i, start in enumerate(t0):
+        zeros = fan.event_times(i)
+        zeros = zeros[zeros > start + 1e-9]
+        if zeros.size:
             raise RiccatiUnavailable(
                 f"conjugate point on the fan at t={zeros[0]:.6g}")
-        out[i] = traj.r_fan(0.0)
-    return out
+    return fan.end_state[:, 5] / fan.end_state[:, 4]

@@ -29,11 +29,11 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import subspace_angles, svd
 
-from .errors import DomainError, IllConditioned, StepFailure, TrappedOrbit
+from .errors import DomainError, IllConditioned, TrappedOrbit
 from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
-from .flow import DEFAULT_HORIZON, EXITED, STEP_FAILED, OrbitBatch, \
-    integrate_orbit, integrate_to_boundary
+from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, integrate_orbit, \
+    integrate_to_boundary
 
 TWO_PI = 2.0 * np.pi
 
@@ -184,13 +184,6 @@ def _ray_values(orbits, pair, index, tol=1e-10):
                       0.0, orbits.end_time[index], tol=tol)
 
 
-def _require_steps(orbits, rays):
-    """Raise StepFailure for the first orbit whose integration failed,
-    naming its ray; rays[i] is the ray of orbit i."""
-    for i in np.flatnonzero(orbits.outcome == STEP_FAILED)[:1]:
-        raise StepFailure(f"ray {rays[i]}: {orbits.reason(i)}")
-
-
 def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
     """Ray transform of the pair along the orbit through each entry state.
 
@@ -215,14 +208,14 @@ def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
     if interior.size:
         back = integrate_to_boundary(spec, starts[interior], direction=-1,
                                      horizon=horizon)
-        _require_steps(back, interior)
+        back.require_steps("ray", interior)
         exited = back.outcome == EXITED
         starts[interior[exited]] = back.exit_state[exited]
         starts[interior[exited], 2] %= TWO_PI
         alive[interior[~exited]] = False
     rays = np.flatnonzero(alive)
     orbits = integrate_to_boundary(spec, starts[rays], horizon=horizon)
-    _require_steps(orbits, rays)
+    orbits.require_steps("ray", rays)
     exited = np.flatnonzero(orbits.outcome == EXITED)
     values = _ray_values(orbits, pair, exited, tol=tol)
     for i, value in zip(exited, values):
@@ -474,10 +467,6 @@ class DiscreteXRayOperator:
     orbit_index: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
-    def n_rays(self):
-        return self.matrix.shape[0]
-
-    @property
     def n_cols(self):
         return self.matrix.shape[1]
 
@@ -585,14 +574,6 @@ class GaugeBump:
         gx = _bspline3_deriv(u) * _bspline3(v) / h
         gy = _bspline3(u) * _bspline3_deriv(v) / h
         return gx, gy
-
-    def as_field(self):
-        return SMScalarField.from_callable(
-            lambda x, y, t: self(x, y),
-            dx=lambda x, y, t: self.grad(x, y)[0],
-            dy=lambda x, y, t: self.grad(x, y)[1],
-            dtheta=lambda x, y, t: np.zeros(np.broadcast(
-                np.asarray(x), np.asarray(y)).shape))
 
 
 def gauge_bumps(spacing=0.25, slack=0.02):

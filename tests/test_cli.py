@@ -1,6 +1,7 @@
 """CLI: config ingestion, subcommand dispatch, exit codes, serialization."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,11 +84,15 @@ def test_deterministic_json(tmp_path):
 
 
 def test_dumps_formats():
-    text = dumps({"b": 1.0 / 3.0, "a": [1, True, None], "c": np.float64(2.0)})
+    text = dumps({"b": 1.0 / 3.0, "a": [1, True, None], "c": np.float64(2.0),
+                  "d": [-0.0, 1e16, -3.0]})
     parsed = json.loads(text)
     assert parsed["b"] == pytest.approx(1.0 / 3.0, rel=1e-16)
     assert parsed["a"] == [1, True, None]
-    assert list(json.loads(text)) == ["a", "b", "c"]
+    assert list(json.loads(text)) == ["a", "b", "c", "d"]
+    # floats stay floats, -0.0 keeps its sign
+    assert '"c": 2.0' in text
+    assert "[-0.0, 10000000000000000.0, -3.0]" in text
 
 
 _REPORT_LEAVES = st.one_of(
@@ -112,15 +117,19 @@ def _reversed(obj):
 
 
 def _same(read, obj):
-    """Whether JSON read back from dumps(obj) holds obj's values."""
+    """Whether JSON read back from dumps(obj) holds obj's values; a float
+    must read back as a float with the same sign bit (any NaN as NaN)."""
     if isinstance(obj, dict):
         return isinstance(read, dict) and read.keys() == obj.keys() and \
             all(_same(read[k], obj[k]) for k in obj)
     if isinstance(obj, (list, np.ndarray)):
         return isinstance(read, list) and len(read) == len(obj) and \
             all(_same(r, v) for r, v in zip(read, obj))
-    if isinstance(obj, (float, np.floating)) and obj != obj:
-        return read != read
+    if isinstance(obj, (float, np.floating)):
+        if obj != obj:
+            return isinstance(read, float) and read != read
+        return isinstance(read, float) and read == obj and \
+            math.copysign(1.0, read) == math.copysign(1.0, obj)
     return read == obj
 
 
@@ -223,6 +232,18 @@ def test_lab_threads_overrides_thread_variables():
         == ["1", "1", "1", "1"]
     assert thread_vars_after_import(OMP_NUM_THREADS="4") == \
         ["4", None, None, None]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # every ODE runs on thermolab's own integrator; scipy.integrate alone
+    # would add most of the start-up time of a `lab` run
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    code = ("import sys, thermolab.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_anosov_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ from thermolab.errors import DomainError, ParseError, UnknownIdentifier
 from thermolab.expr import CHUNK_POINTS, VARIABLES, Bundle, \
     _straight_line, parse_expression
 
-FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs"]
+FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs", "sign"]
 
 
 def test_simple_values():
@@ -152,20 +152,15 @@ def test_bundle_scalars_match_bundle_grid(text):
 @given(EXPRESSIONS)
 @example("(-(0.5-0.5))^theta")  # a folded -0.0 base must print in parens
 def test_print_parse_round_trip_random(text):
-    # derivatives are left out: they print the internal sign(), which the
-    # parser does not accept
-    try:
-        e = parse_expression(text)
-    except DomainError:
-        assume(False)
-    printed = str(e)
-    e2 = parse_expression(printed)
-    assert str(e2) == printed
     x, y, th = GRID
-    with np.errstate(all="ignore"):
-        walked = np.broadcast_to(e.eval(x, y, th), x.shape)
-        reread = np.broadcast_to(e2.eval(x, y, th), x.shape)
-    assert np.array_equal(reread, walked, equal_nan=True), printed
+    for e in _parse_with_derivatives(text):
+        printed = str(e)
+        e2 = parse_expression(printed)
+        assert str(e2) == printed
+        with np.errstate(all="ignore"):
+            walked = np.broadcast_to(e.eval(x, y, th), x.shape)
+            reread = np.broadcast_to(e2.eval(x, y, th), x.shape)
+        assert np.array_equal(reread, walked, equal_nan=True), printed
 
 
 def test_bundle_shares_subexpressions():

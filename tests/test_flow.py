@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import thermolab.flow
 from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import EXITED, STEP_FAILED, TRAPPED, ThermostatSpec, \
-    exit_time, exp_map, geodesic_spec, integrate_orbit, \
-    integrate_to_boundary, nontrapping_scan, scan_regularity
+from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
+    TRAPPED, ThermostatSpec, exit_time, exp_map, geodesic_spec, \
+    integrate_orbit, integrate_to_boundary, nontrapping_scan, \
+    scan_regularity
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 
 
@@ -32,6 +34,14 @@ def test_unit_speed_defect():
     orbit = integrate_orbit(spec, SMPoint(0.3, 0.4, 1.1), (0.0, 5.0),
                             t_eval=np.linspace(0.0, 5.0, 60))
     assert orbit.unit_speed_defect() < 1e-12
+
+
+def test_empty_span_keeps_the_start():
+    spec = geodesic_spec(flat_torus())
+    orbit = integrate_orbit(spec, SMPoint(0.1, 0.2, 0.3), (0.0, 0.0))
+    assert list(orbit.t) == [0.0, 0.0]
+    assert np.array_equal(orbit.states, [[0.1, 0.2, 0.3]] * 2)
+    assert np.array_equal(orbit.state(0.0), [0.1, 0.2, 0.3])
 
 
 def test_disk_chord_exit_time():
@@ -126,7 +136,7 @@ def test_rhs_with_callable_intensity():
 
 
 # ---------------------------------------------------------------------------
-# The batched engine against single solve_ivp orbits
+# The batched engine against scipy's RK45, one solve_ivp call per orbit
 # ---------------------------------------------------------------------------
 
 def curved_disk_spec():
@@ -134,6 +144,21 @@ def curved_disk_spec():
                                 phi="0.04*(x^2+y^2) + 0.01*x*y")
     return ThermostatSpec(model, SMScalarField.from_expression(
         "0.2 - 0.03*x + 0.05*sin(theta)"))
+
+
+def leaving_disk(t, s):
+    return 1.0 - (s[0] * s[0] + s[1] * s[1])
+
+
+leaving_disk.terminal = True
+leaving_disk.direction = -1
+
+
+def reference_orbit(spec, state, t_end):
+    """solve_ivp with the engine's tolerances and boundary event."""
+    return solve_ivp(spec.rhs(), (0.0, t_end), state, method="RK45",
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
+                     events=leaving_disk)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -146,15 +171,20 @@ def test_batch_matches_integrate_orbit(direction):
                               rng.uniform(0.0, 2 * np.pi, 12)])
     batch = integrate_to_boundary(spec, states, direction=direction)
     assert np.all(batch.outcome == EXITED)
+    steps = 0
     for i, s in enumerate(states):
-        orbit = integrate_orbit(spec, SMPoint(*s), (0.0, direction * 100.0))
-        assert batch.end_time[i] == pytest.approx(orbit.exit_time, abs=1e-10)
-        assert np.allclose(batch.exit_state[i], orbit.state(orbit.exit_time),
+        ref = reference_orbit(spec, s, direction * 100.0)
+        (t_exit,) = ref.t_events[0]
+        assert batch.end_time[i] == pytest.approx(t_exit, abs=1e-10)
+        assert np.allclose(batch.exit_state[i], ref.y_events[0][0],
                            rtol=0, atol=1e-10)
-        ts = np.linspace(0.0, orbit.exit_time, 9)
-        assert np.allclose(batch.state(np.full(9, i), ts), orbit.sol(ts).T,
+        ts = np.linspace(0.0, t_exit, 9)
+        assert np.allclose(batch.state(np.full(9, i), ts), ref.sol(ts).T,
                            rtol=0, atol=1e-10)
+        assert batch.solution(i).ts.size == ref.sol.ts.size
+        steps += ref.sol.ts.size - 1
     # the same steps as solve_ivp, taken for all orbits at once
+    assert batch.accepted == steps
     assert batch.iterations < batch.accepted
     assert batch.rhs_calls == 2 + 6 * batch.iterations
 
@@ -176,8 +206,9 @@ def test_batch_trapped_ray_leaves_others_unchanged():
                                                   abs=1e-13)
         assert np.allclose(batch.exit_state[i], alone.exit_state[j],
                            rtol=0, atol=1e-13)
-        orbit = integrate_orbit(spec, SMPoint(*mixed[i]), (0.0, 5.0))
-        assert batch.end_time[i] == pytest.approx(orbit.exit_time, abs=1e-10)
+        ref = reference_orbit(spec, mixed[i], 5.0)
+        assert batch.end_time[i] == pytest.approx(ref.t_events[0][0],
+                                                  abs=1e-10)
 
 
 def test_batch_needs_disk_states():
@@ -197,11 +228,15 @@ def test_batch_step_failure_matches_integrate_orbit():
     states = [[0.3, 0.0, 0.0], [-0.3, 0.0, 3.0]]
     with np.errstate(invalid="ignore"):
         batch = integrate_to_boundary(spec, states)
-        with pytest.raises(StepFailure):
+        failing = reference_orbit(spec, states[0], 100.0)
+        exiting = reference_orbit(spec, states[1], 100.0)
+        with pytest.raises(StepFailure, match="step size below"):
             integrate_orbit(spec, SMPoint(*states[0]), (0.0, 100.0))
-        orbit = integrate_orbit(spec, SMPoint(*states[1]), (0.0, 100.0))
+    assert failing.status == -1
     assert list(batch.outcome) == [STEP_FAILED, EXITED]
     assert batch.reason(0).startswith("integration failed: step size")
     # a path from x = 0.3 to x = 0.5 at unit speed takes at least 0.2
     assert 0.2 < batch.end_time[0] < 0.21
-    assert batch.end_time[1] == pytest.approx(orbit.exit_time, abs=1e-10)
+    assert batch.end_time[0] == pytest.approx(failing.t[-1], abs=1e-10)
+    assert batch.end_time[1] == pytest.approx(exiting.t_events[0][0],
+                                              abs=1e-10)

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import ThermostatSpec, geodesic_spec
+from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, ThermostatSpec, \
+    geodesic_spec
 from thermolab.geometry import build_surface_model, constant_curvature_model, \
     euclidean_disk, flat_torus
-from thermolab.jacobi import GOLDEN_BOUND, check_riccati_bound, \
-    comparison_ode_residuals, detect_conjugate_points, exterior_fan_r, \
-    integrate_jacobi, riccati_bound_constants, second_order_residual, \
-    solve_riccati_finite, solve_riccati_limit
+from thermolab.jacobi import GOLDEN_BOUND, JacobiCoefficients, \
+    check_riccati_bound, comparison_ode_residuals, detect_conjugate_points, \
+    exterior_fan_r, integrate_jacobi, riccati_bound_constants, \
+    second_order_residual, solve_riccati_finite, solve_riccati_limit
 
 
 def test_flat_jacobi_linear_growth():
@@ -40,6 +42,35 @@ def test_second_order_residual_small():
                             initial=(0.0, 1.0, 0.2),
                             t_eval=np.linspace(0.0, 3.0, 40))
     assert second_order_residual(traj) < 1e-5
+
+
+def y_zero(t, s):
+    return s[4]
+
+
+@pytest.mark.parametrize("T", [7.0, -7.0])
+def test_integrate_jacobi_matches_solve_ivp(T):
+    # on the unit sphere y = sin t: zeros at 0, where it starts, at pi
+    # (falling) and at 2 pi (rising), or at -pi and -2 pi backward
+    spec = geodesic_spec(constant_curvature_model(1.0))
+    coeffs = JacobiCoefficients(spec)
+    p0 = SMPoint(0.1, -0.2, 0.4)
+    start = [p0.x, p0.y, p0.theta, 0.0, 0.0, 1.0]
+    for t_eval in (None, np.linspace(0.0, T, 25)):
+        traj = integrate_jacobi(spec, p0, (0.0, T), coeffs=coeffs,
+                                t_eval=t_eval)
+        ref = solve_ivp(coeffs.rhs(), (0.0, T), start, method="RK45",
+                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                        dense_output=True, events=y_zero, t_eval=t_eval)
+        assert traj.sol.ts.size == ref.sol.ts.size    # the same steps
+        assert np.allclose(traj.sol.ts, ref.sol.ts, rtol=0, atol=1e-10)
+        assert np.allclose(traj.t, ref.t, rtol=0, atol=1e-10)
+        assert np.allclose(traj.states, ref.y.T, rtol=0, atol=1e-10)
+        ts = np.linspace(0.0, T, 37)
+        assert np.allclose(traj.sol(ts), ref.sol(ts), rtol=0, atol=1e-10)
+        assert np.allclose(traj.zeros, ref.t_events[0], rtol=0, atol=1e-10)
+        assert np.allclose(traj.zeros, np.sign(T) * np.pi * np.arange(3),
+                           rtol=0, atol=1e-8)
 
 
 def test_conjugate_time_sphere():
