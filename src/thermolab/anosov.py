@@ -30,7 +30,7 @@ Three probes of long-time flow behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -39,7 +39,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import DomainError, SolverDiverged
 from .fields import SMPoint, _as_field, compile_fields
 from .geometry import derived_curvatures, thermostat_generator, \
-    validation_grid_points
+    validation_grid_points, velocity_pairing
 from .jacobi import JacobiCoefficients
 
 TWO_PI = 2.0 * np.pi
@@ -228,19 +228,6 @@ class GridTransportOperator:
         return np.maximum(d, 1e-12 * float(np.max(d)))
 
 
-def circular_pairing(model, w_x, w_y):
-    """The fiberwise pairing of a base 1-form with the unit velocity."""
-    w_x = _as_field(w_x)
-    w_y = _as_field(w_y)
-    def pairing(x, y, th):
-        speed = 1.0 / model.conformal_factor(x, y)  # e^{-phi}
-        return np.asarray(speed, dtype=float) * (
-            np.asarray(w_x.eval(x, y, th), dtype=float) * np.cos(th)
-            + np.asarray(w_y.eval(x, y, th), dtype=float) * np.sin(th))
-    from .fields import SMScalarField
-    return SMScalarField.from_callable(pairing)
-
-
 def _fiber_band_projector(n, band):
     """Orthogonal projection onto fiber Fourier modes |m| <= band.
 
@@ -296,7 +283,7 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
         if h is not None:
             rhs = rhs + op.sample(h)
         if w_x is not None or w_y is not None:
-            pairing = circular_pairing(model,
+            pairing = velocity_pairing(model,
                                        w_x if w_x is not None else 0.0,
                                        w_y if w_y is not None else 0.0)
             rhs = rhs + op.sample(pairing)

@@ -202,20 +202,20 @@ def cmd_flow(cfg):
 
 
 def cmd_jacobi(cfg):
-    from .jacobi import detect_conjugate_points, integrate_jacobi, \
-        second_order_residual
+    from .jacobi import integrate_jacobi, second_order_residual
     spec = spec_from(cfg)
     p0 = initial_point(cfg)
     T = float(cfg.get("T", 5.0))
-    traj = integrate_jacobi(spec, p0, (0.0, T),
+    # the tolerances of detect_conjugate_points, so one solve gives both
+    # the samples and the conjugate times
+    traj = integrate_jacobi(spec, p0, (0.0, T), rtol=1e-11, atol=1e-12,
                             t_eval=np.linspace(0.0, T, 100))
-    conj = detect_conjugate_points(spec, p0, T)
     bundle = {"experiment": "jacobi",
               "t": traj.t.tolist(),
               "a": traj.a.tolist(),
               "jy": traj.y.tolist(),
               "jz": traj.z.tolist(),
-              "conjugate_times": list(conj),
+              "conjugate_times": traj.conjugate_times(),
               "second_order_residual": second_order_residual(traj)}
     return bundle, EXIT_OK
 
@@ -320,14 +320,12 @@ def cmd_invert(cfg):
                          "gauge_dim": kern["gauge_dim"],
                          "max_principal_angle_deg":
                              float(np.max(kern["principal_angles_deg"]))}
-        sigma = kern["singular_values"]
     except errors.IllConditioned:
-        sigma = np.linalg.svd(op.matrix, compute_uv=False)
         spectrum_info = {"gap_ratio": None}
     rank = cfg.get("rank")
     est = reconstruct_pair(op, values,
                            rank=int(rank) if rank is not None else None)
-    bundle = {"experiment": "invert", "sigma": np.asarray(sigma).tolist(),
+    bundle = {"experiment": "invert", "sigma": op.thin_svd[1].tolist(),
               "spectrum": spectrum_info,
               "phi_norm": float(np.linalg.norm(est.phi_values))}
     return bundle, EXIT_OK

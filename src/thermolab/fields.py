@@ -1,12 +1,14 @@
 """Scalar fields on the unit sphere bundle and first-order frame operators.
 
 An SMScalarField wraps a vectorized evaluator over (x, y, theta) together
-with a recipe for its first partial derivatives: either analytic (via the
-expression AST or user closures) or 4th-order central finite differences.
-Expression-backed fields evaluate through a compiled `expr.Bundle`, built
-on first use.  Fields compose: derivatives of derived fields are available
-in every mode, so commutators and nested frame applications can always be
-evaluated.
+with a recipe for its first partial derivatives.  Every field the library
+builds is expression-backed: it evaluates through a compiled
+`expr.Bundle`, built on first use, and differentiates symbolically, so
+nested derivatives stay analytic.  A field from a user callable
+(`from_callable`) brings its own three partials; sums and products of
+such fields take their partials from the sum and product rules when asked.
+A field with neither an expression nor partials has no derivatives:
+asking for one raises TypeError.
 """
 
 from __future__ import annotations
@@ -41,20 +43,14 @@ class SMPoint:
 class SMScalarField:
     """Scalar function on the bundle with evaluable first derivatives.
 
-    derivative mode is 'analytic' when partials come from the expression
-    AST or user-supplied closures, 'finite_difference' otherwise.
+    The derivatives come from the expression AST when there is one, and
+    otherwise from `partials`, a function var -> SMScalarField.
     """
 
-    def __init__(self, func, expression=None, partials=None, fd_step=1e-4,
-                 mode=None):
+    def __init__(self, func, expression=None, partials=None):
         self._func = func
         self.expression = expression
-        self._partials = dict(partials) if partials else {}
-        self.fd_step = fd_step
-        if mode is None:
-            mode = "analytic" if (expression is not None or partials) \
-                else "finite_difference"
-        self.mode = mode
+        self._partials = partials
 
     # -- constructors ----------------------------------------------------
 
@@ -62,20 +58,16 @@ class SMScalarField:
     def from_expression(cls, expression):
         e = ex.as_expr(expression)
         bundle = ex.Bundle([e])
-        return cls(lambda x, y, theta: bundle(x, y, theta)[0], expression=e,
-                   mode="analytic")
+        return cls(lambda x, y, theta: bundle(x, y, theta)[0], expression=e)
 
     @classmethod
-    def from_callable(cls, func, dx=None, dy=None, dtheta=None, fd_step=1e-4):
-        partials = {}
-        if dx is not None:
-            partials["x"] = dx
-        if dy is not None:
-            partials["y"] = dy
-        if dtheta is not None:
-            partials["theta"] = dtheta
-        mode = "analytic" if len(partials) == 3 else "finite_difference"
-        return cls(func, partials=partials, fd_step=fd_step, mode=mode)
+    def from_callable(cls, func, dx, dy, dtheta):
+        """A field from a vectorized callable and its three partials, each
+        an SMScalarField or a callable."""
+        given = {"x": dx, "y": dy, "theta": dtheta}
+        if any(d is None for d in given.values()):
+            raise TypeError("from_callable needs all three partials")
+        return cls(func, partials=lambda var: _field_of(given[var]))
 
     @classmethod
     def constant(cls, value):
@@ -105,32 +97,10 @@ class SMScalarField:
             raise ThermolabError(f"unknown variable {var!r}")
         if self.expression is not None:
             return SMScalarField.from_expression(self.expression.diff(var))
-        if var in self._partials:
-            obj = self._partials[var]
-            if isinstance(obj, SMScalarField):
-                return obj
-            return SMScalarField(obj, fd_step=self.fd_step,
-                                 mode="finite_difference")
-        return self._fd_partial(var)
-
-    def _fd_partial(self, var):
-        h = self.fd_step
-        f = self.eval
-
-        if var == "x":
-            def dfunc(x, y, theta):
-                return (-f(x + 2 * h, y, theta) + 8 * f(x + h, y, theta)
-                        - 8 * f(x - h, y, theta) + f(x - 2 * h, y, theta)) / (12 * h)
-        elif var == "y":
-            def dfunc(x, y, theta):
-                return (-f(x, y + 2 * h, theta) + 8 * f(x, y + h, theta)
-                        - 8 * f(x, y - h, theta) + f(x, y - 2 * h, theta)) / (12 * h)
-        else:
-            def dfunc(x, y, theta):
-                return (-f(x, y, theta + 2 * h) + 8 * f(x, y, theta + h)
-                        - 8 * f(x, y, theta - h) + f(x, y, theta - 2 * h)) / (12 * h)
-        return SMScalarField(dfunc, fd_step=self.fd_step,
-                             mode="finite_difference")
+        if self._partials is None:
+            raise TypeError("the field has neither an expression nor "
+                            "partials, so it has no derivatives")
+        return self._partials(var)
 
     # -- algebra (derivative-propagating) --------------------------------
 
@@ -144,13 +114,7 @@ class SMScalarField:
         def func(x, y, theta):
             return combine_func(a.eval(x, y, theta), b.eval(x, y, theta))
 
-        partials = {
-            v: _lazy_partial(partial_rule, a, b, v) for v in ("x", "y", "theta")
-        }
-        return SMScalarField(func, partials=partials,
-                             fd_step=min(a.fd_step, b.fd_step),
-                             mode="analytic" if a.mode == b.mode == "analytic"
-                             else "finite_difference")
+        return SMScalarField(func, partials=lambda v: partial_rule(a, b, v))
 
     def __add__(self, other):
         return self._binary(other, ex.add, np.add,
@@ -176,10 +140,9 @@ class SMScalarField:
         return self * (-1.0)
 
 
-def _lazy_partial(rule, a, b, v):
-    def func(x, y, theta):
-        return rule(a, b, v).eval(x, y, theta)
-    return SMScalarField(func, mode="finite_difference")
+def _field_of(obj):
+    """A given partial as a field; a bare callable has no derivatives."""
+    return obj if isinstance(obj, SMScalarField) else SMScalarField(obj)
 
 
 def _as_field(obj):

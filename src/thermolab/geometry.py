@@ -16,7 +16,7 @@ only after the commutation relations validate on a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,13 +77,11 @@ class SurfaceModel:
     I: SMScalarField
     J: SMScalarField
     K: SMScalarField
-    phi: Optional[SMScalarField] = None  # conformal exponent when available
+    phi: SMScalarField  # conformal exponent; the constant 0 when none is given
     tolerance: float = 1e-6
 
     def conformal_factor(self, x, y):
-        """exp(phi): metric length scale; 1 when no conformal data is attached."""
-        if self.phi is None:
-            return np.ones_like(np.asarray(x, dtype=float))
+        """exp(phi): metric length scale."""
         return np.exp(self.phi.eval(x, y, 0.0))
 
     def metric_speed(self, x, y, vx, vy):
@@ -183,7 +181,9 @@ def build_surface_model(kind, phi=None, synthetic=None, tolerance=1e-6,
             kind=kind, domain=domain,
             frame=FrameTriple(synthetic.X, synthetic.H, synthetic.V),
             I=_as_field(synthetic.I), J=_as_field(synthetic.J),
-            K=_as_field(synthetic.K), phi=synthetic.phi, tolerance=tolerance)
+            K=_as_field(synthetic.K),
+            phi=_as_field(0.0 if synthetic.phi is None else synthetic.phi),
+            tolerance=tolerance)
     else:
         raise ValueError(f"unknown surface kind {kind!r}")
 
@@ -247,6 +247,22 @@ def thermostat_generator(model, lam):
     return FrameOperator(X.c_x + lam * V.c_x,
                          X.c_y + lam * V.c_y,
                          X.c_theta + lam * V.c_theta)
+
+
+def velocity_pairing(model, w_x, w_y):
+    """The base 1-form (w_x, w_y) paired with the unit base velocity
+    e^{-phi} (cos theta, sin theta): a field of fiber degree +-1.
+
+    Built with field algebra, so callable-backed components still work;
+    the model's conformal exponent must be expression-backed.
+    """
+    if model.phi.expression is None:
+        raise TypeError("velocity_pairing needs an expression-backed "
+                        "conformal exponent")
+    emphi = _as_field(ex.call("exp", ex.neg(model.phi.expression)))
+    cos_t = ex.call("cos", ex.Var("theta"))
+    sin_t = ex.call("sin", ex.Var("theta"))
+    return emphi * (_as_field(w_x) * cos_t + _as_field(w_y) * sin_t)
 
 
 _DEF_PROBES_PERIODIC = (

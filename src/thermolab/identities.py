@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import expr as ex
 from .errors import DomainError
-from .fields import SMScalarField, _as_field
+from .fields import SMPoint, _as_field
 from .flow import ThermostatSpec, integrate_orbit
-from .geometry import derived_curvatures, thermostat_generator
+from .geometry import derived_curvatures, thermostat_generator, \
+    velocity_pairing
 from .jacobi import exterior_fan_r
 
 TWO_PI = 2.0 * np.pi
@@ -380,7 +380,6 @@ def check_integral_identity_boundary(model, lam, u, grid):
 # ---------------------------------------------------------------------------
 
 def _fan_r_at_nodes(spec, grid):
-    from .fields import SMPoint
     states = [SMPoint(x, y, t)
               for x, y, t in zip(grid.x, grid.y, grid.theta)]
     return exterior_fan_r(spec, states)
@@ -407,7 +406,6 @@ def transport_expansion_residual(model, lam, psi, states, dt=1e-3):
     dc = derived_curvatures(model, lam_f)
     lamI = lam_f * model.I
 
-    from .fields import SMPoint
     worst = 0.0
     for p in states:
         shifted = [p]
@@ -475,7 +473,6 @@ def check_second_identity(model, lam, psi, grid, r_field=None,
         "rhs_nonnegative": bool(rhs >= 0.0),
     }
     if n_transport_states:
-        from .fields import SMPoint
         rng = np.random.default_rng(0) if rng is None else rng
         states = []
         while len(states) < n_transport_states:
@@ -503,16 +500,7 @@ def check_fourier_facts(model, grid, h, w_x, w_y):
     if grid.kind != "torus":
         raise DomainError("the quadrature facts are for closed models")
     h = _as_field(h)
-    phi = model.phi if model.phi is not None else SMScalarField.constant(0.0)
-    if phi.expression is not None:
-        emphi = SMScalarField.from_expression(
-            ex.call("exp", ex.neg(phi.expression)))
-    else:
-        emphi = SMScalarField.from_callable(
-            lambda x, y, t: np.exp(-phi.eval(x, y, t)))
-    cos_t = _as_field("cos(theta)")
-    sin_t = _as_field("sin(theta)")
-    omega_v = emphi * (_as_field(w_x) * cos_t + _as_field(w_y) * sin_t)
+    omega_v = velocity_pairing(model, w_x, w_y)
     V = model.frame.V
     mixed = IdentityReport(lhs=liouville_integrate(grid, h * omega_v),
                            rhs=0.0)

@@ -18,7 +18,6 @@ zeros of y; the fan variant z/y differs from y'/y by lam I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -43,20 +42,14 @@ class JacobiCoefficients:
 
     def __init__(self, spec: ThermostatSpec):
         model, lam = spec.model, spec.lam
-        V, H = model.frame.V, model.frame.H
-        F = thermostat_generator(model, lam)
-        self.F = F
+        self.F = thermostat_generator(model, lam)
         self.lam = lam
         self.lamI = lam * model.I
-        self.Vlam = V.apply(lam)
-        self.Hlam = H.apply(lam)
+        self.Vlam = model.frame.V.apply(lam)
         dc = derived_curvatures(model, lam)
         self.core = dc.core          # K - H(lam) - lam J + lam^2
         self.K_lambda = dc.K_lambda
-        self.bigK = dc.bigK
         self.anosovD = dc.anosovD
-        self.FlamI = F.apply(self.lamI)
-        self.FVlam = F.apply(self.Vlam)
         self._rhs = None
 
     def rhs(self):
@@ -114,10 +107,10 @@ class JacobiTrajectory:
         lamI = self.coeffs.lamI.eval(s[0], s[1], s[2])
         return float(lamI * s[4] + s[5])
 
-    def r_fan(self, t):
-        """r = z/y (the fan variant; the Lemma-1.10-type variable)."""
-        s = np.asarray(self.sol(t))
-        return float(s[5] / s[4])
+    def conjugate_times(self):
+        """The zeros of y after the start: the conjugate times of the
+        solution y(0) = 0, y'(0) = 1."""
+        return [float(t) for t in self.zeros if t > 1e-8]
 
 
 def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
@@ -164,9 +157,9 @@ def second_order_residual(traj: JacobiTrajectory, n_check=50, h=1e-4):
 def detect_conjugate_points(spec, p0: SMPoint, T, coeffs=None, rtol=1e-11,
                             atol=1e-12):
     """Zeros of y on (0, T] for the solution y(0)=0, y'(0)=1."""
-    traj = integrate_jacobi(spec, p0, (0.0, T), initial=(0.0, 0.0, 1.0),
-                            coeffs=coeffs, rtol=rtol, atol=atol)
-    return [float(t) for t in traj.zeros if t > 1e-8]
+    return integrate_jacobi(spec, p0, (0.0, T), initial=(0.0, 0.0, 1.0),
+                            coeffs=coeffs, rtol=rtol,
+                            atol=atol).conjugate_times()
 
 
 @dataclass
@@ -182,10 +175,6 @@ class RiccatiTrace:
     R: float
     segments: list = dc_field(default_factory=list)  # (t_lo, t_hi, sol)
     lamI_eval: object = None
-    limit_value: Optional[float] = None
-    A: Optional[float] = None
-    B: Optional[float] = None
-    C: Optional[float] = None
 
     def r_at(self, t):
         """r = y'/y at parameter t, from the dense segment solutions."""

@@ -15,7 +15,9 @@ panels of all unconverged rays together; `transform_pair` is the fan of
 one ray.  `assemble_discrete_operator` integrates its rays the same way,
 and keeps the orbits, so that `DiscreteXRayOperator.transform` gives the
 transform of a pair along the same rays without integrating them again.
-Quadrature nodes are processed in blocks of at most `CHUNK_POINTS`.
+The integrand phi + w(gamma') is one compiled field (`PairField.integrand`),
+built once per transform; quadrature nodes are processed in blocks of at
+most `CHUNK_POINTS`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,6 +37,7 @@ from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
 from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, integrate_orbit, \
     integrate_to_boundary
+from .geometry import velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,20 +77,18 @@ class PairField:
         return PairField(self.phi + other.phi, self.w_x + other.w_x,
                          self.w_y + other.w_y)
 
-    def integrand_values(self, model, x, y, theta, clamp=True):
-        """phi + w(gamma') at bundle states; the base velocity is
-        e^{-phi_model} (cos theta, sin theta).  States outside the closed
-        disk contribute 0 when clamp is set (extension by zero)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        speed = 1.0 / model.conformal_factor(x, y)
-        vals = (self.phi.eval(x, y, theta)
-                + speed * (self.w_x.eval(x, y, theta) * np.cos(theta)
-                           + self.w_y.eval(x, y, theta) * np.sin(theta)))
-        if clamp:
-            vals = np.where(x * x + y * y <= 1.0 + 1e-12, vals, 0.0)
-        return vals
+    def integrand(self, model):
+        """phi + w(gamma') as one field, the base velocity gamma' being
+        e^{-phi_model} (cos theta, sin theta)."""
+        return self.phi + velocity_pairing(model, self.w_x, self.w_y)
+
+
+def _clamped(field):
+    """The field's evaluator, extended by zero outside the closed disk."""
+    def values(x, y, theta):
+        return np.where(x * x + y * y <= 1.0 + 1e-12,
+                        field.eval(x, y, theta), 0.0)
+    return values
 
 
 @dataclass
@@ -178,9 +180,8 @@ def _integrals(states_at, values_at, lo, hi, tol=1e-10, max_panels=4096):
 def _ray_values(orbits, pair, index, tol=1e-10):
     """Transform values of the pair along the exited orbits `index` of an
     OrbitBatch, each over [0, its exit time]."""
-    model = orbits.spec.model
-    return _integrals(lambda i, t: orbits.state(index[i], t),
-                      lambda x, y, t: pair.integrand_values(model, x, y, t),
+    integrand = _clamped(pair.integrand(orbits.spec.model))
+    return _integrals(lambda i, t: orbits.state(index[i], t), integrand,
                       0.0, orbits.end_time[index], tol=tol)
 
 
@@ -279,12 +280,6 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
         raise TrappedOrbit("backward orbit trapped", horizon=horizon)
     t_cross = float(back.exit_time)
     t_start = t_cross - tail
-
-    def values(x, y, t):
-        vals = q.eval(x, y, t)
-        return np.where(np.asarray(x) ** 2 + np.asarray(y) ** 2
-                        <= 1.0 + 1e-12, vals, 0.0)
-
     orbit, lo, hi = back, [t_cross], [0.0]
     if tail > 0.0:
         # split at the boundary crossing: the clamped integrand is only
@@ -292,7 +287,7 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
         orbit = integrate_orbit(spec, state, (0.0, t_start),
                                 stop_at_boundary=False)
         lo, hi = [t_start, t_cross], [t_cross, 0.0]
-    return float(np.sum(_integrals(lambda i, t: orbit.sol(t).T, values,
+    return float(np.sum(_integrals(lambda i, t: orbit.sol(t).T, _clamped(q),
                                    lo, hi, tol=tol)))
 
 
@@ -300,47 +295,21 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
 # Boundary corrector
 # ---------------------------------------------------------------------------
 
-def _cutoff(s, a=0.1, b=0.2):
-    """Smooth transition: 1 on (-inf, a], 0 on [b, inf)."""
-    s = np.asarray(s, dtype=float)
-
-    def bump(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
-    num = bump((b - s) / (b - a))
-    den = num + bump((s - a) / (b - a))
-    return num / den
-
-
 def boundary_corrector(model, w_x, w_y):
     """A function psi with psi = 0 on the boundary circle and normal
     derivative (with respect to the model metric) matching the 1-form
     paired with the unit outward normal.
 
-    psi(x) = -rho(s) * s * w(n) at the nearest boundary point, where s is
-    the Euclidean distance to the boundary and rho a smooth cutoff that
-    is 1 on [0, 0.1] and 0 beyond 0.2.  The conformal factors in the
-    metric normal and the metric distance cancel, leaving the Euclidean
-    formula valid for every conformal model.
+    psi = -(1 - x^2 - y^2) (x w_x + y w_y) / 2, whose Euclidean radial
+    derivative on the rim is x w_x + y w_y = w(n).  The conformal factors
+    in the metric normal and the metric distance cancel, leaving the
+    Euclidean formula valid for every conformal model, so `model` is not
+    read.  psi is a polynomial times w, expression-backed when w is.  It
+    is not supported in a collar of the rim, as a cutoff construction
+    would be; no caller or test relies on such support.
     """
-    w_x = _as_field(w_x)
-    w_y = _as_field(w_y)
-
-    def func(x, y, theta):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        safe = np.where(r > 0.5, r, 1.0)
-        nx, ny = x / safe, y / safe
-        s = 1.0 - r
-        wn = (w_x.eval(nx, ny, 0.0) * nx + w_y.eval(nx, ny, 0.0) * ny)
-        vals = -_cutoff(s) * s * wn
-        return np.where(r > 0.5, vals, 0.0)
-
-    return SMScalarField(func, fd_step=1e-5, mode="finite_difference")
+    x, y = _as_field("x"), _as_field("y")
+    return (x * x + y * y - 1.0) * (x * w_x + y * w_y) * 0.5
 
 
 def corrected_pair(model, pair):
@@ -466,9 +435,10 @@ class DiscreteXRayOperator:
     orbits: Optional[OrbitBatch] = dc_field(default=None, repr=False)
     orbit_index: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
-    @property
-    def n_cols(self):
-        return self.matrix.shape[1]
+    @cached_property
+    def thin_svd(self):
+        """(U, sigma, Vt) of the matrix, computed on first use and kept."""
+        return svd(self.matrix, full_matrices=False)
 
     def apply(self, pair_vector):
         return self.matrix @ np.asarray(pair_vector, dtype=float)
@@ -610,12 +580,15 @@ def gauge_basis(node_grid, spacing=0.25, slack=0.02):
 # Kernel analysis and reconstruction
 # ---------------------------------------------------------------------------
 
-def _largest_gap(sigma, floor=1e-14):
+def _largest_gap(sigma, min_gap, floor=1e-14):
     """Index i maximizing sigma[i]/sigma[i+1] on the descending spectrum;
-    returns (index, ratio)."""
+    returns (index, ratio).  IllConditioned if the ratio is under min_gap."""
     s = np.maximum(sigma, floor)
     ratios = s[:-1] / s[1:]
     i = int(np.argmax(ratios))
+    if ratios[i] < min_gap:
+        raise IllConditioned(
+            f"singular-value gap {ratios[i]:.2f}x is below {min_gap:.0f}x")
     return i, float(ratios[i])
 
 
@@ -626,11 +599,8 @@ def analyze_kernel(op, gauge_matrix, min_gap=10.0):
     singular values; IllConditioned if that gap is under min_gap.
     Principal angles compare the near-kernel with the span of the gauge
     columns."""
-    U, sigma, Vt = svd(op.matrix, full_matrices=False)
-    gap_index, gap_ratio = _largest_gap(sigma)
-    if gap_ratio < min_gap:
-        raise IllConditioned(
-            f"singular-value gap {gap_ratio:.2f}x is below {min_gap:.0f}x")
+    U, sigma, Vt = op.thin_svd
+    gap_index, gap_ratio = _largest_gap(sigma, min_gap)
     kernel_dim = sigma.size - (gap_index + 1)
     kernel_basis = Vt[gap_index + 1:].T  # (n_cols, kernel_dim)
     angles = subspace_angles(kernel_basis, np.asarray(gauge_matrix))
@@ -678,14 +648,9 @@ def reconstruct_pair(op, values, min_gap=10.0, rank=None):
     The truncation rank defaults to the largest-gap index, discarding
     the gauge directions; IllConditioned when the gap is insufficient
     and no explicit rank is supplied."""
-    U, sigma, Vt = svd(op.matrix, full_matrices=False)
+    U, sigma, Vt = op.thin_svd
     if rank is None:
-        gap_index, gap_ratio = _largest_gap(sigma)
-        if gap_ratio < min_gap:
-            raise IllConditioned(
-                f"singular-value gap {gap_ratio:.2f}x is below "
-                f"{min_gap:.0f}x")
-        rank = gap_index + 1
+        rank = _largest_gap(sigma, min_gap)[0] + 1
     coeffs = (U[:, :rank].T @ np.asarray(values, dtype=float)) / sigma[:rank]
     solution = Vt[:rank].T @ coeffs
     n = op.node_grid.n_nodes

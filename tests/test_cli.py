@@ -195,6 +195,36 @@ def test_invert_ill_conditioned_is_numerical_failure(tmp_path):
     assert main(["invert", "--config", cfg]) == EXIT_NUMERICAL
 
 
+def test_invert_ill_conditioned_with_rank_reports_spectrum(tmp_path, capsys):
+    # with an explicit rank the run goes on and reports the one spectrum
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+        "phi_field": "1", "nodes": [5, 6], "n_boundary": 4, "n_angles": 4,
+        "rank": 10})
+    assert main(["invert", "--config", cfg]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["spectrum"] == {"gap_ratio": None}
+    assert len(out["sigma"]) == 16
+    assert out["sigma"] == sorted(out["sigma"], reverse=True)
+
+
+def test_jacobi_command_conjugate_times(tmp_path, capsys):
+    # one solve gives the samples and the conjugate times of
+    # detect_conjugate_points: pi on the unit sphere
+    from thermolab.cli import spec_from
+    from thermolab.fields import SMPoint
+    from thermolab.jacobi import detect_conjugate_points
+    config = {"schema": 1, "surface": {"kind": "synthetic", "K": 1.0},
+              "lambda": "0", "initial": [0.0, 0.0, 0.2], "T": 4.0}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["jacobi", "--config", cfg]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["conjugate_times"] == detect_conjugate_points(
+        spec_from(config), SMPoint(0.0, 0.0, 0.2), 4.0)
+    assert out["conjugate_times"] == pytest.approx([math.pi], abs=1e-8)
+    assert len(out["t"]) == 100
+
+
 def test_cohomology_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
         h="sin(2*pi*x)", n=16))

@@ -183,3 +183,48 @@ def test_bundle_folds_variable_free_trees_like_the_tree_walk():
     assert np.array_equal(value, e.eval(x, 0.0, 0.0))
     lines, _, _ = _straight_line([e])
     assert len(lines) == 2
+
+
+# points for the derivative property: away from 0, where abs, sign and
+# the general power rule have their kinks and singularities
+_POINTS = _RNG.uniform(-2.0, 2.0, (3, 64))
+_POINTS[np.abs(_POINTS) < 0.05] += 0.1
+
+
+def _central_difference(e, var, h):
+    """4th-order central difference of e in var at _POINTS."""
+    k = VARIABLES.index(var)
+
+    def shifted(offset):
+        p = _POINTS.copy()
+        p[k] += offset
+        return np.broadcast_to(e.eval(*p), p[0].shape)
+
+    return (-shifted(2 * h) + 8 * shifted(h) - 8 * shifted(-h)
+            + shifted(-2 * h)) / (12 * h)
+
+
+# a function of a binary combination of random subexpressions, so that
+# every derivative rule meets a non-trivial argument
+_COMPOSITES = st.tuples(st.sampled_from(FUNCS), EXPRESSIONS,
+                        st.sampled_from("+-*/^"), EXPRESSIONS).map(
+    lambda t: f"{t[0]}(({t[1]}){t[2]}({t[3]}))")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_COMPOSITES)
+def test_diff_matches_central_difference(text):
+    # where two step sizes agree, the expression is smooth across the
+    # stencil and the difference is a reference for the derivative
+    e = _parse_with_derivatives(text)[0]
+    with np.errstate(all="ignore"):
+        for var in VARIABLES:
+            coarse = _central_difference(e, var, 1e-3)
+            fine = _central_difference(e, var, 5e-4)
+            exact = np.broadcast_to(e.diff(var).eval(*_POINTS),
+                                    fine.shape)
+            smooth = np.isfinite(coarse) & np.isfinite(fine) & \
+                (np.abs(coarse - fine) <= 1e-7 * (1.0 + np.abs(fine)))
+            err = np.abs(exact - fine)[smooth]
+            scale = 1.0 + np.abs(fine[smooth])
+            assert np.all(err <= 1e-6 * scale), (str(e), var)

@@ -5,9 +5,10 @@ import pytest
 
 from thermolab.errors import DomainError
 from thermolab.fields import SMScalarField
-from thermolab.geometry import build_surface_model, classify_magnetic, \
-    constant_curvature_model, derived_curvatures, euclidean_disk, \
-    flat_torus, validate_structure_relations
+from thermolab.geometry import SyntheticSpec, build_surface_model, \
+    classify_magnetic, constant_curvature_model, derived_curvatures, \
+    euclidean_disk, flat_torus, validate_structure_relations, \
+    velocity_pairing
 
 
 def worst(report):
@@ -16,6 +17,7 @@ def worst(report):
 
 def test_flat_torus_structure():
     model = flat_torus()
+    assert model.phi.expression is not None
     assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-12
 
 
@@ -29,6 +31,7 @@ def test_conformal_torus_structure_with_thermostat():
 
 def test_disk_structure():
     model = build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)")
+    assert model.phi.expression is not None
     assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-9
 
 
@@ -43,7 +46,18 @@ def test_constant_curvature_models():
         xs = np.linspace(-0.3, 0.3, 5)
         vals = model.K.eval(xs, xs, 0.0)
         assert np.allclose(vals, K, atol=1e-9)
+        assert model.phi.expression is not None
         assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-9
+
+
+def test_synthetic_spec_without_phi_gets_zero():
+    flat = flat_torus()
+    X, H, V = flat.frame.X, flat.frame.H, flat.frame.V
+    spec = SyntheticSpec(X=X, H=H, V=V, I=flat.I, J=flat.J, K=flat.K)
+    model = build_surface_model("synthetic", synthetic=spec)
+    assert model.phi.expression is not None
+    assert np.array_equal(model.conformal_factor(np.array([0.1, -0.2]), 0.3),
+                          [1.0, 1.0])
 
 
 def test_gauss_curvature_formula():
@@ -81,6 +95,51 @@ def test_classify_magnetic():
     assert classify_magnetic(model, lam)["magnetic"]
     lam2 = SMScalarField.from_expression("0.3*sin(theta)")
     assert not classify_magnetic(model, lam2)["magnetic"]
+
+
+def test_callable_fields_need_all_partials():
+    f = SMScalarField.from_expression("x*y + sin(theta)")
+    with pytest.raises(TypeError):
+        SMScalarField.from_callable(f.eval, dx=f.partial("x"),
+                                    dy=f.partial("y"))
+    with pytest.raises(TypeError):
+        SMScalarField(f.eval).partial("x")
+    # a product of a callable-backed and an expression-backed field takes
+    # its partials from the product rule
+    g = SMScalarField.from_callable(f.eval, dx=f.partial("x"),
+                                    dy=f.partial("y"),
+                                    dtheta=f.partial("theta").eval)
+    prod = g * SMScalarField.from_expression("cos(x)")
+    assert prod.expression is None
+    exact = (f * SMScalarField.from_expression("cos(x)"))
+    pts = (np.array([0.1, 0.7]), np.array([-0.3, 0.2]), np.array([1.0, 4.0]))
+    for v in ("x", "y", "theta"):
+        assert np.allclose(prod.partial(v).eval(*pts),
+                           exact.partial(v).eval(*pts), rtol=1e-14,
+                           atol=1e-15)
+    # a partial given as a bare callable has no derivatives of its own
+    with pytest.raises(TypeError):
+        g.partial("theta").partial("x")
+
+
+def test_velocity_pairing():
+    model = build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)")
+    omega = velocity_pairing(model, "y", SMScalarField.from_expression("-x"))
+    assert omega.expression is not None
+    x, y, th = 0.3, -0.1, 0.7
+    assert omega.eval(x, y, th) == pytest.approx(
+        np.exp(-0.2 * (x * x - y * y)) * (y * np.cos(th) - x * np.sin(th)),
+        rel=1e-14)
+    # a callable-backed component still pairs, through field algebra
+    w = SMScalarField.from_expression("y")
+    mixed = velocity_pairing(model, SMScalarField.from_callable(
+        w.eval, dx=w.partial("x"), dy=w.partial("y"),
+        dtheta=w.partial("theta")), "-x")
+    assert mixed.expression is None
+    assert mixed.eval(x, y, th) == pytest.approx(omega.eval(x, y, th),
+                                                 rel=1e-14)
+    assert mixed.partial("theta").eval(x, y, th) == pytest.approx(
+        omega.partial("theta").eval(x, y, th), rel=1e-14)
 
 
 def test_metric_speed():

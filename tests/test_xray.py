@@ -134,6 +134,25 @@ def test_boundary_corrector_vanishes_on_rim():
     assert np.max(np.abs(vals)) < 1e-14
 
 
+def test_boundary_corrector_normal_derivative():
+    # on the rim the radial derivative x psi_x + y psi_y is w(n)
+    model = build_surface_model("conformal_disk", phi="0.04*(x^2+y^2)")
+    pair = PairField.from_expressions(phi="x", w_x="1 + x*y - y^2",
+                                      w_y="exp(x)*cos(y)")
+    psi = boundary_corrector(model, pair.w_x, pair.w_y)
+    assert psi.expression is not None
+    ss = np.linspace(0, 2 * np.pi, 37, endpoint=False)
+    x, y = np.cos(ss), np.sin(ss)
+    radial = x * psi.partial("x").eval(x, y, 0.0) \
+        + y * psi.partial("y").eval(x, y, 0.0)
+    wn = x * pair.w_x.eval(x, y, 0.0) + y * pair.w_y.eval(x, y, 0.0)
+    assert np.max(np.abs(radial - wn)) < 1e-13
+    fixed, psi2 = corrected_pair(model, pair)
+    assert psi2.expression is not None
+    assert all(f.expression is not None
+               for f in (fixed.phi, fixed.w_x, fixed.w_y))
+
+
 def test_corrected_pair_same_transform():
     # subtracting an interior-supported gauge pair leaves ray data unchanged
     spec = disk_spec()
