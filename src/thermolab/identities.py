@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import SMPoint, _as_field
-from .flow import ThermostatSpec, integrate_orbit
+from .flow import ThermostatSpec, integrate
 from .geometry import derived_curvatures, thermostat_generator, \
     velocity_pairing
 from .jacobi import exterior_fan_r
@@ -397,41 +397,43 @@ def transport_expansion_residual(model, lam, psi, states, dt=1e-3):
 
     where r is the fan Riccati solution.  The left side is a central
     difference along the orbit with r recomputed at the flowed states;
-    the right side is algebraic.  Returns the max residual.
+    the right side is algebraic.  The orbits of all states are flowed by
+    -dt and +dt in one batch, and r is computed at all 3N states in one
+    `exterior_fan_r` call.  Returns the max residual.
     """
     spec = ThermostatSpec(model, _as_field(lam))
     g = _first_order_fields(model, spec.lam, psi)
     Fpsi, Vlam, psi_f = g["Fu"], g["Vlam"], g["u"]
-    lam_f = spec.lam
-    dc = derived_curvatures(model, lam_f)
-    lamI = lam_f * model.I
-
-    worst = 0.0
+    lamI = spec.lam * model.I
+    bigK = derived_curvatures(model, spec.lam).bigK
+    if not len(states):
+        return 0.0
     for p in states:
-        shifted = [p]
-        for tgt in (-dt, dt):
-            orb = integrate_orbit(spec, p, (0.0, tgt), stop_at_boundary=False)
-            s = orb.state(tgt)
-            shifted.append(SMPoint(s[0], s[1], s[2]))
-        r0, rm, rp = exterior_fan_r(spec, shifted)
+        model.domain.require(p)
+    starts = np.array([[p.x, p.y, p.theta] for p in states], dtype=float)
+    n = len(starts)
+    # orbit k < n flows state k by -dt, orbit n + k by +dt
+    ends = np.repeat([-dt, dt], n)
+    shifts = integrate(spec, np.vstack([starts, starts]), 0.0, ends)
+    shifts.require_steps()
+    shifted = shifts.state(np.arange(2 * n), ends)
+    shifted[:, 2] %= TWO_PI
+    points = np.vstack([starts, shifted])
+    r0, rm, rp = np.split(exterior_fan_r(
+        spec, [SMPoint(*q) for q in points]), 3)
 
-        def gval(f, q):
-            return float(f.eval(q.x, q.y, q.theta))
+    def at(f, block):
+        q = points[block * n:(block + 1) * n]
+        return f.eval(q[:, 0], q[:, 1], q[:, 2])
 
-        pm, pp = shifted[1], shifted[2]
-        gm = (rm - gval(Vlam, pm)) * gval(psi_f, pm) ** 2
-        gp = (rp - gval(Vlam, pp)) * gval(psi_f, pp) ** 2
-        lhs = (gp - gm) / (2.0 * dt)
-        ps = gval(psi_f, p)
-        fp = gval(Fpsi, p)
-        vl = gval(Vlam, p)
-        li = gval(lamI, p)
-        bigK = gval(dc.bigK, p)
-        rhs = (fp ** 2 - bigK * ps ** 2 + ps ** 2 * vl ** 2
-               - ps ** 2 * r0 * (li + vl) + li * vl * ps ** 2
-               - (fp - r0 * ps + ps * vl) ** 2)
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    gm = (rm - at(Vlam, 1)) * at(psi_f, 1) ** 2
+    gp = (rp - at(Vlam, 2)) * at(psi_f, 2) ** 2
+    lhs = (gp - gm) / (2.0 * dt)
+    ps, fp, vl, li = (at(f, 0) for f in (psi_f, Fpsi, Vlam, lamI))
+    rhs = (fp ** 2 - at(bigK, 0) * ps ** 2 + ps ** 2 * vl ** 2
+           - ps ** 2 * r0 * (li + vl) + li * vl * ps ** 2
+           - (fp - r0 * ps + ps * vl) ** 2)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_second_identity(model, lam, psi, grid, r_field=None,

@@ -10,9 +10,24 @@ and is integrated jointly with the orbit, as one state of width 6, by the
 Dormand-Prince core of `flow.integrate`, which also locates the zeros of
 y (`Y_ZEROS`).  The generator's three coefficients and lam, lam I, the
 core curvature and V(lam) are compiled once per `JacobiCoefficients` into
-one straight-line function.  Riccati solutions are always obtained
-through the linear system (r = y'/y), which turns blowups into exact
-zeros of y; the fan variant z/y differs from y'/y by lam I.
+one straight-line function, which serves both the width-6 state and the
+width-7 state (x, y, theta, y1, z1, y2, z2) of two Jacobi columns.
+Riccati solutions are always obtained through the linear system
+(r = y'/y), which turns blowups into exact zeros of y; the fan variant
+z/y differs from y'/y by lam I.
+
+The limits r+/- = lim r_R^+/-(0) are read off one walk per sign
+(`riccati_doubling`): the orbit and the columns (y, z)(0) = (1, 0) and
+(0, 1) are integrated from the state towards the launch side only
+(backward for '+', forward for '-'), each doubling of R extending the
+walk from R/2 to R.  The solution that vanishes at -/+R is
+y2(-/+R) col1 - y1(-/+R) col2, so
+
+    r_R^+/-(0) = lam I(p0) - y1(-/+R) / y2(-/+R).
+
+By Sturm separation that solution vanishes inside the window exactly when
+y2, the solution vanishing at the state, does: BlowupInsideWindow is
+raised at the first R whose window holds a conjugate time of the state.
 """
 
 from __future__ import annotations
@@ -35,6 +50,10 @@ RICCATI_R_CAP = 2 ** 10
 # the zeros of the Jacobi field y (state coordinate 4), either way
 Y_ZEROS = Event(g=lambda s: s[4], slope=lambda s, ds: ds[4], direction=0,
                 terminal=False)
+# the zeros of y2, the second column of `riccati_doubling`'s walk (state
+# coordinate 5 of (x, y, theta, y1, z1, y2, z2)), either way
+Y2_ZEROS = Event(g=lambda s: s[5], slope=lambda s, ds: ds[5], direction=0,
+                 terminal=False)
 
 
 class JacobiCoefficients:
@@ -50,15 +69,24 @@ class JacobiCoefficients:
         self.core = dc.core          # K - H(lam) - lam J + lam^2
         self.K_lambda = dc.K_lambda
         self.anosovD = dc.anosovD
+        self._fields = None
         self._rhs = None
+        self._columns_rhs = None
+
+    def _compiled(self):
+        """The generator's coefficients and lam, lam I, core, V(lam), as one
+        function (x, y, theta) -> values, compiled on the first call."""
+        if self._fields is None:
+            F = self.F
+            self._fields = compile_fields((F.c_x, F.c_y, F.c_theta, self.lam,
+                                           self.lamI, self.core, self.Vlam))
+        return self._fields
 
     def rhs(self):
         """Right-hand side f(t, s) of orbit + (a, y, z), built on the first
         call and kept here."""
         if self._rhs is None:
-            F = self.F
-            fields = compile_fields((F.c_x, F.c_y, F.c_theta, self.lam,
-                                     self.lamI, self.core, self.Vlam))
+            fields = self._compiled()
 
             def f(t, s):
                 x, y, th, a, jy, jz = np.asarray(s, dtype=float)
@@ -69,6 +97,22 @@ class JacobiCoefficients:
                         -core * jy + Vlam * jz)
             self._rhs = f
         return self._rhs
+
+    def columns_rhs(self):
+        """Right-hand side f(t, s) of orbit + two (y, z) columns, the state
+        (x, y, theta, y1, z1, y2, z2); built on the first call from the
+        same compiled coefficients as `rhs` and kept here."""
+        if self._columns_rhs is None:
+            fields = self._compiled()
+
+            def f(t, s):
+                x, y, th, y1, z1, y2, z2 = np.asarray(s, dtype=float)
+                dx, dy, dth, _, lamI, core, Vlam = fields(x, y, th)
+                return (dx, dy, dth,
+                        lamI * y1 + z1, -core * y1 + Vlam * z1,
+                        lamI * y2 + z2, -core * y2 + Vlam * z2)
+            self._columns_rhs = f
+        return self._columns_rhs
 
 
 @dataclass
@@ -186,6 +230,35 @@ class RiccatiTrace:
         return float(np.interp(t, self.t, self.r))
 
 
+def _renormalized_run(spec, rhs, event, state, t_now, t_end, size,
+                      segment=5.0, rtol=1e-11, atol=1e-12):
+    """One run of `integrate` from state at t_now towards t_end, at most
+    `segment` long.  Returns its end time, the run, and the start state of
+    the next run: the end state with the Jacobi coordinates (state[3:])
+    divided by size(end state) when that exceeds 1e6, which dodges
+    overflow and leaves every ratio of Jacobi coordinates unchanged.
+    """
+    direction = 1.0 if t_end > t_now else -1.0
+    t_next = t_now + direction * min(segment, abs(t_end - t_now))
+    # Far out, the orbit can come within ~1e-10 of the edge of the model's
+    # chart (|k y| = pi/2 for phi = -log cos(k y) on K = -k^2), and a trial
+    # RK stage can step past it, where log gives NaN.  A NaN stage makes
+    # the step's error norm NaN, which the controller rejects (shrinking
+    # the step), so no NaN enters an accepted state, the dense solution or
+    # a result; if no step can avoid it, the integration fails and
+    # StepFailure is raised.
+    with np.errstate(invalid="ignore"):
+        run = integrate(spec, [state], t_now, t_next, rhs=rhs, event=event,
+                        rtol=rtol, atol=atol)
+    if run.outcome[0] == STEP_FAILED:
+        raise StepFailure(f"Riccati {run.reason(0)}")
+    state = run.end_state[0].copy()
+    scale = size(state)
+    if scale > 1e6:
+        state[3:] /= scale
+    return t_next, run, state
+
+
 def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
                             segment=5.0, rtol=1e-11, atol=1e-12):
     """Integrate the combined system with (a,y,z)(t_start) = (0,0,1),
@@ -194,13 +267,7 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
     """
     # walk the base orbit to t_start first
     if t_start != 0.0:
-        # Far out, the orbit can come within ~1e-10 of the edge of the
-        # model's chart (|k y| = pi/2 for phi = -log cos(k y) on K = -k^2),
-        # and a trial RK stage can step past it, where log gives NaN.  A
-        # NaN stage makes the step's error norm NaN, which the controller
-        # rejects (shrinking the step), so no NaN enters an accepted state,
-        # the dense solution or a result; if no step can avoid it, the
-        # integration fails and StepFailure is raised.
+        # NaN stages near the chart edge: see `_renormalized_run`
         with np.errstate(invalid="ignore"):
             base = integrate_orbit(spec, start_point, (0.0, t_start),
                                    stop_at_boundary=False, rtol=rtol,
@@ -219,11 +286,9 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
     lamI_f = coeffs.lamI.eval
 
     while direction * (t_end - t_now) > 1e-14:
-        t_next = t_now + direction * min(segment, abs(t_end - t_now))
-        run = integrate(spec, [state], t_now, t_next, rhs=rhs,
-                        event=Y_ZEROS, rtol=rtol, atol=atol)
-        if run.outcome[0] == STEP_FAILED:
-            raise StepFailure(f"Riccati {run.reason(0)}")
+        t_next, run, state = _renormalized_run(
+            spec, rhs, Y_ZEROS, state, t_now, t_end,
+            lambda s: max(abs(s[4]), abs(s[5])), segment, rtol, atol)
         for tz in run.event_times(0):
             if abs(tz - t_start) > 1e-9:
                 zeros.append(float(tz))
@@ -238,10 +303,6 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
         y_all.append(ys[4])
         z_all.append(ys[5])
         segments.append((t_now, t_next, sol))
-        state = run.end_state[0].copy()
-        scale = max(abs(state[4]), abs(state[5]))
-        if scale > 1e6:
-            state[3:] /= scale
         t_now = t_next
 
     return (np.concatenate(ts_all), np.concatenate(r_all),
@@ -281,25 +342,71 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", coeffs=None,
                         segments=segments, lamI_eval=coeffs.lamI.eval)
 
 
+def riccati_doubling(spec, p0: SMPoint, sign="+", R0=1.0, coeffs=None):
+    """Yield (R, r_R^+/-(0)) for R = R0, 2 R0, 4 R0, ... from one walk,
+    without end: the caller decides when to stop.
+
+    The walk follows the orbit from the state towards the launch side
+    (backward for '+', forward for '-') with the two Jacobi columns
+    (y, z)(0) = (1, 0) and (0, 1), in the width-7 state
+    (x, y, theta, y1, z1, y2, z2); each doubling of R extends it from R/2
+    to R.  The solution that vanishes at -/+R is
+    y2(-/+R) col1 - y1(-/+R) col2, so
+
+        r_R^+/-(0) = lam I(p0) - y1(-/+R) / y2(-/+R).
+
+    BlowupInsideWindow is raised at the first R whose walk meets a zero of
+    y2 inside (-R, 0) (resp. (0, R)), with `times` the state's conjugate
+    times on that side, nearest first (the Sturm reading is in
+    `solve_riccati_limit`).
+    """
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if coeffs is None:
+        coeffs = JacobiCoefficients(spec)
+    rhs = coeffs.columns_rhs()
+    lamI = float(coeffs.lamI.eval(p0.x, p0.y, p0.theta))
+    direction = -1.0 if sign == "+" else 1.0
+    state = np.array([p0.x, p0.y, p0.theta, 1.0, 0.0, 0.0, 1.0])
+    t_now, R, zeros = 0.0, float(R0), []
+    while True:
+        while R - abs(t_now) > 1e-14:
+            t_now, run, state = _renormalized_run(
+                spec, rhs, Y2_ZEROS, state, t_now, direction * R,
+                lambda s: np.max(np.abs(s[3:])))
+            # y2 = 0 at the start: not a conjugate time
+            zeros += [float(t) for t in run.event_times(0) if abs(t) > 1e-9]
+        if zeros:
+            raise BlowupInsideWindow(
+                f"Jacobi solution vanished inside the window of R={R:g}: "
+                f"conjugate time t={zeros[0]:.6g} of the state "
+                f"(conjugate point witness)", times=zeros)
+        yield R, lamI - state[3] / state[5]
+        R *= 2.0
+
+
 def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6, R0=1.0,
                         R_cap=RICCATI_R_CAP, coeffs=None):
     """Limit Riccati values (r+, r-) at the state by R-doubling.
 
-    The sequence r_R^+(0) must be decreasing and r_R^-(0) increasing;
-    NoConvergence on monotonicity loss or cap overrun.
+    Each sign reads r_R(0) for R = R0, 2 R0, ... off one walk of the orbit
+    and two Jacobi columns (`riccati_doubling`):
+
+        r_R^+/-(0) = lam I(p0) - y1(-/+R) / y2(-/+R).
+
+    By Sturm separation the Jacobi solution vanishing at -/+R vanishes
+    inside its window exactly when y2, the solution vanishing at the
+    state, does: BlowupInsideWindow is raised at the first R whose window
+    holds a conjugate time of the state, with `times` those conjugate
+    times.  The sequence r_R^+(0) must be decreasing and r_R^-(0)
+    increasing; NoConvergence on monotonicity loss or cap overrun.
     """
     if coeffs is None:
         coeffs = JacobiCoefficients(spec)
     limits = {}
     for sign in ("+", "-"):
-        R = float(R0)
         prev = None
-        while True:
-            trace = solve_riccati_finite(spec, p0, R, sign=sign,
-                                         coeffs=coeffs,
-                                         eval_window=(-R + 1e-9, 1e-9) if sign == "+"
-                                         else (-1e-9, R - 1e-9))
-            r0 = trace.r_at(0.0)
+        for R, r0 in riccati_doubling(spec, p0, sign, R0, coeffs):
             if prev is not None:
                 if sign == "+" and r0 > prev + 1e-9:
                     raise NoConvergence(
@@ -311,8 +418,7 @@ def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6, R0=1.0,
                     limits[sign] = r0
                     break
             prev = r0
-            R *= 2.0
-            if R > R_cap:
+            if 2.0 * R > R_cap:
                 raise NoConvergence(f"R-doubling exceeded cap {R_cap}")
     r_plus, r_minus = limits["+"], limits["-"]
     if not r_plus > r_minus - 1e-9:

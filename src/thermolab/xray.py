@@ -16,8 +16,9 @@ one ray.  `assemble_discrete_operator` integrates its rays the same way,
 and keeps the orbits, so that `DiscreteXRayOperator.transform` gives the
 transform of a pair along the same rays without integrating them again.
 The integrand phi + w(gamma') is one compiled field (`PairField.integrand`),
-built once per transform; quadrature nodes are processed in blocks of at
-most `CHUNK_POINTS`.
+built and compiled once per pair and model and kept on the pair
+(`PairField.clamped_integrand`); quadrature nodes are processed in blocks
+of at most `CHUNK_POINTS`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class PairField:
     phi: SMScalarField
     w_x: SMScalarField
     w_y: SMScalarField
+    # the last clamped integrand: ((model, phi, w_x, w_y), its evaluator)
+    _clamped_integrand: tuple = dc_field(default=((None,) * 4, None),
+                                         init=False, repr=False,
+                                         compare=False)
 
     @classmethod
     def from_expressions(cls, phi="0", w_x="0", w_y="0"):
@@ -81,6 +86,17 @@ class PairField:
         """phi + w(gamma') as one field, the base velocity gamma' being
         e^{-phi_model} (cos theta, sin theta)."""
         return self.phi + velocity_pairing(model, self.w_x, self.w_y)
+
+    def clamped_integrand(self, model):
+        """The integrand's evaluator on the model, extended by zero outside
+        the closed disk.  It is built and compiled once and kept on the
+        pair until the model or one of the pair's fields changes."""
+        key = (model, self.phi, self.w_x, self.w_y)
+        kept, values = self._clamped_integrand
+        if any(a is not b for a, b in zip(kept, key)):
+            values = _clamped(self.integrand(model))
+            self._clamped_integrand = (key, values)
+        return values
 
 
 def _clamped(field):
@@ -180,7 +196,7 @@ def _integrals(states_at, values_at, lo, hi, tol=1e-10, max_panels=4096):
 def _ray_values(orbits, pair, index, tol=1e-10):
     """Transform values of the pair along the exited orbits `index` of an
     OrbitBatch, each over [0, its exit time]."""
-    integrand = _clamped(pair.integrand(orbits.spec.model))
+    integrand = pair.clamped_integrand(orbits.spec.model)
     return _integrals(lambda i, t: orbits.state(index[i], t), integrand,
                       0.0, orbits.end_time[index], tol=tol)
 

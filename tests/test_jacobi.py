@@ -9,10 +9,12 @@ from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, ThermostatSpec, \
     geodesic_spec
 from thermolab.geometry import build_surface_model, constant_curvature_model, \
     euclidean_disk, flat_torus
+from thermolab.errors import BlowupInsideWindow
 from thermolab.jacobi import GOLDEN_BOUND, JacobiCoefficients, \
     check_riccati_bound, comparison_ode_residuals, detect_conjugate_points, \
     exterior_fan_r, integrate_jacobi, riccati_bound_constants, \
-    second_order_residual, solve_riccati_finite, solve_riccati_limit
+    riccati_doubling, second_order_residual, solve_riccati_finite, \
+    solve_riccati_limit
 
 
 def test_flat_jacobi_linear_growth():
@@ -106,6 +108,51 @@ def test_riccati_limits_hyperbolic():
     r_plus, r_minus = solve_riccati_limit(spec, SMPoint(0.0, 0.0, 0.3))
     assert r_plus == pytest.approx(1.0, abs=1e-6)
     assert r_minus == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5])
+def test_riccati_limits_thermostat_closed_form(lam):
+    # K = -1, I = 0 and constant lam: y'' = (1 - lam^2) y, so the limits
+    # are the exponents +/- sqrt(1 - lam^2)
+    spec = ThermostatSpec(constant_curvature_model(-1.0),
+                          SMScalarField.constant(lam))
+    r_plus, r_minus = solve_riccati_limit(spec, SMPoint(0.0, 0.0, 0.3))
+    assert r_plus == pytest.approx(np.sqrt(1.0 - lam ** 2), abs=1e-6)
+    assert r_minus == pytest.approx(-np.sqrt(1.0 - lam ** 2), abs=1e-6)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_riccati_doubling_matches_finite_window(sign):
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    spec = ThermostatSpec(model, SMScalarField.from_expression(
+        "0.2*sin(2*pi*y)"))
+    p0 = SMPoint(0.1, 0.2, 0.3)
+    coeffs = JacobiCoefficients(spec)
+    walk = riccati_doubling(spec, p0, sign, coeffs=coeffs)
+    for R in (1.0, 2.0):
+        R_walk, r_walk = next(walk)
+        window = (-R + 1e-9, 1e-9) if sign == "+" else (-1e-9, R - 1e-9)
+        trace = solve_riccati_finite(spec, p0, R, sign=sign, coeffs=coeffs,
+                                     eval_window=window)
+        assert R_walk == R
+        assert r_walk == pytest.approx(trace.r_at(0.0), abs=1e-8)
+
+
+def test_riccati_limit_blowup_at_conjugate_time():
+    # on the unit sphere the state's first conjugate time backward is -pi,
+    # inside the window of R = 4 and not of R = 2
+    spec = geodesic_spec(constant_curvature_model(1.0))
+    p0 = SMPoint(0.0, 0.0, 0.2)
+    walk = riccati_doubling(spec, p0, "+")
+    assert [next(walk)[0] for _ in range(2)] == [1.0, 2.0]
+    with pytest.raises(BlowupInsideWindow) as info:
+        next(walk)
+    assert "R=4" in str(info.value)
+    assert info.value.times[0] == pytest.approx(-np.pi, abs=1e-8)
+    with pytest.raises(BlowupInsideWindow) as info:
+        solve_riccati_limit(spec, p0)
+    assert info.value.times[0] == pytest.approx(-np.pi, abs=1e-8)
 
 
 def test_riccati_bound():

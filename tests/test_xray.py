@@ -90,6 +90,22 @@ def test_fan_matches_one_ray_transform():
                                atol=1e-10)
 
 
+def test_pair_keeps_its_integrand():
+    # one compile per pair and model, rebuilt when either changes
+    spec = disk_spec()
+    pair = PairField.from_expressions(phi="1 - x^2 - y^2", w_x="0.3*y")
+    e = entry_state(0.7, 0.3)
+    first = transform_pair(spec, pair, e).value
+    kept = pair.clamped_integrand(spec.model)
+    assert transform_pair(spec, pair, e).value == first
+    assert pair.clamped_integrand(spec.model) is kept
+    assert pair.clamped_integrand(euclidean_disk()) is not kept
+    pair.phi = SMScalarField.constant(1.0)
+    pair.w_x = SMScalarField.constant(0.0)
+    rec = transform_pair(spec, pair, e)
+    assert rec.value == pytest.approx(rec.length, abs=1e-10)
+
+
 def test_fan_reports_trapped_rays_as_none():
     # tight thermostat circles: the interior entry at the centre never
     # reaches the boundary; the boundary entry leaves at once
