@@ -37,15 +37,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import DomainError, SolverDiverged
-from .fields import SMPoint, _as_field, compile_fields
-from .geometry import derived_curvatures, thermostat_generator, \
-    validation_grid_points, velocity_pairing
-from .jacobi import JacobiCoefficients
+from .fields import SMPoint, _as_field
+from .flow import ThermostatSpec
+from .geometry import derived_curvatures, validation_grid_points, \
+    velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 # fiber degree M of the cohomology unknowns: the modes a 16-point fiber
 # grid holds in full, so solves on grids with n <= 16 are not cut
 FIBER_BAND = 8
+# conjugate gradients on the cohomology normal equations: the relative
+# tolerance and the iteration cap
+CG_TOL = 1e-10
+CG_MAXITER = 10000
 
 
 @dataclass
@@ -65,7 +69,6 @@ class CriterionReport:
 
 def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
     """Scan the hyperbolicity quantity and flag a negative supremum."""
-    lam = _as_field(lam)
     dc = derived_curvatures(model, lam)
     x, y, th = validation_grid_points(model, grid_spec)
     vals = np.asarray(dc.anosovD.eval(x, y, th), dtype=float)
@@ -91,23 +94,25 @@ class QuadraticFormState:
     rate_positive_definite: bool
 
 
-def _rate_form_coeffs(coeffs, x, y, th):
-    """Coefficients (A, B, C) of the rate form A y^2 + B yz + C z^2."""
-    A = -float(coeffs.core.eval(x, y, th))
-    B = float(coeffs.Vlam.eval(x, y, th)) + float(coeffs.lamI.eval(x, y, th))
-    return A, B, 1.0
+def _rate_form(dc, x, y, th):
+    """Coefficients (A, B) of the rate form A y^2 + B yz + z^2 of Q = y z:
+    A = -core and B = lam I + V(lam), from the coefficient fields dc."""
+    A = -np.asarray(dc.core.eval(x, y, th), dtype=float)
+    B = np.asarray(dc.Vlam.eval(x, y, th), dtype=float) \
+        + np.asarray(dc.lamI.eval(x, y, th), dtype=float)
+    return A, B
 
 
-def quadratic_form_rate(spec, traj, coeffs=None, fd_step=1e-4):
+def quadratic_form_rate(spec, traj):
     """Evaluate Q = y z and d/dt Q along a Jacobi trajectory.
 
     Returns a dict with the per-sample series, the worst deviation between
-    the algebraic rate and a central finite difference of y z along the
-    trajectory, and the grid-wise agreement between Sylvester positivity of
-    the rate form and the sign of the hyperbolicity quantity.
+    the algebraic rate and a central finite difference (step 1e-4) of y z
+    along the trajectory, and the grid-wise agreement between Sylvester
+    positivity of the rate form and the sign of the hyperbolicity quantity.
     """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
+    dc = spec.coefficients().curvatures
+    fd_step = 1e-4
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     states: List[QuadraticFormState] = []
     max_fd_dev = 0.0
@@ -117,11 +122,11 @@ def quadratic_form_rate(spec, traj, coeffs=None, fd_step=1e-4):
         x, y_b, th = traj.base_state(tk)
         _, yk, zk = traj.jacobi_state(tk)
         yk, zk = float(yk), float(zk)
-        A, B, C = _rate_form_coeffs(coeffs, x, y_b, th)
-        rate = A * yk * yk + B * yk * zk + C * zk * zk
-        D = float(coeffs.anosovD.eval(x, y_b, th))
-        # positive definite <=> A > 0 and 4AC - B^2 > 0
-        posdef = (A > 0.0) and (4.0 * A * C - B * B > 0.0)
+        A, B = (float(c) for c in _rate_form(dc, x, y_b, th))
+        rate = A * yk * yk + B * yk * zk + zk * zk
+        D = float(dc.anosovD.eval(x, y_b, th))
+        # positive definite <=> A > 0 and 4A - B^2 > 0
+        posdef = (A > 0.0) and (4.0 * A - B * B > 0.0)
         if abs(D) > 1e-9 and posdef != (D < 0.0):
             sylvester_consistent = False
         if t0 + fd_step <= tk <= t1 - fd_step:
@@ -138,14 +143,7 @@ def quadratic_form_rate(spec, traj, coeffs=None, fd_step=1e-4):
 
 def rate_form_positive_definite(model, lam, x, y, th):
     """Sylvester check of the rate form at arbitrary bundle points."""
-    lam = _as_field(lam)
-    dc = derived_curvatures(model, lam)
-    V = model.frame.V
-    lamI = lam * model.I
-    Vlam = V.apply(lam)
-    A = -np.asarray(dc.core.eval(x, y, th), dtype=float)
-    B = np.asarray(Vlam.eval(x, y, th), dtype=float) \
-        + np.asarray(lamI.eval(x, y, th), dtype=float)
+    A, B = _rate_form(derived_curvatures(model, lam), x, y, th)
     return (A > 0.0) & (4.0 * A - B * B > 0.0)
 
 
@@ -169,19 +167,16 @@ class GridTransportOperator:
             raise DomainError("grid transport operator needs a closed "
                               "(torus) model")
         self.n = int(n)
-        self.model = model
-        self.lam = _as_field(lam)
         xs = np.linspace(0.0, 1.0, n, endpoint=False)
         ts = np.linspace(0.0, TWO_PI, n, endpoint=False)
         X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij")
         self.X, self.Y, self.T = X, Y, T
         self.h_xy = 1.0 / n
         self.h_t = TWO_PI / n
-        gen = thermostat_generator(model, self.lam)
-        coeffs = compile_fields((gen.c_x, gen.c_y, gen.c_theta))
+        # the orbit right-hand side is the generator's three coefficients
         self.cx, self.cy, self.ct = (
             np.broadcast_to(c, X.shape).astype(float)
-            for c in coeffs(X, Y, T))
+            for c in ThermostatSpec(model, lam).rhs()(0.0, (X, Y, T)))
         self.F = self._assemble()
 
     def _assemble(self):
@@ -245,7 +240,7 @@ def _fiber_band_projector(n, band):
 
 
 def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
-                           tol=1e-10, maxiter=10000, rhs_grid=None):
+                           rhs_grid=None):
     """Least-squares solve of F u = h + theta(v) on an n^3 periodic grid.
 
     h is a base scalar and (w_x, w_y) the components of a base 1-form theta;
@@ -266,7 +261,8 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
 
     Returns the normalized residual, the mean-zero minimizer, and solver
     diagnostics.  Raises SolverDiverged when conjugate gradients on the
-    normal equations exhausts the iteration cap without meeting tolerance.
+    normal equations exhausts the iteration cap CG_MAXITER without meeting
+    the tolerance CG_TOL.
     """
     if n % 2 == 1 and n <= 2 * FIBER_BAND + 1:
         raise DomainError(
@@ -311,14 +307,15 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
         u = np.zeros(shape)
         info = 0
     else:
-        sol, info = cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
+        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
+                       M=M)
         if info > 0:
             # the normal equations are consistent but can stagnate near the
             # attainable floor; accept if the gradient is already tiny
             grad = np.linalg.norm(b - A.matvec(sol)) / nb
-            if grad > 1e3 * tol:
+            if grad > 1e3 * CG_TOL:
                 raise SolverDiverged(
-                    f"conjugate gradients hit the {maxiter}-iteration cap "
+                    f"conjugate gradients hit the {CG_MAXITER}-iteration cap "
                     f"with normal-equation residual {grad:.3e}")
         u = project(sol.reshape(shape))
     u = u - float(np.mean(u))

@@ -116,9 +116,14 @@ def write_report(bundle, fmt, path):
 # config ingestion
 # ---------------------------------------------------------------------------
 
+def _refuse_constant(name):
+    # JSON has no NaN or Infinity; Python's parser accepts them as literals
+    raise ValueError(f"the non-finite literal {name} is not a number")
+
+
 def load_config(path):
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_refuse_constant)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
@@ -126,12 +131,18 @@ def load_config(path):
     for key in ("tolerance",):
         if key in cfg and not float(cfg[key]) > 0:
             raise ValueError(f"{key} must be positive")
-    for key in ("grid", "n_quad"):
+    for key in ("grid", "n_quad", "n", "nodes"):
         if key in cfg:
             spec = cfg[key]
             sizes = spec if isinstance(spec, list) else [spec]
             if any(int(s) < 4 for s in sizes):
                 raise ValueError(f"{key} sizes must be >= 4")
+    if "surface" in cfg and not isinstance(cfg["surface"], dict):
+        raise ValueError("surface must be a JSON object")
+    if "initial" in cfg and not (
+            isinstance(cfg["initial"], list) and len(cfg["initial"]) == 3
+            and all(type(v) in (int, float) for v in cfg["initial"])):
+        raise ValueError("initial must be three numbers: x, y, theta")
     return cfg
 
 
@@ -202,13 +213,15 @@ def cmd_flow(cfg):
 
 
 def cmd_jacobi(cfg):
-    from .jacobi import integrate_jacobi, second_order_residual
+    from .jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
+        second_order_residual
     spec = spec_from(cfg)
     p0 = initial_point(cfg)
     T = float(cfg.get("T", 5.0))
     # the tolerances of detect_conjugate_points, so one solve gives both
     # the samples and the conjugate times
-    traj = integrate_jacobi(spec, p0, (0.0, T), rtol=1e-11, atol=1e-12,
+    traj = integrate_jacobi(spec, p0, (0.0, T), rtol=JACOBI_RTOL,
+                            atol=JACOBI_ATOL,
                             t_eval=np.linspace(0.0, T, 100))
     bundle = {"experiment": "jacobi",
               "t": traj.t.tolist(),

@@ -100,6 +100,8 @@ class ThermostatSpec:
     lam: SMScalarField
     _rhs: object = dc_field(default=None, init=False, repr=False,
                             compare=False)
+    _coefficients: object = dc_field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _as_field(self.lam))
@@ -119,6 +121,16 @@ class ThermostatSpec:
                 return coeffs(x, y, th)
             object.__setattr__(self, "_rhs", f)
         return self._rhs
+
+    def coefficients(self):
+        """The spec's `jacobi.JacobiCoefficients`: its coefficient fields
+        (`geometry.derived_curvatures`) and their compiled right-hand
+        sides.  Built on the first call and kept on the spec."""
+        if self._coefficients is None:
+            from .jacobi import JacobiCoefficients
+            object.__setattr__(self, "_coefficients",
+                               JacobiCoefficients(self))
+        return self._coefficients
 
 
 def geodesic_spec(model):
@@ -192,26 +204,11 @@ class Orbit:
     t: np.ndarray
     states: np.ndarray  # shape (n, 3), unwrapped coordinates
     sol: DenseSolution
-    exit_time: Optional[float] = None
-    exit_transversal: Optional[bool] = None
-    regular: Optional[bool] = None
+    exit_time: Optional[float]
+    exit_transversal: Optional[bool]
 
     def state(self, t):
         return np.asarray(self.sol(t))
-
-    def point(self, t) -> SMPoint:
-        x, y, th = self.state(t)
-        return SMPoint(x, y, th)
-
-    @property
-    def t_span(self):
-        return float(self.t[0]), float(self.t[-1])
-
-    def velocity(self, t):
-        """Base velocity (x', y') at parameter t."""
-        f = self.spec.rhs()
-        d = f(t, self.state(t))
-        return float(d[0]), float(d[1])
 
     def unit_speed_defect(self):
         """max |F(gamma') - 1| over the stored samples."""
@@ -433,7 +430,9 @@ def _event_times(event, t_old, h, y_old, q, g_old, g_new):
     or zero.
 
     Newton's method in s = (t - t_old)/h, kept inside the bracket by
-    bisection, for all steps at once, to EVENT_TOL * (1 + |t|) in t.
+    bisection, for all steps at once, to EVENT_TOL * (1 + |t|) in t.  A
+    step of size 0 (a span of length 0) is not refined: its zero is its
+    start.
     """
     hq = h[:, None, None] * q
     powers = np.arange(1, 5)
@@ -441,9 +440,11 @@ def _event_times(event, t_old, h, y_old, q, g_old, g_new):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = g_old / (g_old - g_new)           # the linear guess
     s = np.where((s >= 0) & (s <= 1), s, 0.5)
-    tol = EVENT_TOL * (1 + np.abs(t_old) + np.abs(h)) / np.abs(h)
+    sized = h != 0
+    tol = EVENT_TOL * (1 + np.abs(t_old) + np.abs(h)) / np.where(
+        sized, np.abs(h), 1.0)
     positive = g_old > 0                      # the sign of g before its zero
-    done = np.zeros(h.size, dtype=bool)
+    done = ~sized
     for _ in range(100):                      # bisection alone needs ~60
         y = y_old + np.einsum("nck,nk->nc", hq, s[:, None] ** powers)
         dy = np.einsum("nck,nk->nc", hq, powers * s[:, None] ** (powers - 1))
@@ -474,13 +475,18 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     orbit takes the steps scipy's RK45 takes for it (same tableau, error
     norm, controller and initial step, up to rounding).  It stops at its
     end time, at the zero of a terminal event, or when its step size falls
-    below the float spacing of t.  Returns an OrbitBatch.
+    below the float spacing of t.  Returns an OrbitBatch; raises
+    DomainError for a start or end time that is not finite.
     """
     rhs = spec.rhs() if rhs is None else rhs
     y = np.array(states, dtype=float)
     n, dim = y.shape
     t0, t1 = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
               for v in (t_start, t_end))
+    if not (np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))):
+        # a NaN or infinite span makes every step size NaN, and a NaN step
+        # is rejected without end
+        raise DomainError("integration times must be finite")
     direction = np.where(t1 >= t0, 1.0, -1.0)
 
     def derivative(s):
@@ -699,7 +705,7 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
     return float(orbit.exit_time)
 
 
-def exp_map(spec, x, y, angle, t, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def exp_map(spec, x, y, angle, t):
     """Base point of the orbit from (x, y) with direction angle at parameter t.
 
     Does not stop at the domain boundary: the exponential map is defined on
@@ -710,15 +716,14 @@ def exp_map(spec, x, y, angle, t, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     p0 = SMPoint(x, y, angle)
     if t == 0:
         return np.array([p0.x, p0.y])
-    orbit = integrate_orbit(spec, p0, (0.0, t), stop_at_boundary=False,
-                            rtol=rtol, atol=atol)
+    orbit = integrate_orbit(spec, p0, (0.0, t), stop_at_boundary=False)
     s = orbit.state(t)
     return np.array([s[0], s[1]])
 
 
-def scan_regularity(spec, p0: SMPoint, horizon=DEFAULT_HORIZON,
-                    transversality_tol=TRANSVERSALITY_TOL):
-    """Classify a state as regular: transversal boundary hits both ways."""
+def scan_regularity(spec, p0: SMPoint):
+    """Classify a state as regular: transversal boundary hits both ways,
+    within DEFAULT_HORIZON."""
     detail = {}
     f = spec.rhs()
     r2 = p0.x * p0.x + p0.y * p0.y
@@ -727,25 +732,27 @@ def scan_regularity(spec, p0: SMPoint, horizon=DEFAULT_HORIZON,
         d = f(0.0, [p0.x, p0.y, p0.theta])
         radial = d[0] * p0.x + d[1] * p0.y
         detail["boundary_radial_speed"] = float(radial)
-        if abs(radial) <= transversality_tol:
+        if abs(radial) <= TRANSVERSALITY_TOL:
             return {"regular": False, "detail": detail}
 
     regular = True
     for direction, key in ((1, "forward"), (-1, "backward")):
         try:
-            orbit = integrate_orbit(spec, p0, (0.0, direction * horizon),
+            orbit = integrate_orbit(spec, p0,
+                                    (0.0, direction * DEFAULT_HORIZON),
                                     stop_at_boundary=True)
         except StepFailure:
             return {"regular": False, "detail": {**detail, key: "step failure"}}
         if orbit.exit_time is None:
-            raise TrappedOrbit(f"{key} orbit trapped past horizon {horizon}",
-                               horizon=horizon)
+            raise TrappedOrbit(
+                f"{key} orbit trapped past horizon {DEFAULT_HORIZON}",
+                horizon=DEFAULT_HORIZON)
         s = orbit.state(orbit.exit_time)
         vx, vy = f(orbit.exit_time, s)[:2]
         crossing = abs(vx * s[0] + vy * s[1]) / max(np.hypot(vx, vy), 1e-300)
         detail[key] = {"exit_time": float(orbit.exit_time),
                        "crossing": float(crossing)}
-        if crossing <= transversality_tol:
+        if crossing <= TRANSVERSALITY_TOL:
             regular = False
     return {"regular": regular, "detail": detail}
 

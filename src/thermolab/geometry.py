@@ -27,6 +27,8 @@ from .fields import (FrameOperator, SMPoint, SMScalarField, _as_field,
                      commutator)
 
 TWO_PI = 2.0 * np.pi
+# the largest commutator residual a model may show on its validation grid
+STRUCTURE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,6 @@ class FrameTriple:
     H: FrameOperator
     V: FrameOperator
 
-    def get(self, which):
-        try:
-            return getattr(self, which)
-        except AttributeError:
-            raise ValueError(f"unknown frame operator {which!r}")
-
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -78,7 +74,6 @@ class SurfaceModel:
     J: SMScalarField
     K: SMScalarField
     phi: SMScalarField  # conformal exponent; the constant 0 when none is given
-    tolerance: float = 1e-6
 
     def conformal_factor(self, x, y):
         """exp(phi): metric length scale."""
@@ -91,10 +86,16 @@ class SurfaceModel:
 
 @dataclass(frozen=True)
 class DerivedCurvatures:
-    """Thermostat curvatures: bigK is the first-integral-identity curvature,
-    K_lambda drives the Jacobi equation, anosovD is the hyperbolicity test
-    quantity.  core = K - H(lam) - lam*J + lam^2 is shared by all three."""
+    """The coefficient fields of a thermostat F = X + lam V: the generator
+    F (a FrameOperator), lamI = lam I, Vlam = V(lam), the core curvature
+    core = K - H(lam) - lam J + lam^2, the energy-identity curvature
+    bigK = core + lam I V(lam) + F(V(lam)), the Jacobi curvature
+    K_lambda = core + lam I V(lam) - F(lam I) and the hyperbolicity
+    quantity anosovD = core + (lam I + V(lam))^2 / 4."""
 
+    F: FrameOperator
+    lamI: SMScalarField
+    Vlam: SMScalarField
     core: SMScalarField
     bigK: SMScalarField
     K_lambda: SMScalarField
@@ -112,7 +113,6 @@ class SyntheticSpec:
     J: SMScalarField
     K: SMScalarField
     phi: Optional[SMScalarField] = None
-    window: tuple = ((-0.4, 0.4), (-0.4, 0.4))
 
 
 def _conformal_frame(phi_expr):
@@ -138,24 +138,25 @@ def _conformal_frame(phi_expr):
     return X, H, V
 
 
-def _check_torus_periodic(phi_expr, tol=1e-9):
+def _check_torus_periodic(phi_expr):
     ys = np.linspace(0.0, 1.0, 17)
     left = phi_expr.eval(np.zeros_like(ys), ys, 0.0)
     right = phi_expr.eval(np.ones_like(ys), ys, 0.0)
     bottom = phi_expr.eval(ys, np.zeros_like(ys), 0.0)
     top = phi_expr.eval(ys, np.ones_like(ys), 0.0)
-    if np.max(np.abs(left - right)) > tol or np.max(np.abs(bottom - top)) > tol:
+    if np.max(np.abs(left - right)) > 1e-9 or \
+            np.max(np.abs(bottom - top)) > 1e-9:
         raise DomainError("conformal exponent is not 1-periodic on the torus")
 
 
-def build_surface_model(kind, phi=None, synthetic=None, tolerance=1e-6,
-                        validate=True, validation_grid=(8, 8, 8)):
+def build_surface_model(kind, phi=None, synthetic=None):
     """Construct a SurfaceModel of the given kind.
 
     kind 'conformal_torus'/'conformal_disk' takes a conformal exponent
-    (expression text or AST); kind 'synthetic' takes a SyntheticSpec.
-    Commutator residuals are checked on a validation grid unless
-    validate=False; ValidationFailed carries the residual report.
+    (expression text or AST); kind 'synthetic' takes a SyntheticSpec, on
+    the window [-0.4, 0.4]^2.  Commutator residuals are checked on an 8^3
+    grid; ValidationFailed, carrying the residual report, is raised when
+    one exceeds STRUCTURE_TOLERANCE.
     """
     if kind in ("conformal_torus", "conformal_disk"):
         phi_expr = ex.as_expr(phi if phi is not None else "0")
@@ -171,34 +172,30 @@ def build_surface_model(kind, phi=None, synthetic=None, tolerance=1e-6,
             kind=kind, domain=domain, frame=FrameTriple(X, H, V),
             I=SMScalarField.constant(0.0), J=SMScalarField.constant(0.0),
             K=SMScalarField.from_expression(K),
-            phi=SMScalarField.from_expression(phi_expr),
-            tolerance=tolerance)
+            phi=SMScalarField.from_expression(phi_expr))
     elif kind == "synthetic":
         if synthetic is None:
             raise ValueError("synthetic kind needs a SyntheticSpec")
-        domain = Domain("plane", window=synthetic.window)
+        domain = Domain("plane", window=((-0.4, 0.4), (-0.4, 0.4)))
         model = SurfaceModel(
             kind=kind, domain=domain,
             frame=FrameTriple(synthetic.X, synthetic.H, synthetic.V),
             I=_as_field(synthetic.I), J=_as_field(synthetic.J),
             K=_as_field(synthetic.K),
-            phi=_as_field(0.0 if synthetic.phi is None else synthetic.phi),
-            tolerance=tolerance)
+            phi=_as_field(0.0 if synthetic.phi is None else synthetic.phi))
     else:
         raise ValueError(f"unknown surface kind {kind!r}")
 
-    if validate:
-        report = validate_structure_relations(model, validation_grid)
-        worst = max(r["max"] for r in report.values())
-        if worst > tolerance:
-            raise ValidationFailed(
-                f"commutator residual {worst:.3e} exceeds tolerance "
-                f"{tolerance:.1e}", residuals=report)
+    report = validate_structure_relations(model)
+    worst = max(r["max"] for r in report.values())
+    if worst > STRUCTURE_TOLERANCE:
+        raise ValidationFailed(
+            f"commutator residual {worst:.3e} exceeds tolerance "
+            f"{STRUCTURE_TOLERANCE:.1e}", residuals=report)
     return model
 
 
-def constant_curvature_model(K, tolerance=1e-6, window=((-0.4, 0.4),
-                                                        (-0.4, 0.4))):
+def constant_curvature_model(K):
     """Synthetic model with constant curvature K (and I = J = 0).
 
     Uses the isothermal exponents phi = -log cos(k y) for K = -k^2 and
@@ -222,18 +219,16 @@ def constant_curvature_model(K, tolerance=1e-6, window=((-0.4, 0.4),
         X=X, H=H, V=V,
         I=SMScalarField.constant(0.0), J=SMScalarField.constant(0.0),
         K=SMScalarField.constant(K),
-        phi=SMScalarField.from_expression(phi_expr),
-        window=window)
-    return build_surface_model("synthetic", synthetic=spec,
-                               tolerance=tolerance)
+        phi=SMScalarField.from_expression(phi_expr))
+    return build_surface_model("synthetic", synthetic=spec)
 
 
-def flat_torus(tolerance=1e-6):
-    return build_surface_model("conformal_torus", "0", tolerance=tolerance)
+def flat_torus():
+    return build_surface_model("conformal_torus", "0")
 
 
-def euclidean_disk(tolerance=1e-6):
-    return build_surface_model("conformal_disk", "0", tolerance=tolerance)
+def euclidean_disk():
+    return build_surface_model("conformal_disk", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +297,7 @@ def validation_grid_points(model, grid_spec):
     return X3.ravel(), Y3.ravel(), T3.ravel()
 
 
-def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None,
-                                 probes=None):
+def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
     """Max/RMS residuals of the frame commutation relations on a grid.
 
     Residuals are measured by applying both sides of each relation to a
@@ -313,10 +307,8 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None,
     X, H, V = model.frame.X, model.frame.H, model.frame.V
     I, J, K = model.I, model.J, model.K
     xg, yg, tg = validation_grid_points(model, grid_spec)
-
-    if probes is None:
-        probes = _DEF_PROBES_PERIODIC if model.domain.kind == "torus" \
-            else _DEF_PROBES_LOCAL
+    probes = _DEF_PROBES_PERIODIC if model.domain.kind == "torus" \
+        else _DEF_PROBES_LOCAL
     probe_fields = [_as_field(p) for p in probes]
 
     relations = {}
@@ -341,11 +333,8 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None,
 
     if lam is not None:
         lam = _as_field(lam)
-        F = thermostat_generator(model, lam)
-        Vlam = V.apply(lam)
-        Hlam = H.apply(lam)
-        core = K - Hlam - lam * J + lam * lam
-
+        dc = derived_curvatures(model, lam)
+        F, Vlam, core = dc.F, dc.Vlam, dc.core
         residual("[V,F]-H-V(lam)V",
                  lambda f: commutator(V, F, f) - H.apply(f)
                  - Vlam * V.apply(f))
@@ -359,26 +348,24 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None,
 
 
 def derived_curvatures(model, lam) -> DerivedCurvatures:
-    """The three thermostat curvature fields for a given lam."""
+    """The coefficient fields of the thermostat F = X + lam V: the one
+    place where they are derived.  A spec keeps one set
+    (`ThermostatSpec.coefficients()`)."""
     lam = _as_field(lam)
-    X, H, V = model.frame.X, model.frame.H, model.frame.V
     F = thermostat_generator(model, lam)
-    Hlam = H.apply(lam)
-    Vlam = V.apply(lam)
+    Vlam = model.frame.V.apply(lam)
     lamI = lam * model.I
-    core = model.K - Hlam - lam * model.J + lam * lam
-    bigK = core + lamI * Vlam + F.apply(Vlam)
-    K_lambda = core + lamI * Vlam - F.apply(lamI)
-    quarter = (lamI + Vlam) * (lamI + Vlam) * 0.25
-    anosovD = core + quarter
-    return DerivedCurvatures(core=core, bigK=bigK, K_lambda=K_lambda,
-                             anosovD=anosovD)
+    core = model.K - model.frame.H.apply(lam) - lam * model.J + lam * lam
+    return DerivedCurvatures(
+        F=F, lamI=lamI, Vlam=Vlam, core=core,
+        bigK=core + lamI * Vlam + F.apply(Vlam),
+        K_lambda=core + lamI * Vlam - F.apply(lamI),
+        anosovD=core + (lamI + Vlam) * (lamI + Vlam) * 0.25)
 
 
-def classify_magnetic(model, lam, grid_spec=(12, 12, 24), tolerance=1e-8):
+def classify_magnetic(model, lam):
     """Check the magnetic-flow condition V(lam) = -lam I on a grid."""
-    lam = _as_field(lam)
-    defect = model.frame.V.apply(lam) + lam * model.I
-    xg, yg, tg = validation_grid_points(model, grid_spec)
-    residual = float(np.max(np.abs(defect.eval(xg, yg, tg))))
-    return {"magnetic": residual < tolerance, "residual": residual}
+    dc = derived_curvatures(model, lam)
+    xg, yg, tg = validation_grid_points(model, (12, 12, 24))
+    residual = float(np.max(np.abs((dc.Vlam + dc.lamI).eval(xg, yg, tg))))
+    return {"magnetic": residual < 1e-8, "residual": residual}

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import SMPoint, _as_field
 from .flow import ThermostatSpec, integrate
-from .geometry import derived_curvatures, thermostat_generator, \
-    velocity_pairing
+from .geometry import derived_curvatures, velocity_pairing
 from .jacobi import exterior_fan_r
 
 TWO_PI = 2.0 * np.pi
@@ -91,10 +90,10 @@ def torus_quadrature(model, n=32):
                           weights=cell * density)
 
 
-def disk_quadrature(model, n=(16, 24, 24), n_boundary=(64, 64)):
+def disk_quadrature(model, n=(16, 24, 24)):
     """Polar tensor rule on the disk bundle: Gauss-Legendre radially,
-    trapezoid in the polar and fiber angles; plus a boundary (s, theta)
-    trapezoid grid on the unit circle."""
+    trapezoid in the polar and fiber angles; plus a 64 x 64 boundary
+    (s, theta) trapezoid grid on the unit circle."""
     if model.domain.kind != "disk":
         raise DomainError("disk_quadrature needs a disk model")
     nr, na, nt = _spec_tuple(n)
@@ -111,8 +110,7 @@ def disk_quadrature(model, n=(16, 24, 24), n_boundary=(64, 64)):
     w = (WR * R).ravel() * (TWO_PI / na) * (TWO_PI / nt)
     w = w * model.conformal_factor(x, y) ** 2
 
-    ns, ntb = (int(n_boundary), int(n_boundary)) if np.isscalar(n_boundary) \
-        else (int(n_boundary[0]), int(n_boundary[1]))
+    ns, ntb = 64, 64
     ss = np.linspace(0.0, TWO_PI, ns, endpoint=False)
     tbs = np.linspace(0.0, TWO_PI, ntb, endpoint=False)
     S, TB = np.meshgrid(ss, tbs, indexing="ij")
@@ -122,13 +120,12 @@ def disk_quadrature(model, n=(16, 24, 24), n_boundary=(64, 64)):
                           boundary_weights=wb)
 
 
-def quadrature_for(model, n=None, n_boundary=(64, 64)):
+def quadrature_for(model, n=None):
     """Default grid for the model's domain kind."""
     if model.domain.kind == "torus":
         return torus_quadrature(model, 32 if n is None else n)
     if model.domain.kind == "disk":
-        return disk_quadrature(model, (16, 24, 24) if n is None else n,
-                               n_boundary=n_boundary)
+        return disk_quadrature(model, (16, 24, 24) if n is None else n)
     raise DomainError(f"no default quadrature for domain {model.domain.kind!r}")
 
 
@@ -206,14 +203,12 @@ class IdentityReport:
 # Pointwise quadratic identity
 # ---------------------------------------------------------------------------
 
-def _first_order_fields(model, lam, u):
-    lam = _as_field(lam)
+def _first_order_fields(dc, model, u):
+    """u and its first derivatives Fu, Hu, Vu, the generator F taken from
+    the coefficient fields dc."""
     u = _as_field(u)
-    H, V = model.frame.H, model.frame.V
-    F = thermostat_generator(model, lam)
-    return {"lam": lam, "u": u, "F": F, "H": H, "V": V,
-            "Fu": F.apply(u), "Hu": H.apply(u), "Vu": V.apply(u),
-            "Vlam": V.apply(lam)}
+    return {"u": u, "Fu": dc.F.apply(u), "Hu": model.frame.H.apply(u),
+            "Vu": model.frame.V.apply(u)}
 
 
 def check_pestov_pointwise(model, lam, u, points):
@@ -226,16 +221,15 @@ def check_pestov_pointwise(model, lam, u, points):
     with core = K - H(lam) - lam J + lam^2, at the given points.
     points: (x, y, theta) arrays or a list of SMPoints.
     """
-    g = _first_order_fields(model, lam, u)
-    F, H, V = g["F"], g["H"], g["V"]
+    dc = derived_curvatures(model, lam)
+    g = _first_order_fields(dc, model, u)
+    F, H, V = dc.F, model.frame.H, model.frame.V
     Fu, Hu, Vu = g["Fu"], g["Hu"], g["Vu"]
-    lam = g["lam"]
-    core = derived_curvatures(model, lam).core
     lhs = 2.0 * Hu * V.apply(Fu)
-    rhs = (Fu * Fu + Hu * Hu - core * (Vu * Vu)
+    rhs = (Fu * Fu + Hu * Hu - dc.core * (Vu * Vu)
            + F.apply(Hu * Vu) - H.apply(Vu * Fu) + V.apply(Hu * Fu)
            + Fu * (model.I * Hu + model.J * Vu)
-           + Hu * Vu * (lam * model.I + g["Vlam"]))
+           + Hu * Vu * (dc.lamI + dc.Vlam))
     resid = lhs - rhs
 
     if isinstance(points, (list, tuple)) and points and \
@@ -264,11 +258,11 @@ def check_lie_derivatives(model, lam, grid, f):
     """
     if grid.kind != "torus":
         raise DomainError("check_lie_derivatives needs a closed (torus) grid")
-    lam = _as_field(lam)
     f = _as_field(f)
     H, V = model.frame.H, model.frame.V
-    F = thermostat_generator(model, lam)
-    div_F = lam * model.I + V.apply(lam)
+    dc = derived_curvatures(model, lam)
+    F = dc.F
+    div_F = dc.lamI + dc.Vlam
 
     reports = {}
     reports["F"] = IdentityReport(
@@ -291,14 +285,13 @@ def check_lie_derivatives(model, lam, grid, f):
 # ---------------------------------------------------------------------------
 
 def _identity_integrals(model, lam, u, grid):
-    """All interior integrals entering the energy identities."""
-    g = _first_order_fields(model, lam, u)
-    F, H, V = g["F"], g["H"], g["V"]
-    Fu, Hu, Vu = g["Fu"], g["Hu"], g["Vu"]
-    lam, Vlam = g["lam"], g["Vlam"]
+    """All interior integrals entering the energy identities, the first
+    derivatives of u, and the coefficient fields."""
     dc = derived_curvatures(model, lam)
-    VFu = V.apply(Fu)
-    FVu = F.apply(Vu)
+    g = _first_order_fields(dc, model, u)
+    Fu, Hu, Vu = g["Fu"], g["Hu"], g["Vu"]
+    VFu = model.frame.V.apply(Fu)
+    FVu = dc.F.apply(Vu)
     Vu2 = Vu * Vu
     ints = {
         "cross": liouville_integrate(grid, 2.0 * Hu * VFu),
@@ -308,11 +301,10 @@ def _identity_integrals(model, lam, u, grid):
         "FVu_sq": liouville_integrate(grid, FVu * FVu),
         "core_Vu_sq": liouville_integrate(grid, dc.core * Vu2),
         "bigK_Vu_sq": liouville_integrate(grid, dc.bigK * Vu2),
-        "lamIVlam_Vu_sq": liouville_integrate(
-            grid, lam * model.I * Vlam * Vu2),
-        "FVlam_Vu_sq": liouville_integrate(grid, F.apply(Vlam) * Vu2),
+        "lamIVlam_Vu_sq": liouville_integrate(grid, dc.lamI * dc.Vlam * Vu2),
+        "FVlam_Vu_sq": liouville_integrate(grid, dc.F.apply(dc.Vlam) * Vu2),
     }
-    return ints, g
+    return ints, g, dc
 
 
 def check_integral_identity_closed(model, lam, u, grid):
@@ -326,7 +318,7 @@ def check_integral_identity_closed(model, lam, u, grid):
     """
     if grid.kind != "torus":
         raise DomainError("closed identity needs a closed (torus) grid")
-    ints, _ = _identity_integrals(model, lam, u, grid)
+    ints, _, _ = _identity_integrals(model, lam, u, grid)
     first = IdentityReport(
         lhs=ints["cross"],
         rhs=ints["Fu_sq"] + ints["Hu_sq"] - ints["core_Vu_sq"],
@@ -359,8 +351,8 @@ def check_integral_identity_boundary(model, lam, u, grid):
     if grid.kind != "disk" or grid.boundary_s is None:
         raise DomainError("boundary identity needs a disk grid with "
                           "boundary nodes")
-    ints, g = _identity_integrals(model, lam, u, grid)
-    Fu, Hu, Vu, Vlam = g["Fu"], g["Hu"], g["Vu"], g["Vlam"]
+    ints, g, dc = _identity_integrals(model, lam, u, grid)
+    Fu, Hu, Vu, Vlam = g["Fu"], g["Hu"], g["Vu"], dc.Vlam
     boundary = (boundary_integrate(grid, model,
                                    Hu * Vu + Vlam * (Vu * Vu), "F")
                 - boundary_integrate(grid, model, Fu * Vu, "H"))
@@ -379,13 +371,7 @@ def check_integral_identity_boundary(model, lam, u, grid):
 # Transport identity with the fan Riccati solution
 # ---------------------------------------------------------------------------
 
-def _fan_r_at_nodes(spec, grid):
-    states = [SMPoint(x, y, t)
-              for x, y, t in zip(grid.x, grid.y, grid.theta)]
-    return exterior_fan_r(spec, states)
-
-
-def transport_expansion_residual(model, lam, psi, states, dt=1e-3):
+def transport_expansion_residual(model, lam, psi, states):
     """Pointwise check of the square-expansion step behind the transport
     identity: along the flow,
 
@@ -396,20 +382,24 @@ def transport_expansion_residual(model, lam, psi, states, dt=1e-3):
                                    - [F(psi) - r psi + psi V(lam)]^2
 
     where r is the fan Riccati solution.  The left side is a central
-    difference along the orbit with r recomputed at the flowed states;
-    the right side is algebraic.  The orbits of all states are flowed by
-    -dt and +dt in one batch, and r is computed at all 3N states in one
-    `exterior_fan_r` call.  Returns the max residual.
+    difference along the orbit, of step dt = 1e-3, with r recomputed at
+    the flowed states; the right side is algebraic.  The orbits of all
+    states are flowed by -dt and +dt in one batch, and r is computed at all
+    3N states in one `exterior_fan_r` call.  Returns the max residual.
     """
-    spec = ThermostatSpec(model, _as_field(lam))
-    g = _first_order_fields(model, spec.lam, psi)
-    Fpsi, Vlam, psi_f = g["Fu"], g["Vlam"], g["u"]
-    lamI = spec.lam * model.I
-    bigK = derived_curvatures(model, spec.lam).bigK
+    return _expansion_residual(ThermostatSpec(model, lam), psi, states)
+
+
+def _expansion_residual(spec, psi, states):
+    """`transport_expansion_residual` with the spec's coefficient set."""
     if not len(states):
         return 0.0
+    model, dt = spec.model, 1e-3
     for p in states:
         model.domain.require(p)
+    dc = spec.coefficients().curvatures
+    psi_f = _as_field(psi)
+    Fpsi = dc.F.apply(psi_f)
     starts = np.array([[p.x, p.y, p.theta] for p in states], dtype=float)
     n = len(starts)
     # orbit k < n flows state k by -dt, orbit n + k by +dt
@@ -426,44 +416,38 @@ def transport_expansion_residual(model, lam, psi, states, dt=1e-3):
         q = points[block * n:(block + 1) * n]
         return f.eval(q[:, 0], q[:, 1], q[:, 2])
 
-    gm = (rm - at(Vlam, 1)) * at(psi_f, 1) ** 2
-    gp = (rp - at(Vlam, 2)) * at(psi_f, 2) ** 2
+    gm = (rm - at(dc.Vlam, 1)) * at(psi_f, 1) ** 2
+    gp = (rp - at(dc.Vlam, 2)) * at(psi_f, 2) ** 2
     lhs = (gp - gm) / (2.0 * dt)
-    ps, fp, vl, li = (at(f, 0) for f in (psi_f, Fpsi, Vlam, lamI))
-    rhs = (fp ** 2 - at(bigK, 0) * ps ** 2 + ps ** 2 * vl ** 2
+    ps, fp, vl, li = (at(f, 0) for f in (psi_f, Fpsi, dc.Vlam, dc.lamI))
+    rhs = (fp ** 2 - at(dc.bigK, 0) * ps ** 2 + ps ** 2 * vl ** 2
            - ps ** 2 * r0 * (li + vl) + li * vl * ps ** 2
            - (fp - r0 * ps + ps * vl) ** 2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_second_identity(model, lam, psi, grid, r_field=None,
-                          n_transport_states=5, rng=None):
+def check_second_identity(model, lam, psi, grid, rng=None):
     """The transport energy identity on the disk:
 
         int (F psi)^2 - int bigK psi^2 = int [F(psi) - r psi + psi V(lam)]^2
 
     for psi vanishing on the bundle boundary, with r the fan Riccati
-    solution.  r_field may supply precomputed r values at the grid nodes;
-    otherwise each node launches its own exterior fan (expensive).
-    The term breakdown includes the orbitwise expansion-step residual at
-    a few random interior states.
+    solution, which each grid node launches from its own exterior fan
+    (expensive).  The term breakdown includes the orbitwise expansion-step
+    residual at 5 random interior states.
     """
     if grid.kind != "disk":
         raise DomainError("second identity needs a disk grid")
-    spec = ThermostatSpec(model, _as_field(lam))
-    g = _first_order_fields(model, spec.lam, psi)
-    Fpsi, Vlam, psi_f = g["Fu"], g["Vlam"], g["u"]
-    dc = derived_curvatures(model, spec.lam)
-
-    if r_field is None:
-        r_field = _fan_r_at_nodes(spec, grid)
-    r_vals = np.asarray(r_field, dtype=float)
-    if r_vals.shape != grid.x.shape:
-        raise ValueError("r_field must supply one value per grid node")
+    spec = ThermostatSpec(model, lam)
+    dc = spec.coefficients().curvatures
+    psi_f = _as_field(psi)
+    Fpsi = dc.F.apply(psi_f)
+    r_vals = exterior_fan_r(spec, [SMPoint(x, y, t) for x, y, t in
+                                   zip(grid.x, grid.y, grid.theta)])
 
     psi_v = psi_f.eval(grid.x, grid.y, grid.theta)
     Fpsi_v = Fpsi.eval(grid.x, grid.y, grid.theta)
-    Vlam_v = Vlam.eval(grid.x, grid.y, grid.theta)
+    Vlam_v = dc.Vlam.eval(grid.x, grid.y, grid.theta)
     rhs_integrand = (Fpsi_v - r_vals * psi_v + psi_v * Vlam_v) ** 2
     rhs = float(np.dot(grid.weights, rhs_integrand))
     lhs = (liouville_integrate(grid, Fpsi * Fpsi)
@@ -474,15 +458,14 @@ def check_second_identity(model, lam, psi, grid, r_field=None,
         "bigK_psi_sq": liouville_integrate(grid, dc.bigK * (psi_f * psi_f)),
         "rhs_nonnegative": bool(rhs >= 0.0),
     }
-    if n_transport_states:
-        rng = np.random.default_rng(0) if rng is None else rng
-        states = []
-        while len(states) < n_transport_states:
-            x, y = rng.uniform(-0.6, 0.6, size=2)
-            if x * x + y * y < 0.4:
-                states.append(SMPoint(x, y, rng.uniform(0.0, TWO_PI)))
-        terms["transport_expansion_residual"] = transport_expansion_residual(
-            model, spec.lam, psi_f, states)
+    rng = np.random.default_rng(0) if rng is None else rng
+    states = []
+    while len(states) < 5:
+        x, y = rng.uniform(-0.6, 0.6, size=2)
+        if x * x + y * y < 0.4:
+            states.append(SMPoint(x, y, rng.uniform(0.0, TWO_PI)))
+    terms["transport_expansion_residual"] = _expansion_residual(
+        spec, psi_f, states)
     return IdentityReport(lhs=lhs, rhs=rhs, terms=terms)
 
 

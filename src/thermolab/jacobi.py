@@ -8,10 +8,14 @@ The variational state (a, y, z) along an orbit satisfies
 
 and is integrated jointly with the orbit, as one state of width 6, by the
 Dormand-Prince core of `flow.integrate`, which also locates the zeros of
-y (`Y_ZEROS`).  The generator's three coefficients and lam, lam I, the
-core curvature and V(lam) are compiled once per `JacobiCoefficients` into
-one straight-line function, which serves both the width-6 state and the
-width-7 state (x, y, theta, y1, z1, y2, z2) of two Jacobi columns.
+y (`Y_ZEROS`).  The coefficient fields come from
+`geometry.derived_curvatures`; the generator's three coefficients and
+lam, lam I, the core curvature and V(lam) are compiled into one
+straight-line function, which serves both the width-6 state and the
+width-7 state (x, y, theta, y1, z1, y2, z2) of two Jacobi columns.  Each
+spec builds its `JacobiCoefficients` once, on first use, and keeps it
+(`ThermostatSpec.coefficients()`), so the fields are derived and compiled
+once per spec.
 Riccati solutions are always obtained through the linear system
 (r = y'/y), which turns blowups into exact zeros of y; the fan variant
 z/y differs from y'/y by lam I.
@@ -32,20 +36,23 @@ raised at the first R whose window holds a conjugate time of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BlowupInsideWindow, BoundViolated, NoConvergence,
                      RiccatiUnavailable, StepFailure)
 from .fields import SMPoint, compile_fields
-from .flow import DEFAULT_ATOL, DEFAULT_HORIZON, DEFAULT_RTOL, EXITED, \
-    STEP_FAILED, DenseSolution, Event, ThermostatSpec, integrate, \
-    integrate_orbit, integrate_to_boundary
-from .geometry import derived_curvatures, thermostat_generator
+from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
+    DenseSolution, Event, ThermostatSpec, integrate, integrate_orbit, \
+    integrate_to_boundary
+from .geometry import derived_curvatures, validation_grid_points
 
 GOLDEN_BOUND = 0.5 * (1.0 + np.sqrt(5.0))
 RICCATI_R_CAP = 2 ** 10
+# the tolerances of conjugate-point and Riccati solves
+JACOBI_RTOL = 1e-11
+JACOBI_ATOL = 1e-12
 
 # the zeros of the Jacobi field y (state coordinate 4), either way
 Y_ZEROS = Event(g=lambda s: s[4], slope=lambda s, ds: ds[4], direction=0,
@@ -57,18 +64,14 @@ Y2_ZEROS = Event(g=lambda s: s[5], slope=lambda s, ds: ds[5], direction=0,
 
 
 class JacobiCoefficients:
-    """Scalar coefficient fields of the variational system for one spec."""
+    """The coefficient fields of the variational system for one spec, as
+    `geometry.derived_curvatures` gives them (`curvatures`), and their
+    compiled right-hand sides.  A spec keeps one, built on first use
+    (`ThermostatSpec.coefficients()`)."""
 
     def __init__(self, spec: ThermostatSpec):
-        model, lam = spec.model, spec.lam
-        self.F = thermostat_generator(model, lam)
-        self.lam = lam
-        self.lamI = lam * model.I
-        self.Vlam = model.frame.V.apply(lam)
-        dc = derived_curvatures(model, lam)
-        self.core = dc.core          # K - H(lam) - lam J + lam^2
-        self.K_lambda = dc.K_lambda
-        self.anosovD = dc.anosovD
+        self.lam = spec.lam
+        self.curvatures = derived_curvatures(spec.model, spec.lam)
         self._fields = None
         self._rhs = None
         self._columns_rhs = None
@@ -77,9 +80,10 @@ class JacobiCoefficients:
         """The generator's coefficients and lam, lam I, core, V(lam), as one
         function (x, y, theta) -> values, compiled on the first call."""
         if self._fields is None:
-            F = self.F
-            self._fields = compile_fields((F.c_x, F.c_y, F.c_theta, self.lam,
-                                           self.lamI, self.core, self.Vlam))
+            dc = self.curvatures
+            self._fields = compile_fields((dc.F.c_x, dc.F.c_y, dc.F.c_theta,
+                                           self.lam, dc.lamI, dc.core,
+                                           dc.Vlam))
         return self._fields
 
     def rhs(self):
@@ -123,7 +127,6 @@ class JacobiTrajectory:
     t: np.ndarray
     states: np.ndarray          # columns x, y_base, theta, a, jy, jz
     sol: DenseSolution
-    coeffs: JacobiCoefficients
     zeros: np.ndarray           # the times where y = 0, in time order
 
     def jacobi_state(self, t):
@@ -148,7 +151,8 @@ class JacobiTrajectory:
     def ydot(self, t):
         """y' = lam I y + z along the trajectory."""
         s = np.asarray(self.sol(t))
-        lamI = self.coeffs.lamI.eval(s[0], s[1], s[2])
+        lamI = self.spec.coefficients().curvatures.lamI.eval(s[0], s[1],
+                                                             s[2])
         return float(lamI * s[4] + s[5])
 
     def conjugate_times(self):
@@ -158,52 +162,52 @@ class JacobiTrajectory:
 
 
 def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
-                     coeffs=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                      t_eval=None) -> JacobiTrajectory:
     """Integrate orbit + Jacobi state jointly from p0 over t_span.
 
     The trajectory is sampled at the ends of its steps, or at t_eval; the
     zeros of y on the way are located, the start included when y(0) = 0.
     """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
     run = integrate(spec, [[p0.x, p0.y, p0.theta, *initial]], *t_span,
-                    rhs=coeffs.rhs(), event=Y_ZEROS, rtol=rtol, atol=atol)
+                    rhs=spec.coefficients().rhs(), event=Y_ZEROS, rtol=rtol,
+                    atol=atol)
     if run.outcome[0] == STEP_FAILED:
         raise StepFailure(f"Jacobi {run.reason(0)}")
     sol, t, states = run.sampled(0, t_eval)
     return JacobiTrajectory(spec=spec, t=t, states=states, sol=sol,
-                            coeffs=coeffs, zeros=run.event_times(0))
+                            zeros=run.event_times(0))
 
 
-def second_order_residual(traj: JacobiTrajectory, n_check=50, h=1e-4):
-    """max |y'' - (lam I + V(lam)) y' + K_lambda y| via finite differences.
+def second_order_residual(traj: JacobiTrajectory):
+    """max |y'' - (lam I + V(lam)) y' + K_lambda y| via finite differences
+    of step 1e-4, at 50 times of the trajectory.
 
     Independent consistency check tying the first-order system to the
     second-order Jacobi equation.
     """
+    dc = traj.spec.coefficients().curvatures
+    h = 1e-4
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     lo, hi = min(t0, t1), max(t0, t1)
-    ts = np.linspace(lo + 2 * h, hi - 2 * h, n_check)
+    ts = np.linspace(lo + 2 * h, hi - 2 * h, 50)
     worst = 0.0
     for t in ts:
         yd = traj.ydot(t)
         ydd = (traj.ydot(t + h) - traj.ydot(t - h)) / (2 * h)
         s = traj.base_state(t)
-        lamI = traj.coeffs.lamI.eval(*s)
-        Vlam = traj.coeffs.Vlam.eval(*s)
-        Klam = traj.coeffs.K_lambda.eval(*s)
+        lamI = dc.lamI.eval(*s)
+        Vlam = dc.Vlam.eval(*s)
+        Klam = dc.K_lambda.eval(*s)
         y = float(traj.sol(t)[4])
         worst = max(worst, abs(ydd - (lamI + Vlam) * yd + Klam * y))
     return float(worst)
 
 
-def detect_conjugate_points(spec, p0: SMPoint, T, coeffs=None, rtol=1e-11,
-                            atol=1e-12):
+def detect_conjugate_points(spec, p0: SMPoint, T):
     """Zeros of y on (0, T] for the solution y(0)=0, y'(0)=1."""
-    return integrate_jacobi(spec, p0, (0.0, T), initial=(0.0, 0.0, 1.0),
-                            coeffs=coeffs, rtol=rtol,
-                            atol=atol).conjugate_times()
+    return integrate_jacobi(spec, p0, (0.0, T), rtol=JACOBI_RTOL,
+                            atol=JACOBI_ATOL).conjugate_times()
 
 
 @dataclass
@@ -217,8 +221,8 @@ class RiccatiTrace:
     blowup_times: list
     sign: str
     R: float
-    segments: list = dc_field(default_factory=list)  # (t_lo, t_hi, sol)
-    lamI_eval: object = None
+    segments: list              # (t_lo, t_hi, sol)
+    lamI_eval: object
 
     def r_at(self, t):
         """r = y'/y at parameter t, from the dense segment solutions."""
@@ -230,16 +234,16 @@ class RiccatiTrace:
         return float(np.interp(t, self.t, self.r))
 
 
-def _renormalized_run(spec, rhs, event, state, t_now, t_end, size,
-                      segment=5.0, rtol=1e-11, atol=1e-12):
-    """One run of `integrate` from state at t_now towards t_end, at most
-    `segment` long.  Returns its end time, the run, and the start state of
-    the next run: the end state with the Jacobi coordinates (state[3:])
-    divided by size(end state) when that exceeds 1e6, which dodges
-    overflow and leaves every ratio of Jacobi coordinates unchanged.
+def _renormalized_run(spec, rhs, event, state, t_now, t_end, size):
+    """One run of `integrate` from state at t_now towards t_end, at most 5
+    time units long, to JACOBI_RTOL and JACOBI_ATOL.  Returns its end
+    time, the run, and the start state of the next run: the end state with
+    the Jacobi coordinates (state[3:]) divided by size(end state) when that
+    exceeds 1e6, which dodges overflow and leaves every ratio of Jacobi
+    coordinates unchanged.
     """
     direction = 1.0 if t_end > t_now else -1.0
-    t_next = t_now + direction * min(segment, abs(t_end - t_now))
+    t_next = t_now + direction * min(5.0, abs(t_end - t_now))
     # Far out, the orbit can come within ~1e-10 of the edge of the model's
     # chart (|k y| = pi/2 for phi = -log cos(k y) on K = -k^2), and a trial
     # RK stage can step past it, where log gives NaN.  A NaN stage makes
@@ -249,7 +253,7 @@ def _renormalized_run(spec, rhs, event, state, t_now, t_end, size,
     # StepFailure is raised.
     with np.errstate(invalid="ignore"):
         run = integrate(spec, [state], t_now, t_next, rhs=rhs, event=event,
-                        rtol=rtol, atol=atol)
+                        rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
     if run.outcome[0] == STEP_FAILED:
         raise StepFailure(f"Riccati {run.reason(0)}")
     state = run.end_state[0].copy()
@@ -259,8 +263,7 @@ def _renormalized_run(spec, rhs, event, state, t_now, t_end, size,
     return t_next, run, state
 
 
-def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
-                            segment=5.0, rtol=1e-11, atol=1e-12):
+def _integrate_renormalized(spec, start_point, t_start, t_end):
     """Integrate the combined system with (a,y,z)(t_start) = (0,0,1),
     renormalizing (y,z) per segment to dodge overflow; returns sample arrays
     and zero-crossing times of y.  r = y'/y is invariant under the scaling.
@@ -270,25 +273,26 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
         # NaN stages near the chart edge: see `_renormalized_run`
         with np.errstate(invalid="ignore"):
             base = integrate_orbit(spec, start_point, (0.0, t_start),
-                                   stop_at_boundary=False, rtol=rtol,
-                                   atol=atol)
+                                   stop_at_boundary=False, rtol=JACOBI_RTOL,
+                                   atol=JACOBI_ATOL)
         s = base.state(t_start)
         p = SMPoint(s[0], s[1], s[2])
     else:
         p = start_point
 
     direction = 1.0 if t_end > t_start else -1.0
+    coeffs = spec.coefficients()
     rhs = coeffs.rhs()
     state = np.array([p.x, p.y, p.theta, 0.0, 0.0, 1.0])
     t_now = t_start
     ts_all, r_all, y_all, z_all, zeros = [], [], [], [], []
     segments = []
-    lamI_f = coeffs.lamI.eval
+    lamI_f = coeffs.curvatures.lamI.eval
 
     while direction * (t_end - t_now) > 1e-14:
         t_next, run, state = _renormalized_run(
             spec, rhs, Y_ZEROS, state, t_now, t_end,
-            lambda s: max(abs(s[4]), abs(s[5])), segment, rtol, atol)
+            lambda s: max(abs(s[4]), abs(s[5])))
         for tz in run.event_times(0):
             if abs(tz - t_start) > 1e-9:
                 zeros.append(float(tz))
@@ -310,8 +314,7 @@ def _integrate_renormalized(spec, coeffs, start_point, t_start, t_end,
             segments)
 
 
-def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", coeffs=None,
-                         eval_window=None):
+def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", eval_window=None):
     """Riccati solution r_R^+/- via the linear Jacobi substitution.
 
     sign '+': y(-R)=0, y'(-R)=1, integrated forward over (-R, R];
@@ -319,8 +322,6 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", coeffs=None,
     Raises BlowupInsideWindow when y vanishes strictly inside the
     evaluation window (default: the open interval between the endpoints).
     """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
     if sign == "+":
         t_start, t_end = -R, R
     elif sign == "-":
@@ -328,7 +329,7 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", coeffs=None,
     else:
         raise ValueError("sign must be '+' or '-'")
     ts, rs, ys, zs, zeros, segments = _integrate_renormalized(
-        spec, coeffs, p0, float(t_start), float(t_end))
+        spec, p0, float(t_start), float(t_end))
     if eval_window is None:
         eval_window = (-R + 1e-9, R - 1e-9)
     inside = [t for t in zeros if eval_window[0] < t < eval_window[1]]
@@ -339,12 +340,13 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", coeffs=None,
     order = np.argsort(ts)
     return RiccatiTrace(t=ts[order], r=rs[order], y=ys[order], z=zs[order],
                         blowup_times=zeros, sign=sign, R=float(R),
-                        segments=segments, lamI_eval=coeffs.lamI.eval)
+                        segments=segments,
+                        lamI_eval=spec.coefficients().curvatures.lamI.eval)
 
 
-def riccati_doubling(spec, p0: SMPoint, sign="+", R0=1.0, coeffs=None):
-    """Yield (R, r_R^+/-(0)) for R = R0, 2 R0, 4 R0, ... from one walk,
-    without end: the caller decides when to stop.
+def riccati_doubling(spec, p0: SMPoint, sign="+"):
+    """Yield (R, r_R^+/-(0)) for R = 1, 2, 4, ... from one walk, without
+    end: the caller decides when to stop.
 
     The walk follows the orbit from the state towards the launch side
     (backward for '+', forward for '-') with the two Jacobi columns
@@ -362,13 +364,12 @@ def riccati_doubling(spec, p0: SMPoint, sign="+", R0=1.0, coeffs=None):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
+    coeffs = spec.coefficients()
     rhs = coeffs.columns_rhs()
-    lamI = float(coeffs.lamI.eval(p0.x, p0.y, p0.theta))
+    lamI = float(coeffs.curvatures.lamI.eval(p0.x, p0.y, p0.theta))
     direction = -1.0 if sign == "+" else 1.0
     state = np.array([p0.x, p0.y, p0.theta, 1.0, 0.0, 0.0, 1.0])
-    t_now, R, zeros = 0.0, float(R0), []
+    t_now, R, zeros = 0.0, 1.0, []
     while True:
         while R - abs(t_now) > 1e-14:
             t_now, run, state = _renormalized_run(
@@ -385,12 +386,11 @@ def riccati_doubling(spec, p0: SMPoint, sign="+", R0=1.0, coeffs=None):
         R *= 2.0
 
 
-def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6, R0=1.0,
-                        R_cap=RICCATI_R_CAP, coeffs=None):
+def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6):
     """Limit Riccati values (r+, r-) at the state by R-doubling.
 
-    Each sign reads r_R(0) for R = R0, 2 R0, ... off one walk of the orbit
-    and two Jacobi columns (`riccati_doubling`):
+    Each sign reads r_R(0) for R = 1, 2, 4, ... off one walk of the orbit
+    and two Jacobi columns (`riccati_doubling`), up to RICCATI_R_CAP:
 
         r_R^+/-(0) = lam I(p0) - y1(-/+R) / y2(-/+R).
 
@@ -401,12 +401,10 @@ def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6, R0=1.0,
     times.  The sequence r_R^+(0) must be decreasing and r_R^-(0)
     increasing; NoConvergence on monotonicity loss or cap overrun.
     """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
     limits = {}
     for sign in ("+", "-"):
         prev = None
-        for R, r0 in riccati_doubling(spec, p0, sign, R0, coeffs):
+        for R, r0 in riccati_doubling(spec, p0, sign):
             if prev is not None:
                 if sign == "+" and r0 > prev + 1e-9:
                     raise NoConvergence(
@@ -418,22 +416,22 @@ def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6, R0=1.0,
                     limits[sign] = r0
                     break
             prev = r0
-            if 2.0 * R > R_cap:
-                raise NoConvergence(f"R-doubling exceeded cap {R_cap}")
+            if 2.0 * R > RICCATI_R_CAP:
+                raise NoConvergence(
+                    f"R-doubling exceeded cap {RICCATI_R_CAP}")
     r_plus, r_minus = limits["+"], limits["-"]
     if not r_plus > r_minus - 1e-9:
         raise NoConvergence("ordering r+ > r- lost in the limit")
     return r_plus, r_minus
 
 
-def riccati_bound_constants(spec, grid_spec=(12, 12, 24), coeffs=None):
-    """Constants B, C, A: B^2 >= sup|K_lambda|, C >= sup|lam I + V(lam)|."""
-    from .geometry import validation_grid_points
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
-    xg, yg, tg = validation_grid_points(spec.model, grid_spec)
-    B = float(np.sqrt(np.max(np.abs(coeffs.K_lambda.eval(xg, yg, tg)))))
-    C = float(np.max(np.abs((coeffs.lamI + coeffs.Vlam).eval(xg, yg, tg))))
+def riccati_bound_constants(spec):
+    """Constants B, C, A: B^2 >= sup|K_lambda|, C >= sup|lam I + V(lam)|,
+    the suprema taken over a 12 x 12 x 24 validation grid."""
+    dc = spec.coefficients().curvatures
+    xg, yg, tg = validation_grid_points(spec.model, (12, 12, 24))
+    B = float(np.sqrt(np.max(np.abs(dc.K_lambda.eval(xg, yg, tg)))))
+    C = float(np.max(np.abs((dc.lamI + dc.Vlam).eval(xg, yg, tg))))
     return {"B": B, "C": C, "A": max(B, C)}
 
 
@@ -449,14 +447,14 @@ def comparison_w_minus(t, A, E=0.0):
     return -A * p / (p - 1.0) + (A * (1.0 + np.sqrt(5.0)) / 2.0) * (p + 1.0) / (p - 1.0)
 
 
-def comparison_ode_residuals(A=1.0, D=0.0, E=0.0, ts=None):
-    """Residuals of the comparison closed forms in their ODEs.
+def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
+    """Residuals of the comparison closed forms in their ODEs, at 11 times
+    in [0.5, 3].
 
     Derivatives are taken by complex step, so the residual isolates any
     error in the printed formulas rather than in differencing.
     """
-    if ts is None:
-        ts = np.linspace(0.5, 3.0, 11)
+    ts = np.linspace(0.5, 3.0, 11)
     h = 1e-20
     wp = comparison_w_plus(ts, A, D)
     dwp = np.imag(comparison_w_plus(ts + 1j * h, A, D)) / h
@@ -467,23 +465,19 @@ def comparison_ode_residuals(A=1.0, D=0.0, E=0.0, ts=None):
     return {"w_plus": float(res_p), "w_minus": float(res_m)}
 
 
-def check_riccati_bound(spec, states, grid_spec=(12, 12, 24), tol=1e-6,
-                        limit_tol=1e-6, coeffs=None):
-    """Verify |r+-| <= (A/2)(1+sqrt 5) at sampled states.
+def check_riccati_bound(spec, states):
+    """Verify |r+-| <= (A/2)(1+sqrt 5) at sampled states, up to 1e-6.
 
     Also validates the comparison closed forms in their ODEs.  Raises
     BoundViolated on any exceedance (conjugate point, wrong A, or an
     integration fault).
     """
-    if coeffs is None:
-        coeffs = JacobiCoefficients(spec)
-    consts = riccati_bound_constants(spec, grid_spec, coeffs=coeffs)
+    consts = riccati_bound_constants(spec)
     bound = consts["A"] * GOLDEN_BOUND
     rows = []
     for p in states:
-        r_plus, r_minus = solve_riccati_limit(spec, p, tol=limit_tol,
-                                              coeffs=coeffs)
-        ok = abs(r_plus) <= bound + tol and abs(r_minus) <= bound + tol
+        r_plus, r_minus = solve_riccati_limit(spec, p)
+        ok = abs(r_plus) <= bound + 1e-6 and abs(r_minus) <= bound + 1e-6
         rows.append({"x": p.x, "y": p.y, "theta": p.theta,
                      "r_plus": r_plus, "r_minus": r_minus, "ok": ok})
         if not ok:
@@ -496,7 +490,7 @@ def check_riccati_bound(spec, states, grid_spec=(12, 12, 24), tol=1e-6,
             "comparison_ode_residuals": ode_res}
 
 
-def exterior_fan_r(spec, states, margin=0.1, horizon=DEFAULT_HORIZON):
+def exterior_fan_r(spec, states, margin=0.1):
     """Fan-variant r (= z/y) at disk states from an exterior starting point.
 
     For each state the backward orbit is continued `margin` beyond the
@@ -509,7 +503,7 @@ def exterior_fan_r(spec, states, margin=0.1, horizon=DEFAULT_HORIZON):
     """
     starts = np.array([[p.x, p.y, p.theta] for p in states],
                       dtype=float).reshape(-1, 3)
-    back = integrate_to_boundary(spec, starts, direction=-1, horizon=horizon)
+    back = integrate_to_boundary(spec, starts, direction=-1)
     back.require_steps()
     if np.any(back.outcome != EXITED):
         raise RiccatiUnavailable("backward orbit trapped")
@@ -518,7 +512,7 @@ def exterior_fan_r(spec, states, margin=0.1, horizon=DEFAULT_HORIZON):
     ext.require_steps()
     launch = np.column_stack([ext.end_state,
                               np.tile([0.0, 0.0, 1.0], (len(starts), 1))])
-    fan = integrate(spec, launch, t0, 0.0, rhs=JacobiCoefficients(spec).rhs(),
+    fan = integrate(spec, launch, t0, 0.0, rhs=spec.coefficients().rhs(),
                     event=Y_ZEROS)
     fan.require_steps()
     for i, start in enumerate(t0):

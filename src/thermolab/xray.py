@@ -44,6 +44,11 @@ TWO_PI = 2.0 * np.pi
 
 # 8-point Gauss-Legendre panel rule used by all ray quadratures
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the spacing of the quadrature nodes along the rays of a ray matrix
+QUAD_SPACING = 0.02
+# the least ratio of neighbouring singular values that separates the
+# near-kernel of a ray matrix from the rest of its spectrum
+MIN_GAP = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +154,24 @@ def _panel_rules(lo, hi, n_panels):
     return ts, ws, np.repeat(which, _GL_NODES.size)
 
 
-def _blocks(counts, size=CHUNK_POINTS):
-    """Slices of consecutive items whose counts add up to at most size
-    (or of one item, when its count alone is larger): they bound the
-    memory a batch of quadrature nodes holds."""
+def _blocks(counts):
+    """Slices of consecutive items whose counts add up to at most
+    CHUNK_POINTS (or of one item, when its count alone is larger): they
+    bound the memory a batch of quadrature nodes holds."""
     ends = np.cumsum(counts)
     lo = 0
     while lo < len(ends):
         start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + size,
+        hi = max(lo + 1, int(np.searchsorted(ends, start + CHUNK_POINTS,
                                              side="right")))
         yield slice(lo, hi)
         lo = hi
 
 
-def _integrals(states_at, values_at, lo, hi, tol=1e-10, max_panels=4096):
+def _integrals(states_at, values_at, lo, hi):
     """Composite Gauss-Legendre integrals of a state function over the
     intervals [lo_i, hi_i] of orbits, the panels of every interval doubled
-    together until its change is below tol (or it has max_panels).
+    together until its change is below 1e-10 (or it has 4096 panels).
 
     states_at(i, t) gives the states (n, 3) of the orbits of intervals i
     at the times t; values_at(x, y, theta) the integrand.
@@ -185,23 +190,22 @@ def _integrals(states_at, values_at, lo, hi, tol=1e-10, max_panels=4096):
             total[block] = np.bincount(
                 which, weights=ws * values_at(s[:, 0], s[:, 1], s[:, 2]),
                 minlength=part.size)
-        settled = (np.abs(total - totals[todo]) < tol) | \
-            (n[todo] >= max_panels)
+        settled = (np.abs(total - totals[todo]) < 1e-10) | (n[todo] >= 4096)
         totals[todo] = total
         n[todo] *= 2
         todo = todo[~settled]
     return totals
 
 
-def _ray_values(orbits, pair, index, tol=1e-10):
+def _ray_values(orbits, pair, index):
     """Transform values of the pair along the exited orbits `index` of an
     OrbitBatch, each over [0, its exit time]."""
     integrand = pair.clamped_integrand(orbits.spec.model)
     return _integrals(lambda i, t: orbits.state(index[i], t), integrand,
-                      0.0, orbits.end_time[index], tol=tol)
+                      0.0, orbits.end_time[index])
 
 
-def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
+def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
     """Ray transform of the pair along the orbit through each entry state.
 
     An entry may sit on the boundary pointing inward or in the interior;
@@ -234,7 +238,7 @@ def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
     orbits = integrate_to_boundary(spec, starts[rays], horizon=horizon)
     orbits.require_steps("ray", rays)
     exited = np.flatnonzero(orbits.outcome == EXITED)
-    values = _ray_values(orbits, pair, exited, tol=tol)
+    values = _ray_values(orbits, pair, exited)
     for i, value in zip(exited, values):
         records[rays[i]] = RayRecord(
             entry=SMPoint(*starts[rays[i]]),
@@ -243,16 +247,15 @@ def transform_fan(spec, pair, entries, tol=1e-10, horizon=DEFAULT_HORIZON):
     return records
 
 
-def transform_pair(spec, pair, entry: SMPoint, tol=1e-10,
-                   horizon=DEFAULT_HORIZON):
+def transform_pair(spec, pair, entry: SMPoint):
     """Ray transform of the pair along the orbit through one entry state:
     `transform_fan` for a fan of one.  Raises TrappedOrbit when either
-    direction fails to exit.
+    direction fails to exit within DEFAULT_HORIZON.
     """
-    (record,) = transform_fan(spec, pair, [entry], tol=tol, horizon=horizon)
+    (record,) = transform_fan(spec, pair, [entry])
     if record is None:
-        raise TrappedOrbit(f"orbit trapped past horizon {horizon}",
-                           horizon=horizon)
+        raise TrappedOrbit(f"orbit trapped past horizon {DEFAULT_HORIZON}",
+                           horizon=DEFAULT_HORIZON)
     return record
 
 
@@ -277,8 +280,7 @@ def ray_fan(n_boundary=20, n_angles=20, margin_deg=5.0):
 # The orbitwise primitive chi
 # ---------------------------------------------------------------------------
 
-def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
-              tail=0.0):
+def chi_field(spec, q, state: SMPoint, tail=0.0):
     """chi at a state: the integral of q over the backward orbit from the
     (backward) boundary exit up to the state.
 
@@ -290,10 +292,10 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
     q = _as_field(q)
     if state.x ** 2 + state.y ** 2 > 1.0 + 1e-12:
         return 0.0
-    back = integrate_orbit(spec, state, (0.0, -horizon),
+    back = integrate_orbit(spec, state, (0.0, -DEFAULT_HORIZON),
                            stop_at_boundary=True)
     if back.exit_time is None:
-        raise TrappedOrbit("backward orbit trapped", horizon=horizon)
+        raise TrappedOrbit("backward orbit trapped", horizon=DEFAULT_HORIZON)
     t_cross = float(back.exit_time)
     t_start = t_cross - tail
     orbit, lo, hi = back, [t_cross], [0.0]
@@ -304,7 +306,7 @@ def chi_field(spec, q, state: SMPoint, tol=1e-10, horizon=DEFAULT_HORIZON,
                                 stop_at_boundary=False)
         lo, hi = [t_start, t_cross], [t_cross, 0.0]
     return float(np.sum(_integrals(lambda i, t: orbit.sol(t).T, _clamped(q),
-                                   lo, hi, tol=tol)))
+                                   lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +447,8 @@ class DiscreteXRayOperator:
     matrix: np.ndarray
     rays: list
     node_grid: PolarNodeGrid
-    lam_text: str = ""
-    n_dropped: int = 0
-    quad_spacing: float = 0.02
+    n_dropped: int
+    quad_spacing: float
     orbits: Optional[OrbitBatch] = dc_field(default=None, repr=False)
     orbit_index: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
@@ -459,29 +460,28 @@ class DiscreteXRayOperator:
     def apply(self, pair_vector):
         return self.matrix @ np.asarray(pair_vector, dtype=float)
 
-    def transform(self, pair, tol=1e-10):
+    def transform(self, pair):
         """Transform values of the pair along the rows' rays, with the
         quadrature of `transform_fan`, on the orbits of the assembly."""
         if self.orbits is None:
             raise ValueError("the operator holds no orbits (loaded from a "
                              "file); use transform_fan on its entries")
-        return _ray_values(self.orbits, pair, self.orbit_index, tol=tol)
+        return _ray_values(self.orbits, pair, self.orbit_index)
 
 
-def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
-                               horizon=DEFAULT_HORIZON):
+def assemble_discrete_operator(spec, node_grid, rays):
     """Build the ray matrix: each entry is a quadrature weight times an
-    interpolation coefficient.  All rays are integrated forward together
+    interpolation coefficient, with quadrature nodes QUAD_SPACING apart.
+    All rays are integrated forward together
     (`flow.integrate_to_boundary`); their quadrature nodes are then taken
     in blocks of at most CHUNK_POINTS, with one `coefficient_matrix` call
     per block.
-    Rays trapped past the horizon and rays whose integration fails are
+    Rays trapped past DEFAULT_HORIZON and rays whose integration fails are
     dropped, with a warning that names each one and its reason; any other
     error propagates."""
     model = spec.model
     orbits = integrate_to_boundary(
-        spec, np.array([[p.x, p.y, p.theta] for p in rays], dtype=float),
-        horizon=horizon)
+        spec, np.array([[p.x, p.y, p.theta] for p in rays], dtype=float))
     dropped = [f"ray {i}: {orbits.reason(i)}"
                for i in np.flatnonzero(orbits.outcome != EXITED)]
     if dropped:
@@ -489,9 +489,9 @@ def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
                       + "; ".join(dropped))
     kept = np.flatnonzero(orbits.outcome == EXITED)
     if not kept.size:
-        raise TrappedOrbit("all rays trapped", horizon=horizon)
+        raise TrappedOrbit("all rays trapped", horizon=DEFAULT_HORIZON)
     lengths = orbits.end_time[kept]
-    n_panels = np.maximum(2, np.ceil(lengths / (8 * quad_spacing)).astype(int))
+    n_panels = np.maximum(2, np.ceil(lengths / (8 * QUAD_SPACING)).astype(int))
     matrix = np.empty((kept.size, 3 * node_grid.n_nodes))
     for block in _blocks(n_panels * _GL_NODES.size):
         ts, ws, which = _panel_rules(0.0, lengths[block], n_panels[block])
@@ -511,7 +511,7 @@ def assemble_discrete_operator(spec, node_grid, rays, quad_spacing=0.02,
                for i in kept]
     return DiscreteXRayOperator(matrix=matrix, rays=records,
                                 node_grid=node_grid, n_dropped=len(dropped),
-                                quad_spacing=quad_spacing, orbits=orbits,
+                                quad_spacing=QUAD_SPACING, orbits=orbits,
                                 orbit_index=kept)
 
 
@@ -562,24 +562,24 @@ class GaugeBump:
         return gx, gy
 
 
-def gauge_bumps(spacing=0.25, slack=0.02):
-    """Bump functions whose supports lie strictly inside the unit disk."""
+def gauge_bumps(spacing=0.25):
+    """Bump functions whose supports lie inside the disk of radius 0.98."""
     h = spacing
     k_max = int(np.floor(1.0 / spacing))
     centers = spacing * np.arange(-k_max, k_max + 1)
     bumps = []
     for cx in centers:
         for cy in centers:
-            if np.hypot(abs(cx) + 2 * h, abs(cy) + 2 * h) <= 1.0 - slack:
+            if np.hypot(abs(cx) + 2 * h, abs(cy) + 2 * h) <= 0.98:
                 bumps.append(GaugeBump(cx, cy, h))
     return bumps
 
 
-def gauge_basis(node_grid, spacing=0.25, slack=0.02):
+def gauge_basis(node_grid, spacing=0.25):
     """Discretized gauge pairs (0, d psi) for a basis of interior bumps.
 
     Returns (matrix with one column per bump, list of bumps)."""
-    bumps = gauge_bumps(spacing, slack)
+    bumps = gauge_bumps(spacing)
     if not bumps:
         raise ValueError("no gauge bumps fit inside the disk at this spacing")
     xs, ys = node_grid.node_xy()
@@ -596,27 +596,28 @@ def gauge_basis(node_grid, spacing=0.25, slack=0.02):
 # Kernel analysis and reconstruction
 # ---------------------------------------------------------------------------
 
-def _largest_gap(sigma, min_gap, floor=1e-14):
-    """Index i maximizing sigma[i]/sigma[i+1] on the descending spectrum;
-    returns (index, ratio).  IllConditioned if the ratio is under min_gap."""
-    s = np.maximum(sigma, floor)
+def _largest_gap(sigma):
+    """Index i maximizing sigma[i]/sigma[i+1] on the descending spectrum
+    (floored at 1e-14); returns (index, ratio).  IllConditioned if the
+    ratio is under MIN_GAP."""
+    s = np.maximum(sigma, 1e-14)
     ratios = s[:-1] / s[1:]
     i = int(np.argmax(ratios))
-    if ratios[i] < min_gap:
+    if ratios[i] < MIN_GAP:
         raise IllConditioned(
-            f"singular-value gap {ratios[i]:.2f}x is below {min_gap:.0f}x")
+            f"singular-value gap {ratios[i]:.2f}x is below {MIN_GAP:.0f}x")
     return i, float(ratios[i])
 
 
-def analyze_kernel(op, gauge_matrix, min_gap=10.0):
+def analyze_kernel(op, gauge_matrix):
     """SVD spectrum of the ray matrix and its near-kernel geometry.
 
     The near-kernel is everything below the largest relative gap in the
-    singular values; IllConditioned if that gap is under min_gap.
+    singular values; IllConditioned if that gap is under MIN_GAP.
     Principal angles compare the near-kernel with the span of the gauge
     columns."""
     U, sigma, Vt = op.thin_svd
-    gap_index, gap_ratio = _largest_gap(sigma, min_gap)
+    gap_index, gap_ratio = _largest_gap(sigma)
     kernel_dim = sigma.size - (gap_index + 1)
     kernel_basis = Vt[gap_index + 1:].T  # (n_cols, kernel_dim)
     angles = subspace_angles(kernel_basis, np.asarray(gauge_matrix))
@@ -647,8 +648,10 @@ class PairEstimate:
     def phi_at(self, x, y):
         return self.node_grid.interpolate(self.phi_values, x, y)
 
-    def curl_at(self, x, y, h=1e-3):
-        g = self.node_grid
+    def curl_at(self, x, y):
+        """The curl dw_y/dx - dw_x/dy at (x, y), by central differences
+        of step 1e-3."""
+        g, h = self.node_grid, 1e-3
         dwy_dx = (g.interpolate(self.w_y_values, np.asarray(x) + h, y)
                   - g.interpolate(self.w_y_values, np.asarray(x) - h, y)) \
             / (2 * h)
@@ -658,15 +661,19 @@ class PairEstimate:
         return dwy_dx - dwx_dy
 
 
-def reconstruct_pair(op, values, min_gap=10.0, rank=None):
+def reconstruct_pair(op, values, rank=None):
     """Minimum-norm least squares through the truncated SVD.
 
     The truncation rank defaults to the largest-gap index, discarding
     the gauge directions; IllConditioned when the gap is insufficient
-    and no explicit rank is supplied."""
+    and no explicit rank is supplied.  ValueError for a rank outside
+    [1, number of singular values]."""
     U, sigma, Vt = op.thin_svd
     if rank is None:
-        rank = _largest_gap(sigma, min_gap)[0] + 1
+        rank = _largest_gap(sigma)[0] + 1
+    elif not 1 <= rank <= sigma.size:
+        raise ValueError(f"rank {rank} is outside [1, {sigma.size}], the "
+                         "singular values of the ray matrix")
     coeffs = (U[:, :rank].T @ np.asarray(values, dtype=float)) / sigma[:rank]
     solution = Vt[:rank].T @ coeffs
     n = op.node_grid.n_nodes

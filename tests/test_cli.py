@@ -240,6 +240,45 @@ def test_cohomology_odd_small_grid_is_config_error(tmp_path, capsys):
     assert "n=17" in capsys.readouterr().err
 
 
+SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+                "phi_field": "1", "nodes": [5, 6], "n_boundary": 4,
+                "n_angles": 4}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("invert", dict(SMALL_INVERT, nodes=[1, 12])),
+    ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=0)),
+    ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=2)),
+    ("flow", flat_torus_cfg(initial=[0.1])),
+    ("flow", {"schema": 1, "surface": [1, 2]}),
+    ("invert", dict(SMALL_INVERT, rank=-3)),
+    ("invert", dict(SMALL_INVERT, rank=0)),
+    ("invert", dict(SMALL_INVERT, rank=100000)),
+], ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
+        "rank100000"])
+def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
+                                           config):
+    # the 16 rays of SMALL_INVERT give 16 singular values
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", ["NaN", "1e400"])
+def test_non_finite_time_span_is_config_error(tmp_path, T):
+    # JSON reads NaN as a literal and 1e400 as inf; a run over such a span
+    # never ends, so it runs in a subprocess with a timeout
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": 1, "T": %s}' % T)
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "thermolab.cli", "flow", "--config",
+         str(path)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG
+    assert "config error" in done.stderr
+
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 

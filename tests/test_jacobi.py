@@ -1,5 +1,7 @@
 """Jacobi fields, conjugate points, and the Riccati solutions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -59,8 +61,7 @@ def test_integrate_jacobi_matches_solve_ivp(T):
     p0 = SMPoint(0.1, -0.2, 0.4)
     start = [p0.x, p0.y, p0.theta, 0.0, 0.0, 1.0]
     for t_eval in (None, np.linspace(0.0, T, 25)):
-        traj = integrate_jacobi(spec, p0, (0.0, T), coeffs=coeffs,
-                                t_eval=t_eval)
+        traj = integrate_jacobi(spec, p0, (0.0, T), t_eval=t_eval)
         ref = solve_ivp(coeffs.rhs(), (0.0, T), start, method="RK45",
                         rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                         dense_output=True, events=y_zero, t_eval=t_eval)
@@ -128,12 +129,11 @@ def test_riccati_doubling_matches_finite_window(sign):
     spec = ThermostatSpec(model, SMScalarField.from_expression(
         "0.2*sin(2*pi*y)"))
     p0 = SMPoint(0.1, 0.2, 0.3)
-    coeffs = JacobiCoefficients(spec)
-    walk = riccati_doubling(spec, p0, sign, coeffs=coeffs)
+    walk = riccati_doubling(spec, p0, sign)
     for R in (1.0, 2.0):
         R_walk, r_walk = next(walk)
         window = (-R + 1e-9, 1e-9) if sign == "+" else (-1e-9, R - 1e-9)
-        trace = solve_riccati_finite(spec, p0, R, sign=sign, coeffs=coeffs,
+        trace = solve_riccati_finite(spec, p0, R, sign=sign,
                                      eval_window=window)
         assert R_walk == R
         assert r_walk == pytest.approx(trace.r_at(0.0), abs=1e-8)
@@ -179,3 +179,16 @@ def test_exterior_fan_r_flat():
     r = exterior_fan_r(spec, [p], margin=0.1)[0]
     d = 0.2 - (-1.0) + 0.1  # backward distance to boundary plus margin
     assert r == pytest.approx(1.0 / d, abs=1e-8)
+
+
+def test_zero_length_span_keeps_the_start():
+    # y = 0 at the start fires the zero event on the one step, of size 0:
+    # its zero is the start, with no division by the step size
+    spec = geodesic_spec(flat_torus())
+    p0 = SMPoint(0.1, 0.2, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_jacobi(spec, p0, (0.0, 0.0))
+    assert traj.zeros.tolist() == [0.0]
+    start = [p0.x, p0.y, p0.theta, 0.0, 0.0, 1.0]
+    assert traj.states.tolist() == [start, start]
