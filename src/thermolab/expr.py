@@ -192,10 +192,15 @@ class Pow(Binary):
                 mul(self.b, pow_(self.a, Const(self.b.value - 1.0))),
                 da,
             )
-        # d(u^v) = u^v * (v' log u + v u'/u)
+        # d(u^v) = u^v * (v' log w + v u'/w) with w = u where u != 0 and
+        # w = 1 where u = 0: there u^v = 0 (v > 0), and log(u) and u'/u
+        # would turn the product into 0 * inf = nan
+        w = self.a
+        if not (_is_const(w) and w.value != 0.0):
+            w = add(w, sub(Const(1.0), call("abs", call("sign", w))))
         return mul(
             self,
-            add(mul(db, call("log", self.a)), mul(self.b, div(da, self.a))),
+            add(mul(db, call("log", w)), mul(self.b, div(da, w))),
         )
 
 

@@ -17,6 +17,7 @@ only after the commutation relations validate on a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,18 +89,29 @@ class SurfaceModel:
 class DerivedCurvatures:
     """The coefficient fields of a thermostat F = X + lam V: the generator
     F (a FrameOperator), lamI = lam I, Vlam = V(lam), the core curvature
-    core = K - H(lam) - lam J + lam^2, the energy-identity curvature
-    bigK = core + lam I V(lam) + F(V(lam)), the Jacobi curvature
-    K_lambda = core + lam I V(lam) - F(lam I) and the hyperbolicity
-    quantity anosovD = core + (lam I + V(lam))^2 / 4."""
+    core = K - H(lam) - lam J + lam^2, and, built on first read, the
+    energy-identity curvature bigK = core + lam I V(lam) + F(V(lam)), the
+    Jacobi curvature K_lambda = core + lam I V(lam) - F(lam I) and the
+    hyperbolicity quantity anosovD = core + (lam I + V(lam))^2 / 4.  Only
+    bigK and K_lambda take second derivatives of lam."""
 
     F: FrameOperator
     lamI: SMScalarField
     Vlam: SMScalarField
     core: SMScalarField
-    bigK: SMScalarField
-    K_lambda: SMScalarField
-    anosovD: SMScalarField
+
+    @cached_property
+    def bigK(self) -> SMScalarField:
+        return self.core + self.lamI * self.Vlam + self.F.apply(self.Vlam)
+
+    @cached_property
+    def K_lambda(self) -> SMScalarField:
+        return self.core + self.lamI * self.Vlam - self.F.apply(self.lamI)
+
+    @cached_property
+    def anosovD(self) -> SMScalarField:
+        return self.core + (self.lamI + self.Vlam) * (self.lamI + self.Vlam) \
+            * 0.25
 
 
 @dataclass(frozen=True)
@@ -356,11 +368,7 @@ def derived_curvatures(model, lam) -> DerivedCurvatures:
     Vlam = model.frame.V.apply(lam)
     lamI = lam * model.I
     core = model.K - model.frame.H.apply(lam) - lam * model.J + lam * lam
-    return DerivedCurvatures(
-        F=F, lamI=lamI, Vlam=Vlam, core=core,
-        bigK=core + lamI * Vlam + F.apply(Vlam),
-        K_lambda=core + lamI * Vlam - F.apply(lamI),
-        anosovD=core + (lamI + Vlam) * (lamI + Vlam) * 0.25)
+    return DerivedCurvatures(F=F, lamI=lamI, Vlam=Vlam, core=core)
 
 
 def classify_magnetic(model, lam):

@@ -387,14 +387,9 @@ def transport_expansion_residual(model, lam, psi, states):
     states are flowed by -dt and +dt in one batch, and r is computed at all
     3N states in one `exterior_fan_r` call.  Returns the max residual.
     """
-    return _expansion_residual(ThermostatSpec(model, lam), psi, states)
-
-
-def _expansion_residual(spec, psi, states):
-    """`transport_expansion_residual` with the spec's coefficient set."""
     if not len(states):
         return 0.0
-    model, dt = spec.model, 1e-3
+    spec, dt = ThermostatSpec(model, lam), 1e-3
     for p in states:
         model.domain.require(p)
     dc = spec.coefficients().curvatures
@@ -464,8 +459,8 @@ def check_second_identity(model, lam, psi, grid, rng=None):
         x, y = rng.uniform(-0.6, 0.6, size=2)
         if x * x + y * y < 0.4:
             states.append(SMPoint(x, y, rng.uniform(0.0, TWO_PI)))
-    terms["transport_expansion_residual"] = _expansion_residual(
-        spec, psi_f, states)
+    terms["transport_expansion_residual"] = transport_expansion_residual(
+        model, spec.lam, psi_f, states)
     return IdentityReport(lhs=lhs, rhs=rhs, terms=terms)
 
 

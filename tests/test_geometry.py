@@ -72,6 +72,21 @@ def test_gauss_curvature_formula():
                                                     rel=1e-12)
 
 
+def test_first_order_readers_take_lam_with_callable_partials():
+    # the magnetic check and the thermostat relations read only first
+    # derivatives of lam, so a lam whose partials are plain callables,
+    # without partials of their own, serves them
+    model = flat_torus()
+    lam = SMScalarField.from_callable(
+        lambda x, y, t: 0.2 * np.sin(2 * np.pi * y),
+        dx=lambda x, y, t: 0.0 * x,
+        dy=lambda x, y, t: 0.4 * np.pi * np.cos(2 * np.pi * y),
+        dtheta=lambda x, y, t: 0.0 * x)
+    assert classify_magnetic(model, lam)["magnetic"]
+    assert worst(validate_structure_relations(model, (6, 6, 6),
+                                              lam=lam)) < 1e-9
+
+
 def test_derived_curvatures_flat_constant_lambda():
     model = flat_torus()
     for c in (0.0, 0.5, -0.3):
