@@ -30,7 +30,6 @@ Three probes of long-time flow behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -113,30 +112,24 @@ def quadratic_form_rate(spec, traj):
     """
     dc = spec.coefficients().curvatures
     fd_step = 1e-4
-    t0, t1 = float(traj.t[0]), float(traj.t[-1])
-    states: List[QuadraticFormState] = []
-    max_fd_dev = 0.0
-    sylvester_consistent = True
-    for tk in traj.t:
-        tk = float(tk)
-        x, y_b, th = traj.base_state(tk)
-        _, yk, zk = traj.jacobi_state(tk)
-        yk, zk = float(yk), float(zk)
-        A, B = (float(c) for c in _rate_form(dc, x, y_b, th))
-        rate = A * yk * yk + B * yk * zk + zk * zk
-        D = float(dc.anosovD.eval(x, y_b, th))
-        # positive definite <=> A > 0 and 4A - B^2 > 0
-        posdef = (A > 0.0) and (4.0 * A - B * B > 0.0)
-        if abs(D) > 1e-9 and posdef != (D < 0.0):
-            sylvester_consistent = False
-        if t0 + fd_step <= tk <= t1 - fd_step:
-            sp = traj.jacobi_state(tk + fd_step)
-            sm = traj.jacobi_state(tk - fd_step)
-            fd = (sp[1] * sp[2] - sm[1] * sm[2]) / (2.0 * fd_step)
-            max_fd_dev = max(max_fd_dev, abs(fd - rate))
-        states.append(QuadraticFormState(t=tk, y=yk, z=zk, q_value=yk * zk,
-                                         rate=rate, anosovD=D,
-                                         rate_positive_definite=posdef))
+    t = traj.t
+    x, y_b, th, _, y, z = traj.sol(t)
+    A, B = _rate_form(dc, x, y_b, th)
+    rate = A * y * y + B * y * z + z * z
+    D = dc.anosovD.eval(x, y_b, th)
+    # positive definite <=> A > 0 and 4A - B^2 > 0
+    posdef = (A > 0.0) & (4.0 * A - B * B > 0.0)
+    sylvester_consistent = not np.any((np.abs(D) > 1e-9)
+                                      & (posdef != (D < 0.0)))
+    inner = (t[0] + fd_step <= t) & (t <= t[-1] - fd_step)
+    plus, minus = (traj.sol(t[inner] + d) for d in (fd_step, -fd_step))
+    fd = (plus[4] * plus[5] - minus[4] * minus[5]) / (2.0 * fd_step)
+    max_fd_dev = float(np.max(np.abs(fd - rate[inner]), initial=0.0))
+    states = [QuadraticFormState(t=float(tk), y=float(yk), z=float(zk),
+                                 q_value=float(yk * zk), rate=float(rk),
+                                 anosovD=float(dk),
+                                 rate_positive_definite=bool(pk))
+              for tk, yk, zk, rk, dk, pk in zip(t, y, z, rate, D, posdef)]
     return {"states": states, "max_fd_deviation": max_fd_dev,
             "sylvester_consistent": sylvester_consistent}
 
@@ -214,14 +207,6 @@ class GridTransportOperator:
     def apply_adjoint(self, v):
         return (self.F.T @ v.ravel()).reshape(v.shape)
 
-    def normal_diagonal(self):
-        """Approximate diagonal of F^T F for Jacobi preconditioning."""
-        s = 2.0 * ((8.0 / 12.0) ** 2 + (1.0 / 12.0) ** 2)
-        d = s * (self.cx ** 2 / self.h_xy ** 2
-                 + self.cy ** 2 / self.h_xy ** 2
-                 + self.ct ** 2 / self.h_t ** 2)
-        return np.maximum(d, 1e-12 * float(np.max(d)))
-
 
 def _fiber_band_projector(n, band):
     """Orthogonal projection onto fiber Fourier modes |m| <= band.
@@ -288,27 +273,25 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
     size = rhs.size
     project = _fiber_band_projector(n, FIBER_BAND)
     b = project(op.apply_adjoint(rhs)).ravel()
-    diag = op.normal_diagonal()
 
     def normal_mv(v):
         return project(op.apply_adjoint(op.apply(
             project(v.reshape(shape))))).ravel()
 
-    def precondition(v):
-        return project(v.reshape(shape) / diag).ravel()
-
     A = LinearOperator((size, size), matvec=normal_mv)
-    M = LinearOperator((size, size), matvec=precondition)
     # F^T rhs at roundoff level means rhs is orthogonal to the range:
-    # the minimizer is u = 0 and CG would only chase noise
+    # the minimizer is u = 0 and CG would only chase noise; the scale is
+    # the largest column norm of F
     nb = np.linalg.norm(b)
-    b_floor = 1e-10 * np.sqrt(float(np.max(diag))) * np.linalg.norm(rhs)
+    b_floor = 1e-10 * np.sqrt(float(op.F.multiply(op.F).sum(axis=0).max())) \
+        * np.linalg.norm(rhs)
     if nb <= b_floor:
         u = np.zeros(shape)
         info = 0
     else:
-        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
-                       M=M)
+        # from u = 0, CG stays in the range of the normal operator and so
+        # returns the minimum-norm minimizer
+        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER)
         if info > 0:
             # the normal equations are consistent but can stagnate near the
             # attainable floor; accept if the gradient is already tiny

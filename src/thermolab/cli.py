@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -121,9 +122,18 @@ def _refuse_constant(name):
     raise ValueError(f"the non-finite literal {name} is not a number")
 
 
+def _finite_float(text):
+    # a JSON number too large for a float would read as inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"the number {text} does not fit a float")
+    return value
+
+
 def load_config(path):
     with open(path) as fh:
-        cfg = json.load(fh, parse_constant=_refuse_constant)
+        cfg = json.load(fh, parse_constant=_refuse_constant,
+                        parse_float=_finite_float)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
@@ -187,7 +197,7 @@ def cmd_validate(cfg):
     lam = field_from(cfg, "lambda", "0")
     grid = _grid_tuple(cfg, "grid", (8, 8, 8))
     report = validate_structure_relations(model, grid, lam=lam)
-    worst = max(r["max"] for r in report.values())
+    worst = float(np.max([r["max"] for r in report.values()]))
     ok = worst <= float(cfg.get("tolerance", 1e-6))
     bundle = {"experiment": "validate", "residuals": report,
               "worst": worst, "passed": ok}

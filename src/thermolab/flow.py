@@ -212,14 +212,10 @@ class Orbit:
 
     def unit_speed_defect(self):
         """max |F(gamma') - 1| over the stored samples."""
-        model = self.spec.model
-        f = self.spec.rhs()
-        worst = 0.0
-        for tk, sk in zip(self.t, self.states):
-            d = f(tk, sk)
-            speed = model.metric_speed(sk[0], sk[1], d[0], d[1])
-            worst = max(worst, abs(float(speed) - 1.0))
-        return worst
+        x, y = self.states[:, 0], self.states[:, 1]
+        d = self.spec.rhs()(0.0, self.states.T)
+        speed = self.spec.model.metric_speed(x, y, d[0], d[1])
+        return float(np.max(np.abs(speed - 1.0), initial=0.0))
 
 
 def integrate_orbit(spec, p0: SMPoint, t_span, stop_at_boundary=None,

@@ -30,6 +30,8 @@ from .fields import (FrameOperator, SMPoint, SMScalarField, _as_field,
 TWO_PI = 2.0 * np.pi
 # the largest commutator residual a model may show on its validation grid
 STRUCTURE_TOLERANCE = 1e-6
+# the base window (x0, x1), (y0, y1) that samples plane (synthetic) models
+PLANE_WINDOW = ((-0.4, 0.4), (-0.4, 0.4))
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class Domain:
     """Base domain: periodic unit square, closed unit disk, or a plane window."""
 
     kind: str  # 'torus' | 'disk' | 'plane'
-    window: tuple = ((0.0, 1.0), (0.0, 1.0))  # sampling box for plane/torus
 
     @property
     def has_boundary(self):
@@ -54,7 +55,7 @@ class Domain:
 
 
 TORUS = Domain("torus")
-DISK = Domain("disk", window=((-1.0, 1.0), (-1.0, 1.0)))
+DISK = Domain("disk")
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,10 @@ def build_surface_model(kind, phi=None, synthetic=None):
 
     kind 'conformal_torus'/'conformal_disk' takes a conformal exponent
     (expression text or AST); kind 'synthetic' takes a SyntheticSpec, on
-    the window [-0.4, 0.4]^2.  Commutator residuals are checked on an 8^3
-    grid; ValidationFailed, carrying the residual report, is raised when
-    one exceeds STRUCTURE_TOLERANCE.
+    the window PLANE_WINDOW = [-0.4, 0.4]^2.  Commutator residuals are
+    checked on an 8^3 grid; ValidationFailed, carrying the residual
+    report, is raised when one exceeds STRUCTURE_TOLERANCE or is not a
+    number.
     """
     if kind in ("conformal_torus", "conformal_disk"):
         phi_expr = ex.as_expr(phi if phi is not None else "0")
@@ -188,7 +190,7 @@ def build_surface_model(kind, phi=None, synthetic=None):
     elif kind == "synthetic":
         if synthetic is None:
             raise ValueError("synthetic kind needs a SyntheticSpec")
-        domain = Domain("plane", window=((-0.4, 0.4), (-0.4, 0.4)))
+        domain = Domain("plane")
         model = SurfaceModel(
             kind=kind, domain=domain,
             frame=FrameTriple(synthetic.X, synthetic.H, synthetic.V),
@@ -199,10 +201,10 @@ def build_surface_model(kind, phi=None, synthetic=None):
         raise ValueError(f"unknown surface kind {kind!r}")
 
     report = validate_structure_relations(model)
-    worst = max(r["max"] for r in report.values())
-    if worst > STRUCTURE_TOLERANCE:
+    worst = float(np.max([r["max"] for r in report.values()]))
+    if not worst <= STRUCTURE_TOLERANCE:
         raise ValidationFailed(
-            f"commutator residual {worst:.3e} exceeds tolerance "
+            f"commutator residual {worst:.3e} is not within tolerance "
             f"{STRUCTURE_TOLERANCE:.1e}", residuals=report)
     return model
 
@@ -301,7 +303,7 @@ def validation_grid_points(model, grid_spec):
         Y3, _ = np.meshgrid((R * np.sin(A)).ravel(), ts, indexing="ij")
         return X3.ravel(), Y3.ravel(), T3.ravel()
     else:
-        (x0, x1), (y0, y1) = model.domain.window
+        (x0, x1), (y0, y1) = PLANE_WINDOW
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
     ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
@@ -313,8 +315,9 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
     """Max/RMS residuals of the frame commutation relations on a grid.
 
     Residuals are measured by applying both sides of each relation to a
-    small set of probe fields.  When lam is given, the three thermostat
-    relations for F = X + lam V are checked as well.
+    small set of probe fields; a NaN residual makes the relation's max NaN.
+    When lam is given, the three thermostat relations for F = X + lam V
+    are checked as well.
     """
     X, H, V = model.frame.X, model.frame.H, model.frame.V
     I, J, K = model.I, model.J, model.K
@@ -331,7 +334,7 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
         count = 0
         for f in probe_fields:
             vals = make_residual_field(f).eval(xg, yg, tg)
-            worst_max = max(worst_max, float(np.max(np.abs(vals))))
+            worst_max = float(np.maximum(worst_max, np.max(np.abs(vals))))
             sq_sum += float(np.sum(vals ** 2))
             count += vals.size
         relations[name] = {"max": worst_max,

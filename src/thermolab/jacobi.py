@@ -20,6 +20,12 @@ Riccati solutions are always obtained through the linear system
 (r = y'/y), which turns blowups into exact zeros of y; the fan variant
 z/y differs from y'/y by lam I.
 
+The finite-window solution r_R^+/- (`solve_riccati_finite`) walks the
+base orbit from the state to -/+R and integrates the combined system from
+there to +/-R in runs of at most 5 time units, rescaling (a, y, z) between
+runs; `RiccatiTrace.r_at` reads r on [-R, R] off the runs' dense
+solutions.
+
 The limits r+/- = lim r_R^+/-(0) are read off one walk per sign
 (`riccati_doubling`): the orbit and the columns (y, z)(0) = (1, 0) and
 (0, 1) are integrated from the state towards the launch side only
@@ -70,52 +76,35 @@ class JacobiCoefficients:
     (`ThermostatSpec.coefficients()`)."""
 
     def __init__(self, spec: ThermostatSpec):
-        self.lam = spec.lam
-        self.curvatures = derived_curvatures(spec.model, spec.lam)
-        self._fields = None
-        self._rhs = None
-        self._columns_rhs = None
+        self.curvatures = dc = derived_curvatures(spec.model, spec.lam)
+        # the generator's coefficients and lam, lam I, core, V(lam)
+        fields = compile_fields((dc.F.c_x, dc.F.c_y, dc.F.c_theta, spec.lam,
+                                 dc.lamI, dc.core, dc.Vlam))
 
-    def _compiled(self):
-        """The generator's coefficients and lam, lam I, core, V(lam), as one
-        function (x, y, theta) -> values, compiled on the first call."""
-        if self._fields is None:
-            dc = self.curvatures
-            self._fields = compile_fields((dc.F.c_x, dc.F.c_y, dc.F.c_theta,
-                                           self.lam, dc.lamI, dc.core,
-                                           dc.Vlam))
-        return self._fields
+        def rhs(t, s):
+            x, y, th, a, jy, jz = np.asarray(s, dtype=float)
+            dx, dy, dth, lam, lamI, core, Vlam = fields(x, y, th)
+            return (dx, dy, dth,
+                    lam * jy,
+                    lamI * jy + jz,
+                    -core * jy + Vlam * jz)
+
+        def columns_rhs(t, s):
+            x, y, th, y1, z1, y2, z2 = np.asarray(s, dtype=float)
+            dx, dy, dth, _, lamI, core, Vlam = fields(x, y, th)
+            return (dx, dy, dth,
+                    lamI * y1 + z1, -core * y1 + Vlam * z1,
+                    lamI * y2 + z2, -core * y2 + Vlam * z2)
+        self._rhs, self._columns_rhs = rhs, columns_rhs
 
     def rhs(self):
-        """Right-hand side f(t, s) of orbit + (a, y, z), built on the first
-        call and kept here."""
-        if self._rhs is None:
-            fields = self._compiled()
-
-            def f(t, s):
-                x, y, th, a, jy, jz = np.asarray(s, dtype=float)
-                dx, dy, dth, lam, lamI, core, Vlam = fields(x, y, th)
-                return (dx, dy, dth,
-                        lam * jy,
-                        lamI * jy + jz,
-                        -core * jy + Vlam * jz)
-            self._rhs = f
+        """Right-hand side f(t, s) of orbit + (a, y, z)."""
         return self._rhs
 
     def columns_rhs(self):
         """Right-hand side f(t, s) of orbit + two (y, z) columns, the state
-        (x, y, theta, y1, z1, y2, z2); built on the first call from the
-        same compiled coefficients as `rhs` and kept here."""
-        if self._columns_rhs is None:
-            fields = self._compiled()
-
-            def f(t, s):
-                x, y, th, y1, z1, y2, z2 = np.asarray(s, dtype=float)
-                dx, dy, dth, _, lamI, core, Vlam = fields(x, y, th)
-                return (dx, dy, dth,
-                        lamI * y1 + z1, -core * y1 + Vlam * z1,
-                        lamI * y2 + z2, -core * y2 + Vlam * z2)
-            self._columns_rhs = f
+        (x, y, theta, y1, z1, y2, z2), from the same compiled coefficients
+        as `rhs`."""
         return self._columns_rhs
 
 
@@ -129,10 +118,6 @@ class JacobiTrajectory:
     sol: DenseSolution
     zeros: np.ndarray           # the times where y = 0, in time order
 
-    def jacobi_state(self, t):
-        s = np.asarray(self.sol(t))
-        return s[3], s[4], s[5]
-
     @property
     def a(self):
         return self.states[:, 3]
@@ -144,16 +129,6 @@ class JacobiTrajectory:
     @property
     def z(self):
         return self.states[:, 5]
-
-    def base_state(self, t):
-        return np.asarray(self.sol(t))[:3]
-
-    def ydot(self, t):
-        """y' = lam I y + z along the trajectory."""
-        s = np.asarray(self.sol(t))
-        lamI = self.spec.coefficients().curvatures.lamI.eval(s[0], s[1],
-                                                             s[2])
-        return float(lamI * s[4] + s[5])
 
     def conjugate_times(self):
         """The zeros of y after the start: the conjugate times of the
@@ -191,17 +166,14 @@ def second_order_residual(traj: JacobiTrajectory):
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     lo, hi = min(t0, t1), max(t0, t1)
     ts = np.linspace(lo + 2 * h, hi - 2 * h, 50)
-    worst = 0.0
-    for t in ts:
-        yd = traj.ydot(t)
-        ydd = (traj.ydot(t + h) - traj.ydot(t - h)) / (2 * h)
-        s = traj.base_state(t)
-        lamI = dc.lamI.eval(*s)
-        Vlam = dc.Vlam.eval(*s)
-        Klam = dc.K_lambda.eval(*s)
-        y = float(traj.sol(t)[4])
-        worst = max(worst, abs(ydd - (lamI + Vlam) * yd + Klam * y))
-    return float(worst)
+    s, s_plus, s_minus = (traj.sol(t) for t in (ts, ts + h, ts - h))
+    # y' = lam I y + z
+    yd, yd_plus, yd_minus = (dc.lamI.eval(*u[:3]) * u[4] + u[5]
+                             for u in (s, s_plus, s_minus))
+    ydd = (yd_plus - yd_minus) / (2 * h)
+    lamI, Vlam, Klam = (f.eval(*s[:3]) for f in (dc.lamI, dc.Vlam,
+                                                 dc.K_lambda))
+    return float(np.max(np.abs(ydd - (lamI + Vlam) * yd + Klam * s[4])))
 
 
 def detect_conjugate_points(spec, p0: SMPoint, T):
@@ -212,35 +184,32 @@ def detect_conjugate_points(spec, p0: SMPoint, T):
 
 @dataclass
 class RiccatiTrace:
-    """Sampled r(t) along an orbit with blowup and bound metadata."""
+    """r_R^+/- on the window [-R, R], from the dense solutions of the
+    renormalized runs that cover it."""
 
-    t: np.ndarray
-    r: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    blowup_times: list
-    sign: str
     R: float
     segments: list              # (t_lo, t_hi, sol)
     lamI_eval: object
 
     def r_at(self, t):
-        """r = y'/y at parameter t, from the dense segment solutions."""
+        """r = y'/y at parameter t in [-R, R], from the dense segment
+        solutions; ValueError outside the window."""
         for t_lo, t_hi, sol in self.segments:
             if min(t_lo, t_hi) - 1e-12 <= t <= max(t_lo, t_hi) + 1e-12:
                 s = np.asarray(sol(t))
                 lamI = self.lamI_eval(s[0], s[1], s[2])
                 return float((lamI * s[4] + s[5]) / s[4])
-        return float(np.interp(t, self.t, self.r))
+        raise ValueError(f"t={t!r} is outside the Riccati window "
+                         f"[-{self.R!r}, {self.R!r}]")
 
 
-def _renormalized_run(spec, rhs, event, state, t_now, t_end, size):
+def _renormalized_run(spec, rhs, event, state, t_now, t_end):
     """One run of `integrate` from state at t_now towards t_end, at most 5
     time units long, to JACOBI_RTOL and JACOBI_ATOL.  Returns its end
     time, the run, and the start state of the next run: the end state with
-    the Jacobi coordinates (state[3:]) divided by size(end state) when that
-    exceeds 1e6, which dodges overflow and leaves every ratio of Jacobi
-    coordinates unchanged.
+    the Jacobi coordinates (state[3:]) divided by their largest magnitude
+    when that exceeds 1e6, which dodges overflow and leaves every ratio of
+    Jacobi coordinates unchanged.
     """
     direction = 1.0 if t_end > t_now else -1.0
     t_next = t_now + direction * min(5.0, abs(t_end - t_now))
@@ -257,61 +226,10 @@ def _renormalized_run(spec, rhs, event, state, t_now, t_end, size):
     if run.outcome[0] == STEP_FAILED:
         raise StepFailure(f"Riccati {run.reason(0)}")
     state = run.end_state[0].copy()
-    scale = size(state)
+    scale = np.max(np.abs(state[3:]))
     if scale > 1e6:
         state[3:] /= scale
     return t_next, run, state
-
-
-def _integrate_renormalized(spec, start_point, t_start, t_end):
-    """Integrate the combined system with (a,y,z)(t_start) = (0,0,1),
-    renormalizing (y,z) per segment to dodge overflow; returns sample arrays
-    and zero-crossing times of y.  r = y'/y is invariant under the scaling.
-    """
-    # walk the base orbit to t_start first
-    if t_start != 0.0:
-        # NaN stages near the chart edge: see `_renormalized_run`
-        with np.errstate(invalid="ignore"):
-            base = integrate_orbit(spec, start_point, (0.0, t_start),
-                                   stop_at_boundary=False, rtol=JACOBI_RTOL,
-                                   atol=JACOBI_ATOL)
-        s = base.state(t_start)
-        p = SMPoint(s[0], s[1], s[2])
-    else:
-        p = start_point
-
-    direction = 1.0 if t_end > t_start else -1.0
-    coeffs = spec.coefficients()
-    rhs = coeffs.rhs()
-    state = np.array([p.x, p.y, p.theta, 0.0, 0.0, 1.0])
-    t_now = t_start
-    ts_all, r_all, y_all, z_all, zeros = [], [], [], [], []
-    segments = []
-    lamI_f = coeffs.curvatures.lamI.eval
-
-    while direction * (t_end - t_now) > 1e-14:
-        t_next, run, state = _renormalized_run(
-            spec, rhs, Y_ZEROS, state, t_now, t_end,
-            lambda s: max(abs(s[4]), abs(s[5])))
-        for tz in run.event_times(0):
-            if abs(tz - t_start) > 1e-9:
-                zeros.append(float(tz))
-        sol = run.solution(0)
-        ts = np.linspace(t_now, t_next, 64)
-        ys = sol(ts)
-        lamI = lamI_f(ys[0], ys[1], ys[2])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (lamI * ys[4] + ys[5]) / ys[4]
-        ts_all.append(ts)
-        r_all.append(r)
-        y_all.append(ys[4])
-        z_all.append(ys[5])
-        segments.append((t_now, t_next, sol))
-        t_now = t_next
-
-    return (np.concatenate(ts_all), np.concatenate(r_all),
-            np.concatenate(y_all), np.concatenate(z_all), sorted(zeros),
-            segments)
 
 
 def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", eval_window=None):
@@ -319,29 +237,42 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", eval_window=None):
 
     sign '+': y(-R)=0, y'(-R)=1, integrated forward over (-R, R];
     sign '-': y(+R)=0, y'(+R)=1, integrated backward over [-R, R).
-    Raises BlowupInsideWindow when y vanishes strictly inside the
-    evaluation window (default: the open interval between the endpoints).
+    The base orbit is walked from the state to the start of the window,
+    and the combined system is integrated from there in runs of at most 5
+    time units, (a, y, z) being rescaled between runs (`_renormalized_run`;
+    r = y'/y is invariant under the scaling).  Raises BlowupInsideWindow
+    when y vanishes strictly inside the evaluation window (default: the
+    open interval between the endpoints).
     """
-    if sign == "+":
-        t_start, t_end = -R, R
-    elif sign == "-":
-        t_start, t_end = R, -R
-    else:
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    ts, rs, ys, zs, zeros, segments = _integrate_renormalized(
-        spec, p0, float(t_start), float(t_end))
+    t_start = -float(R) if sign == "+" else float(R)
+    # NaN stages near the chart edge: see `_renormalized_run`
+    with np.errstate(invalid="ignore"):
+        base = integrate_orbit(spec, p0, (0.0, t_start),
+                               stop_at_boundary=False, rtol=JACOBI_RTOL,
+                               atol=JACOBI_ATOL)
+    coeffs = spec.coefficients()
+    state = np.concatenate([base.state(t_start), [0.0, 0.0, 1.0]])
+    t_end = -t_start
+    direction = 1.0 if sign == "+" else -1.0
+    t_now, zeros, segments = t_start, [], []
+    while direction * (t_end - t_now) > 1e-14:
+        t_next, run, state = _renormalized_run(spec, coeffs.rhs(), Y_ZEROS,
+                                               state, t_now, t_end)
+        zeros += [float(t) for t in run.event_times(0)
+                  if abs(t - t_start) > 1e-9]
+        segments.append((t_now, t_next, run.solution(0)))
+        t_now = t_next
     if eval_window is None:
         eval_window = (-R + 1e-9, R - 1e-9)
-    inside = [t for t in zeros if eval_window[0] < t < eval_window[1]]
+    inside = [t for t in sorted(zeros) if eval_window[0] < t < eval_window[1]]
     if inside:
         raise BlowupInsideWindow(
             f"Jacobi solution vanished inside the window at t={inside[0]:.6g} "
             f"(conjugate point witness)", times=inside)
-    order = np.argsort(ts)
-    return RiccatiTrace(t=ts[order], r=rs[order], y=ys[order], z=zs[order],
-                        blowup_times=zeros, sign=sign, R=float(R),
-                        segments=segments,
-                        lamI_eval=spec.coefficients().curvatures.lamI.eval)
+    return RiccatiTrace(R=float(R), segments=segments,
+                        lamI_eval=coeffs.curvatures.lamI.eval)
 
 
 def riccati_doubling(spec, p0: SMPoint, sign="+"):
@@ -373,8 +304,7 @@ def riccati_doubling(spec, p0: SMPoint, sign="+"):
     while True:
         while R - abs(t_now) > 1e-14:
             t_now, run, state = _renormalized_run(
-                spec, rhs, Y2_ZEROS, state, t_now, direction * R,
-                lambda s: np.max(np.abs(s[3:])))
+                spec, rhs, Y2_ZEROS, state, t_now, direction * R)
             # y2 = 0 at the start: not a conjugate time
             zeros += [float(t) for t in run.event_times(0) if abs(t) > 1e-9]
         if zeros:
@@ -515,10 +445,9 @@ def exterior_fan_r(spec, states, margin=0.1):
     fan = integrate(spec, launch, t0, 0.0, rhs=spec.coefficients().rhs(),
                     event=Y_ZEROS)
     fan.require_steps()
-    for i, start in enumerate(t0):
-        zeros = fan.event_times(i)
-        zeros = zeros[zeros > start + 1e-9]
-        if zeros.size:
-            raise RiccatiUnavailable(
-                f"conjugate point on the fan at t={zeros[0]:.6g}")
+    late = fan.event_t > t0[fan.event_orbit] + 1e-9
+    if np.any(late):
+        raise RiccatiUnavailable(
+            f"conjugate point on the fan at "
+            f"t={fan.event_t[np.argmax(late)]:.6g}")
     return fan.end_state[:, 5] / fan.end_state[:, 4]

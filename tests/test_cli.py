@@ -264,15 +264,20 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("T", ["NaN", "1e400"])
-def test_non_finite_time_span_is_config_error(tmp_path, T):
+@pytest.mark.parametrize("command, text", [
+    ("flow", '{"schema": 1, "T": NaN}'),
+    ("flow", '{"schema": 1, "T": 1e400}'),
+    ("flow", '{"schema": 1, "n_samples": 1e400}'),
+    ("validate", '{"schema": 1, "grid": 1e400}'),
+], ids=["NaN", "1e400", "n_samples-1e400", "grid-1e400"])
+def test_non_finite_time_span_is_config_error(tmp_path, command, text):
     # JSON reads NaN as a literal and 1e400 as inf; a run over such a span
     # never ends, so it runs in a subprocess with a timeout
     path = tmp_path / "c.json"
-    path.write_text('{"schema": 1, "T": %s}' % T)
+    path.write_text(text)
     src = os.path.dirname(os.path.dirname(thermolab.__file__))
     done = subprocess.run(
-        [sys.executable, "-m", "thermolab.cli", "flow", "--config",
+        [sys.executable, "-m", "thermolab.cli", command, "--config",
          str(path)], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_CONFIG

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from thermolab.errors import DomainError
+from thermolab.errors import DomainError, ValidationFailed
 from thermolab.fields import SMScalarField
-from thermolab.geometry import SyntheticSpec, build_surface_model, \
-    classify_magnetic, constant_curvature_model, derived_curvatures, \
-    euclidean_disk, flat_torus, validate_structure_relations, \
-    velocity_pairing
+from thermolab.geometry import STRUCTURE_TOLERANCE, SyntheticSpec, \
+    build_surface_model, classify_magnetic, constant_curvature_model, \
+    derived_curvatures, euclidean_disk, flat_torus, \
+    validate_structure_relations, velocity_pairing
 
 
 def worst(report):
@@ -58,6 +58,27 @@ def test_synthetic_spec_without_phi_gets_zero():
     assert model.phi.expression is not None
     assert np.array_equal(model.conformal_factor(np.array([0.1, -0.2]), 0.3),
                           [1.0, 1.0])
+
+
+def test_wrong_curvature_rejected():
+    # the flat frame declared with K = 1 breaks [X, H] = K V alone
+    flat = flat_torus()
+    X, H, V = flat.frame.X, flat.frame.H, flat.frame.V
+    spec = SyntheticSpec(X=X, H=H, V=V, I=flat.I, J=flat.J,
+                         K=SMScalarField.constant(1.0))
+    with pytest.raises(ValidationFailed) as info:
+        build_surface_model("synthetic", synthetic=spec)
+    failed = [name for name, r in info.value.residuals.items()
+              if not r["max"] <= STRUCTURE_TOLERANCE]
+    assert failed == ["[X,H]-KV"]
+
+
+def test_nan_residuals_rejected():
+    # sqrt(x + 0.5) is NaN on the disk's validation points with x < -0.5
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValidationFailed) as info:
+            build_surface_model("conformal_disk", phi="sqrt(x+0.5)")
+    assert all(np.isnan(r["max"]) for r in info.value.residuals.values())
 
 
 def test_gauss_curvature_formula():

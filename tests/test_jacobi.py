@@ -104,6 +104,20 @@ def test_riccati_flat():
     assert trace.r_at(0.0) == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_riccati_trace_refuses_times_outside_the_window(sign):
+    spec = geodesic_spec(flat_torus())
+    trace = solve_riccati_finite(spec, SMPoint(0.1, 0.1, 0.4), 2.0,
+                                 sign=sign)
+    # y = t + 2 (sign +) or t - 2 (sign -), so r = 1/y is 1/4 or -1/4 at
+    # the far end of the window, which is still inside it
+    far = 2.0 if sign == "+" else -2.0
+    assert trace.r_at(far) == pytest.approx(1.0 / (2.0 * far), abs=1e-10)
+    for t in (-2.5, 2.5):
+        with pytest.raises(ValueError):
+            trace.r_at(t)
+
+
 def test_riccati_limits_hyperbolic():
     spec = geodesic_spec(constant_curvature_model(-1.0))
     r_plus, r_minus = solve_riccati_limit(spec, SMPoint(0.0, 0.0, 0.3))
