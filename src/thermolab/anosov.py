@@ -23,8 +23,12 @@ Three probes of long-time flow behaviour:
   (u = c(x) / cos theta cut off near cos theta = 0), and without the band
   the grid residual of h = sin 2 pi x falls like sqrt(2 / n).
   `GridTransportOperator` assembles the 4th-order periodic stencil of F
-  once as a sparse CSR matrix, so each conjugate-gradient matvec on the
-  normal equations is one product with F and one with its transpose.
+  and its transpose once as sparse CSR matrices, so each conjugate-gradient
+  matvec on the normal equations is one product with F and one with its
+  transpose.  The conjugate gradients are preconditioned by the normal
+  operator of F with its coefficients averaged over the torus at each
+  fiber angle, which is block diagonal in the spatial Fourier modes
+  (`_frozen_preconditioner`; T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988).
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from .geometry import derived_curvatures, validation_grid_points, \
     velocity_pairing
 
 TWO_PI = 2.0 * np.pi
+# the 4th-order central difference as (np.roll shift, weight / 12h) pairs:
+# f'[i] ~ (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h
+STENCIL = ((-2, -1.0), (-1, 8.0), (1, -8.0), (2, 1.0))
 # fiber degree M of the cohomology unknowns: the modes a 16-point fiber
 # grid holds in full, so solves on grids with n <= 16 are not cut
 FIBER_BAND = 8
@@ -49,6 +56,12 @@ FIBER_BAND = 8
 # tolerance and the iteration cap
 CG_TOL = 1e-10
 CG_MAXITER = 10000
+# regularization of the frozen-coefficient preconditioner, relative to the
+# largest entry of its blocks.  Operator applies of CG on the curved torus
+# (phi = 0.1 sin 2 pi x cos 2 pi y, lam = 0.2 sin 2 pi y) at eps = 1e-2,
+# 1e-3, 1e-4: 393, 265, 484 at n=16 on the exact gauge w_x = 2 pi cos 2 pi x
+# and 46, 29, 47 at n=32 on h = sin 2 pi x
+PRECOND_EPS = 1e-3
 
 
 @dataclass
@@ -152,7 +165,8 @@ class GridTransportOperator:
     f' ~ (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h.  The stencil is
     assembled once as the sparse matrix `F` (12 entries per row, offsets
     +-1 and +-2 on each axis), so applying the operator is one sparse
-    product and its adjoint one product with the transpose view `F.T`.
+    product and its adjoint one product with the transpose `FT`, stored
+    once as CSR.
     """
 
     def __init__(self, model, lam, n):
@@ -171,6 +185,7 @@ class GridTransportOperator:
             np.broadcast_to(c, X.shape).astype(float)
             for c in ThermostatSpec(model, lam).rhs()(0.0, (X, Y, T)))
         self.F = self._assemble()
+        self.FT = self.F.T.tocsr()
 
     def _assemble(self):
         """The stencil as a CSR matrix on the C-ordered flattened grid.
@@ -187,8 +202,7 @@ class GridTransportOperator:
                 (self.ct, self.h_t))
         k = 0
         for axis, (c, h) in enumerate(axes):
-            for shift, weight in ((-2, -1.0), (-1, 8.0), (1, -8.0),
-                                  (2, 1.0)):
+            for shift, weight in STENCIL:
                 cols[..., k] = np.roll(index, shift, axis=axis)
                 data[..., k] = c * (weight / (12.0 * h))
                 k += 1
@@ -205,7 +219,7 @@ class GridTransportOperator:
         return (self.F @ u.ravel()).reshape(u.shape)
 
     def apply_adjoint(self, v):
-        return (self.F.T @ v.ravel()).reshape(v.shape)
+        return (self.FT @ v.ravel()).reshape(v.shape)
 
 
 def _fiber_band_projector(n, band):
@@ -222,6 +236,55 @@ def _fiber_band_projector(n, band):
         c[..., band + 1:] = 0.0
         return np.fft.irfft(c, n=n, axis=2)
     return project
+
+
+def _frozen_preconditioner(op):
+    """Preconditioner of the band-limited normal operator P F^T F P.
+
+    Averaging c_x, c_y and c_theta over (x, y) at each theta freezes F into
+    an operator that is diagonal in the (k_x, k_y) Fourier modes, with one
+    n x n theta-block per mode,
+    B_k = diag(i s(k_x) c_x + i s(k_y) c_y) + diag(c_theta) D_theta,
+    where s(k) = (8 sin a - sin 2a) / 6h, a = 2 pi k / n, is the symbol of
+    the 4th-order stencil and D_theta its periodic theta matrix.  With W
+    the orthonormal DFT rows of the fiber modes |m| <= FIBER_BAND, mode k
+    is preconditioned by W^H (W B_k^H B_k W^H + eps m I)^{-1} W, where m is
+    the largest entry of any B_k^H B_k and eps = PRECOND_EPS.  Each block
+    is Hermitian positive definite, so the map is symmetric positive
+    definite on the band and zero off it.  When the band holds the whole
+    fiber grid (n <= 2 FIBER_BAND), W is unitary and the map is
+    (B_k^H B_k + eps m I)^{-1}.  Past that it inverts the band part of
+    B_k^H B_k instead of taking the band part of the inverse: its blocks
+    stay 17 x 17, and on the n=32 curved torus CG takes 29 operator
+    applies where the band part of the inverse takes 100.
+    """
+    n = op.n
+    cx, cy, ct = (c.mean(axis=(0, 1)) for c in (op.cx, op.cy, op.ct))
+    a = TWO_PI * np.arange(n) / n
+    s = (8.0 * np.sin(a) - np.sin(2.0 * a)) / (6.0 * op.h_xy)
+    eye = np.eye(n)
+    # row i holds column i - shift, as in GridTransportOperator._assemble
+    d_theta = sum(np.roll(eye, -shift, axis=1) * (weight / (12.0 * op.h_t))
+                  for shift, weight in STENCIL)
+    modes = np.fft.fftfreq(n, 1.0 / n)
+    W = np.fft.fft(eye, axis=0, norm="ortho")[np.abs(modes) <= FIBER_BAND]
+    Wh = W.conj().T
+    # rfft2 keeps the modes k_y <= n // 2; the others are conjugates
+    diag = 1j * (s[:, None, None] * cx + s[:n // 2 + 1, None] * cy)
+    # B_k W^H, whose Gram matrix is W B_k^H B_k W^H
+    BW = diag[..., None] * Wh + ct[:, None] * (d_theta @ Wh)
+    gram = np.matmul(BW.conj().swapaxes(-1, -2), BW)
+    # the diagonal of B_k^H B_k holds its largest entries: the squared
+    # column norms of B_k (D_theta has a zero diagonal)
+    m = float((np.abs(diag) ** 2
+               + ((ct[:, None] * d_theta) ** 2).sum(axis=0)).max())
+    blocks = np.linalg.inv(gram + PRECOND_EPS * m * np.eye(len(W)))
+
+    def apply(u):
+        c = np.fft.rfft2(u, axes=(0, 1)) @ W.T
+        c = np.matmul(blocks, c[..., None])[..., 0] @ Wh.T
+        return np.fft.irfft2(c, s=(n, n), axes=(0, 1))
+    return apply
 
 
 def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
@@ -244,10 +307,17 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
     no such node and reads every right-hand side as exact (sin 2 pi x on
     the flat torus gives 0 at n = 9, 15 and 17), so it raises DomainError.
 
+    The normal equations are solved by conjugate gradients preconditioned
+    with the frozen-coefficient Fourier blocks of `_frozen_preconditioner`.
+    The minimizer is a least-squares minimizer but not in general the
+    minimum-norm one: where F has a null space on the band (the full n=16
+    grid of a curved torus) it carries a part of that null space, which
+    changes neither F u nor the residual.
+
     Returns the normalized residual, the mean-zero minimizer, and solver
-    diagnostics.  Raises SolverDiverged when conjugate gradients on the
-    normal equations exhausts the iteration cap CG_MAXITER without meeting
-    the tolerance CG_TOL.
+    diagnostics.  Raises SolverDiverged, naming the grid and the band, when
+    the preconditioned conjugate gradients exhaust the iteration cap
+    CG_MAXITER without meeting the tolerance CG_TOL.
     """
     if n % 2 == 1 and n <= 2 * FIBER_BAND + 1:
         raise DomainError(
@@ -289,17 +359,23 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
         u = np.zeros(shape)
         info = 0
     else:
-        # from u = 0, CG stays in the range of the normal operator and so
-        # returns the minimum-norm minimizer
-        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER)
+        precondition = _frozen_preconditioner(op)
+        M = LinearOperator((size, size), dtype=float, matvec=lambda v:
+                           precondition(v.reshape(shape)).ravel())
+        # preconditioned CG from u = 0 returns a minimizer but, where F
+        # has a null space on the band, not the minimum-norm one: M does
+        # not keep the iterates off that null space
+        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER, M=M)
         if info > 0:
             # the normal equations are consistent but can stagnate near the
             # attainable floor; accept if the gradient is already tiny
             grad = np.linalg.norm(b - A.matvec(sol)) / nb
             if grad > 1e3 * CG_TOL:
                 raise SolverDiverged(
-                    f"conjugate gradients hit the {CG_MAXITER}-iteration cap "
-                    f"with normal-equation residual {grad:.3e}")
+                    f"cohomology solve on the n={n} grid, fiber band |m| <= "
+                    f"{FIBER_BAND}: preconditioned conjugate gradients hit "
+                    f"the {CG_MAXITER}-iteration cap with normal-equation "
+                    f"residual {grad:.3e}")
         u = project(sol.reshape(shape))
     u = u - float(np.mean(u))
     misfit = op.apply(u) - rhs

@@ -130,10 +130,23 @@ def _finite_float(text):
     return value
 
 
+def _float_sized_int(text):
+    # commands read numbers with float(), which raises OverflowError on an
+    # integer past the float range
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"the {len(text)}-digit integer in the config "
+                         "does not fit a float") from None
+    return value
+
+
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_refuse_constant,
-                        parse_float=_finite_float)
+                        parse_float=_finite_float,
+                        parse_int=_float_sized_int)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from thermolab import anosov
 from thermolab.anosov import FIBER_BAND
-from thermolab.errors import DomainError
+from thermolab.errors import DomainError, SolverDiverged
 from thermolab.anosov import GridTransportOperator, cohomological_residual, \
     quadratic_form_rate, theoremD_criterion
 from thermolab.fields import SMPoint, SMScalarField
@@ -193,3 +194,60 @@ def test_cohomology_odd_full_grid_refused():
         pytest.approx(1.0 / 3.0, rel=1e-8)
     assert cohomological_residual(ft, 0.0, h=h, n=16)["residual"] == \
         pytest.approx(np.sqrt(2.0 / 16), rel=1e-6)
+
+
+def _curved_torus():
+    # the model and intensity of the benchmark's cohomology job
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    return model, SMScalarField.from_expression("0.2*sin(2*pi*y)")
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_preconditioner_symmetric_positive_definite_on_band(n):
+    # preconditioned CG needs a symmetric positive definite M on the band
+    op = GridTransportOperator(*_curved_torus(), n)
+    precondition = anosov._frozen_preconditioner(op)
+    project = anosov._fiber_band_projector(n, FIBER_BAND)
+    rng = np.random.default_rng(n)
+    u, v = (project(rng.standard_normal(op.X.shape)) for _ in range(2))
+    Mu, Mv = precondition(u), precondition(v)
+    uMv = np.vdot(u, Mv)
+    assert abs(uMv - np.vdot(Mu, v)) <= 1e-12 * abs(uMv)
+    assert np.vdot(u, Mu) > 0.0
+    # it reads and writes only the band: M = P M P
+    w = rng.standard_normal(op.X.shape)
+    Mw = precondition(w)
+    assert np.linalg.norm(project(Mw) - Mw) <= 1e-12 * np.linalg.norm(Mw)
+    assert np.linalg.norm(precondition(project(w)) - Mw) <= \
+        1e-12 * np.linalg.norm(Mw)
+
+
+def test_cohomology_preconditioned_work(monkeypatch):
+    # the benchmark's cohomology job took 2974 operator applies with
+    # plain conjugate gradients
+    calls = []
+    apply = GridTransportOperator.apply
+
+    def counting_apply(self, u):
+        calls.append(1)
+        return apply(self, u)
+    monkeypatch.setattr(GridTransportOperator, "apply", counting_apply)
+    model, lam = _curved_torus()
+    w_x = SMScalarField.from_expression("2*pi*cos(2*pi*x)")
+    res = cohomological_residual(model, lam, w_x=w_x, n=16)
+    assert len(calls) < 400
+    assert res["cg_info"] == 0
+    assert res["residual"] < 1e-8
+
+
+def test_cohomology_divergence_names_grid_and_band(monkeypatch):
+    monkeypatch.setattr(anosov, "CG_MAXITER", 3)
+    model, lam = _curved_torus()
+    w_x = SMScalarField.from_expression("2*pi*cos(2*pi*x)")
+    with pytest.raises(SolverDiverged) as failure:
+        cohomological_residual(model, lam, w_x=w_x, n=16)
+    message = str(failure.value)
+    for part in ("n=16", f"|m| <= {FIBER_BAND}", "preconditioned",
+                 "3-iteration cap", "residual"):
+        assert part in message

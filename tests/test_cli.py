@@ -269,7 +269,8 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
     ("flow", '{"schema": 1, "T": 1e400}'),
     ("flow", '{"schema": 1, "n_samples": 1e400}'),
     ("validate", '{"schema": 1, "grid": 1e400}'),
-], ids=["NaN", "1e400", "n_samples-1e400", "grid-1e400"])
+    ("flow", '{"schema": 1, "T": 1' + '0' * 400 + '}'),
+], ids=["NaN", "1e400", "n_samples-1e400", "grid-1e400", "int-1e400"])
 def test_non_finite_time_span_is_config_error(tmp_path, command, text):
     # JSON reads NaN as a literal and 1e400 as inf; a run over such a span
     # never ends, so it runs in a subprocess with a timeout
