@@ -83,8 +83,7 @@ def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
     """Scan the hyperbolicity quantity and flag a negative supremum."""
     dc = derived_curvatures(model, lam)
     x, y, th = validation_grid_points(model, grid_spec)
-    vals = np.asarray(dc.anosovD.eval(x, y, th), dtype=float)
-    vals = np.broadcast_to(vals, x.shape)
+    vals = dc.anosovD.eval(x, y, th)
     k = int(np.argmax(vals))
     sup = float(vals[k])
     return CriterionReport(sup_value=sup,
@@ -109,9 +108,8 @@ class QuadraticFormState:
 def _rate_form(dc, x, y, th):
     """Coefficients (A, B) of the rate form A y^2 + B yz + z^2 of Q = y z:
     A = -core and B = lam I + V(lam), from the coefficient fields dc."""
-    A = -np.asarray(dc.core.eval(x, y, th), dtype=float)
-    B = np.asarray(dc.Vlam.eval(x, y, th), dtype=float) \
-        + np.asarray(dc.lamI.eval(x, y, th), dtype=float)
+    A = -dc.core.eval(x, y, th)
+    B = dc.Vlam.eval(x, y, th) + dc.lamI.eval(x, y, th)
     return A, B
 
 
@@ -211,9 +209,7 @@ class GridTransportOperator:
                           shape=(size, size))
 
     def sample(self, field):
-        field = _as_field(field)
-        return np.broadcast_to(field.eval(self.X, self.Y, self.T),
-                               self.X.shape).astype(float)
+        return _as_field(field).eval(self.X, self.Y, self.T)
 
     def apply(self, u):
         return (self.F @ u.ravel()).reshape(u.shape)
@@ -348,7 +344,7 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
         return project(op.apply_adjoint(op.apply(
             project(v.reshape(shape))))).ravel()
 
-    A = LinearOperator((size, size), matvec=normal_mv)
+    A = LinearOperator((size, size), dtype=float, matvec=normal_mv)
     # F^T rhs at roundoff level means rhs is orthogonal to the range:
     # the minimizer is u = 0 and CG would only chase noise; the scale is
     # the largest column norm of F

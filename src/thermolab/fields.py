@@ -1,14 +1,8 @@
 """Scalar fields on the unit sphere bundle and first-order frame operators.
 
-An SMScalarField wraps a vectorized evaluator over (x, y, theta) together
-with a recipe for its first partial derivatives.  Every field the library
-builds is expression-backed: it evaluates through a compiled
-`expr.Bundle`, built on first use, and differentiates symbolically, so
-nested derivatives stay analytic.  A field from a user callable
-(`from_callable`) brings its own three partials; sums and products of
-such fields take their partials from the sum and product rules when asked.
-A field with neither an expression nor partials has no derivatives:
-asking for one raises TypeError.
+An SMScalarField is one expression over (x, y, theta).  It evaluates
+through a compiled `expr.Bundle`, built on first use, and differentiates
+symbolically, so nested derivatives stay analytic.
 """
 
 from __future__ import annotations
@@ -41,33 +35,17 @@ class SMPoint:
 
 
 class SMScalarField:
-    """Scalar function on the bundle with evaluable first derivatives.
+    """Scalar function on the bundle with derivatives of every order."""
 
-    The derivatives come from the expression AST when there is one, and
-    otherwise from `partials`, a function var -> SMScalarField.
-    """
-
-    def __init__(self, func, expression=None, partials=None):
-        self._func = func
+    def __init__(self, expression):
         self.expression = expression
-        self._partials = partials
+        self._bundle = ex.Bundle([expression])
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_expression(cls, expression):
-        e = ex.as_expr(expression)
-        bundle = ex.Bundle([e])
-        return cls(lambda x, y, theta: bundle(x, y, theta)[0], expression=e)
-
-    @classmethod
-    def from_callable(cls, func, dx, dy, dtheta):
-        """A field from a vectorized callable and its three partials, each
-        an SMScalarField or a callable."""
-        given = {"x": dx, "y": dy, "theta": dtheta}
-        if any(d is None for d in given.values()):
-            raise TypeError("from_callable needs all three partials")
-        return cls(func, partials=lambda var: _field_of(given[var]))
+        return cls(ex.as_expr(expression))
 
     @classmethod
     def constant(cls, value):
@@ -77,72 +55,41 @@ class SMScalarField:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, x, y, theta):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape, theta.shape)
-        out = np.asarray(self._func(x, y, theta), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out
-
-    def __call__(self, p: SMPoint):
-        return float(self.eval(p.x, p.y, p.theta))
+        """Values at broadcastable inputs: a float64 array of their common
+        shape (0-d for scalar inputs)."""
+        return self._bundle(x, y, theta)[0]
 
     # -- derivatives -----------------------------------------------------
 
     def partial(self, var):
-        """Return the partial derivative field with respect to x, y or theta."""
+        """The partial derivative field with respect to x, y or theta."""
         if var not in ("x", "y", "theta"):
             raise ThermolabError(f"unknown variable {var!r}")
-        if self.expression is not None:
-            return SMScalarField.from_expression(self.expression.diff(var))
-        if self._partials is None:
-            raise TypeError("the field has neither an expression nor "
-                            "partials, so it has no derivatives")
-        return self._partials(var)
+        return SMScalarField(self.expression.diff(var))
 
-    # -- algebra (derivative-propagating) --------------------------------
-
-    def _binary(self, other, combine_expr, combine_func, partial_rule):
-        other = _as_field(other)
-        if self.expression is not None and other.expression is not None:
-            return SMScalarField.from_expression(
-                combine_expr(self.expression, other.expression))
-        a, b = self, other
-
-        def func(x, y, theta):
-            return combine_func(a.eval(x, y, theta), b.eval(x, y, theta))
-
-        return SMScalarField(func, partials=lambda v: partial_rule(a, b, v))
+    # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        return self._binary(other, ex.add, np.add,
-                            lambda a, b, v: a.partial(v) + b.partial(v))
+        return SMScalarField(ex.add(self.expression,
+                                   _as_field(other).expression))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, ex.sub, np.subtract,
-                            lambda a, b, v: a.partial(v) - b.partial(v))
+        return SMScalarField(ex.sub(self.expression,
+                                   _as_field(other).expression))
 
     def __rsub__(self, other):
         return _as_field(other).__sub__(self)
 
     def __mul__(self, other):
-        return self._binary(
-            other, ex.mul, np.multiply,
-            lambda a, b, v: a.partial(v) * b + a * b.partial(v))
+        return SMScalarField(ex.mul(self.expression,
+                                   _as_field(other).expression))
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
-
-
-def _field_of(obj):
-    """A given partial as a field; a bare callable has no derivatives."""
-    return obj if isinstance(obj, SMScalarField) else SMScalarField(obj)
 
 
 def _as_field(obj):
@@ -156,17 +103,10 @@ def _as_field(obj):
 
 
 def compile_fields(fields):
-    """One function (x, y, theta) -> tuple of the fields' values.
-
-    Expression-backed fields are compiled together into one straight-line
-    function, which takes float64 scalars or arrays; any other field makes
-    it fall back to each field's own eval.
-    """
-    exprs = [f.expression for f in fields]
-    if all(e is not None for e in exprs):
-        return ex.Bundle(exprs).kernel
-    evals = [f.eval for f in fields]
-    return lambda x, y, theta: tuple(e(x, y, theta) for e in evals)
+    """One function (x, y, theta) -> tuple of the fields' values, compiled
+    together into one straight-line function that takes float64 scalars
+    or arrays."""
+    return ex.Bundle([f.expression for f in fields]).kernel
 
 
 @dataclass(frozen=True)
@@ -184,8 +124,8 @@ class FrameOperator:
     def apply(self, f) -> SMScalarField:
         """Apply the operator to a field, returning a new field.
 
-        Stays in the expression algebra when both the coefficients and f
-        are expression-backed, so repeated application remains analytic.
+        Stays in the expression algebra, so repeated application remains
+        analytic.
         """
         f = _as_field(f)
         return (self.c_x * f.partial("x")

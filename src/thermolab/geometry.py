@@ -261,13 +261,7 @@ def thermostat_generator(model, lam):
 def velocity_pairing(model, w_x, w_y):
     """The base 1-form (w_x, w_y) paired with the unit base velocity
     e^{-phi} (cos theta, sin theta): a field of fiber degree +-1.
-
-    Built with field algebra, so callable-backed components still work;
-    the model's conformal exponent must be expression-backed.
     """
-    if model.phi.expression is None:
-        raise TypeError("velocity_pairing needs an expression-backed "
-                        "conformal exponent")
     emphi = _as_field(ex.call("exp", ex.neg(model.phi.expression)))
     cos_t = ex.call("cos", ex.Var("theta"))
     sin_t = ex.call("sin", ex.Var("theta"))

@@ -219,7 +219,7 @@ def check_pestov_pointwise(model, lam, u, points):
                      + Fu (I Hu + J Vu) + Hu Vu (lam I + V(lam))
 
     with core = K - H(lam) - lam J + lam^2, at the given points.
-    points: (x, y, theta) arrays or a list of SMPoints.
+    points: the (x, y, theta) arrays of the points.
     """
     dc = derived_curvatures(model, lam)
     g = _first_order_fields(dc, model, u)
@@ -231,15 +231,7 @@ def check_pestov_pointwise(model, lam, u, points):
            + Fu * (model.I * Hu + model.J * Vu)
            + Hu * Vu * (dc.lamI + dc.Vlam))
     resid = lhs - rhs
-
-    if isinstance(points, (list, tuple)) and points and \
-            hasattr(points[0], "theta"):
-        xs = np.array([p.x for p in points])
-        ys = np.array([p.y for p in points])
-        ts = np.array([p.theta for p in points])
-    else:
-        xs, ys, ts = (np.asarray(a, dtype=float) for a in points)
-    vals = resid.eval(xs, ys, ts)
+    vals = resid.eval(*points)
     return {"max_residual": float(np.max(np.abs(vals))),
             "rms_residual": float(np.sqrt(np.mean(vals ** 2))),
             "n_points": int(vals.size)}

@@ -118,23 +118,6 @@ def test_rhs_built_once_per_spec(monkeypatch):
     assert f(0.0, [0.1, 0.2, 0.3]) == f(0.0, np.array([0.1, 0.2, 0.3]))
 
 
-def test_rhs_with_callable_intensity():
-    # a closure-backed intensity cannot be compiled: the right-hand side
-    # falls back to the fields' own evaluators and agrees with the
-    # expression-backed one
-    model = build_surface_model("conformal_disk", phi="0.04*(x^2+y^2)")
-    lam_text = "0.2 - 0.1*x"
-    compiled = ThermostatSpec(model, SMScalarField.from_expression(lam_text))
-    lam = SMScalarField.from_expression(lam_text)
-    closure = ThermostatSpec(model, SMScalarField.from_callable(
-        lam.eval, dx=lam.partial("x"), dy=lam.partial("y"),
-        dtheta=lam.partial("theta")))
-    assert closure.lam.expression is None
-    for s in ([0.1, 0.2, 0.3], [-0.5, 0.4, 2.0]):
-        assert np.allclose(closure.rhs()(0.0, s), compiled.rhs()(0.0, s),
-                           rtol=1e-15, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # The batched engine against scipy's RK45, one solve_ivp call per orbit
 # ---------------------------------------------------------------------------

@@ -93,21 +93,6 @@ def test_gauss_curvature_formula():
                                                     rel=1e-12)
 
 
-def test_first_order_readers_take_lam_with_callable_partials():
-    # the magnetic check and the thermostat relations read only first
-    # derivatives of lam, so a lam whose partials are plain callables,
-    # without partials of their own, serves them
-    model = flat_torus()
-    lam = SMScalarField.from_callable(
-        lambda x, y, t: 0.2 * np.sin(2 * np.pi * y),
-        dx=lambda x, y, t: 0.0 * x,
-        dy=lambda x, y, t: 0.4 * np.pi * np.cos(2 * np.pi * y),
-        dtheta=lambda x, y, t: 0.0 * x)
-    assert classify_magnetic(model, lam)["magnetic"]
-    assert worst(validate_structure_relations(model, (6, 6, 6),
-                                              lam=lam)) < 1e-9
-
-
 def test_derived_curvatures_flat_constant_lambda():
     model = flat_torus()
     for c in (0.0, 0.5, -0.3):
@@ -133,49 +118,27 @@ def test_classify_magnetic():
     assert not classify_magnetic(model, lam2)["magnetic"]
 
 
-def test_callable_fields_need_all_partials():
-    f = SMScalarField.from_expression("x*y + sin(theta)")
-    with pytest.raises(TypeError):
-        SMScalarField.from_callable(f.eval, dx=f.partial("x"),
-                                    dy=f.partial("y"))
-    with pytest.raises(TypeError):
-        SMScalarField(f.eval).partial("x")
-    # a product of a callable-backed and an expression-backed field takes
-    # its partials from the product rule
-    g = SMScalarField.from_callable(f.eval, dx=f.partial("x"),
-                                    dy=f.partial("y"),
-                                    dtheta=f.partial("theta").eval)
-    prod = g * SMScalarField.from_expression("cos(x)")
-    assert prod.expression is None
-    exact = (f * SMScalarField.from_expression("cos(x)"))
-    pts = (np.array([0.1, 0.7]), np.array([-0.3, 0.2]), np.array([1.0, 4.0]))
-    for v in ("x", "y", "theta"):
-        assert np.allclose(prod.partial(v).eval(*pts),
-                           exact.partial(v).eval(*pts), rtol=1e-14,
-                           atol=1e-15)
-    # a partial given as a bare callable has no derivatives of its own
-    with pytest.raises(TypeError):
-        g.partial("theta").partial("x")
+def test_field_eval_shape_and_dtype():
+    # eval gives float64 values of the inputs' broadcast shape, also for
+    # fields that do not read every input
+    xs, ys = np.linspace(0.0, 1.0, 5), np.zeros(5, dtype=int)
+    for field, want in ((SMScalarField.constant(2.0), np.full(5, 2.0)),
+                        (SMScalarField.from_expression("x"), xs)):
+        vals = field.eval(xs, ys, 0.3)
+        assert vals.dtype == np.float64 and vals.shape == (5,)
+        assert np.array_equal(vals, want)
+        scalar = field.eval(0.5, 0.2, 0.3)
+        assert scalar.dtype == np.float64 and scalar.shape == ()
+        assert scalar == want[2]
 
 
 def test_velocity_pairing():
     model = build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)")
     omega = velocity_pairing(model, "y", SMScalarField.from_expression("-x"))
-    assert omega.expression is not None
     x, y, th = 0.3, -0.1, 0.7
     assert omega.eval(x, y, th) == pytest.approx(
         np.exp(-0.2 * (x * x - y * y)) * (y * np.cos(th) - x * np.sin(th)),
         rel=1e-14)
-    # a callable-backed component still pairs, through field algebra
-    w = SMScalarField.from_expression("y")
-    mixed = velocity_pairing(model, SMScalarField.from_callable(
-        w.eval, dx=w.partial("x"), dy=w.partial("y"),
-        dtheta=w.partial("theta")), "-x")
-    assert mixed.expression is None
-    assert mixed.eval(x, y, th) == pytest.approx(omega.eval(x, y, th),
-                                                 rel=1e-14)
-    assert mixed.partial("theta").eval(x, y, th) == pytest.approx(
-        omega.partial("theta").eval(x, y, th), rel=1e-14)
 
 
 def test_metric_speed():
