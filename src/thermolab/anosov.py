@@ -40,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import DomainError, SolverDiverged
-from .fields import SMPoint, _as_field
+from .fields import SMPoint, _as_field, compile_fields
 from .flow import ThermostatSpec
 from .geometry import derived_curvatures, validation_grid_points, \
     velocity_pairing
@@ -105,12 +105,11 @@ class QuadraticFormState:
     rate_positive_definite: bool
 
 
-def _rate_form(dc, x, y, th):
+def _rate_form(core, Vlam, lamI):
     """Coefficients (A, B) of the rate form A y^2 + B yz + z^2 of Q = y z:
-    A = -core and B = lam I + V(lam), from the coefficient fields dc."""
-    A = -dc.core.eval(x, y, th)
-    B = dc.Vlam.eval(x, y, th) + dc.lamI.eval(x, y, th)
-    return A, B
+    A = -core and B = lam I + V(lam), from the values of the coefficient
+    fields."""
+    return -core, Vlam + lamI
 
 
 def quadratic_form_rate(spec, traj):
@@ -125,9 +124,10 @@ def quadratic_form_rate(spec, traj):
     fd_step = 1e-4
     t = traj.t
     x, y_b, th, _, y, z = traj.sol(t)
-    A, B = _rate_form(dc, x, y_b, th)
+    core, Vlam, lamI, D = compile_fields(
+        (dc.core, dc.Vlam, dc.lamI, dc.anosovD))(x, y_b, th)
+    A, B = _rate_form(core, Vlam, lamI)
     rate = A * y * y + B * y * z + z * z
-    D = dc.anosovD.eval(x, y_b, th)
     # positive definite <=> A > 0 and 4A - B^2 > 0
     posdef = (A > 0.0) & (4.0 * A - B * B > 0.0)
     sylvester_consistent = not np.any((np.abs(D) > 1e-9)
@@ -147,7 +147,8 @@ def quadratic_form_rate(spec, traj):
 
 def rate_form_positive_definite(model, lam, x, y, th):
     """Sylvester check of the rate form at arbitrary bundle points."""
-    A, B = _rate_form(derived_curvatures(model, lam), x, y, th)
+    dc = derived_curvatures(model, lam)
+    A, B = _rate_form(*compile_fields((dc.core, dc.Vlam, dc.lamI))(x, y, th))
     return (A > 0.0) & (4.0 * A - B * B > 0.0)
 
 

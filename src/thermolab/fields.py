@@ -2,7 +2,10 @@
 
 An SMScalarField is one expression over (x, y, theta).  It evaluates
 through a compiled `expr.Bundle`, built on first use, and differentiates
-symbolically, so nested derivatives stay analytic.
+symbolically, so nested derivatives stay analytic.  A probe that needs
+several fields at the same points compiles them together with
+`compile_fields`, so that each subexpression they share is computed once
+per point.
 """
 
 from __future__ import annotations
@@ -103,10 +106,10 @@ def _as_field(obj):
 
 
 def compile_fields(fields):
-    """One function (x, y, theta) -> tuple of the fields' values, compiled
-    together into one straight-line function that takes float64 scalars
-    or arrays."""
-    return ex.Bundle([f.expression for f in fields]).kernel
+    """The fields as one `expr.Bundle`: calling it gives the tuple of their
+    values on a grid, evaluated in blocks; its `kernel` is the one
+    straight-line function behind it, for float64 scalars or blocks."""
+    return ex.Bundle([f.expression for f in fields])
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ class ThermostatSpec:
         """
         if self._rhs is None:
             gen = thermostat_generator(self.model, self.lam)
-            coeffs = compile_fields((gen.c_x, gen.c_y, gen.c_theta))
+            coeffs = compile_fields((gen.c_x, gen.c_y, gen.c_theta)).kernel
 
             def f(t, s):
                 # float64 scalars, also for states given as Python lists

@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError, ValidationFailed
 from .fields import (FrameOperator, SMPoint, SMScalarField, _as_field,
-                     commutator)
+                     commutator, compile_fields)
 
 TWO_PI = 2.0 * np.pi
 # the largest commutator residual a model may show on its validation grid
@@ -311,7 +311,8 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
     Residuals are measured by applying both sides of each relation to a
     small set of probe fields; a NaN residual makes the relation's max NaN.
     When lam is given, the three thermostat relations for F = X + lam V
-    are checked as well.
+    are checked as well.  All residual fields are compiled together and
+    evaluated in one pass over the grid.
     """
     X, H, V = model.frame.X, model.frame.H, model.frame.V
     I, J, K = model.I, model.J, model.K
@@ -320,39 +321,41 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
         else _DEF_PROBES_LOCAL
     probe_fields = [_as_field(p) for p in probes]
 
-    relations = {}
+    # relation name -> the residual field of one probe field
+    residuals = {
+        "[V,X]-H": lambda f: commutator(V, X, f) - H.apply(f),
+        "[H,V]-X-IH-JV": lambda f: (commutator(H, V, f) - X.apply(f)
+                                    - I * H.apply(f) - J * V.apply(f)),
+        "[X,H]-KV": lambda f: commutator(X, H, f) - K * V.apply(f),
+    }
+    if lam is not None:
+        lam = _as_field(lam)
+        dc = derived_curvatures(model, lam)
+        F, Vlam, core = dc.F, dc.Vlam, dc.core
+        residuals["[V,F]-H-V(lam)V"] = lambda f: (
+            commutator(V, F, f) - H.apply(f) - Vlam * V.apply(f))
+        residuals["[H,V]-F-IH-(J-lam)V"] = lambda f: (
+            commutator(H, V, f) - F.apply(f) - I * H.apply(f)
+            - (J - lam) * V.apply(f))
+        residuals["[F,H]-coreV+lamF+lamIH"] = lambda f: (
+            commutator(F, H, f) - core * V.apply(f) + lam * F.apply(f)
+            + lam * I * H.apply(f))
+    values = iter(compile_fields(
+        [make(f) for make in residuals.values() for f in probe_fields])(
+            xg, yg, tg))
 
-    def residual(name, make_residual_field):
+    relations = {}
+    for name in residuals:
         worst_max = 0.0
         sq_sum = 0.0
         count = 0
-        for f in probe_fields:
-            vals = make_residual_field(f).eval(xg, yg, tg)
+        for _ in probe_fields:
+            vals = next(values)
             worst_max = float(np.maximum(worst_max, np.max(np.abs(vals))))
             sq_sum += float(np.sum(vals ** 2))
             count += vals.size
         relations[name] = {"max": worst_max,
                            "rms": float(np.sqrt(sq_sum / count))}
-
-    residual("[V,X]-H", lambda f: commutator(V, X, f) - H.apply(f))
-    residual("[H,V]-X-IH-JV",
-             lambda f: commutator(H, V, f) - X.apply(f)
-             - I * H.apply(f) - J * V.apply(f))
-    residual("[X,H]-KV", lambda f: commutator(X, H, f) - K * V.apply(f))
-
-    if lam is not None:
-        lam = _as_field(lam)
-        dc = derived_curvatures(model, lam)
-        F, Vlam, core = dc.F, dc.Vlam, dc.core
-        residual("[V,F]-H-V(lam)V",
-                 lambda f: commutator(V, F, f) - H.apply(f)
-                 - Vlam * V.apply(f))
-        residual("[H,V]-F-IH-(J-lam)V",
-                 lambda f: commutator(H, V, f) - F.apply(f)
-                 - I * H.apply(f) - (J - lam) * V.apply(f))
-        residual("[F,H]-coreV+lamF+lamIH",
-                 lambda f: commutator(F, H, f) - core * V.apply(f)
-                 + lam * F.apply(f) + lam * I * H.apply(f))
     return relations
 
 

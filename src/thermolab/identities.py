@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fields import SMPoint, _as_field
+from .expr import CHUNK_POINTS
+from .fields import SMPoint, _as_field, compile_fields
 from .flow import ThermostatSpec, integrate
 from .geometry import derived_curvatures, velocity_pairing
 from .jacobi import exterior_fan_r
@@ -129,11 +130,26 @@ def quadrature_for(model, n=None):
     raise DomainError(f"no default quadrature for domain {model.domain.kind!r}")
 
 
-def liouville_integrate(grid, f):
-    """Integral of f over the bundle against the Liouville weights."""
-    f = _as_field(f)
-    vals = f.eval(grid.x, grid.y, grid.theta)
-    return float(np.dot(grid.weights, vals))
+def liouville_integrate(grid, fields):
+    """Integrals of the fields over the bundle against the Liouville
+    weights, as a list of floats, one per field.
+
+    The fields are compiled together and their kernel runs over blocks of
+    CHUNK_POINTS nodes; each block adds its weighted sum to each integral,
+    so no integrand is ever held on the whole grid.
+    """
+    kernel = compile_fields(fields).kernel
+    sums = [0.0] * len(fields)
+    for lo in range(0, grid.n_nodes, CHUNK_POINTS):
+        block = slice(lo, lo + CHUNK_POINTS)
+        w = grid.weights[block]
+        for i, v in enumerate(kernel(grid.x[block], grid.y[block],
+                                     grid.theta[block])):
+            # a constant integrand comes back as a scalar
+            if np.shape(v) != w.shape:
+                v = np.full(w.shape, v)
+            sums[i] += float(np.dot(w, v))
+    return sums
 
 
 def boundary_contraction_values(model, which, s, theta):
@@ -155,16 +171,19 @@ def boundary_contraction_values(model, which, s, theta):
     raise ValueError(f"unknown frame operator {which!r}")
 
 
-def boundary_integrate(grid, model, factor_field, which):
-    """Integral over the bundle boundary of factor * (contraction of the
-    volume form with the named frame operator)."""
+def boundary_integrate(grid, model, terms):
+    """Integrals over the bundle boundary of factor * (contraction of the
+    volume form with the named frame operator), one per (factor, name)
+    pair of terms, as a list of floats.  The factors are compiled and
+    evaluated together."""
     if grid.boundary_s is None:
         raise DomainError("grid carries no boundary nodes")
     s, th = grid.boundary_s, grid.boundary_theta
-    xb, yb = np.cos(s), np.sin(s)
-    factor = _as_field(factor_field).eval(xb, yb, th)
-    density = boundary_contraction_values(model, which, s, th)
-    return float(np.dot(grid.boundary_weights, factor * density))
+    factors = compile_fields([f for f, _ in terms])(np.cos(s), np.sin(s), th)
+    return [float(np.dot(grid.boundary_weights,
+                         factor * boundary_contraction_values(
+                             model, which, s, th)))
+            for factor, (_, which) in zip(factors, terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +192,19 @@ def boundary_integrate(grid, model, factor_field, which):
 
 @dataclass
 class IdentityReport:
-    """Two sides of an integral identity plus a named term breakdown."""
+    """Two sides of an integral identity, the named integrals they are
+    made of, and named diagnostics that are not integrals (flags, labels,
+    pointwise residuals)."""
 
     lhs: float
     rhs: float
-    terms: dict = dc_field(default_factory=dict)
+    integrals: dict = dc_field(default_factory=dict)
+    diagnostics: dict = dc_field(default_factory=dict)
+
+    @property
+    def terms(self):
+        """The integrals, then the diagnostics, in one breakdown."""
+        return {**self.integrals, **self.diagnostics}
 
     @property
     def abs_residual(self):
@@ -187,8 +214,7 @@ class IdentityReport:
     def rel_residual(self):
         # scale by the largest constituent integral so identities whose two
         # sides both vanish by cancellation are still judged fairly
-        term_scale = max((abs(v) for v in self.terms.values()
-                          if isinstance(v, (int, float))), default=0.0)
+        term_scale = max(map(abs, self.integrals.values()), default=0.0)
         scale = max(abs(self.lhs), abs(self.rhs), term_scale, 1e-30)
         return self.abs_residual / scale
 
@@ -196,7 +222,7 @@ class IdentityReport:
         return {"lhs": self.lhs, "rhs": self.rhs,
                 "abs_residual": self.abs_residual,
                 "rel_residual": self.rel_residual,
-                "terms": dict(self.terms)}
+                "terms": self.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +282,16 @@ def check_lie_derivatives(model, lam, grid, f):
     F = dc.F
     div_F = dc.lamI + dc.Vlam
 
-    reports = {}
-    reports["F"] = IdentityReport(
-        lhs=liouville_integrate(grid, F.apply(f)),
-        rhs=-liouville_integrate(grid, f * div_F),
-        terms={"divergence": "lam I + V(lam)"})
-    reports["H"] = IdentityReport(
-        lhs=liouville_integrate(grid, H.apply(f)),
-        rhs=liouville_integrate(grid, f * model.J),
-        terms={"divergence": "-J"})
-    reports["V"] = IdentityReport(
-        lhs=liouville_integrate(grid, V.apply(f)),
-        rhs=-liouville_integrate(grid, f * model.I),
-        terms={"divergence": "I"})
-    return reports
+    Ff, f_div_F, Hf, fJ, Vf, fI = liouville_integrate(
+        grid, [F.apply(f), f * div_F, H.apply(f), f * model.J, V.apply(f),
+               f * model.I])
+    return {"F": IdentityReport(
+                lhs=Ff, rhs=-f_div_F,
+                diagnostics={"divergence": "lam I + V(lam)"}),
+            "H": IdentityReport(lhs=Hf, rhs=fJ,
+                                diagnostics={"divergence": "-J"}),
+            "V": IdentityReport(lhs=Vf, rhs=-fI,
+                                diagnostics={"divergence": "I"})}
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +307,19 @@ def _identity_integrals(model, lam, u, grid):
     VFu = model.frame.V.apply(Fu)
     FVu = dc.F.apply(Vu)
     Vu2 = Vu * Vu
-    ints = {
-        "cross": liouville_integrate(grid, 2.0 * Hu * VFu),
-        "Fu_sq": liouville_integrate(grid, Fu * Fu),
-        "Hu_sq": liouville_integrate(grid, Hu * Hu),
-        "VFu_sq": liouville_integrate(grid, VFu * VFu),
-        "FVu_sq": liouville_integrate(grid, FVu * FVu),
-        "core_Vu_sq": liouville_integrate(grid, dc.core * Vu2),
-        "bigK_Vu_sq": liouville_integrate(grid, dc.bigK * Vu2),
-        "lamIVlam_Vu_sq": liouville_integrate(grid, dc.lamI * dc.Vlam * Vu2),
-        "FVlam_Vu_sq": liouville_integrate(grid, dc.F.apply(dc.Vlam) * Vu2),
+    integrands = {
+        "cross": 2.0 * Hu * VFu,
+        "Fu_sq": Fu * Fu,
+        "Hu_sq": Hu * Hu,
+        "VFu_sq": VFu * VFu,
+        "FVu_sq": FVu * FVu,
+        "core_Vu_sq": dc.core * Vu2,
+        "bigK_Vu_sq": dc.bigK * Vu2,
+        "lamIVlam_Vu_sq": dc.lamI * dc.Vlam * Vu2,
+        "FVlam_Vu_sq": dc.F.apply(dc.Vlam) * Vu2,
     }
+    ints = dict(zip(integrands, liouville_integrate(
+        grid, list(integrands.values()))))
     return ints, g, dc
 
 
@@ -314,16 +338,16 @@ def check_integral_identity_closed(model, lam, u, grid):
     first = IdentityReport(
         lhs=ints["cross"],
         rhs=ints["Fu_sq"] + ints["Hu_sq"] - ints["core_Vu_sq"],
-        terms=ints)
+        integrals=ints)
     second = IdentityReport(
         lhs=ints["cross"],
         rhs=(ints["VFu_sq"] - ints["FVu_sq"] + ints["Hu_sq"]
              + ints["lamIVlam_Vu_sq"] + ints["FVlam_Vu_sq"]),
-        terms=ints)
+        integrals=ints)
     final = IdentityReport(
         lhs=ints["FVu_sq"] - ints["bigK_Vu_sq"],
         rhs=ints["VFu_sq"] - ints["Fu_sq"],
-        terms=ints)
+        integrals=ints)
     return {"first": first, "second": second, "final": final}
 
 
@@ -345,18 +369,16 @@ def check_integral_identity_boundary(model, lam, u, grid):
                           "boundary nodes")
     ints, g, dc = _identity_integrals(model, lam, u, grid)
     Fu, Hu, Vu, Vlam = g["Fu"], g["Hu"], g["Vu"], dc.Vlam
-    boundary = (boundary_integrate(grid, model,
-                                   Hu * Vu + Vlam * (Vu * Vu), "F")
-                - boundary_integrate(grid, model, Fu * Vu, "H"))
+    flux_F, flux_H = boundary_integrate(
+        grid, model, [(Hu * Vu + Vlam * (Vu * Vu), "F"), (Fu * Vu, "H")])
+    boundary = flux_F - flux_H
     xb, yb = np.cos(grid.boundary_s), np.sin(grid.boundary_s)
     u_boundary = g["u"].eval(xb, yb, grid.boundary_theta)
-    terms = dict(ints)
-    terms["boundary_term"] = boundary
-    terms["u_boundary_max"] = float(np.max(np.abs(u_boundary)))
     return IdentityReport(
         lhs=ints["FVu_sq"] - ints["bigK_Vu_sq"] + boundary,
         rhs=ints["VFu_sq"] - ints["Fu_sq"],
-        terms=terms)
+        integrals={**ints, "boundary_term": boundary},
+        diagnostics={"u_boundary_max": float(np.max(np.abs(u_boundary)))})
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +420,17 @@ def transport_expansion_residual(model, lam, psi, states):
     points = np.vstack([starts, shifted])
     r0, rm, rp = np.split(exterior_fan_r(
         spec, [SMPoint(*q) for q in points]), 3)
+    # each field at the N states, then at their -dt and +dt shifts
+    psi_v, Vlam_v, Fpsi_v, lamI_v, bigK_v = (
+        np.split(v, 3) for v in compile_fields(
+            (psi_f, dc.Vlam, Fpsi, dc.lamI, dc.bigK))(*points.T))
 
-    def at(f, block):
-        q = points[block * n:(block + 1) * n]
-        return f.eval(q[:, 0], q[:, 1], q[:, 2])
-
-    gm = (rm - at(dc.Vlam, 1)) * at(psi_f, 1) ** 2
-    gp = (rp - at(dc.Vlam, 2)) * at(psi_f, 2) ** 2
+    gm = (rm - Vlam_v[1]) * psi_v[1] ** 2
+    gp = (rp - Vlam_v[2]) * psi_v[2] ** 2
     lhs = (gp - gm) / (2.0 * dt)
-    ps, fp, vl, li = (at(f, 0) for f in (psi_f, Fpsi, dc.Vlam, dc.lamI))
-    rhs = (fp ** 2 - at(dc.bigK, 0) * ps ** 2 + ps ** 2 * vl ** 2
+    ps, fp, vl, li, bk = (v[0] for v in (psi_v, Fpsi_v, Vlam_v, lamI_v,
+                                         bigK_v))
+    rhs = (fp ** 2 - bk * ps ** 2 + ps ** 2 * vl ** 2
            - ps ** 2 * r0 * (li + vl) + li * vl * ps ** 2
            - (fp - r0 * ps + ps * vl) ** 2)
     return float(np.max(np.abs(lhs - rhs)))
@@ -432,28 +455,26 @@ def check_second_identity(model, lam, psi, grid, rng=None):
     r_vals = exterior_fan_r(spec, [SMPoint(x, y, t) for x, y, t in
                                    zip(grid.x, grid.y, grid.theta)])
 
-    psi_v = psi_f.eval(grid.x, grid.y, grid.theta)
-    Fpsi_v = Fpsi.eval(grid.x, grid.y, grid.theta)
-    Vlam_v = dc.Vlam.eval(grid.x, grid.y, grid.theta)
+    psi_v, Fpsi_v, Vlam_v, Fpsi_sq_v, bigK_psi_sq_v = compile_fields(
+        (psi_f, Fpsi, dc.Vlam, Fpsi * Fpsi, dc.bigK * (psi_f * psi_f)))(
+            grid.x, grid.y, grid.theta)
     rhs_integrand = (Fpsi_v - r_vals * psi_v + psi_v * Vlam_v) ** 2
     rhs = float(np.dot(grid.weights, rhs_integrand))
-    lhs = (liouville_integrate(grid, Fpsi * Fpsi)
-           - liouville_integrate(grid, dc.bigK * (psi_f * psi_f)))
+    integrals = {"Fpsi_sq": float(np.dot(grid.weights, Fpsi_sq_v)),
+                 "bigK_psi_sq": float(np.dot(grid.weights, bigK_psi_sq_v))}
+    lhs = integrals["Fpsi_sq"] - integrals["bigK_psi_sq"]
 
-    terms = {
-        "Fpsi_sq": liouville_integrate(grid, Fpsi * Fpsi),
-        "bigK_psi_sq": liouville_integrate(grid, dc.bigK * (psi_f * psi_f)),
-        "rhs_nonnegative": bool(rhs >= 0.0),
-    }
+    diagnostics = {"rhs_nonnegative": bool(rhs >= 0.0)}
     rng = np.random.default_rng(0) if rng is None else rng
     states = []
     while len(states) < 5:
         x, y = rng.uniform(-0.6, 0.6, size=2)
         if x * x + y * y < 0.4:
             states.append(SMPoint(x, y, rng.uniform(0.0, TWO_PI)))
-    terms["transport_expansion_residual"] = transport_expansion_residual(
-        model, spec.lam, psi_f, states)
-    return IdentityReport(lhs=lhs, rhs=rhs, terms=terms)
+    diagnostics["transport_expansion_residual"] = \
+        transport_expansion_residual(model, spec.lam, psi_f, states)
+    return IdentityReport(lhs=lhs, rhs=rhs, integrals=integrals,
+                          diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +495,8 @@ def check_fourier_facts(model, grid, h, w_x, w_y):
     h = _as_field(h)
     omega_v = velocity_pairing(model, w_x, w_y)
     V = model.frame.V
-    mixed = IdentityReport(lhs=liouville_integrate(grid, h * omega_v),
-                           rhs=0.0)
     Vov = V.apply(omega_v)
-    parity = IdentityReport(lhs=liouville_integrate(grid, omega_v * omega_v),
-                            rhs=liouville_integrate(grid, Vov * Vov))
-    return {"mixed": mixed, "parity": parity}
+    mixed, sq, V_sq = liouville_integrate(
+        grid, [h * omega_v, omega_v * omega_v, Vov * Vov])
+    return {"mixed": IdentityReport(lhs=mixed, rhs=0.0),
+            "parity": IdentityReport(lhs=sq, rhs=V_sq)}

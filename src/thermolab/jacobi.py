@@ -79,7 +79,7 @@ class JacobiCoefficients:
         self.curvatures = dc = derived_curvatures(spec.model, spec.lam)
         # the generator's coefficients and lam, lam I, core, V(lam)
         fields = compile_fields((dc.F.c_x, dc.F.c_y, dc.F.c_theta, spec.lam,
-                                 dc.lamI, dc.core, dc.Vlam))
+                                 dc.lamI, dc.core, dc.Vlam)).kernel
 
         def rhs(t, s):
             x, y, th, a, jy, jz = np.asarray(s, dtype=float)
@@ -167,12 +167,15 @@ def second_order_residual(traj: JacobiTrajectory):
     lo, hi = min(t0, t1), max(t0, t1)
     ts = np.linspace(lo + 2 * h, hi - 2 * h, 50)
     s, s_plus, s_minus = (traj.sol(t) for t in (ts, ts + h, ts - h))
+    # lam I at the three sample sets; V(lam) and K_lambda read at s only
+    x, y, th = np.hstack((s, s_plus, s_minus))[:3]
+    lamI_v, Vlam_v, Klam_v = (np.split(v, 3) for v in compile_fields(
+        (dc.lamI, dc.Vlam, dc.K_lambda))(x, y, th))
     # y' = lam I y + z
-    yd, yd_plus, yd_minus = (dc.lamI.eval(*u[:3]) * u[4] + u[5]
-                             for u in (s, s_plus, s_minus))
+    yd, yd_plus, yd_minus = (li * u[4] + u[5] for li, u in
+                             zip(lamI_v, (s, s_plus, s_minus)))
     ydd = (yd_plus - yd_minus) / (2 * h)
-    lamI, Vlam, Klam = (f.eval(*s[:3]) for f in (dc.lamI, dc.Vlam,
-                                                 dc.K_lambda))
+    lamI, Vlam, Klam = lamI_v[0], Vlam_v[0], Klam_v[0]
     return float(np.max(np.abs(ydd - (lamI + Vlam) * yd + Klam * s[4])))
 
 
@@ -360,8 +363,9 @@ def riccati_bound_constants(spec):
     the suprema taken over a 12 x 12 x 24 validation grid."""
     dc = spec.coefficients().curvatures
     xg, yg, tg = validation_grid_points(spec.model, (12, 12, 24))
-    B = float(np.sqrt(np.max(np.abs(dc.K_lambda.eval(xg, yg, tg)))))
-    C = float(np.max(np.abs((dc.lamI + dc.Vlam).eval(xg, yg, tg))))
+    Klam, div = compile_fields((dc.K_lambda, dc.lamI + dc.Vlam))(xg, yg, tg)
+    B = float(np.sqrt(np.max(np.abs(Klam))))
+    C = float(np.max(np.abs(div)))
     return {"B": B, "C": C, "A": max(B, C)}
 
 

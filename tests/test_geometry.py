@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from thermolab.errors import DomainError, ValidationFailed
-from thermolab.fields import SMScalarField
+from thermolab.fields import SMScalarField, _as_field, commutator
 from thermolab.geometry import STRUCTURE_TOLERANCE, SyntheticSpec, \
-    build_surface_model, classify_magnetic, constant_curvature_model, \
-    derived_curvatures, euclidean_disk, flat_torus, \
-    validate_structure_relations, velocity_pairing
+    _DEF_PROBES_LOCAL, _DEF_PROBES_PERIODIC, build_surface_model, \
+    classify_magnetic, constant_curvature_model, derived_curvatures, \
+    euclidean_disk, flat_torus, validate_structure_relations, \
+    validation_grid_points, velocity_pairing
+
+# a few base points where the models' exponents are checked
+XS = np.array([0.0, 0.13, -0.21, 0.3])
+YS = np.array([0.0, -0.27, 0.19, 0.05])
 
 
 def worst(report):
@@ -17,7 +22,7 @@ def worst(report):
 
 def test_flat_torus_structure():
     model = flat_torus()
-    assert model.phi.expression is not None
+    assert np.array_equal(model.phi.eval(XS, YS, 0.4), np.zeros(4))
     assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-12
 
 
@@ -31,7 +36,8 @@ def test_conformal_torus_structure_with_thermostat():
 
 def test_disk_structure():
     model = build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)")
-    assert model.phi.expression is not None
+    assert np.allclose(model.phi.eval(XS, YS, 0.4),
+                       0.2 * (XS ** 2 - YS ** 2), rtol=1e-15, atol=1e-16)
     assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-9
 
 
@@ -46,7 +52,10 @@ def test_constant_curvature_models():
         xs = np.linspace(-0.3, 0.3, 5)
         vals = model.K.eval(xs, xs, 0.0)
         assert np.allclose(vals, K, atol=1e-9)
-        assert model.phi.expression is not None
+        k = np.sqrt(abs(K))
+        phi = -np.log(np.cos(k * YS)) if K < 0 else -np.log(np.cosh(k * YS))
+        assert np.allclose(model.phi.eval(XS, YS, 0.4), phi, rtol=1e-13,
+                           atol=1e-15)
         assert worst(validate_structure_relations(model, (6, 6, 6))) < 1e-9
 
 
@@ -55,7 +64,7 @@ def test_synthetic_spec_without_phi_gets_zero():
     X, H, V = flat.frame.X, flat.frame.H, flat.frame.V
     spec = SyntheticSpec(X=X, H=H, V=V, I=flat.I, J=flat.J, K=flat.K)
     model = build_surface_model("synthetic", synthetic=spec)
-    assert model.phi.expression is not None
+    assert np.array_equal(model.phi.eval(XS, YS, 0.4), np.zeros(4))
     assert np.array_equal(model.conformal_factor(np.array([0.1, -0.2]), 0.3),
                           [1.0, 1.0])
 
@@ -148,3 +157,61 @@ def test_metric_speed():
     assert s == pytest.approx(np.exp(0.2 * (x * x - y * y)), rel=1e-12)
     assert euclidean_disk().metric_speed(0.1, 0.2, 3.0, 4.0) == \
         pytest.approx(5.0)
+
+
+def _per_field_relations(model, grid_spec, lam=None):
+    """validate_structure_relations as one evaluation per residual field:
+    the reference its single compiled pass must reproduce bit for bit."""
+    X, H, V = model.frame.X, model.frame.H, model.frame.V
+    I, J, K = model.I, model.J, model.K
+    xg, yg, tg = validation_grid_points(model, grid_spec)
+    probes = _DEF_PROBES_PERIODIC if model.domain.kind == "torus" \
+        else _DEF_PROBES_LOCAL
+    residuals = {
+        "[V,X]-H": lambda f: commutator(V, X, f) - H.apply(f),
+        "[H,V]-X-IH-JV": lambda f: (commutator(H, V, f) - X.apply(f)
+                                    - I * H.apply(f) - J * V.apply(f)),
+        "[X,H]-KV": lambda f: commutator(X, H, f) - K * V.apply(f),
+    }
+    if lam is not None:
+        lam = _as_field(lam)
+        dc = derived_curvatures(model, lam)
+        F = dc.F
+        residuals["[V,F]-H-V(lam)V"] = lambda f: (
+            commutator(V, F, f) - H.apply(f) - dc.Vlam * V.apply(f))
+        residuals["[H,V]-F-IH-(J-lam)V"] = lambda f: (
+            commutator(H, V, f) - F.apply(f) - I * H.apply(f)
+            - (J - lam) * V.apply(f))
+        residuals["[F,H]-coreV+lamF+lamIH"] = lambda f: (
+            commutator(F, H, f) - dc.core * V.apply(f) + lam * F.apply(f)
+            + lam * I * H.apply(f))
+    out = {}
+    for name, make in residuals.items():
+        worst_max, sq_sum, count = 0.0, 0.0, 0
+        for p in probes:
+            vals = make(_as_field(p)).eval(xg, yg, tg)
+            worst_max = float(np.maximum(worst_max, np.max(np.abs(vals))))
+            sq_sum += float(np.sum(vals ** 2))
+            count += vals.size
+        out[name] = {"max": worst_max, "rms": float(np.sqrt(sq_sum / count))}
+    return out
+
+
+@pytest.mark.parametrize("make_model, lam", [
+    (lambda: build_surface_model("conformal_torus",
+                                 phi="0.1*sin(2*pi*x)*cos(2*pi*y)"),
+     "0.2*sin(2*pi*y)"),
+    (lambda: build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)"),
+     None),
+    (lambda: constant_curvature_model(-1.0), None),
+], ids=["torus_lam", "disk", "curvature_-1"])
+def test_validation_matches_per_field_evaluation(make_model, lam):
+    # one compiled pass over the grid (24^3 > CHUNK_POINTS, so it runs in
+    # blocks) gives the bits of one evaluation per residual field
+    model = make_model()
+    got = validate_structure_relations(model, (24, 24, 24), lam=lam)
+    want = _per_field_relations(model, (24, 24, 24), lam=lam)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name]["max"] == want[name]["max"], name
+        assert got[name]["rms"] == want[name]["rms"], name

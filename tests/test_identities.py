@@ -1,11 +1,14 @@
 """Quadrature, pointwise energy identity, and integral identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from thermolab.expr import CHUNK_POINTS
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
-from thermolab.identities import check_fourier_facts, \
+from thermolab.identities import IdentityReport, check_fourier_facts, \
     check_integral_identity_boundary, check_integral_identity_closed, \
     check_lie_derivatives, check_pestov_pointwise, check_second_identity, \
     disk_quadrature, liouville_integrate, torus_quadrature, \
@@ -46,9 +49,61 @@ def test_disk_measure_flat():
 
 def test_liouville_integrate_odd_function():
     grid = torus_quadrature(flat_torus(), 16)
-    val = liouville_integrate(grid, SMScalarField.from_expression(
-        "sin(theta)"))
+    (val,) = liouville_integrate(grid, [SMScalarField.from_expression(
+        "sin(theta)")])
     assert abs(val) < 1e-13
+
+
+@pytest.mark.parametrize("n, blocks", [
+    ((16, 16, 16), (0, True)), ((32, 32, 32), (4, False)),
+    ((20, 20, 24), (1, True))],
+    ids=["one_block", "whole_blocks", "partial_block"])
+def test_liouville_integrate_matches_full_dot(n, blocks):
+    # block sums equal one dot product over the grid up to rounding, on
+    # grids of one block, of whole blocks and ending in a partial block
+    grid = torus_quadrature(conformal_model(), n)
+    whole, rest = divmod(grid.n_nodes, CHUNK_POINTS)
+    assert (whole, rest > 0) == blocks
+    fields = [SMScalarField.from_expression(text) for text in (
+        "2.5", "cos(theta)^2", "sin(2*pi*x)*cos(2*pi*y)+1",
+        "exp(sin(2*pi*(x-y)))*sin(theta)^2")]
+    got = liouville_integrate(grid, fields)
+    want = [float(np.dot(grid.weights, f.eval(grid.x, grid.y, grid.theta)))
+            for f in fields]
+    scale = max(abs(v) for v in want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * scale
+    if grid.n_nodes <= CHUNK_POINTS:
+        assert got == want
+
+
+def test_closed_identity_memory_stays_blockwise():
+    # the integrands are summed block by block, never held on the whole
+    # grid: nine of them on 48^3 nodes would take 9 x grid.x.nbytes
+    model = conformal_model()
+    lam = lam_field()
+    u = SMScalarField.from_expression("sin(2*pi*x)*cos(theta)")
+    grid = torus_quadrature(model, 48)
+    tracemalloc.start()
+    try:
+        check_integral_identity_closed(model, lam, u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * grid.x.nbytes
+
+
+def test_rel_residual_scales_by_integrals_only():
+    # flags and diagnostics are reported with the integrals but do not
+    # scale the residual: a True flag would read as 1.0
+    rep = IdentityReport(lhs=1.0e-3, rhs=1.0e-3 + 2.0e-9,
+                         integrals={"a": 1.5e-3, "b": -2.0e-3},
+                         diagnostics={"flag": True, "pointwise": 0.5,
+                                      "label": "text"})
+    assert rep.rel_residual == pytest.approx(2.0e-9 / 2.0e-3, rel=1e-6)
+    assert list(rep.terms) == ["a", "b", "flag", "pointwise", "label"]
+    assert rep.as_dict()["terms"] == rep.terms
 
 
 def test_pestov_pointwise():

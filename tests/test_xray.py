@@ -156,7 +156,6 @@ def test_boundary_corrector_normal_derivative():
     pair = PairField.from_expressions(phi="x", w_x="1 + x*y - y^2",
                                       w_y="exp(x)*cos(y)")
     psi = boundary_corrector(model, pair.w_x, pair.w_y)
-    assert psi.expression is not None
     ss = np.linspace(0, 2 * np.pi, 37, endpoint=False)
     x, y = np.cos(ss), np.sin(ss)
     radial = x * psi.partial("x").eval(x, y, 0.0) \
@@ -164,9 +163,21 @@ def test_boundary_corrector_normal_derivative():
     wn = x * pair.w_x.eval(x, y, 0.0) + y * pair.w_y.eval(x, y, 0.0)
     assert np.max(np.abs(radial - wn)) < 1e-13
     fixed, psi2 = corrected_pair(model, pair)
-    assert psi2.expression is not None
-    assert all(f.expression is not None
-               for f in (fixed.phi, fixed.w_x, fixed.w_y))
+    # closed forms at interior points: psi = (r^2 - 1) g / 2 with
+    # g = x w_x + y w_y, and the corrected 1-form is w - d psi
+    x, y = np.array([0.0, 0.3, -0.45, 0.1]), np.array([0.0, -0.2, 0.35, 0.8])
+    w_x, w_y = 1 + x * y - y * y, np.exp(x) * np.cos(y)
+    g = x * w_x + y * w_y
+    g_x = w_x + x * y + y * np.exp(x) * np.cos(y)
+    g_y = x * (x - 2 * y) + w_y - y * np.exp(x) * np.sin(y)
+    half = 0.5 * (x * x + y * y - 1)
+    want = {"psi": half * g, "phi": x,
+            "w_x": w_x - (x * g + half * g_x),
+            "w_y": w_y - (y * g + half * g_y)}
+    for name, field in (("psi", psi), ("psi", psi2), ("phi", fixed.phi),
+                        ("w_x", fixed.w_x), ("w_y", fixed.w_y)):
+        assert np.allclose(field.eval(x, y, 0.7), want[name], rtol=1e-13,
+                           atol=1e-15), name
 
 
 def test_corrected_pair_same_transform():
