@@ -172,10 +172,9 @@ class GridTransportOperator:
         if model.domain.kind != "torus":
             raise DomainError("grid transport operator needs a closed "
                               "(torus) model")
-        self.n = int(n)
-        xs = np.linspace(0.0, 1.0, n, endpoint=False)
-        ts = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij")
+        self.n = n = int(n)
+        X, Y, T = (v.reshape(n, n, n)
+                   for v in validation_grid_points(model, (n, n, n)))
         self.X, self.Y, self.T = X, Y, T
         self.h_xy = 1.0 / n
         self.h_t = TWO_PI / n
@@ -284,12 +283,13 @@ def _frozen_preconditioner(op):
     return apply
 
 
-def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
+def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
                            rhs_grid=None):
     """Least-squares solve of F u = h + theta(v) on an n^3 periodic grid.
 
-    h is a base scalar and (w_x, w_y) the components of a base 1-form theta;
-    the right-hand side on the bundle is h + e^{-phi}(w_x cos + w_y sin).
+    h is a base scalar and (w_x, w_y) the components of a base 1-form theta,
+    each 0 unless given; the right-hand side on the bundle is the one field
+    h + e^{-phi}(w_x cos + w_y sin), sampled on the grid (or rhs_grid).
     The unknowns u are restricted to fiber degree <= M = FIBER_BAND (fiber
     Fourier modes |m| <= M), so the normalized residual is the distance from
     the right-hand side to the coboundaries of fiber degree <= M.  It does
@@ -327,14 +327,9 @@ def cohomological_residual(model, lam, h=None, w_x=None, w_y=None, n=32,
     if rhs_grid is not None:
         rhs = np.asarray(rhs_grid, dtype=float)
     else:
-        rhs = np.zeros_like(op.X)
-        if h is not None:
-            rhs = rhs + op.sample(h)
-        if w_x is not None or w_y is not None:
-            pairing = velocity_pairing(model,
-                                       w_x if w_x is not None else 0.0,
-                                       w_y if w_y is not None else 0.0)
-            rhs = rhs + op.sample(pairing)
+        rhs = np.broadcast_to(op.sample(
+            _as_field(h) + velocity_pairing(model, w_x, w_y)),
+            op.X.shape).astype(float)
 
     shape = rhs.shape
     size = rhs.size

@@ -292,9 +292,7 @@ def cmd_identity(cfg):
     spec = spec_from(cfg)
     u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)"
                    if spec.model.domain.kind == "torus" else "x*sin(theta)")
-    grid = quadrature_for(spec.model, n=_grid_tuple(
-        cfg, "n_quad", (32, 32, 32) if spec.model.domain.kind == "torus"
-        else (16, 24, 24)))
+    grid = quadrature_for(spec.model, n=cfg.get("n_quad"))
     if spec.model.domain.has_boundary:
         rep = check_integral_identity_boundary(spec.model, spec.lam, u, grid)
         bundle = {"experiment": "identity", "boundary": rep.as_dict()}
@@ -380,10 +378,9 @@ def cmd_cohomology(cfg):
     from .anosov import cohomological_residual
     model = model_from(cfg)
     lam = field_from(cfg, "lambda", "0")
-    h = field_from(cfg, "h", "0") if "h" in cfg else None
-    w_x = field_from(cfg, "w_x", "0") if "w_x" in cfg else None
-    w_y = field_from(cfg, "w_y", "0") if "w_y" in cfg else None
-    res = cohomological_residual(model, lam, h=h, w_x=w_x, w_y=w_y,
+    res = cohomological_residual(model, lam, h=field_from(cfg, "h"),
+                                 w_x=field_from(cfg, "w_x"),
+                                 w_y=field_from(cfg, "w_y"),
                                  n=int(cfg.get("n", 32)))
     bundle = {"experiment": "cohomology", "residual": res["residual"],
               "rhs_norm": res["rhs_norm"], "grid": res["grid"],

@@ -26,6 +26,14 @@ on the steps' continuous extensions, to the tolerance of scipy's event
 finder: leaving the disk stops an orbit, the zeros of a Jacobi field are
 recorded.
 
+A run returns an `OrbitBatch`: each orbit's outcome, end and accepted
+steps, and the run's counters.  `OrbitBatch.state` is the one lookup of
+the step that covers a time; the `DenseSolution` of one orbit is a view of
+its run (`sol.run`) that reads its states through it.  A run whose step
+size falls below the float spacing of t raises StepFailure through
+`OrbitBatch.require_steps`, named by the stage and the orbit's start state
+or index.
+
 `integrate_orbit` follows one orbit and returns it as an `Orbit` with a
 dense solution.  `integrate_to_boundary` follows a batch of disk orbits
 until each leaves the disk; the per-orbit loops of the ray transform and
@@ -168,31 +176,23 @@ BOUNDARY = Event(g=lambda s: 1.0 - (s[0] * s[0] + s[1] * s[1]),
 
 @dataclass
 class DenseSolution:
-    """The continuous solution of one orbit over its accepted steps.
+    """The continuous solution of orbit i of a run: a view of its steps.
 
     Step k covers ts[k] to ts[k + 1]: ts[0] is the start and ts[-1] the end
     time (the zero of the event that stopped the orbit, if one did).  It is
     called as scipy's OdeSolution: a time gives the state (d,), an array
-    of n times the states (d, n), each on the continuous extension of the
-    step that covers it (at a step boundary, the earlier step).
+    of n times the states (d, n), each read by `OrbitBatch.state` off the
+    continuous extension of the step that covers it (at a step boundary,
+    the earlier step).  The run's counters are those of `run`.
     """
 
+    run: OrbitBatch
+    i: int
     ts: np.ndarray
-    h: np.ndarray       # step sizes
-    y: np.ndarray       # states at the step starts, (n, d)
-    q: np.ndarray       # extension coefficients Q, (n, d, 4)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        times = t.reshape(-1)
-        n = self.h.size
-        if self.ts[-1] >= self.ts[0]:
-            k = np.searchsorted(self.ts, times, side="left") - 1
-        else:
-            k = n - np.searchsorted(self.ts[::-1], times, side="right")
-        k = np.clip(k, 0, n - 1)
-        states = _extension(self.ts[k], self.h[k], self.y[k], self.q[k],
-                            times)
+        states = self.run.state(np.full(t.size, self.i), t)
         return states[0] if t.ndim == 0 else states.T
 
 
@@ -205,7 +205,6 @@ class Orbit:
     states: np.ndarray  # shape (n, 3), unwrapped coordinates
     sol: DenseSolution
     exit_time: Optional[float]
-    exit_transversal: Optional[bool]
 
     def state(self, t):
         return np.asarray(self.sol(t))
@@ -232,23 +231,14 @@ def integrate_orbit(spec, p0: SMPoint, t_span, stop_at_boundary=None,
     model.domain.require(p0)
     if stop_at_boundary is None:
         stop_at_boundary = model.domain.has_boundary
-    run = integrate(spec, [[p0.x, p0.y, p0.theta]], *t_span,
+    start = [p0.x, p0.y, p0.theta]
+    run = integrate(spec, [start], *t_span,
                     event=BOUNDARY if stop_at_boundary else None,
                     rtol=rtol, atol=atol)
-    if run.outcome[0] == STEP_FAILED:
-        raise StepFailure(run.reason(0))
+    run.require_steps("orbit", [start])
     sol, t, states = run.sampled(0, t_eval)
-    exit_time = None
-    transversal = None
-    if run.outcome[0] == EXITED:
-        exit_time = float(run.end_time[0])
-        s = run.end_state[0]
-        vx, vy = spec.rhs()(exit_time, s)[:2]
-        nx, ny = s[0], s[1]  # outward normal of the unit circle
-        transversal = abs(vx * nx + vy * ny) / max(np.hypot(vx, vy), 1e-300) \
-            > TRANSVERSALITY_TOL
-    return Orbit(spec=spec, t=t, states=states, sol=sol,
-                 exit_time=exit_time, exit_transversal=transversal)
+    exit_time = float(run.end_time[0]) if run.outcome[0] == EXITED else None
+    return Orbit(spec=spec, t=t, states=states, sol=sol, exit_time=exit_time)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +300,8 @@ class OrbitBatch:
 
     def require_steps(self, name="state", index=None):
         """Raise StepFailure for the first orbit whose integration failed,
-        naming it "{name} {index[i]}" (index: the orbit numbers)."""
+        naming it "{name} {index[i]}" (index: a label per orbit, such as
+        its start state; the orbit numbers by default)."""
         for i in np.flatnonzero(self.outcome == STEP_FAILED)[:1]:
             label = i if index is None else index[i]
             raise StepFailure(f"{name} {label}: {self.reason(i)}")
@@ -337,12 +328,9 @@ class OrbitBatch:
 
     def solution(self, i):
         """The dense solution of orbit i."""
-        steps = slice(self.last_step[i - 1] + 1 if i else 0,
-                      self.last_step[i] + 1)
-        return DenseSolution(ts=np.append(self.step_t[steps],
-                                          self.end_time[i]),
-                             h=self.step_h[steps], y=self.step_y[steps],
-                             q=self.step_q[steps])
+        first = self.last_step[i - 1] + 1 if i else 0
+        return DenseSolution(self, i, np.append(
+            self.step_t[first:self.last_step[i] + 1], self.end_time[i]))
 
     def sampled(self, i, t_eval=None):
         """Orbit i's dense solution, with sample times and states (n, d):

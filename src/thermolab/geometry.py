@@ -69,7 +69,6 @@ class FrameTriple:
 class SurfaceModel:
     """A surface plus canonical-frame realization and structure scalars."""
 
-    kind: str  # 'conformal_torus' | 'conformal_disk' | 'synthetic'
     domain: Domain
     frame: FrameTriple
     I: SMScalarField
@@ -183,7 +182,7 @@ def build_surface_model(kind, phi=None, synthetic=None):
         lap = phi_expr.diff("x").diff("x") + phi_expr.diff("y").diff("y")
         K = ex.neg(ex.call("exp", ex.Const(-2.0) * phi_expr) * lap)
         model = SurfaceModel(
-            kind=kind, domain=domain, frame=FrameTriple(X, H, V),
+            domain=domain, frame=FrameTriple(X, H, V),
             I=SMScalarField.constant(0.0), J=SMScalarField.constant(0.0),
             K=SMScalarField.from_expression(K),
             phi=SMScalarField.from_expression(phi_expr))
@@ -192,7 +191,7 @@ def build_surface_model(kind, phi=None, synthetic=None):
             raise ValueError("synthetic kind needs a SyntheticSpec")
         domain = Domain("plane")
         model = SurfaceModel(
-            kind=kind, domain=domain,
+            domain=domain,
             frame=FrameTriple(synthetic.X, synthetic.H, synthetic.V),
             I=_as_field(synthetic.I), J=_as_field(synthetic.J),
             K=_as_field(synthetic.K),

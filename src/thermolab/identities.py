@@ -28,7 +28,8 @@ from .errors import DomainError
 from .expr import CHUNK_POINTS
 from .fields import SMPoint, _as_field, compile_fields
 from .flow import ThermostatSpec, integrate
-from .geometry import derived_curvatures, velocity_pairing
+from .geometry import derived_curvatures, validation_grid_points, \
+    velocity_pairing
 from .jacobi import exterior_fan_r
 
 TWO_PI = 2.0 * np.pi
@@ -80,11 +81,7 @@ def torus_quadrature(model, n=32):
     if model.domain.kind != "torus":
         raise DomainError("torus_quadrature needs a torus model")
     nx, ny, nt = _spec_tuple(n)
-    xs = np.linspace(0.0, 1.0, nx, endpoint=False)
-    ys = np.linspace(0.0, 1.0, ny, endpoint=False)
-    ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
-    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    x, y, theta = X.ravel(), Y.ravel(), T.ravel()
+    x, y, theta = validation_grid_points(model, (nx, ny, nt))
     cell = (1.0 / nx) * (1.0 / ny) * (TWO_PI / nt)
     density = model.conformal_factor(x, y) ** 2
     return QuadratureGrid(kind="torus", x=x, y=y, theta=theta,

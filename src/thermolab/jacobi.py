@@ -47,11 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlowupInsideWindow, BoundViolated, NoConvergence,
-                     RiccatiUnavailable, StepFailure)
+                     RiccatiUnavailable)
 from .fields import SMPoint, compile_fields
-from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
-    DenseSolution, Event, ThermostatSpec, integrate, integrate_orbit, \
-    integrate_to_boundary
+from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, DenseSolution, \
+    Event, ThermostatSpec, integrate, integrate_orbit, integrate_to_boundary
 from .geometry import derived_curvatures, validation_grid_points
 
 GOLDEN_BOUND = 0.5 * (1.0 + np.sqrt(5.0))
@@ -144,11 +143,10 @@ def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
     The trajectory is sampled at the ends of its steps, or at t_eval; the
     zeros of y on the way are located, the start included when y(0) = 0.
     """
-    run = integrate(spec, [[p0.x, p0.y, p0.theta, *initial]], *t_span,
-                    rhs=spec.coefficients().rhs(), event=Y_ZEROS, rtol=rtol,
-                    atol=atol)
-    if run.outcome[0] == STEP_FAILED:
-        raise StepFailure(f"Jacobi {run.reason(0)}")
+    start = [p0.x, p0.y, p0.theta, *map(float, initial)]
+    run = integrate(spec, [start], *t_span, rhs=spec.coefficients().rhs(),
+                    event=Y_ZEROS, rtol=rtol, atol=atol)
+    run.require_steps("Jacobi", [start])
     sol, t, states = run.sampled(0, t_eval)
     return JacobiTrajectory(spec=spec, t=t, states=states, sol=sol,
                             zeros=run.event_times(0))
@@ -226,8 +224,7 @@ def _renormalized_run(spec, rhs, event, state, t_now, t_end):
     with np.errstate(invalid="ignore"):
         run = integrate(spec, [state], t_now, t_next, rhs=rhs, event=event,
                         rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
-    if run.outcome[0] == STEP_FAILED:
-        raise StepFailure(f"Riccati {run.reason(0)}")
+    run.require_steps("Riccati", [state.tolist()])
     state = run.end_state[0].copy()
     scale = np.max(np.abs(state[3:]))
     if scale > 1e6:

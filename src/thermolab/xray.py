@@ -72,10 +72,6 @@ class PairField:
         return cls(_as_field(phi), _as_field(w_x), _as_field(w_y))
 
     @classmethod
-    def zero(cls):
-        return cls.from_expressions()
-
-    @classmethod
     def gauge(cls, psi):
         """The pair (0, d psi); in the kernel of the transform whenever
         psi vanishes on the boundary."""
@@ -610,25 +606,20 @@ def _largest_gap(sigma):
 
 
 def analyze_kernel(op, gauge_matrix):
-    """SVD spectrum of the ray matrix and its near-kernel geometry.
-
-    The near-kernel is everything below the largest relative gap in the
-    singular values; IllConditioned if that gap is under MIN_GAP.
-    Principal angles compare the near-kernel with the span of the gauge
-    columns."""
+    """The near-kernel geometry of the ray matrix: the largest relative
+    gap in its singular values (`gap_ratio`), the dimension of the
+    near-kernel below that gap (`kernel_dim`), the number of gauge columns
+    (`gauge_dim`), and the principal angles between the near-kernel and
+    their span (`principal_angles_deg`).  IllConditioned if the gap is
+    under MIN_GAP."""
     U, sigma, Vt = op.thin_svd
     gap_index, gap_ratio = _largest_gap(sigma)
-    kernel_dim = sigma.size - (gap_index + 1)
-    kernel_basis = Vt[gap_index + 1:].T  # (n_cols, kernel_dim)
-    angles = subspace_angles(kernel_basis, np.asarray(gauge_matrix))
+    angles = subspace_angles(Vt[gap_index + 1:].T, np.asarray(gauge_matrix))
     return {
-        "singular_values": sigma,
-        "gap_index": gap_index,
         "gap_ratio": gap_ratio,
-        "kernel_dim": int(kernel_dim),
+        "kernel_dim": int(sigma.size - (gap_index + 1)),
         "gauge_dim": int(np.asarray(gauge_matrix).shape[1]),
         "principal_angles_deg": np.rad2deg(angles),
-        "kernel_basis": kernel_basis,
     }
 
 

@@ -1,5 +1,7 @@
 """Orbit integration: unit speed, boundary exits, trapping, regularity."""
 
+import ast
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,6 +14,8 @@ from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
     integrate_orbit, integrate_to_boundary, nontrapping_scan, \
     scan_regularity
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
+from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
+    solve_riccati_finite
 
 
 def test_flat_geodesics_are_straight():
@@ -223,3 +227,31 @@ def test_batch_step_failure_matches_integrate_orbit():
     assert batch.end_time[0] == pytest.approx(failing.t[-1], abs=1e-10)
     assert batch.end_time[1] == pytest.approx(exiting.t_events[0][0],
                                               abs=1e-10)
+
+
+def test_step_failures_name_stage_and_start_state():
+    # the lam of the test above: each one-orbit integration fails at
+    # x = 0.5 and names its stage and the exact state it started from
+    spec = ThermostatSpec(euclidean_disk(),
+                          SMScalarField.from_expression("sqrt(0.5 - x)"))
+    p0 = SMPoint(0.3, 0.1, 0.2)
+    failures = {}
+    # lam's x-derivative divides by zero at x = 0.5 in a Riccati stage
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for stage, solve in (
+                ("orbit", lambda: integrate_orbit(spec, p0, (0.0, 100.0))),
+                ("Jacobi", lambda: integrate_jacobi(spec, p0, (0.0, 100.0))),
+                ("Riccati", lambda: solve_riccati_finite(spec, p0, 1.0))):
+            with pytest.raises(StepFailure, match="step size below") as err:
+                solve()
+            failures[stage] = str(err.value)
+        base = integrate_orbit(spec, p0, (0.0, -1.0), stop_at_boundary=False,
+                               rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
+    starts = {"orbit": [0.3, 0.1, 0.2],
+              "Jacobi": [0.3, 0.1, 0.2, 0.0, 0.0, 1.0],
+              "Riccati": [*base.state(-1.0), 0.0, 0.0, 1.0]}
+    for stage, message in failures.items():
+        head, reason = message.split(": ", 1)
+        assert head.split(" ", 1)[0] == stage
+        assert ast.literal_eval(head.split(" ", 1)[1]) == starts[stage]
+        assert reason.startswith("integration failed: step size below")

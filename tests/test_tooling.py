@@ -1,8 +1,9 @@
-"""The benchmark tracer's patch targets exist in the package.
+"""The benchmark tracer's patch targets exist in the package, and its
+result hooks read real results.
 
-`perfbench/spans.py` wraps functions and methods by name; a rename or
-deletion in the package would otherwise surface only when the benchmark
-runs with `--trace 1`.
+`perfbench/spans.py` wraps functions and methods by name and reads
+attributes of their results; a rename or deletion in the package would
+otherwise surface only when the benchmark runs with `--trace 1`.
 """
 
 import importlib
@@ -10,6 +11,10 @@ import importlib.util
 from pathlib import Path
 
 from thermolab import anosov, cli, fields, flow, jacobi
+from thermolab.fields import SMPoint, SMScalarField
+from thermolab.geometry import euclidean_disk, flat_torus
+from thermolab.identities import torus_quadrature
+from thermolab.xray import PairField, PolarNodeGrid, ray_fan
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +38,31 @@ def test_tracer_targets_exist():
                       (anosov.GridTransportOperator, "apply"),
                       (jacobi.JacobiCoefficients, "__init__")):
         assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+
+
+def test_tracer_result_hooks_read_real_results():
+    spans = load_spans()
+    spec = flow.geodesic_spec(euclidean_disk())
+    p0 = SMPoint(0.1, 0.2, 0.3)
+    fan = ray_fan(4, 4)
+    # each hook's traced call on a tiny input, and the counter it moves
+    cases = {
+        "flow.integrate_orbit": ((spec, p0, (0.0, 1.0)), "flow.steps"),
+        "jacobi.integrate_jacobi": ((spec, p0, (0.0, 1.0)), "jacobi.steps"),
+        "jacobi.solve_riccati_finite": ((spec, p0, 1.0), "jacobi.steps"),
+        "identities.liouville_integrate": (
+            (torus_quadrature(flat_torus(), 4), [SMScalarField.constant(1.0)]),
+            "identities.quad_nodes"),
+        "xray.assemble_discrete_operator": (
+            (spec, PolarNodeGrid(4, 4), fan), "xray.rays_assembled"),
+        "xray.transform_pair": (
+            (spec, PairField.from_expressions(phi="1"), fan[0]),
+            "xray.rays_kept"),
+    }
+    assert set(cases) == set(spans.ON_RESULT)
+    for name, (args, counter) in cases.items():
+        modname, attr = name.split(".")
+        func = getattr(importlib.import_module(f"thermolab.{modname}"), attr)
+        tracer = spans.Tracer()
+        spans.ON_RESULT[name](tracer, args, {}, func(*args))
+        assert tracer.counts[counter] > 0, name
