@@ -6,6 +6,10 @@ symbolically, so nested derivatives stay analytic.  A probe that needs
 several fields at the same points compiles them together with
 `compile_fields`, so that each subexpression they share is computed once
 per point.
+
+FrameOperators add, subtract and scale by fields, and the commutator of
+two is again one, so an identity between first-order operators holds
+exactly when three coefficient fields vanish.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ class SMScalarField:
         return _as_field(other).__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, FrameOperator):
+            return NotImplemented            # a field times an operator
         return SMScalarField(ex.mul(self.expression,
                                    _as_field(other).expression))
 
@@ -124,6 +130,10 @@ class FrameOperator:
     def from_expressions(cls, c_x, c_y, c_theta):
         return cls(_as_field(c_x), _as_field(c_y), _as_field(c_theta))
 
+    @property
+    def coefficients(self):
+        return (self.c_x, self.c_y, self.c_theta)
+
     def apply(self, f) -> SMScalarField:
         """Apply the operator to a field, returning a new field.
 
@@ -138,8 +148,21 @@ class FrameOperator:
     def __call__(self, f):
         return self.apply(f)
 
+    def __add__(self, other):
+        return FrameOperator(*(a + b for a, b in
+                               zip(self.coefficients, other.coefficients)))
 
-def commutator(a: FrameOperator, b: FrameOperator, f) -> SMScalarField:
-    """[a, b] f = a(b f) - b(a f)."""
-    f = _as_field(f)
-    return a.apply(b.apply(f)) - b.apply(a.apply(f))
+    def __sub__(self, other):
+        return FrameOperator(*(a - b for a, b in
+                               zip(self.coefficients, other.coefficients)))
+
+    def __rmul__(self, c):
+        """The operator c A for a field or number c."""
+        return FrameOperator(*(c * a for a in self.coefficients))
+
+
+def commutator(a: FrameOperator, b: FrameOperator) -> FrameOperator:
+    """The operator [a, b] = ab - ba: first order, with the coefficients
+    a(b_i) - b(a_i), so only first partials of the coefficients enter."""
+    return FrameOperator(*(a.apply(b_i) - b.apply(a_i) for a_i, b_i in
+                           zip(a.coefficients, b.coefficients)))

@@ -358,8 +358,7 @@ def _initial_step(derivative, y, f, direction, interval, rtol, atol):
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1, d1)),
                     interval)
-    with np.errstate(divide="ignore", invalid="ignore"):   # empty spans
-        d2 = _rms((derivative(y + h0 * direction * f) - f) / scale) / h0
+    d2 = _rms((derivative(y + h0 * direction * f) - f) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(flat, 1, np.maximum(d1, d2))) ** (1 / 5))
@@ -421,8 +420,7 @@ def _event_times(event, t_old, h, y_old, q, g_old, g_new):
     hq = h[:, None, None] * q
     powers = np.arange(1, 5)
     lo, hi = np.zeros(h.size), np.ones(h.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = g_old / (g_old - g_new)           # the linear guess
+    s = g_old / (g_old - g_new)               # the linear guess
     s = np.where((s >= 0) & (s <= 1), s, 0.5)
     sized = h != 0
     tol = EVENT_TOL * (1 + np.abs(t_old) + np.abs(h)) / np.where(
@@ -436,8 +434,7 @@ def _event_times(event, t_old, h, y_old, q, g_old, g_new):
         ahead = (g > 0) == positive           # the zero is later in the step
         lo = np.where(ahead, s, lo)
         hi = np.where(ahead, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s - g / dg
+        newton = s - g / dg
         s_next = np.where(g == 0, s, np.where((newton > lo) & (newton < hi),
                                               newton, 0.5 * (lo + hi)))
         settled = (np.abs(s_next - s) <= tol) | (hi - lo <= tol)
@@ -448,6 +445,10 @@ def _event_times(event, t_old, h, y_old, q, g_old, g_new):
     return t_old + s * h
 
 
+# A NaN or infinite stage (a field undefined there) makes its step's error
+# norm NaN, which the controller rejects; empty spans and the event
+# refiner's Newton steps divide by zero on purpose.  None of these warns.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def integrate(spec, states, t_start, t_end, rhs=None, event=None,
               rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Integrate the orbits of many states, each over its own time span.

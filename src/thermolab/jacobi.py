@@ -216,14 +216,11 @@ def _renormalized_run(spec, rhs, event, state, t_now, t_end):
     t_next = t_now + direction * min(5.0, abs(t_end - t_now))
     # Far out, the orbit can come within ~1e-10 of the edge of the model's
     # chart (|k y| = pi/2 for phi = -log cos(k y) on K = -k^2), and a trial
-    # RK stage can step past it, where log gives NaN.  A NaN stage makes
-    # the step's error norm NaN, which the controller rejects (shrinking
-    # the step), so no NaN enters an accepted state, the dense solution or
-    # a result; if no step can avoid it, the integration fails and
-    # StepFailure is raised.
-    with np.errstate(invalid="ignore"):
-        run = integrate(spec, [state], t_now, t_next, rhs=rhs, event=event,
-                        rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
+    # RK stage can step past it, where log gives NaN.  `integrate` rejects
+    # a NaN stage, so no NaN enters a result; if no step can avoid it, the
+    # integration fails and StepFailure is raised.
+    run = integrate(spec, [state], t_now, t_next, rhs=rhs, event=event,
+                    rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
     run.require_steps("Riccati", [state.tolist()])
     state = run.end_state[0].copy()
     scale = np.max(np.abs(state[3:]))
@@ -247,11 +244,8 @@ def solve_riccati_finite(spec, p0: SMPoint, R, sign="+", eval_window=None):
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     t_start = -float(R) if sign == "+" else float(R)
-    # NaN stages near the chart edge: see `_renormalized_run`
-    with np.errstate(invalid="ignore"):
-        base = integrate_orbit(spec, p0, (0.0, t_start),
-                               stop_at_boundary=False, rtol=JACOBI_RTOL,
-                               atol=JACOBI_ATOL)
+    base = integrate_orbit(spec, p0, (0.0, t_start), stop_at_boundary=False,
+                           rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
     coeffs = spec.coefficients()
     state = np.concatenate([base.state(t_start), [0.0, 0.0, 1.0]])
     t_end = -t_start

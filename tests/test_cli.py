@@ -57,6 +57,24 @@ def test_constant_division_by_zero_is_config_error(tmp_path, capsys, lam):
     assert "divides by zero" in capsys.readouterr().err
 
 
+def test_validate_nan_field_is_validation_failure(tmp_path, capsys):
+    # lam = sqrt(x + 0.5) is NaN on the disk's validation points with
+    # x < -0.5; under pytest's error::RuntimeWarning a numpy warning from
+    # the validation pass would escape instead of the report
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+        "lambda": "sqrt(x+0.5)"})
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is False and math.isnan(out["worst"])
+    # NaN exactly in the relations whose coefficient fields read lam:
+    # V(lam) is 0 symbolically, so [V, F] - H - V(lam) V does not
+    nan = {name for name, r in out["residuals"].items()
+           if math.isnan(r["max"])}
+    assert nan == {"[H,V]-F-IH-(J-lam)V", "[F,H]-coreV+lamF+lamIH"}
+    assert out["residuals"]["[V,F]-H-V(lam)V"]["max"] <= 1e-13
+
+
 def test_small_grid_rejected(tmp_path):
     cfg = write_config(tmp_path, "c.json", flat_torus_cfg(grid=[2, 2, 2]))
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG

@@ -255,3 +255,35 @@ def test_step_failures_name_stage_and_start_state():
         assert head.split(" ", 1)[0] == stage
         assert ast.literal_eval(head.split(" ", 1)[1]) == starts[stage]
         assert reason.startswith("integration failed: step size below")
+
+
+def test_nan_stages_fail_steps_without_warnings():
+    # the failures of the test above with no np.errstate around them: under
+    # pytest's error::RuntimeWarning a numpy warning from a NaN stage would
+    # escape as RuntimeWarning, so this passes only if each run rejects its
+    # NaN stages quietly and ends in StepFailure or STEP_FAILED
+    spec = ThermostatSpec(euclidean_disk(),
+                          SMScalarField.from_expression("sqrt(0.5 - x)"))
+    p0 = SMPoint(0.3, 0.1, 0.2)
+    error_state = np.geterr()
+    base = integrate_orbit(spec, p0, (0.0, -1.0), stop_at_boundary=False,
+                           rtol=JACOBI_RTOL, atol=JACOBI_ATOL)
+    starts = {"orbit": "[0.3, 0.1, 0.2]",
+              "Jacobi": "[0.3, 0.1, 0.2, 0.0, 0.0, 1.0]",
+              "Riccati": repr([*base.state(-1.0).tolist(), 0.0, 0.0, 1.0])}
+    for stage, solve in (
+            ("orbit", lambda: integrate_orbit(spec, p0, (0.0, 100.0))),
+            ("Jacobi", lambda: integrate_jacobi(spec, p0, (0.0, 100.0))),
+            ("Riccati", lambda: solve_riccati_finite(spec, p0, 1.0))):
+        with pytest.raises(StepFailure) as err:
+            solve()
+        assert str(err.value).startswith(
+            f"{stage} {starts[stage]}: integration failed: step size below")
+    states = [[0.3, 0.1, 0.2], [-0.3, 0.0, 3.0]]
+    batch = integrate_to_boundary(spec, states)
+    assert list(batch.outcome) == [STEP_FAILED, EXITED]
+    with pytest.raises(StepFailure) as err:
+        batch.require_steps("ray", states)
+    assert str(err.value).startswith(
+        "ray [0.3, 0.1, 0.2]: integration failed: step size below")
+    assert np.geterr() == error_state

@@ -1,15 +1,17 @@
 """Surface models: frames, commutation relations, derived curvatures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from thermolab.errors import DomainError, ValidationFailed
-from thermolab.fields import SMScalarField, _as_field, commutator
+from thermolab.fields import SMScalarField, _as_field, commutator, \
+    compile_fields
 from thermolab.geometry import STRUCTURE_TOLERANCE, SyntheticSpec, \
-    _DEF_PROBES_LOCAL, _DEF_PROBES_PERIODIC, build_surface_model, \
-    classify_magnetic, constant_curvature_model, derived_curvatures, \
-    euclidean_disk, flat_torus, validate_structure_relations, \
-    validation_grid_points, velocity_pairing
+    build_surface_model, classify_magnetic, constant_curvature_model, \
+    derived_curvatures, euclidean_disk, flat_torus, \
+    validate_structure_relations, validation_grid_points, velocity_pairing
 
 # a few base points where the models' exponents are checked
 XS = np.array([0.0, 0.13, -0.21, 0.3])
@@ -160,36 +162,31 @@ def test_metric_speed():
 
 
 def _per_field_relations(model, grid_spec, lam=None):
-    """validate_structure_relations as one evaluation per residual field:
-    the reference its single compiled pass must reproduce bit for bit."""
+    """validate_structure_relations as one evaluation per coefficient field
+    of each relation's residual operator: the reference its single
+    compiled pass must reproduce bit for bit."""
     X, H, V = model.frame.X, model.frame.H, model.frame.V
     I, J, K = model.I, model.J, model.K
     xg, yg, tg = validation_grid_points(model, grid_spec)
-    probes = _DEF_PROBES_PERIODIC if model.domain.kind == "torus" \
-        else _DEF_PROBES_LOCAL
-    residuals = {
-        "[V,X]-H": lambda f: commutator(V, X, f) - H.apply(f),
-        "[H,V]-X-IH-JV": lambda f: (commutator(H, V, f) - X.apply(f)
-                                    - I * H.apply(f) - J * V.apply(f)),
-        "[X,H]-KV": lambda f: commutator(X, H, f) - K * V.apply(f),
+    relations = {
+        "[V,X]-H": commutator(V, X) - H,
+        "[H,V]-X-IH-JV": commutator(H, V) - X - I * H - J * V,
+        "[X,H]-KV": commutator(X, H) - K * V,
     }
     if lam is not None:
         lam = _as_field(lam)
         dc = derived_curvatures(model, lam)
         F = dc.F
-        residuals["[V,F]-H-V(lam)V"] = lambda f: (
-            commutator(V, F, f) - H.apply(f) - dc.Vlam * V.apply(f))
-        residuals["[H,V]-F-IH-(J-lam)V"] = lambda f: (
-            commutator(H, V, f) - F.apply(f) - I * H.apply(f)
-            - (J - lam) * V.apply(f))
-        residuals["[F,H]-coreV+lamF+lamIH"] = lambda f: (
-            commutator(F, H, f) - dc.core * V.apply(f) + lam * F.apply(f)
-            + lam * I * H.apply(f))
+        relations["[V,F]-H-V(lam)V"] = commutator(V, F) - H - dc.Vlam * V
+        relations["[H,V]-F-IH-(J-lam)V"] = (commutator(H, V) - F - I * H
+                                            - (J - lam) * V)
+        relations["[F,H]-coreV+lamF+lamIH"] = (
+            commutator(F, H) - dc.core * V + lam * F + lam * I * H)
     out = {}
-    for name, make in residuals.items():
+    for name, op in relations.items():
         worst_max, sq_sum, count = 0.0, 0.0, 0
-        for p in probes:
-            vals = make(_as_field(p)).eval(xg, yg, tg)
+        for coefficient in op.coefficients:
+            vals = coefficient.eval(xg, yg, tg)
             worst_max = float(np.maximum(worst_max, np.max(np.abs(vals))))
             sq_sum += float(np.sum(vals ** 2))
             count += vals.size
@@ -215,3 +212,39 @@ def test_validation_matches_per_field_evaluation(make_model, lam):
     for name in want:
         assert got[name]["max"] == want[name]["max"], name
         assert got[name]["rms"] == want[name]["rms"], name
+
+
+# test fields f with fiber modes 0, +-1 and +-2
+PROBES = ("sin(2*pi*x)*cos(theta)",
+          "cos(2*pi*y)*sin(theta)+0.3*sin(2*pi*x)",
+          "sin(2*pi*x+2*pi*y)+cos(2*theta)",
+          "sin(x+2*y)*cos(theta)",
+          "x*y+sin(theta)",
+          "cos(x)*sin(y)+sin(2*theta)")
+
+
+@pytest.mark.parametrize("make_model, lam", [
+    (lambda: build_surface_model("conformal_torus",
+                                 phi="0.1*sin(2*pi*x)*cos(2*pi*y)"),
+     "0.2*sin(2*pi*y)"),
+    (lambda: build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)"),
+     None),
+    (lambda: constant_curvature_model(-1.0), None),
+], ids=["torus_lam", "disk", "curvature_-1"])
+def test_commutator_matches_second_order_definition(make_model, lam):
+    # [A, B] f from the bracket's first-order coefficients equals
+    # A(B f) - B(A f), which takes second derivatives of f
+    model = make_model()
+    frame = [model.frame.X, model.frame.H, model.frame.V]
+    if lam is not None:
+        frame.append(derived_curvatures(model, lam).F)
+    bracket, definition = [], []
+    for (A, B), f in itertools.product(itertools.combinations(frame, 2),
+                                       PROBES):
+        bracket.append(commutator(A, B).apply(f))
+        definition.append(A.apply(B.apply(f)) - B.apply(A.apply(f)))
+    grid = validation_grid_points(model, (6, 6, 6))
+    got = compile_fields(bracket)(*grid)
+    want = compile_fields(definition)(*grid)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12
