@@ -80,10 +80,22 @@ class CriterionReport:
 
 
 def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
-    """Scan the hyperbolicity quantity and flag a negative supremum."""
+    """Scan the hyperbolicity quantity and flag a negative supremum.
+
+    DomainError names the first grid node where the quantity is not
+    finite: no supremum or flag can be read off such a scan."""
     dc = derived_curvatures(model, lam)
     x, y, th = validation_grid_points(model, grid_spec)
-    vals = dc.anosovD.eval(x, y, th)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        vals = dc.anosovD.eval(x, y, th)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad))
+        node = tuple(int(i) for i in np.unravel_index(k, grid_spec))
+        raise DomainError(
+            f"hyperbolicity quantity is {vals[k]} at grid node {node} of "
+            f"{tuple(grid_spec)}: (x, y, theta) = ({x[k]:.17g}, {y[k]:.17g}, "
+            f"{th[k]:.17g})")
     k = int(np.argmax(vals))
     sup = float(vals[k])
     return CriterionReport(sup_value=sup,

@@ -36,8 +36,8 @@ CONFIG_ERRORS = (errors.ParseError, errors.ValidationFailed,
                  errors.DomainError, KeyError, TypeError, ValueError)
 NUMERICAL_ERRORS = (errors.StepFailure, errors.TrappedOrbit,
                     errors.BlowupInsideWindow, errors.NoConvergence,
-                    errors.BoundViolated, errors.RiccatiUnavailable,
-                    errors.IllConditioned, errors.SolverDiverged)
+                    errors.RiccatiUnavailable, errors.IllConditioned,
+                    errors.SolverDiverged)
 
 
 # ---------------------------------------------------------------------------

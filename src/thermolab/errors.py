@@ -41,10 +41,6 @@ class NoConvergence(ThermolabError):
     """R-doubling schedule failed to converge or lost monotonicity."""
 
 
-class BoundViolated(ThermolabError):
-    """A computed quantity exceeded its proven bound."""
-
-
 class RiccatiUnavailable(ThermolabError):
     """Conjugate points block the construction of the r field."""
 

@@ -55,7 +55,6 @@ from .geometry import SurfaceModel, thermostat_generator
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 DEFAULT_HORIZON = 100.0
-TRANSVERSALITY_TOL = 1e-6
 
 # Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Solving ODEs I, II.5): stage
 # weights a_ij (the ODEs are autonomous, so the nodes c_i never enter), the
@@ -688,58 +687,6 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
         raise TrappedOrbit(
             f"no boundary hit within horizon {horizon}", horizon=horizon)
     return float(orbit.exit_time)
-
-
-def exp_map(spec, x, y, angle, t):
-    """Base point of the orbit from (x, y) with direction angle at parameter t.
-
-    Does not stop at the domain boundary: the exponential map is defined on
-    the extension of the surface.
-    """
-    if t < 0:
-        raise ValueError("exp_map requires t >= 0")
-    p0 = SMPoint(x, y, angle)
-    if t == 0:
-        return np.array([p0.x, p0.y])
-    orbit = integrate_orbit(spec, p0, (0.0, t), stop_at_boundary=False)
-    s = orbit.state(t)
-    return np.array([s[0], s[1]])
-
-
-def scan_regularity(spec, p0: SMPoint):
-    """Classify a state as regular: transversal boundary hits both ways,
-    within DEFAULT_HORIZON."""
-    detail = {}
-    f = spec.rhs()
-    r2 = p0.x * p0.x + p0.y * p0.y
-    on_boundary = r2 >= 1.0 - 1e-12
-    if on_boundary:
-        d = f(0.0, [p0.x, p0.y, p0.theta])
-        radial = d[0] * p0.x + d[1] * p0.y
-        detail["boundary_radial_speed"] = float(radial)
-        if abs(radial) <= TRANSVERSALITY_TOL:
-            return {"regular": False, "detail": detail}
-
-    regular = True
-    for direction, key in ((1, "forward"), (-1, "backward")):
-        try:
-            orbit = integrate_orbit(spec, p0,
-                                    (0.0, direction * DEFAULT_HORIZON),
-                                    stop_at_boundary=True)
-        except StepFailure:
-            return {"regular": False, "detail": {**detail, key: "step failure"}}
-        if orbit.exit_time is None:
-            raise TrappedOrbit(
-                f"{key} orbit trapped past horizon {DEFAULT_HORIZON}",
-                horizon=DEFAULT_HORIZON)
-        s = orbit.state(orbit.exit_time)
-        vx, vy = f(orbit.exit_time, s)[:2]
-        crossing = abs(vx * s[0] + vy * s[1]) / max(np.hypot(vx, vy), 1e-300)
-        detail[key] = {"exit_time": float(orbit.exit_time),
-                       "crossing": float(crossing)}
-        if crossing <= TRANSVERSALITY_TOL:
-            regular = False
-    return {"regular": regular, "detail": detail}
 
 
 def nontrapping_scan(spec, grid_spec=(10, 10, 10), T_max=DEFAULT_HORIZON):

@@ -347,10 +347,3 @@ def derived_curvatures(model, lam) -> DerivedCurvatures:
     core = model.K - model.frame.H.apply(lam) - lam * model.J + lam * lam
     return DerivedCurvatures(F=F, lamI=lamI, Vlam=Vlam, core=core)
 
-
-def classify_magnetic(model, lam):
-    """Check the magnetic-flow condition V(lam) = -lam I on a grid."""
-    dc = derived_curvatures(model, lam)
-    xg, yg, tg = validation_grid_points(model, (12, 12, 24))
-    residual = float(np.max(np.abs((dc.Vlam + dc.lamI).eval(xg, yg, tg))))
-    return {"magnetic": residual < 1e-8, "residual": residual}

@@ -46,14 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowupInsideWindow, BoundViolated, NoConvergence,
-                     RiccatiUnavailable)
+from .errors import BlowupInsideWindow, NoConvergence, RiccatiUnavailable
 from .fields import SMPoint, compile_fields
 from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, DenseSolution, \
     Event, ThermostatSpec, integrate, integrate_orbit, integrate_to_boundary
 from .geometry import derived_curvatures, validation_grid_points
 
-GOLDEN_BOUND = 0.5 * (1.0 + np.sqrt(5.0))
 RICCATI_R_CAP = 2 ** 10
 # the tolerances of conjugate-point and Riccati solves
 JACOBI_RTOL = 1e-11
@@ -388,31 +386,6 @@ def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
     dwm = np.imag(comparison_w_minus(ts + 1j * h, A, E)) / h
     res_m = np.max(np.abs(dwm + A * wm + wm ** 2 - A ** 2))
     return {"w_plus": float(res_p), "w_minus": float(res_m)}
-
-
-def check_riccati_bound(spec, states):
-    """Verify |r+-| <= (A/2)(1+sqrt 5) at sampled states, up to 1e-6.
-
-    Also validates the comparison closed forms in their ODEs.  Raises
-    BoundViolated on any exceedance (conjugate point, wrong A, or an
-    integration fault).
-    """
-    consts = riccati_bound_constants(spec)
-    bound = consts["A"] * GOLDEN_BOUND
-    rows = []
-    for p in states:
-        r_plus, r_minus = solve_riccati_limit(spec, p)
-        ok = abs(r_plus) <= bound + 1e-6 and abs(r_minus) <= bound + 1e-6
-        rows.append({"x": p.x, "y": p.y, "theta": p.theta,
-                     "r_plus": r_plus, "r_minus": r_minus, "ok": ok})
-        if not ok:
-            raise BoundViolated(
-                f"|r| exceeds (A/2)(1+sqrt5)={bound:.6g} at "
-                f"({p.x:.3g},{p.y:.3g},{p.theta:.3g}): "
-                f"r+={r_plus:.6g}, r-={r_minus:.6g}")
-    ode_res = comparison_ode_residuals(A=max(consts["A"], 1.0))
-    return {"constants": consts, "bound": bound, "states": rows,
-            "comparison_ode_residuals": ode_res}
 
 
 def exterior_fan_r(spec, states, margin=0.1):

@@ -23,11 +23,9 @@ of at most `CHUNK_POINTS`.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -435,18 +433,17 @@ class DiscreteXRayOperator:
 
     Columns are [phi nodes | w_x nodes | w_y nodes]; rows are the rays
     that exited within the horizon.  n_dropped counts the rays that were
-    trapped or whose integration failed.  An assembled operator keeps the
-    orbits it integrated (orbit_index[k] is the orbit of row k), so that
-    `transform` can integrate pairs along its rays; a loaded one has none.
+    trapped or whose integration failed.  The operator keeps the orbits it
+    integrated (orbit_index[k] is the orbit of row k), so that `transform`
+    can integrate pairs along its rays.
     """
 
     matrix: np.ndarray
     rays: list
     node_grid: PolarNodeGrid
     n_dropped: int
-    quad_spacing: float
-    orbits: Optional[OrbitBatch] = dc_field(default=None, repr=False)
-    orbit_index: Optional[np.ndarray] = dc_field(default=None, repr=False)
+    orbits: OrbitBatch = dc_field(repr=False)
+    orbit_index: np.ndarray = dc_field(repr=False)
 
     @cached_property
     def thin_svd(self):
@@ -459,9 +456,6 @@ class DiscreteXRayOperator:
     def transform(self, pair):
         """Transform values of the pair along the rows' rays, with the
         quadrature of `transform_fan`, on the orbits of the assembly."""
-        if self.orbits is None:
-            raise ValueError("the operator holds no orbits (loaded from a "
-                             "file); use transform_fan on its entries")
         return _ray_values(self.orbits, pair, self.orbit_index)
 
 
@@ -507,8 +501,7 @@ def assemble_discrete_operator(spec, node_grid, rays):
                for i in kept]
     return DiscreteXRayOperator(matrix=matrix, rays=records,
                                 node_grid=node_grid, n_dropped=len(dropped),
-                                quad_spacing=QUAD_SPACING, orbits=orbits,
-                                orbit_index=kept)
+                                orbits=orbits, orbit_index=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -673,45 +666,3 @@ def reconstruct_pair(op, values, rank=None):
                         w_x_values=solution[n:2 * n],
                         w_y_values=solution[2 * n:])
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def save_operator(op, path):
-    """One JSON header line followed by the raw float64 matrix bytes."""
-    header = {
-        "rows": op.matrix.shape[0],
-        "cols": op.matrix.shape[1],
-        "n_r": op.node_grid.n_r,
-        "n_alpha": op.node_grid.n_alpha,
-        "n_dropped": op.n_dropped,
-        "quad_spacing": op.quad_spacing,
-        "entries": [[r.entry.x, r.entry.y, r.entry.theta] for r in op.rays],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(op.matrix, dtype="<f8").tobytes())
-
-
-def load_operator(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    matrix = data.reshape(header["rows"], header["cols"]).copy()
-    grid = PolarNodeGrid(header["n_r"], header["n_alpha"])
-    rays = [RayRecord(entry=SMPoint(*e), exit=SMPoint(*e), length=0.0,
-                      value=0.0) for e in header["entries"]]
-    return DiscreteXRayOperator(matrix=matrix, rays=rays, node_grid=grid,
-                                n_dropped=header["n_dropped"],
-                                quad_spacing=header["quad_spacing"])
-
-
-def rays_to_csv(records, path):
-    """entry_s, entry_angle, length, value rows at full precision."""
-    with open(path, "w") as fh:
-        fh.write("entry_s,entry_angle,length,value\n")
-        for r in records:
-            fh.write(",".join(f"{v:.17g}" for v in
-                              (r.entry_s, r.entry_angle, r.length, r.value))
-                     + "\n")

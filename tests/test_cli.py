@@ -348,6 +348,17 @@ def test_anosov_command(tmp_path, capsys):
     assert out["anosov_flag"] is True
 
 
+def test_anosov_nonfinite_lambda_is_config_error(tmp_path, capsys):
+    # lam = sqrt(x - 0.5) is NaN on the grid nodes with x < 0.5, the first
+    # being node (0, 0, 0); no supremum or flag can be read off such a scan
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
+        **{"lambda": "sqrt(x-0.5)", "grid": [8, 8, 8]}))
+    assert main(["anosov", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid node (0, 0, 0) of (8, 8, 8)" in captured.err
+
+
 def test_spectrum_csv(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},

@@ -1,4 +1,4 @@
-"""Orbit integration: unit speed, boundary exits, trapping, regularity."""
+"""Orbit integration: unit speed, boundary exits, trapping."""
 
 import ast
 
@@ -10,9 +10,8 @@ import thermolab.flow
 from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
-    TRAPPED, ThermostatSpec, exit_time, exp_map, geodesic_spec, \
-    integrate_orbit, integrate_to_boundary, nontrapping_scan, \
-    scan_regularity
+    TRAPPED, ThermostatSpec, exit_time, geodesic_spec, integrate_orbit, \
+    integrate_to_boundary, nontrapping_scan
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
     solve_riccati_finite
@@ -77,20 +76,8 @@ def test_strong_thermostat_traps():
         exit_time(spec, SMPoint(0.0, 0.0, 0.3), horizon=20.0)
 
 
-def test_exp_map_flat():
+def test_nontrapping_scan():
     spec = geodesic_spec(euclidean_disk())
-    q = exp_map(spec, 0.1, 0.2, 0.5, 0.7)
-    assert np.allclose(q, [0.1 + 0.7 * np.cos(0.5), 0.2 + 0.7 * np.sin(0.5)],
-                       atol=1e-10)
-
-
-def test_scan_regularity_and_nontrapping():
-    spec = geodesic_spec(euclidean_disk())
-    assert scan_regularity(spec, SMPoint(0.2, 0.1, 0.4))["regular"]
-    # a boundary-tangent state is not regular
-    s = 0.3
-    tangent = SMPoint(np.cos(s), np.sin(s), s + np.pi / 2)
-    assert not scan_regularity(spec, tangent)["regular"]
     scan = nontrapping_scan(spec, grid_spec=(3, 4, 4), T_max=10.0)
     assert scan["nontrapping_at_resolution"]
     assert scan["n_sampled"] == 3 * 4 * 4

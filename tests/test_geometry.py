@@ -9,7 +9,7 @@ from thermolab.errors import DomainError, ValidationFailed
 from thermolab.fields import SMScalarField, _as_field, commutator, \
     compile_fields
 from thermolab.geometry import STRUCTURE_TOLERANCE, SyntheticSpec, \
-    build_surface_model, classify_magnetic, constant_curvature_model, \
+    build_surface_model, constant_curvature_model, \
     derived_curvatures, euclidean_disk, flat_torus, \
     validate_structure_relations, validation_grid_points, velocity_pairing
 
@@ -118,15 +118,6 @@ def test_derived_curvatures_hyperbolic():
     model = constant_curvature_model(-1.0)
     dc = derived_curvatures(model, SMScalarField.constant(0.0))
     assert dc.anosovD.eval(0.1, -0.2, 1.0) == pytest.approx(-1.0, rel=1e-9)
-
-
-def test_classify_magnetic():
-    model = flat_torus()
-    # base-dependent lam has V(lam) = 0 and I = 0: magnetic
-    lam = SMScalarField.from_expression("0.3*sin(2*pi*x)")
-    assert classify_magnetic(model, lam)["magnetic"]
-    lam2 = SMScalarField.from_expression("0.3*sin(theta)")
-    assert not classify_magnetic(model, lam2)["magnetic"]
 
 
 def test_field_eval_shape_and_dtype():

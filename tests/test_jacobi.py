@@ -12,9 +12,8 @@ from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, ThermostatSpec, \
 from thermolab.geometry import build_surface_model, constant_curvature_model, \
     euclidean_disk, flat_torus
 from thermolab.errors import BlowupInsideWindow
-from thermolab.jacobi import GOLDEN_BOUND, JacobiCoefficients, \
-    check_riccati_bound, comparison_ode_residuals, detect_conjugate_points, \
-    exterior_fan_r, integrate_jacobi, riccati_bound_constants, \
+from thermolab.jacobi import JacobiCoefficients, comparison_ode_residuals, \
+    detect_conjugate_points, exterior_fan_r, integrate_jacobi, riccati_bound_constants, \
     riccati_doubling, second_order_residual, solve_riccati_finite, \
     solve_riccati_limit
 
@@ -173,11 +172,11 @@ def test_riccati_bound():
     spec = geodesic_spec(constant_curvature_model(-1.0))
     consts = riccati_bound_constants(spec)
     assert consts["A"] >= consts["B"]
-    states = [SMPoint(0.0, 0.0, th) for th in (0.1, 1.3)]
-    rep = check_riccati_bound(spec, states)
-    assert all(row["ok"] for row in rep["states"])
-    assert rep["bound"] == pytest.approx(consts["A"] * (1 + np.sqrt(5.0)) / 2)
-    assert GOLDEN_BOUND == pytest.approx((1 + np.sqrt(5.0)) / 2)
+    bound = consts["A"] * (1 + np.sqrt(5.0)) / 2
+    for th in (0.1, 1.3):
+        r_plus, r_minus = solve_riccati_limit(spec, SMPoint(0.0, 0.0, th))
+        assert abs(r_plus) <= bound + 1e-6
+        assert abs(r_minus) <= bound + 1e-6
 
 
 def test_comparison_ode_residuals():

@@ -1,13 +1,17 @@
 """The benchmark tracer's patch targets exist in the package, and its
-result hooks read real results.
+result hooks read real results; README's feature lists name what exists.
 
 `perfbench/spans.py` wraps functions and methods by name and reads
 attributes of their results; a rename or deletion in the package would
 otherwise surface only when the benchmark runs with `--trace 1`.
+README names the `lab` subcommands and the probes that only the library
+reaches; a subcommand or probe added or deleted without README would
+otherwise go unnoticed.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from thermolab import anosov, cli, fields, flow, jacobi
@@ -16,7 +20,9 @@ from thermolab.geometry import euclidean_disk, flat_torus
 from thermolab.identities import torus_quadrature
 from thermolab.xray import PairField, PolarNodeGrid, ray_fan
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def load_spans():
@@ -66,3 +72,20 @@ def test_tracer_result_hooks_read_real_results():
         tracer = spans.Tracer()
         spans.ON_RESULT[name](tracer, args, {}, func(*args))
         assert tracer.counts[counter] > 0, name
+
+
+def test_readme_lists_match_the_package():
+    text = README.read_text()
+    # the `Subcommands:` sentence names exactly the CLI's subcommands
+    sentence = re.search(r"Subcommands:(.*?)\.\s", text, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(cli.COMMANDS)
+    # every library-only probe resolves, and its test file exercises it
+    section = text.split("## Library-only probes", 1)[1].split("\n## ")[0]
+    probes = re.findall(r"^- `(\w+)\.(\w+)`: `(tests/\w+\.py)`$", section,
+                        re.M)
+    assert probes
+    for modname, attr, test_file in probes:
+        module = importlib.import_module(f"thermolab.{modname}")
+        assert hasattr(module, attr), f"thermolab.{modname}.{attr}"
+        assert re.search(rf"\b{attr}\b", (ROOT / test_file).read_text()), \
+            f"{test_file} does not exercise {modname}.{attr}"

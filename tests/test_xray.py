@@ -10,9 +10,8 @@ from thermolab.flow import STEP_FAILED, ThermostatSpec, geodesic_spec
 from thermolab.geometry import build_surface_model, euclidean_disk
 from thermolab.xray import PairField, PolarNodeGrid, \
     assemble_discrete_operator, boundary_corrector, chi_field, \
-    corrected_pair, gauge_basis, gauge_bumps, load_operator, ray_fan, \
-    rays_to_csv, reconstruct_pair, save_operator, transform_fan, \
-    transform_pair
+    corrected_pair, gauge_basis, gauge_bumps, ray_fan, reconstruct_pair, \
+    transform_fan, transform_pair
 
 
 def disk_spec():
@@ -283,25 +282,3 @@ def test_reconstruct_phi_with_explicit_rank():
     truth = 1 - x ** 2 - y ** 2
     err = np.linalg.norm(est.phi_at(x, y) - truth) / np.linalg.norm(truth)
     assert err < 0.05
-
-
-def test_save_load_round_trip(tmp_path):
-    spec = disk_spec()
-    grid = PolarNodeGrid(6, 6)
-    op = assemble_discrete_operator(spec, grid, ray_fan(5, 4))
-    path = tmp_path / "op.bin"
-    save_operator(op, path)
-    op2 = load_operator(path)
-    assert np.array_equal(op.matrix, op2.matrix)
-    assert op2.node_grid.n_nodes == grid.n_nodes
-
-
-def test_rays_to_csv(tmp_path):
-    spec = disk_spec()
-    pair = PairField.from_expressions(phi="1")
-    recs = [transform_pair(spec, pair, entry_state(0.0, 0.2))]
-    path = tmp_path / "rays.csv"
-    rays_to_csv(recs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entry_s,entry_angle,length,value"
-    assert len(lines) == 2
