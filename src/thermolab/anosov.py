@@ -25,10 +25,13 @@ Three probes of long-time flow behaviour:
   `GridTransportOperator` assembles the 4th-order periodic stencil of F
   and its transpose once as sparse CSR matrices, so each conjugate-gradient
   matvec on the normal equations is one product with F and one with its
-  transpose.  The conjugate gradients are preconditioned by the normal
-  operator of F with its coefficients averaged over the torus at each
-  fiber angle, which is block diagonal in the spatial Fourier modes
-  (`_frozen_preconditioner`; T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988).
+  transpose.  The conjugate gradients (`_pcg`, a numpy loop) are
+  preconditioned by the normal operator of F with its coefficients
+  averaged over the torus at each fiber angle, which is block diagonal in
+  the spatial Fourier modes (`_frozen_preconditioner`; T. Chan, SIAM J.
+  Sci. Stat. Comput. 9, 1988).  The CSR matrices are the module's only use
+  of scipy, imported when an operator is built; the other probes run on
+  numpy alone.
 """
 
 from __future__ import annotations
@@ -36,14 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import DomainError, SolverDiverged
 from .fields import SMPoint, _as_field, compile_fields
-from .flow import ThermostatSpec
-from .geometry import derived_curvatures, validation_grid_points, \
-    velocity_pairing
+from .geometry import derived_curvatures, thermostat_generator, \
+    validation_grid_points, velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 # the 4th-order central difference as (np.roll shift, weight / 12h) pairs:
@@ -57,11 +57,31 @@ FIBER_BAND = 8
 CG_TOL = 1e-10
 CG_MAXITER = 10000
 # regularization of the frozen-coefficient preconditioner, relative to the
-# largest entry of its blocks.  Operator applies of CG on the curved torus
-# (phi = 0.1 sin 2 pi x cos 2 pi y, lam = 0.2 sin 2 pi y) at eps = 1e-2,
-# 1e-3, 1e-4: 393, 265, 484 at n=16 on the exact gauge w_x = 2 pi cos 2 pi x
-# and 46, 29, 47 at n=32 on h = sin 2 pi x
+# largest entry of its blocks.  Operator applies of a cohomology solve on
+# the curved torus (phi = 0.1 sin 2 pi x cos 2 pi y, lam = 0.2 sin 2 pi y)
+# at eps = 1e-2, 1e-3, 1e-4: 391, 264, 470 at n=16 on the exact gauge
+# w_x = 2 pi cos 2 pi x and 45, 28, 45 at n=32 on h = sin 2 pi x
 PRECOND_EPS = 1e-3
+
+
+def _sample_finite(named_fields, x, y, th, grid_spec):
+    """The fields' values at the nodes of a grid_spec grid, evaluated
+    through one compiled bundle under one np.errstate.  DomainError names
+    the first field, in the given order, that is not finite at a node, and
+    the first such node: nothing can be read off such a sample."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        values = compile_fields(named_fields.values())(x, y, th)
+    for name, vals in zip(named_fields, values):
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad))
+            node = tuple(int(i) for i in np.unravel_index(k, grid_spec))
+            x_k, y_k, th_k = (float(np.ravel(v)[k]) for v in (x, y, th))
+            raise DomainError(
+                f"{name} is {np.ravel(vals)[k]} at grid node {node} of "
+                f"{tuple(grid_spec)}: (x, y, theta) = ({x_k:.17g}, "
+                f"{y_k:.17g}, {th_k:.17g})")
+    return values
 
 
 @dataclass
@@ -86,16 +106,8 @@ def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
     finite: no supremum or flag can be read off such a scan."""
     dc = derived_curvatures(model, lam)
     x, y, th = validation_grid_points(model, grid_spec)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = dc.anosovD.eval(x, y, th)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.argmax(bad))
-        node = tuple(int(i) for i in np.unravel_index(k, grid_spec))
-        raise DomainError(
-            f"hyperbolicity quantity is {vals[k]} at grid node {node} of "
-            f"{tuple(grid_spec)}: (x, y, theta) = ({x[k]:.17g}, {y[k]:.17g}, "
-            f"{th[k]:.17g})")
+    (vals,) = _sample_finite({"hyperbolicity quantity": dc.anosovD},
+                             x, y, th, grid_spec)
     k = int(np.argmax(vals))
     sup = float(vals[k])
     return CriterionReport(sup_value=sup,
@@ -190,10 +202,11 @@ class GridTransportOperator:
         self.X, self.Y, self.T = X, Y, T
         self.h_xy = 1.0 / n
         self.h_t = TWO_PI / n
-        # the orbit right-hand side is the generator's three coefficients
-        self.cx, self.cy, self.ct = (
-            np.broadcast_to(c, X.shape).astype(float)
-            for c in ThermostatSpec(model, lam).rhs()(0.0, (X, Y, T)))
+        gen = thermostat_generator(model, lam)
+        self.cx, self.cy, self.ct = self.sample({
+            f"coefficient {name} = {c.expression} of F = X + lam V": c
+            for name, c in (("c_x", gen.c_x), ("c_y", gen.c_y),
+                            ("c_theta", gen.c_theta))})
         self.F = self._assemble()
         self.FT = self.F.T.tocsr()
 
@@ -217,11 +230,17 @@ class GridTransportOperator:
                 data[..., k] = c * (weight / (12.0 * h))
                 k += 1
         indptr = np.arange(0, 12 * size + 1, 12, dtype=np.int32)
+        # scipy's CSR product: a numpy gather or roll stencil of the same
+        # operator is 4-6x slower (n=16)
+        from scipy.sparse import csr_matrix
         return csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
                           shape=(size, size))
 
-    def sample(self, field):
-        return _as_field(field).eval(self.X, self.Y, self.T)
+    def sample(self, named_fields):
+        """The fields on the grid (`_sample_finite`): DomainError names the
+        first field and grid node where a value is not finite."""
+        return _sample_finite(named_fields, self.X, self.Y, self.T,
+                              self.X.shape)
 
     def apply(self, u):
         return (self.F @ u.ravel()).reshape(u.shape)
@@ -263,8 +282,11 @@ def _frozen_preconditioner(op):
     fiber grid (n <= 2 FIBER_BAND), W is unitary and the map is
     (B_k^H B_k + eps m I)^{-1}.  Past that it inverts the band part of
     B_k^H B_k instead of taking the band part of the inverse: its blocks
-    stay 17 x 17, and on the n=32 curved torus CG takes 29 operator
-    applies where the band part of the inverse takes 100.
+    stay 17 x 17, and on the n=32 curved torus CG takes 28 operator
+    applies where the band part of the inverse takes 99.  The map is one
+    rfftn, one batched product with the blocks and one irfftn: W and W^H
+    are the fiber transforms of rfftn and irfftn on the band (with scales
+    sqrt(n) and 1/sqrt(n), which cancel).
     """
     n = op.n
     cx, cy, ct = (c.mean(axis=(0, 1)) for c in (op.cx, op.cy, op.ct))
@@ -274,10 +296,10 @@ def _frozen_preconditioner(op):
     # row i holds column i - shift, as in GridTransportOperator._assemble
     d_theta = sum(np.roll(eye, -shift, axis=1) * (weight / (12.0 * op.h_t))
                   for shift, weight in STENCIL)
-    modes = np.fft.fftfreq(n, 1.0 / n)
-    W = np.fft.fft(eye, axis=0, norm="ortho")[np.abs(modes) <= FIBER_BAND]
+    band = np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) <= FIBER_BAND)
+    W = np.fft.fft(eye, axis=0, norm="ortho")[band]
     Wh = W.conj().T
-    # rfft2 keeps the modes k_y <= n // 2; the others are conjugates
+    # rfftn keeps the modes k_y <= n // 2; the others are conjugates
     diag = 1j * (s[:, None, None] * cx + s[:n // 2 + 1, None] * cy)
     # B_k W^H, whose Gram matrix is W B_k^H B_k W^H
     BW = diag[..., None] * Wh + ct[:, None] * (d_theta @ Wh)
@@ -289,10 +311,35 @@ def _frozen_preconditioner(op):
     blocks = np.linalg.inv(gram + PRECOND_EPS * m * np.eye(len(W)))
 
     def apply(u):
-        c = np.fft.rfft2(u, axes=(0, 1)) @ W.T
-        c = np.matmul(blocks, c[..., None])[..., 0] @ Wh.T
-        return np.fft.irfft2(c, s=(n, n), axes=(0, 1))
+        c = np.fft.rfftn(u, axes=(2, 0, 1))
+        out = np.zeros_like(c)
+        out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
+        return np.fft.irfftn(out, s=(n, n, n), axes=(2, 0, 1))
     return apply
+
+
+def _pcg(normal, precondition, b):
+    """Preconditioned conjugate gradients on normal(x) = b from x = 0, on
+    flat arrays, as scipy.sparse.linalg.cg runs them: they stop once the
+    residual b - normal(x), updated step by step, has a norm of at most
+    CG_TOL ||b||, or after CG_MAXITER iterations.  Returns x and the
+    number of iterations left unconverged: 0, or CG_MAXITER."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    tol = CG_TOL * np.linalg.norm(b)
+    p = rho_prev = None
+    for _ in range(CG_MAXITER):
+        if np.linalg.norm(r) <= tol:
+            return x, 0
+        z = precondition(r)
+        rho = np.dot(r, z)
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = normal(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, CG_MAXITER
 
 
 def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
@@ -339,20 +386,17 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
     if rhs_grid is not None:
         rhs = np.asarray(rhs_grid, dtype=float)
     else:
-        rhs = np.broadcast_to(op.sample(
-            _as_field(h) + velocity_pairing(model, w_x, w_y)),
-            op.X.shape).astype(float)
+        field = _as_field(h) + velocity_pairing(model, w_x, w_y)
+        (rhs,) = op.sample({f"right-hand side {field.expression}": field})
 
     shape = rhs.shape
-    size = rhs.size
     project = _fiber_band_projector(n, FIBER_BAND)
     b = project(op.apply_adjoint(rhs)).ravel()
 
-    def normal_mv(v):
+    def normal(v):
         return project(op.apply_adjoint(op.apply(
             project(v.reshape(shape))))).ravel()
 
-    A = LinearOperator((size, size), dtype=float, matvec=normal_mv)
     # F^T rhs at roundoff level means rhs is orthogonal to the range:
     # the minimizer is u = 0 and CG would only chase noise; the scale is
     # the largest column norm of F
@@ -364,16 +408,15 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
         info = 0
     else:
         precondition = _frozen_preconditioner(op)
-        M = LinearOperator((size, size), dtype=float, matvec=lambda v:
-                           precondition(v.reshape(shape)).ravel())
         # preconditioned CG from u = 0 returns a minimizer but, where F
-        # has a null space on the band, not the minimum-norm one: M does
-        # not keep the iterates off that null space
-        sol, info = cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER, M=M)
+        # has a null space on the band, not the minimum-norm one: the
+        # preconditioner does not keep the iterates off that null space
+        sol, info = _pcg(normal, lambda v: precondition(
+            v.reshape(shape)).ravel(), b)
         if info > 0:
             # the normal equations are consistent but can stagnate near the
             # attainable floor; accept if the gradient is already tiny
-            grad = np.linalg.norm(b - A.matvec(sol)) / nb
+            grad = np.linalg.norm(b - normal(sol)) / nb
             if grad > 1e3 * CG_TOL:
                 raise SolverDiverged(
                     f"cohomology solve on the n={n} grid, fiber band |m| <= "

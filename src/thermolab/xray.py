@@ -28,8 +28,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import subspace_angles, svd
 
 from .errors import DomainError, IllConditioned, TrappedOrbit
 from .expr import CHUNK_POINTS
@@ -365,11 +363,13 @@ class PolarNodeGrid:
             ys.extend(r * np.sin(alphas))
         return np.array(xs), np.array(ys)
 
-    def coefficient_matrix(self, x, y):
-        """Sparse (n_points, n_nodes) interpolation matrix."""
+    def interpolation(self, x, y):
+        """The interpolation at the points (x, y): for each point, the
+        indices (n, 4) of its nodes and their weights (n, 4).  A point
+        inside the first ring has three nodes, the center and two nodes of
+        ring 1; its second entry is the center again, with weight 0."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
-        npts = x.size
         r = np.minimum(np.hypot(x, y), 1.0)
         alpha = np.arctan2(y, x) % TWO_PI
         dr = 1.0 / (self.n_r - 1)
@@ -379,37 +379,23 @@ class PolarNodeGrid:
         j0 = (alpha / da).astype(int) % self.n_alpha
         ta = alpha / da - (alpha / da).astype(int)
         j1 = (j0 + 1) % self.n_alpha
-
-        def ring_index(ring, j):
-            return 1 + (ring - 1) * self.n_alpha + j
-
-        rows, cols, vals = [], [], []
-        rng_pts = np.arange(npts)
-        inner = i == 0
+        # the first node of ring i (ring 0 is the center) and of ring i + 1
+        low = 1 + (i - 1) * self.n_alpha
+        high = low + self.n_alpha
+        index = np.stack([low + j0, low + j1, high + j0, high + j1], axis=1)
+        weight = np.stack([(1.0 - tr) * (1.0 - ta), (1.0 - tr) * ta,
+                           tr * (1.0 - ta), tr * ta], axis=1)
         # between the center node and ring 1
-        rows.append(rng_pts[inner])
-        cols.append(np.zeros(np.count_nonzero(inner), dtype=int))
-        vals.append(1.0 - tr[inner])
-        for j, w in ((j0, (1.0 - ta)), (j1, ta)):
-            rows.append(rng_pts[inner])
-            cols.append(ring_index(1, j[inner]))
-            vals.append(tr[inner] * w[inner])
-        # between two rings
-        outer = ~inner
-        for ring_off, wr in ((0, 1.0 - tr), (1, tr)):
-            for j, wa in ((j0, 1.0 - ta), (j1, ta)):
-                rows.append(rng_pts[outer])
-                cols.append(ring_index(i[outer] + ring_off, j[outer]))
-                vals.append(wr[outer] * wa[outer])
-        mat = sparse.csr_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(npts, self.n_nodes))
-        return mat
+        inner = i == 0
+        index[inner, :2] = 0
+        weight[inner, 0] = 1.0 - tr[inner]
+        weight[inner, 1] = 0.0
+        return index, weight
 
     def interpolate(self, values, x, y):
         shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        out = self.coefficient_matrix(x, y) @ np.asarray(values, dtype=float)
+        index, weight = self.interpolation(x, y)
+        out = (np.asarray(values, dtype=float)[index] * weight).sum(axis=1)
         return out.reshape(shape) if shape else float(out[0])
 
     def discretize(self, f):
@@ -448,7 +434,7 @@ class DiscreteXRayOperator:
     @cached_property
     def thin_svd(self):
         """(U, sigma, Vt) of the matrix, computed on first use and kept."""
-        return svd(self.matrix, full_matrices=False)
+        return np.linalg.svd(self.matrix, full_matrices=False)
 
     def apply(self, pair_vector):
         return self.matrix @ np.asarray(pair_vector, dtype=float)
@@ -464,8 +450,8 @@ def assemble_discrete_operator(spec, node_grid, rays):
     interpolation coefficient, with quadrature nodes QUAD_SPACING apart.
     All rays are integrated forward together
     (`flow.integrate_to_boundary`); their quadrature nodes are then taken
-    in blocks of at most CHUNK_POINTS, with one `coefficient_matrix` call
-    per block.
+    in blocks of at most CHUNK_POINTS, with one `interpolation` call per
+    block, and each block's rows are sums over its nodes (`np.bincount`).
     Rays trapped past DEFAULT_HORIZON and rays whose integration fails are
     dropped, with a warning that names each one and its reason; any other
     error propagates."""
@@ -482,20 +468,22 @@ def assemble_discrete_operator(spec, node_grid, rays):
         raise TrappedOrbit("all rays trapped", horizon=DEFAULT_HORIZON)
     lengths = orbits.end_time[kept]
     n_panels = np.maximum(2, np.ceil(lengths / (8 * QUAD_SPACING)).astype(int))
-    matrix = np.empty((kept.size, 3 * node_grid.n_nodes))
+    n = node_grid.n_nodes
+    matrix = np.empty((kept.size, 3 * n))
     for block in _blocks(n_panels * _GL_NODES.size):
         ts, ws, which = _panel_rules(0.0, lengths[block], n_panels[block])
         sx, sy, st = orbits.state(kept[block][which], ts).T
-        coeff = node_grid.coefficient_matrix(sx, sy)
+        index, weight = node_grid.interpolation(sx, sy)
         speed = 1.0 / model.conformal_factor(sx, sy)
-        # the rows of a (rays, nodes) matrix: each ray sums its own nodes
-        indptr = np.concatenate([[0], np.cumsum(n_panels[block]
-                                                * _GL_NODES.size)])
-        matrix[block] = np.hstack([
-            (sparse.csr_matrix((w, np.arange(ts.size), indptr),
-                               shape=(indptr.size - 1, ts.size))
-             @ coeff).toarray()
-            for w in (ws, ws * speed * np.cos(st), ws * speed * np.sin(st))])
+        # row `which` of the block adds up its quadrature nodes' weights
+        # per grid node, in quadrature order
+        bins = (which[:, None] * n + index).ravel()
+        size = (block.stop - block.start) * n
+        for k, w in enumerate((ws, ws * speed * np.cos(st),
+                               ws * speed * np.sin(st))):
+            matrix[block, k * n:(k + 1) * n] = np.bincount(
+                bins, weights=(w[:, None] * weight).ravel(),
+                minlength=size).reshape(-1, n)
     records = [RayRecord(entry=rays[i], exit=SMPoint(*orbits.exit_state[i]),
                          length=float(orbits.end_time[i]), value=0.0)
                for i in kept]
@@ -598,6 +586,34 @@ def _largest_gap(sigma):
     return i, float(ratios[i])
 
 
+def _orth(a):
+    """An orthonormal basis of the column space of a, as scipy.linalg.orth:
+    the left singular vectors above eps max(a.shape) times the largest
+    singular value."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return u[:, :int(np.sum(s > tol))]
+
+
+def _subspace_angles(a, b):
+    """Principal angles between the column spaces of the real matrices a
+    and b, largest first, as scipy.linalg.subspace_angles computes them
+    (Knyazev and Argentati, SIAM J. Sci. Comput. 23, 2002): an angle
+    whose cosine exceeds sqrt(1/2) is read off the sines, for accuracy at
+    small angles."""
+    qa, qb = _orth(a), _orth(b)
+    cosines = qa.T @ qb
+    sigma = np.linalg.svd(cosines, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        rest = qb - qa @ cosines
+    else:
+        rest = qa - qb @ cosines.T
+    small = sigma ** 2 >= 0.5
+    sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False),
+                              -1.0, 1.0)) if small.any() else 0.0
+    return np.where(small, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+
+
 def analyze_kernel(op, gauge_matrix):
     """The near-kernel geometry of the ray matrix: the largest relative
     gap in its singular values (`gap_ratio`), the dimension of the
@@ -607,7 +623,8 @@ def analyze_kernel(op, gauge_matrix):
     under MIN_GAP."""
     U, sigma, Vt = op.thin_svd
     gap_index, gap_ratio = _largest_gap(sigma)
-    angles = subspace_angles(Vt[gap_index + 1:].T, np.asarray(gauge_matrix))
+    angles = _subspace_angles(Vt[gap_index + 1:].T,
+                              np.asarray(gauge_matrix, dtype=float))
     return {
         "gap_ratio": gap_ratio,
         "kernel_dim": int(sigma.size - (gap_index + 1)),

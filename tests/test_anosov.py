@@ -11,7 +11,7 @@ from thermolab.anosov import GridTransportOperator, cohomological_residual, \
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import ThermostatSpec, geodesic_spec
 from thermolab.geometry import build_surface_model, constant_curvature_model, \
-    flat_torus
+    flat_torus, velocity_pairing
 from thermolab.jacobi import integrate_jacobi
 
 
@@ -239,6 +239,47 @@ def test_cohomology_preconditioned_work(monkeypatch):
     assert len(calls) < 400
     assert res["cg_info"] == 0
     assert res["residual"] < 1e-8
+
+
+def test_pcg_matches_scipy_cg():
+    # the numpy loop against scipy's preconditioned CG on the benchmark's
+    # cohomology job (n=16: the band holds the whole fiber grid)
+    from scipy.sparse.linalg import LinearOperator, cg
+    model, lam = _curved_torus()
+    op = GridTransportOperator(model, lam, 16)
+    (rhs,) = op.sample({"rhs": velocity_pairing(model, "2*pi*cos(2*pi*x)",
+                                                 "0")})
+    b = op.apply_adjoint(rhs).ravel()
+    frozen = anosov._frozen_preconditioner(op)
+
+    def normal(v):
+        return op.apply_adjoint(op.apply(v.reshape(rhs.shape))).ravel()
+
+    def precondition(v):
+        return frozen(v.reshape(rhs.shape)).ravel()
+    ours, info = anosov._pcg(normal, precondition, b)
+    square = (b.size, b.size)
+    theirs, their_info = cg(LinearOperator(square, matvec=normal), b,
+                            rtol=anosov.CG_TOL, atol=0.0,
+                            maxiter=anosov.CG_MAXITER,
+                            M=LinearOperator(square, matvec=precondition))
+    assert info == their_info == 0
+    ours_res, theirs_res = (
+        np.linalg.norm(op.apply(u.reshape(rhs.shape)) - rhs)
+        / np.linalg.norm(rhs) for u in (ours, theirs))
+    assert theirs_res / 10 <= ours_res <= 10 * theirs_res
+
+
+def test_cohomology_nonfinite_fields_name_field_and_node():
+    # lam = sqrt(x - 0.5) is NaN on the nodes with x < 0.5, the first
+    # being node (0, 0, 0); log(x) is -inf on the nodes with x = 0
+    ft = flat_torus()
+    with pytest.raises(DomainError, match=r"c_theta = .* is nan at grid "
+                       r"node \(0, 0, 0\) of \(8, 8, 8\)"):
+        cohomological_residual(ft, "sqrt(x-0.5)", h="sin(2*pi*x)", n=8)
+    with pytest.raises(DomainError, match=r"right-hand side .* is -inf at "
+                       r"grid node \(0, 0, 0\) of \(8, 8, 8\)"):
+        cohomological_residual(ft, 0.0, h="log(x)", n=8)
 
 
 def test_cohomology_divergence_names_grid_and_band(monkeypatch):

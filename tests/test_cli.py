@@ -258,6 +258,18 @@ def test_cohomology_odd_small_grid_is_config_error(tmp_path, capsys):
     assert "n=17" in capsys.readouterr().err
 
 
+def test_cohomology_nonfinite_lambda_is_config_error(tmp_path, capsys):
+    # lam = sqrt(x - 0.5) is NaN on the grid nodes with x < 0.5, the first
+    # being node (0, 0, 0); the operator's fiber coefficient is lam there
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
+        **{"lambda": "sqrt(x-0.5)", "h": "sin(2*pi*x)", "n": 8}))
+    assert main(["cohomology", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c_theta = sqrt((x-0.5))" in captured.err
+    assert "grid node (0, 0, 0) of (8, 8, 8)" in captured.err
+
+
 SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
                 "phi_field": "1", "nodes": [5, 6], "n_boundary": 4,
                 "n_angles": 4}
@@ -337,6 +349,42 @@ def test_cli_import_leaves_out_scipy_integrate():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def scipy_modules_after(tmp_path, *runs):
+    """The scipy modules loaded by a fresh interpreter after `lab` runs,
+    each a subcommand and its config; every run must exit 0."""
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    argvs = [[sub, "--config", write_config(tmp_path, f"{i}.json", cfg),
+              "--out", str(tmp_path / "out")]
+             for i, (sub, cfg) in enumerate(runs)]
+    code = ("import json, sys; from thermolab.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    codes, modules = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [EXIT_OK] * len(runs)
+    return modules
+
+
+def test_lab_runs_on_numpy_alone_except_the_cohomology_csr(tmp_path):
+    # ray matrices, their SVD and principal angles, the hyperbolicity scan
+    # and the cohomology CG all run on numpy; scipy's import would double
+    # the start-up time of these subcommands
+    # this fan and grid have a singular-value gap, so `lab invert` also
+    # takes the principal angles
+    disk = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+            "phi_field": "1", "n_boundary": 12, "n_angles": 12}
+    assert scipy_modules_after(
+        tmp_path, ("xray", disk), ("invert", dict(disk, nodes=[8, 8])),
+        ("anosov", flat_torus_cfg(grid=[6, 6, 6]))) == []
+    modules = scipy_modules_after(
+        tmp_path, ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=8)))
+    assert "scipy.sparse" in modules
+    assert not {"scipy.sparse.linalg", "scipy.linalg"} & set(modules)
 
 
 def test_anosov_command(tmp_path, capsys):

@@ -6,9 +6,12 @@ attributes of their results; a rename or deletion in the package would
 otherwise surface only when the benchmark runs with `--trace 1`.
 README names the `lab` subcommands and the probes that only the library
 reaches; a subcommand or probe added or deleted without README would
-otherwise go unnoticed.
+otherwise go unnoticed.  No module of the package imports scipy when it is
+imported: a module-level scipy import would put scipy's import time on
+every `lab` run that loads the module.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -23,6 +26,7 @@ from thermolab.xray import PairField, PolarNodeGrid, ray_fan
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "thermolab"
 
 
 def load_spans():
@@ -89,3 +93,28 @@ def test_readme_lists_match_the_package():
         assert hasattr(module, attr), f"thermolab.{modname}.{attr}"
         assert re.search(rf"\b{attr}\b", (ROOT / test_file).read_text()), \
             f"{test_file} does not exercise {modname}.{attr}"
+
+
+def module_level_imports(tree):
+    """The import statements that run when the module is imported: all but
+    those inside function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_package_imports_no_scipy_at_module_level():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in module_level_imports(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module or ""])
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                f"{path.name}:{node.lineno} imports scipy at module level"

@@ -8,10 +8,10 @@ from thermolab.errors import DomainError
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import STEP_FAILED, ThermostatSpec, geodesic_spec
 from thermolab.geometry import build_surface_model, euclidean_disk
-from thermolab.xray import PairField, PolarNodeGrid, \
-    assemble_discrete_operator, boundary_corrector, chi_field, \
-    corrected_pair, gauge_basis, gauge_bumps, ray_fan, reconstruct_pair, \
-    transform_fan, transform_pair
+from thermolab.xray import QUAD_SPACING, PairField, PolarNodeGrid, \
+    _panel_rules, _subspace_angles, assemble_discrete_operator, \
+    boundary_corrector, chi_field, corrected_pair, gauge_basis, gauge_bumps, \
+    ray_fan, reconstruct_pair, transform_fan, transform_pair
 
 
 def disk_spec():
@@ -230,6 +230,85 @@ def test_discrete_operator_matches_transform():
     direct = np.array([r.value for r in [
         transform_pair(spec, pair, r.entry) for r in op.rays]])
     assert np.max(np.abs(op.apply(vec) - direct)) < 0.05
+
+
+def test_assembled_matrix_is_the_csr_product():
+    # each block of the ray matrix is (quadrature weights) x
+    # (interpolation) as a product of sparse matrices, bit for bit; the
+    # points inside ring 1 and the angular wrap-around are both crossed
+    from scipy.sparse import csr_matrix
+    model = build_surface_model("conformal_disk",
+                                phi="0.04*(x^2+y^2) + 0.01*x*y")
+    spec = ThermostatSpec(model, SMScalarField.from_expression(
+        "0.2 - 0.03*x"))
+    grid = PolarNodeGrid(7, 9)
+    op = assemble_discrete_operator(spec, grid, ray_fan(7, 7))
+    lengths = op.orbits.end_time[op.orbit_index]
+    n_panels = np.maximum(2, np.ceil(lengths / (8 * QUAD_SPACING)).astype(
+        int))
+    ts, ws, which = _panel_rules(0.0, lengths, n_panels)
+    sx, sy, st = op.orbits.state(op.orbit_index[which], ts).T
+    index, weight = grid.interpolation(sx, sy)
+    assert np.any(np.hypot(sx, sy) < 1.0 / 6.0)
+    coeff = csr_matrix((weight.ravel(), index.ravel(),
+                        np.arange(0, weight.size + 1, 4)),
+                       shape=(ts.size, grid.n_nodes))
+    indptr = np.searchsorted(which, np.arange(lengths.size + 1))
+    speed = 1.0 / model.conformal_factor(sx, sy)
+    want = np.hstack([
+        (csr_matrix((w, np.arange(ts.size), indptr),
+                    shape=(lengths.size, ts.size)) @ coeff).toarray()
+        for w in (ws, ws * speed * np.cos(st), ws * speed * np.sin(st))])
+    assert np.array_equal(op.matrix, want)
+
+
+def test_interpolation_is_bilinear_in_polar_coordinates():
+    grid = PolarNodeGrid(5, 8)
+    nx, ny = grid.node_xy()
+    index, weight = grid.interpolation(nx, ny)
+    # at a node, the node itself with weight 1
+    assert np.array_equal(np.take_along_axis(
+        index, np.argmax(weight, axis=1)[:, None], axis=1)[:, 0],
+        np.arange(grid.n_nodes))
+    assert np.allclose(weight.max(axis=1), 1.0, rtol=0, atol=1e-12)
+    # halfway between rings 1 and 2 and two angular nodes, across the wrap
+    alpha = 2 * np.pi * 7.5 / 8
+    index, weight = grid.interpolation(0.375 * np.cos(alpha),
+                                       0.375 * np.sin(alpha))
+    assert sorted(index[0]) == [1, 8, 9, 16]
+    assert np.allclose(weight, 0.25, rtol=0, atol=1e-12)
+    # inside ring 1: the center and two ring-1 nodes
+    index, weight = grid.interpolation(0.125, 0.0)
+    assert list(index[0]) == [0, 0, 1, 2]
+    assert np.allclose(weight[0], [0.5, 0.0, 0.5, 0.0], rtol=0, atol=1e-12)
+
+
+def _rotated_pair(rng, m, k, angles):
+    # orthonormal bases of two subspaces with the given principal angles
+    q, _ = np.linalg.qr(rng.standard_normal((m, 2 * k)))
+    a, b = q[:, :k], q[:, k:]
+    return a, a * np.cos(angles) + b * np.sin(angles)
+
+
+@pytest.mark.parametrize("case", ["random", "nearly-parallel",
+                                  "rank-deficient", "wide-second"])
+def test_subspace_angles_match_scipy(case):
+    from scipy.linalg import subspace_angles
+    rng = np.random.default_rng(3)
+    if case == "random":
+        a, b = rng.standard_normal((40, 5)), rng.standard_normal((40, 7))
+    elif case == "nearly-parallel":
+        a, b = _rotated_pair(rng, 30, 4, np.array([1e-9, 1e-6, 0.3, 1.2]))
+    elif case == "rank-deficient":
+        a = rng.standard_normal((25, 3))
+        a = np.hstack([a, a @ rng.standard_normal((3, 2)), np.zeros((25, 1))])
+        b = rng.standard_normal((25, 4))
+    else:
+        a, b = rng.standard_normal((20, 3)), rng.standard_normal((20, 6))
+        b[:, :2] = a[:, :2] + 1e-8 * rng.standard_normal((20, 2))
+    got, want = _subspace_angles(a, b), subspace_angles(a, b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_assembly_drops_failed_rays_with_reasons(monkeypatch):
