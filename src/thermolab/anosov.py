@@ -22,16 +22,15 @@ Three probes of long-time flow behaviour:
   continuum L^2 infimum is 0 for obstructed scalars on the flat torus
   (u = c(x) / cos theta cut off near cos theta = 0), and without the band
   the grid residual of h = sin 2 pi x falls like sqrt(2 / n).
-  `GridTransportOperator` assembles the 4th-order periodic stencil of F
-  and its transpose once as sparse CSR matrices, so each conjugate-gradient
-  matvec on the normal equations is one product with F and one with its
-  transpose.  The conjugate gradients (`_pcg`, a numpy loop) are
-  preconditioned by the normal operator of F with its coefficients
-  averaged over the torus at each fiber angle, which is block diagonal in
-  the spatial Fourier modes (`_frozen_preconditioner`; T. Chan, SIAM J.
-  Sci. Stat. Comput. 9, 1988).  The CSR matrices are the module's only use
-  of scipy, imported when an operator is built; the other probes run on
-  numpy alone.
+  `GridTransportOperator` applies the 4th-order periodic stencil of F
+  as differences of slices of a wrapped copy of the grid, one buffer per
+  axis, so each conjugate-gradient matvec on the normal equations is one
+  stencil pass with F and one with its adjoint.  The conjugate gradients
+  (`_pcg`, a numpy loop) are preconditioned by the normal operator of F
+  with its coefficients averaged over the torus at each fiber angle,
+  which is block diagonal in the spatial Fourier modes
+  (`_frozen_preconditioner`; T. Chan, SIAM J. Sci. Stat. Comput. 9,
+  1988).  The module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -41,14 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverDiverged
-from .fields import SMPoint, _as_field, compile_fields
+from .fields import SMPoint, _as_field, compile_fields, sample_finite
 from .geometry import derived_curvatures, thermostat_generator, \
     validation_grid_points, velocity_pairing
 
 TWO_PI = 2.0 * np.pi
-# the 4th-order central difference as (np.roll shift, weight / 12h) pairs:
-# f'[i] ~ (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h
-STENCIL = ((-2, -1.0), (-1, 8.0), (1, -8.0), (2, 1.0))
 # fiber degree M of the cohomology unknowns: the modes a 16-point fiber
 # grid holds in full, so solves on grids with n <= 16 are not cut
 FIBER_BAND = 8
@@ -62,26 +58,6 @@ CG_MAXITER = 10000
 # at eps = 1e-2, 1e-3, 1e-4: 391, 264, 470 at n=16 on the exact gauge
 # w_x = 2 pi cos 2 pi x and 45, 28, 45 at n=32 on h = sin 2 pi x
 PRECOND_EPS = 1e-3
-
-
-def _sample_finite(named_fields, x, y, th, grid_spec):
-    """The fields' values at the nodes of a grid_spec grid, evaluated
-    through one compiled bundle under one np.errstate.  DomainError names
-    the first field, in the given order, that is not finite at a node, and
-    the first such node: nothing can be read off such a sample."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        values = compile_fields(named_fields.values())(x, y, th)
-    for name, vals in zip(named_fields, values):
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.argmax(bad))
-            node = tuple(int(i) for i in np.unravel_index(k, grid_spec))
-            x_k, y_k, th_k = (float(np.ravel(v)[k]) for v in (x, y, th))
-            raise DomainError(
-                f"{name} is {np.ravel(vals)[k]} at grid node {node} of "
-                f"{tuple(grid_spec)}: (x, y, theta) = ({x_k:.17g}, "
-                f"{y_k:.17g}, {th_k:.17g})")
-    return values
 
 
 @dataclass
@@ -106,8 +82,8 @@ def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
     finite: no supremum or flag can be read off such a scan."""
     dc = derived_curvatures(model, lam)
     x, y, th = validation_grid_points(model, grid_spec)
-    (vals,) = _sample_finite({"hyperbolicity quantity": dc.anosovD},
-                             x, y, th, grid_spec)
+    (vals,) = sample_finite({"hyperbolicity quantity": dc.anosovD},
+                            x, y, th, grid_spec)
     k = int(np.argmax(vals))
     sup = float(vals[k])
     return CriterionReport(sup_value=sup,
@@ -180,16 +156,48 @@ def rate_form_positive_definite(model, lam, x, y, th):
 # cohomological equation on a closed model
 # ---------------------------------------------------------------------------
 
+class _PeriodicDifference:
+    """12h times the 4th-order periodic central difference along one axis
+    of n >= 2 nodes, 8 (x[i+1] - x[i-1]) - (x[i+2] - x[i-2]), on arrays of
+    a fixed shape.  Each call copies x into one preallocated buffer with
+    n + 4 entries on that axis, wraps 2 entries onto each side and reads
+    the four terms off slices of it.  On grids with n <= 4 some offsets
+    wrap onto the same node, whose terms then add."""
+
+    def __init__(self, shape, axis):
+        n = shape[axis]
+        self.pad = np.empty(tuple(n + 4 if a == axis else k
+                                  for a, k in enumerate(shape)))
+
+        def at(lo, hi):
+            return (slice(None),) * axis + (slice(lo, hi),)
+        self.inner = at(2, n + 2)
+        self.wrap = ((at(0, 2), at(n, n + 2)), (at(n + 2, n + 4), at(2, 4)))
+        self.terms = (at(3, n + 3), at(1, n + 1), at(4, n + 4), at(0, n))
+
+    def __call__(self, x):
+        pad = self.pad
+        pad[self.inner] = x
+        for dst, src in self.wrap:
+            pad[dst] = pad[src]
+        plus1, minus1, plus2, minus2 = self.terms
+        out = np.subtract(pad[plus1], pad[minus1])
+        out *= 8.0
+        out -= pad[plus2]
+        out += pad[minus2]
+        return out
+
+
 class GridTransportOperator:
     """Generator F = X + lam V discretized on a periodic n^3 bundle grid.
 
     Spatial directions cover one period [0,1) of the torus, the fiber covers
     [0, 2 pi); derivatives are 4th-order periodic central differences,
-    f' ~ (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h.  The stencil is
-    assembled once as the sparse matrix `F` (12 entries per row, offsets
-    +-1 and +-2 on each axis), so applying the operator is one sparse
-    product and its adjoint one product with the transpose `FT`, stored
-    once as CSR.
+    f' ~ (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h.  With D_a the
+    difference 12h f' on axis a (`_PeriodicDifference`, one preallocated
+    wrap buffer per axis) and w_a = c_a / 12h_a, F u = sum_a w_a D_a u;
+    a periodic central difference is antisymmetric, so the adjoint is
+    F^T v = -sum_a D_a (w_a v).
     """
 
     def __init__(self, model, lam, n):
@@ -197,6 +205,9 @@ class GridTransportOperator:
             raise DomainError("grid transport operator needs a closed "
                               "(torus) model")
         self.n = n = int(n)
+        if n < 2:
+            raise DomainError(f"grid transport operator needs n >= 2 nodes "
+                              f"per axis, got n={n}")
         X, Y, T = (v.reshape(n, n, n)
                    for v in validation_grid_points(model, (n, n, n)))
         self.X, self.Y, self.T = X, Y, T
@@ -207,46 +218,32 @@ class GridTransportOperator:
             f"coefficient {name} = {c.expression} of F = X + lam V": c
             for name, c in (("c_x", gen.c_x), ("c_y", gen.c_y),
                             ("c_theta", gen.c_theta))})
-        self.F = self._assemble()
-        self.FT = self.F.T.tocsr()
-
-    def _assemble(self):
-        """The stencil as a CSR matrix on the C-ordered flattened grid.
-
-        Each row stores its columns in the order x, y, theta and, per axis,
-        rolls -2, -1, +1, +2; on grids with n <= 4 some offsets wrap onto
-        one column, and the products sum those entries.
-        """
-        size = self.X.size
-        index = np.arange(size, dtype=np.int32).reshape(self.X.shape)
-        cols = np.empty(self.X.shape + (12,), dtype=np.int32)
-        data = np.empty(self.X.shape + (12,))
-        axes = ((self.cx, self.h_xy), (self.cy, self.h_xy),
-                (self.ct, self.h_t))
-        k = 0
-        for axis, (c, h) in enumerate(axes):
-            for shift, weight in STENCIL:
-                cols[..., k] = np.roll(index, shift, axis=axis)
-                data[..., k] = c * (weight / (12.0 * h))
-                k += 1
-        indptr = np.arange(0, 12 * size + 1, 12, dtype=np.int32)
-        # scipy's CSR product: a numpy gather or roll stencil of the same
-        # operator is 4-6x slower (n=16)
-        from scipy.sparse import csr_matrix
-        return csr_matrix((data.reshape(-1), cols.reshape(-1), indptr),
-                          shape=(size, size))
+        self.weights = tuple(c / (12.0 * h) for c, h in (
+            (self.cx, self.h_xy), (self.cy, self.h_xy), (self.ct, self.h_t)))
+        self._differences = tuple(_PeriodicDifference(X.shape, axis)
+                                  for axis in range(3))
 
     def sample(self, named_fields):
-        """The fields on the grid (`_sample_finite`): DomainError names the
-        first field and grid node where a value is not finite."""
-        return _sample_finite(named_fields, self.X, self.Y, self.T,
-                              self.X.shape)
+        """The fields on the grid (`fields.sample_finite`): DomainError
+        names the first field and grid node where a value is not finite."""
+        return sample_finite(named_fields, self.X, self.Y, self.T,
+                             self.X.shape)
 
     def apply(self, u):
-        return (self.F @ u.ravel()).reshape(u.shape)
+        """F u."""
+        out = np.zeros(u.shape)
+        for w, difference in zip(self.weights, self._differences):
+            d = difference(u)
+            d *= w
+            out += d
+        return out
 
     def apply_adjoint(self, v):
-        return (self.FT @ v.ravel()).reshape(v.shape)
+        """F^T v."""
+        out = np.zeros(v.shape)
+        for w, difference in zip(self.weights, self._differences):
+            out -= difference(w * v)
+        return out
 
 
 def _fiber_band_projector(n, band):
@@ -293,9 +290,8 @@ def _frozen_preconditioner(op):
     a = TWO_PI * np.arange(n) / n
     s = (8.0 * np.sin(a) - np.sin(2.0 * a)) / (6.0 * op.h_xy)
     eye = np.eye(n)
-    # row i holds column i - shift, as in GridTransportOperator._assemble
-    d_theta = sum(np.roll(eye, -shift, axis=1) * (weight / (12.0 * op.h_t))
-                  for shift, weight in STENCIL)
+    # the operator's theta difference applied to the columns of I
+    d_theta = _PeriodicDifference(eye.shape, 0)(eye) / (12.0 * op.h_t)
     band = np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) <= FIBER_BAND)
     W = np.fft.fft(eye, axis=0, norm="ortho")[band]
     Wh = W.conj().T
@@ -312,9 +308,14 @@ def _frozen_preconditioner(op):
 
     def apply(u):
         c = np.fft.rfftn(u, axes=(2, 0, 1))
-        out = np.zeros_like(c)
-        out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
-        return np.fft.irfftn(out, s=(n, n, n), axes=(2, 0, 1))
+        if len(band) == n:
+            # the band holds the whole fiber grid
+            c = np.matmul(blocks, c[..., None])[..., 0]
+        else:
+            out = np.zeros_like(c)
+            out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
+            c = out
+        return np.fft.irfftn(c, s=(n, n, n), axes=(2, 0, 1))
     return apply
 
 
@@ -399,13 +400,16 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
 
     # F^T rhs at roundoff level means rhs is orthogonal to the range:
     # the minimizer is u = 0 and CG would only chase noise; the scale is
-    # the largest column norm of F
+    # the largest column norm of F, whose column j holds -+8 w_a(j +- 1)
+    # and +-w_a(j +- 2) for each axis a (w_a = c_a / 12h_a)
+    col_sq = sum(weight * np.roll(w * w, shift, axis=axis)
+                 for axis, w in enumerate(op.weights)
+                 for shift, weight in ((1, 64.0), (-1, 64.0), (2, 1.0),
+                                       (-2, 1.0)))
     nb = np.linalg.norm(b)
-    b_floor = 1e-10 * np.sqrt(float(op.F.multiply(op.F).sum(axis=0).max())) \
-        * np.linalg.norm(rhs)
+    b_floor = 1e-10 * np.sqrt(float(col_sq.max())) * np.linalg.norm(rhs)
     if nb <= b_floor:
-        u = np.zeros(shape)
-        info = 0
+        u, info, misfit = np.zeros(shape), 0, rhs
     else:
         precondition = _frozen_preconditioner(op)
         # preconditioned CG from u = 0 returns a minimizer but, where F
@@ -424,8 +428,8 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
                     f"the {CG_MAXITER}-iteration cap with normal-equation "
                     f"residual {grad:.3e}")
         u = project(sol.reshape(shape))
-    u = u - float(np.mean(u))
-    misfit = op.apply(u) - rhs
+        u = u - float(np.mean(u))
+        misfit = op.apply(u) - rhs
     rhs_norm = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(misfit)) / max(rhs_norm, 1e-300)
     return {"residual": residual, "minimizer": u, "rhs_norm": rhs_norm,

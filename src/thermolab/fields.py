@@ -5,7 +5,8 @@ through a compiled `expr.Bundle`, built on first use, and differentiates
 symbolically, so nested derivatives stay analytic.  A probe that needs
 several fields at the same points compiles them together with
 `compile_fields`, so that each subexpression they share is computed once
-per point.
+per point; `sample_finite` does so and refuses a sample on which a field
+is not finite.
 
 FrameOperators add, subtract and scale by fields, and the commutator of
 two is again one, so an identity between first-order operators holds
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import ThermolabError
+from .errors import DomainError, ThermolabError
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,6 +117,36 @@ def compile_fields(fields):
     values on a grid, evaluated in blocks; its `kernel` is the one
     straight-line function behind it, for float64 scalars or blocks."""
     return ex.Bundle([f.expression for f in fields])
+
+
+def sample_finite(named_fields, x, y, theta, shape):
+    """The fields' values at the nodes (x, y, theta) of a grid of the
+    given shape, evaluated through one compiled bundle under one
+    np.errstate.  DomainError (`require_finite`) names the first field, in
+    the given order, that is not finite at a node, and the first such
+    node: nothing can be read off such a sample."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        values = compile_fields(named_fields.values())(x, y, theta)
+    require_finite(named_fields, values, (x, y, theta), shape)
+    return values
+
+
+def require_finite(names, values, points, shape, start=0):
+    """Raise DomainError naming the first of the names whose values are
+    not finite at a node, and the first such node: its index on a grid of
+    the given shape and its (x, y, theta).  points holds the C-ordered
+    nodes of the grid from flat index start on; a value may be a scalar,
+    the value of a constant field at every node."""
+    for name, vals in zip(names, values):
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad))
+            node = tuple(int(i) for i in np.unravel_index(start + k, shape))
+            x_k, y_k, th_k = (float(np.ravel(v)[k]) for v in points)
+            raise DomainError(
+                f"{name} is {np.ravel(vals)[k]} at grid node {node} of "
+                f"{tuple(shape)}: (x, y, theta) = ({x_k:.17g}, "
+                f"{y_k:.17g}, {th_k:.17g})")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import CHUNK_POINTS
-from .fields import SMPoint, _as_field, compile_fields
+from .fields import SMPoint, _as_field, compile_fields, require_finite, \
+    sample_finite
 from .flow import ThermostatSpec, integrate
 from .geometry import derived_curvatures, validation_grid_points, \
     velocity_pairing
@@ -127,21 +128,27 @@ def quadrature_for(model, n=None):
     raise DomainError(f"no default quadrature for domain {model.domain.kind!r}")
 
 
-def liouville_integrate(grid, fields):
-    """Integrals of the fields over the bundle against the Liouville
-    weights, as a list of floats, one per field.
+def liouville_integrate(grid, named_fields):
+    """Integrals of the fields, given as {name: field}, over the bundle
+    against the Liouville weights, as a list of floats in the given order.
 
     The fields are compiled together and their kernel runs over blocks of
-    CHUNK_POINTS nodes; each block adds its weighted sum to each integral,
-    so no integrand is ever held on the whole grid.
+    CHUNK_POINTS nodes under one np.errstate; each block adds its weighted
+    sum to each integral, so no integrand is ever held on the whole grid.
+    DomainError (`fields.require_finite`) names the first integrand that is
+    not finite at a node of a block, and the first such node.
     """
-    kernel = compile_fields(fields).kernel
-    sums = [0.0] * len(fields)
+    kernel = compile_fields(named_fields.values()).kernel
+    labels = [f"integrand {name}" for name in named_fields]
+    sums = [0.0] * len(named_fields)
     for lo in range(0, grid.n_nodes, CHUNK_POINTS):
         block = slice(lo, lo + CHUNK_POINTS)
         w = grid.weights[block]
-        for i, v in enumerate(kernel(grid.x[block], grid.y[block],
-                                     grid.theta[block])):
+        points = (grid.x[block], grid.y[block], grid.theta[block])
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            values = kernel(*points)
+        require_finite(labels, values, points, (grid.n_nodes,), start=lo)
+        for i, v in enumerate(values):
             # a constant integrand comes back as a scalar
             if np.shape(v) != w.shape:
                 v = np.full(w.shape, v)
@@ -172,11 +179,15 @@ def boundary_integrate(grid, model, terms):
     """Integrals over the bundle boundary of factor * (contraction of the
     volume form with the named frame operator), one per (factor, name)
     pair of terms, as a list of floats.  The factors are compiled and
-    evaluated together."""
+    evaluated together (`fields.sample_finite`): DomainError names the
+    first factor that is not finite at a boundary node, and the node."""
     if grid.boundary_s is None:
         raise DomainError("grid carries no boundary nodes")
     s, th = grid.boundary_s, grid.boundary_theta
-    factors = compile_fields([f for f, _ in terms])(np.cos(s), np.sin(s), th)
+    factors = sample_finite(
+        {f"boundary factor {i} (of i_{which} Theta)": f
+         for i, (f, which) in enumerate(terms)},
+        np.cos(s), np.sin(s), th, s.shape)
     return [float(np.dot(grid.boundary_weights,
                          factor * boundary_contraction_values(
                              model, which, s, th)))
@@ -242,7 +253,9 @@ def check_pestov_pointwise(model, lam, u, points):
                      + Fu (I Hu + J Vu) + Hu Vu (lam I + V(lam))
 
     with core = K - H(lam) - lam J + lam^2, at the given points.
-    points: the (x, y, theta) arrays of the points.
+    points: the (x, y, theta) arrays of the points.  DomainError
+    (`fields.sample_finite`) names the first point where the residual is
+    not finite: no maximum or mean can be read off such a sample.
     """
     dc = derived_curvatures(model, lam)
     g = _first_order_fields(dc, model, u)
@@ -253,8 +266,8 @@ def check_pestov_pointwise(model, lam, u, points):
            + F.apply(Hu * Vu) - H.apply(Vu * Fu) + V.apply(Hu * Fu)
            + Fu * (model.I * Hu + model.J * Vu)
            + Hu * Vu * (dc.lamI + dc.Vlam))
-    resid = lhs - rhs
-    vals = resid.eval(*points)
+    (vals,) = sample_finite({"residual of the pointwise identity":
+                             lhs - rhs}, *points, np.shape(points[0]))
     return {"max_residual": float(np.max(np.abs(vals))),
             "rms_residual": float(np.sqrt(np.mean(vals ** 2))),
             "n_points": int(vals.size)}
@@ -279,9 +292,10 @@ def check_lie_derivatives(model, lam, grid, f):
     F = dc.F
     div_F = dc.lamI + dc.Vlam
 
-    Ff, f_div_F, Hf, fJ, Vf, fI = liouville_integrate(
-        grid, [F.apply(f), f * div_F, H.apply(f), f * model.J, V.apply(f),
-               f * model.I])
+    Ff, f_div_F, Hf, fJ, Vf, fI = liouville_integrate(grid, {
+        "F(f)": F.apply(f), "f (lam I + V(lam))": f * div_F,
+        "H(f)": H.apply(f), "f J": f * model.J, "V(f)": V.apply(f),
+        "f I": f * model.I})
     return {"F": IdentityReport(
                 lhs=Ff, rhs=-f_div_F,
                 diagnostics={"divergence": "lam I + V(lam)"}),
@@ -315,8 +329,7 @@ def _identity_integrals(model, lam, u, grid):
         "lamIVlam_Vu_sq": dc.lamI * dc.Vlam * Vu2,
         "FVlam_Vu_sq": dc.F.apply(dc.Vlam) * Vu2,
     }
-    ints = dict(zip(integrands, liouville_integrate(
-        grid, list(integrands.values()))))
+    ints = dict(zip(integrands, liouville_integrate(grid, integrands)))
     return ints, g, dc
 
 
@@ -493,7 +506,8 @@ def check_fourier_facts(model, grid, h, w_x, w_y):
     omega_v = velocity_pairing(model, w_x, w_y)
     V = model.frame.V
     Vov = V.apply(omega_v)
-    mixed, sq, V_sq = liouville_integrate(
-        grid, [h * omega_v, omega_v * omega_v, Vov * Vov])
+    mixed, sq, V_sq = liouville_integrate(grid, {
+        "h omega(v)": h * omega_v, "omega(v)^2": omega_v * omega_v,
+        "(V omega(v))^2": Vov * Vov})
     return {"mixed": IdentityReport(lhs=mixed, rhs=0.0),
             "parity": IdentityReport(lhs=sq, rhs=V_sq)}

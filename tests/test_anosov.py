@@ -83,20 +83,23 @@ def test_rate_matches_fd_along_orbit():
 
 
 def _central_diff4(u, axis, h):
-    # 4th-order periodic central difference, written with rolls
-    return (-np.roll(u, -2, axis=axis) + 8.0 * np.roll(u, -1, axis=axis)
-            - 8.0 * np.roll(u, 1, axis=axis) + np.roll(u, 2, axis=axis)) \
+    # 4th-order periodic central difference, written with rolls; each
+    # offset pair is differenced first, so on grids where the offsets wrap
+    # onto one node (n = 2) the terms cancel exactly
+    return (8.0 * (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis))
+            - (np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis))) \
         / (12.0 * h)
 
 
 def test_transport_operator_matches_stencil():
-    # the assembled matrix against the roll stencil; at n = 4 the offsets
-    # +2 and -2 wrap onto one column, and the products must sum both
+    # the wrapped-slice differences against the roll stencil; at n = 4 the
+    # offsets +2 and -2 wrap onto one node, at n = 3 they wrap onto -1 and
+    # +1, and at n = 2 onto the node itself: the terms must add
     model = build_surface_model("conformal_torus",
                                 phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
     lam = SMScalarField.from_expression("0.2*sin(2*pi*y)")
     rng = np.random.default_rng(7)
-    for n in (4, 5, 16, 17):
+    for n in (2, 3, 4, 5, 16, 17):
         op = GridTransportOperator(model, lam, n)
         hs = (op.h_xy, op.h_xy, op.h_t)
         cs = (op.cx, op.cy, op.ct)
@@ -114,6 +117,28 @@ def test_transport_operator_matches_stencil():
         lhs = np.vdot(op.apply(u), v)
         rhs = np.vdot(u, op.apply_adjoint(v))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    # one node per axis has no wrap of 2 on either side
+    with pytest.raises(DomainError, match="n >= 2"):
+        GridTransportOperator(model, lam, 1)
+
+
+def test_cohomology_rhs_orthogonal_to_range(monkeypatch):
+    # on the flat torus with lam = 0 a constant is orthogonal to the range
+    # of F: F^T 1 = -sum_a D_a(c_a / 12h_a) is exactly 0, since c_x and
+    # c_y are constant along x and y and c_theta is 0, so the solve takes
+    # the shortcut u = 0 with no operator apply
+    calls = []
+    apply = GridTransportOperator.apply
+
+    def counting_apply(self, u):
+        calls.append(1)
+        return apply(self, u)
+    monkeypatch.setattr(GridTransportOperator, "apply", counting_apply)
+    res = cohomological_residual(flat_torus(), 0.0, h="1", n=8)
+    assert calls == []
+    assert res["residual"] == 1.0
+    assert res["cg_info"] == 0
+    assert not res["minimizer"].any()
 
 
 def test_cohomology_exact_gauge():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,33 @@ def test_cohomology_nonfinite_lambda_is_config_error(tmp_path, capsys):
     assert "grid node (0, 0, 0) of (8, 8, 8)" in captured.err
 
 
+@pytest.mark.parametrize("command, extra, where", [
+    ("pestov", {"n_points": 200, "seed": 1},
+     r"residual of the pointwise identity is nan at grid node \(\d+,\) "
+     r"of \(200,\)"),
+    ("identity", {"n_quad": 8},
+     r"integrand cross is nan at grid node \(0,\) of \(512,\)"),
+    # on the disk, sqrt(0.995 - r^2) is finite on the interior nodes
+    # (r^2 < 0.99) and NaN on the boundary circle only, where the flux
+    # factor Fu Vu carries lam
+    ("identity", {"surface": {"kind": "conformal_disk", "phi": "0"},
+                  "lambda": "sqrt(0.995-x*x-y*y)"},
+     r"boundary factor 1 \(of i_H Theta\) is nan at grid node \(0,\) of "
+     r"\(4096,\)"),
+], ids=["pestov", "identity", "identity-disk-boundary"])
+def test_identity_probes_nonfinite_lambda_is_config_error(
+        tmp_path, capsys, command, extra, where):
+    # on the torus, lam = sqrt(x - 0.5) is NaN on the sample points and
+    # quadrature nodes with x < 0.5; no residual or integral can be read
+    # off such a sample
+    cfg = write_config(tmp_path, "c.json", {
+        **flat_torus_cfg(**{"lambda": "sqrt(x-0.5)"}), **extra})
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(where, captured.err)
+
+
 SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
                 "phi_field": "1", "nodes": [5, 6], "n_boundary": 4,
                 "n_angles": 4}
@@ -370,21 +398,18 @@ def scipy_modules_after(tmp_path, *runs):
     return modules
 
 
-def test_lab_runs_on_numpy_alone_except_the_cohomology_csr(tmp_path):
-    # ray matrices, their SVD and principal angles, the hyperbolicity scan
-    # and the cohomology CG all run on numpy; scipy's import would double
-    # the start-up time of these subcommands
+def test_lab_runs_on_numpy_alone(tmp_path):
+    # ray matrices, their SVD and principal angles, the hyperbolicity scan,
+    # the cohomology operator and its CG all run on numpy; scipy's import
+    # would double the start-up time of these subcommands
     # this fan and grid have a singular-value gap, so `lab invert` also
     # takes the principal angles
     disk = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
             "phi_field": "1", "n_boundary": 12, "n_angles": 12}
     assert scipy_modules_after(
         tmp_path, ("xray", disk), ("invert", dict(disk, nodes=[8, 8])),
-        ("anosov", flat_torus_cfg(grid=[6, 6, 6]))) == []
-    modules = scipy_modules_after(
-        tmp_path, ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=8)))
-    assert "scipy.sparse" in modules
-    assert not {"scipy.sparse.linalg", "scipy.linalg"} & set(modules)
+        ("anosov", flat_torus_cfg(grid=[6, 6, 6])),
+        ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=8))) == []
 
 
 def test_anosov_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermolab.errors import DomainError
 from thermolab.expr import CHUNK_POINTS
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
@@ -49,8 +50,8 @@ def test_disk_measure_flat():
 
 def test_liouville_integrate_odd_function():
     grid = torus_quadrature(flat_torus(), 16)
-    (val,) = liouville_integrate(grid, [SMScalarField.from_expression(
-        "sin(theta)")])
+    (val,) = liouville_integrate(grid, {
+        "sin(theta)": SMScalarField.from_expression("sin(theta)")})
     assert abs(val) < 1e-13
 
 
@@ -64,18 +65,31 @@ def test_liouville_integrate_matches_full_dot(n, blocks):
     grid = torus_quadrature(conformal_model(), n)
     whole, rest = divmod(grid.n_nodes, CHUNK_POINTS)
     assert (whole, rest > 0) == blocks
-    fields = [SMScalarField.from_expression(text) for text in (
+    fields = {text: SMScalarField.from_expression(text) for text in (
         "2.5", "cos(theta)^2", "sin(2*pi*x)*cos(2*pi*y)+1",
-        "exp(sin(2*pi*(x-y)))*sin(theta)^2")]
+        "exp(sin(2*pi*(x-y)))*sin(theta)^2")}
     got = liouville_integrate(grid, fields)
     want = [float(np.dot(grid.weights, f.eval(grid.x, grid.y, grid.theta)))
-            for f in fields]
+            for f in fields.values()]
     scale = max(abs(v) for v in want)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * scale
     if grid.n_nodes <= CHUNK_POINTS:
         assert got == want
+
+
+def test_liouville_integrate_names_first_nonfinite_node():
+    # 1 / (x - 1/2) is inf on the nodes with x = 1/2, the first of which,
+    # flat index 16 * 32 * 32, lies in the third block of CHUNK_POINTS
+    grid = torus_quadrature(flat_torus(), 32)
+    assert 16 * 32 * 32 >= 2 * CHUNK_POINTS
+    with pytest.raises(DomainError, match=r"integrand pole is inf at grid "
+                       r"node \(16384,\) of \(32768,\): \(x, y, theta\) = "
+                       r"\(0.5, 0, 0\)"):
+        liouville_integrate(grid, {
+            "one": SMScalarField.constant(1.0),
+            "pole": SMScalarField.from_expression("1/(x-0.5)")})
 
 
 def test_closed_identity_memory_stays_blockwise():
