@@ -308,14 +308,9 @@ def _frozen_preconditioner(op):
 
     def apply(u):
         c = np.fft.rfftn(u, axes=(2, 0, 1))
-        if len(band) == n:
-            # the band holds the whole fiber grid
-            c = np.matmul(blocks, c[..., None])[..., 0]
-        else:
-            out = np.zeros_like(c)
-            out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
-            c = out
-        return np.fft.irfftn(c, s=(n, n, n), axes=(2, 0, 1))
+        out = np.zeros_like(c)
+        out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
+        return np.fft.irfftn(out, s=(n, n, n), axes=(2, 0, 1))
     return apply
 
 
@@ -409,7 +404,7 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
     nb = np.linalg.norm(b)
     b_floor = 1e-10 * np.sqrt(float(col_sq.max())) * np.linalg.norm(rhs)
     if nb <= b_floor:
-        u, info, misfit = np.zeros(shape), 0, rhs
+        u, info, misfit = np.zeros(shape), 0, -rhs
     else:
         precondition = _frozen_preconditioner(op)
         # preconditioned CG from u = 0 returns a minimizer but, where F
