@@ -154,6 +154,10 @@ def load_config(path):
     for key in ("tolerance",):
         if key in cfg and not float(cfg[key]) > 0:
             raise ValueError(f"{key} must be positive")
+    for key, least in (("n_points", 1), ("seed", 0)):
+        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= least):
+            raise ValueError(f"{key} must be an integer >= {least}, got "
+                             f"{cfg[key]!r}")
     for key in ("grid", "n_quad", "n", "nodes"):
         if key in cfg:
             spec = cfg[key]
@@ -268,21 +272,38 @@ def cmd_riccati(cfg):
     return bundle, EXIT_OK
 
 
+# the R3 Kronecker step (g^-1, g^-2, g^-3) with g^4 = g + 1, whose points
+# frac(s + k step) spread evenly over the unit cube (Roberts 2018)
+_KRONECKER_STEP = tuple(1.2207440846057596 ** -p for p in (1, 2, 3))
+# frac(seed * (sqrt 2, sqrt 3, sqrt 5)) shifts the sequence for a seed: each
+# irrational is held as the integer floor(2^64 sqrt p), so the shift is
+# taken in integer arithmetic for a seed of any size
+_SHIFT_NUMERATORS = tuple(math.isqrt(p << 128) for p in (2, 3, 5))
+
+
+def pestov_points(model, n, seed):
+    """n sample points (x, y, theta) of `lab pestov`, the R3 Kronecker
+    points frac(s + k (g^-1, g^-2, g^-3)), k = 1..n, with g^4 = g + 1 and
+    the shift s = frac(seed (sqrt 2, sqrt 3, sqrt 5)), mapped to the disk
+    r <= 0.9 by area (r^2 and the polar angle uniform) or to the unit
+    square, and to a fiber angle in [0, 2 pi).  A seed repeats its points;
+    two seeds shift the sequence apart."""
+    k = np.arange(1, n + 1)
+    u, v, w = ((((seed * c) % 2 ** 64) / 2 ** 64 + k * step) % 1.0
+               for c, step in zip(_SHIFT_NUMERATORS, _KRONECKER_STEP))
+    if model.domain.kind == "disk":
+        r, a = np.sqrt(0.81 * u), 2 * np.pi * v
+        u, v = r * np.cos(a), r * np.sin(a)
+    return u, v, 2 * np.pi * w
+
+
 def cmd_pestov(cfg):
     from .identities import check_pestov_pointwise
     spec = spec_from(cfg)
     u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)")
-    n = int(cfg.get("n_points", 1000))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    if spec.model.domain.kind == "disk":
-        r = np.sqrt(rng.uniform(0.0, 0.81, n))
-        a = rng.uniform(0.0, 2 * np.pi, n)
-        x, y = r * np.cos(a), r * np.sin(a)
-    else:
-        x = rng.uniform(0.0, 1.0, n)
-        y = rng.uniform(0.0, 1.0, n)
-    th = rng.uniform(0.0, 2 * np.pi, n)
-    rep = check_pestov_pointwise(spec.model, spec.lam, u, (x, y, th))
+    points = pestov_points(spec.model, cfg.get("n_points", 1000),
+                           cfg.get("seed", 0))
+    rep = check_pestov_pointwise(spec.model, spec.lam, u, points)
     return {"experiment": "pestov", **rep}, EXIT_OK
 
 

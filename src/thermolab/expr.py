@@ -508,8 +508,9 @@ def parse_expression(text):
 # Compilation: a list of trees to one straight-line numpy function.
 # ---------------------------------------------------------------------------
 
-# points per block when a bundle evaluates a grid: bounds the memory its
-# temporaries hold
+# points per block when a bundle evaluates a grid, and nodes per block of
+# `geometry.grid_blocks` and of a quadrature grid: bounds the memory that a
+# bundle's temporaries and a grid probe's nodes and values hold
 CHUNK_POINTS = 8192
 
 # numpy ufuncs only: math.exp and friends, and the ** operator on numpy

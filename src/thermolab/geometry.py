@@ -16,6 +16,7 @@ only after the commutation relations validate on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -264,28 +265,55 @@ def velocity_pairing(model, w_x, w_y):
     return emphi * (_as_field(w_x) * cos_t + _as_field(w_y) * sin_t)
 
 
-def validation_grid_points(model, grid_spec):
-    """Tensor grid of sample points covering the bundle over the domain."""
+def _grid_axes(model, grid_spec):
+    """The three axes of the validation grid of the given sizes: x, y on
+    the torus and the plane window, radius and polar angle on the disk
+    (strictly inside, to keep FD stencils inside), then the fiber angle."""
     nx, ny, nt = grid_spec
     if model.domain.kind == "torus":
         xs = np.linspace(0.0, 1.0, nx, endpoint=False)
         ys = np.linspace(0.0, 1.0, ny, endpoint=False)
     elif model.domain.kind == "disk":
-        # polar interior samples, strictly inside to keep FD stencils inside
-        rr = np.linspace(0.1, 0.9, nx)
-        aa = np.linspace(0.0, TWO_PI, ny, endpoint=False)
-        R, A = np.meshgrid(rr, aa, indexing="ij")
-        ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
-        X3, T3 = np.meshgrid((R * np.cos(A)).ravel(), ts, indexing="ij")
-        Y3, _ = np.meshgrid((R * np.sin(A)).ravel(), ts, indexing="ij")
-        return X3.ravel(), Y3.ravel(), T3.ravel()
+        xs = np.linspace(0.1, 0.9, nx)
+        ys = np.linspace(0.0, TWO_PI, ny, endpoint=False)
     else:
         (x0, x1), (y0, y1) = PLANE_WINDOW
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
-    ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
-    X3, Y3, T3 = np.meshgrid(xs, ys, ts, indexing="ij")
-    return X3.ravel(), Y3.ravel(), T3.ravel()
+    return xs, ys, np.linspace(0.0, TWO_PI, nt, endpoint=False)
+
+
+def grid_blocks(model, grid_spec, axes=None, block=ex.CHUNK_POINTS):
+    """The nodes of a tensor grid over the bundle, in C order over its
+    three axes, as (start, (x, y, theta)) for runs of at most block nodes:
+    start is the flat index of the run's first node.
+
+    axes are the grid's three 1-D axes, by default those of the validation
+    grid of sizes grid_spec; on the disk the first two are a radius r and
+    a polar angle a, and a node lies at (r cos a, r sin a).  A probe that
+    folds a maximum or a sum over the blocks holds O(block) values,
+    whatever the grid's size.
+    """
+    if axes is None:
+        axes = _grid_axes(model, grid_spec)
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
+    for lo in range(0, size, block):
+        i, j, k = np.unravel_index(np.arange(lo, min(lo + block, size)),
+                                   shape)
+        u, v, theta = axes[0][i], axes[1][j], axes[2][k]
+        if model.domain.kind == "disk":
+            u, v = u * np.cos(v), u * np.sin(v)
+        yield lo, (u, v, theta)
+
+
+def validation_grid_points(model, grid_spec):
+    """The nodes of the validation grid of sizes grid_spec as flat
+    (x, y, theta) arrays in C order: the one-block case of `grid_blocks`.
+    Only a probe whose unknowns are the grid itself needs them whole."""
+    size = math.prod(grid_spec)
+    ((_, points),) = grid_blocks(model, grid_spec, block=size)
+    return points
 
 
 def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
@@ -296,8 +324,10 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
     max and rms are taken over the operator's three coefficient fields on
     the grid, and a NaN value makes its max NaN.  When lam is given, the
     three thermostat relations for F = X + lam V are checked as well.  All
-    coefficient fields are compiled together and evaluated in one pass
-    over the grid.
+    coefficient fields are compiled together and evaluated block by block
+    over the grid (`grid_blocks`); each block adds to a running max and sum
+    of squares per relation, so the rms of a grid of several blocks is
+    summed per block.
     """
     X, H, V = model.frame.X, model.frame.H, model.frame.V
     I, J, K = model.I, model.J, model.K
@@ -317,23 +347,22 @@ def validate_structure_relations(model, grid_spec=(8, 8, 8), lam=None):
             commutator(F, H) - core * V + lam * F + lam * I * H)
     bundle = compile_fields([c for op in relations.values()
                              for c in op.coefficients])
-    # a NaN field is reported as a NaN relation, not warned about
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        values = iter(bundle(*validation_grid_points(model, grid_spec)))
-
-    report = {}
-    for name, op in relations.items():
-        worst_max = 0.0
-        sq_sum = 0.0
-        count = 0
-        for _ in op.coefficients:
-            vals = next(values)
-            worst_max = float(np.maximum(worst_max, np.max(np.abs(vals))))
-            sq_sum += float(np.sum(vals ** 2))
-            count += vals.size
-        report[name] = {"max": worst_max,
-                        "rms": float(np.sqrt(sq_sum / count))}
-    return report
+    worst_max = dict.fromkeys(relations, 0.0)
+    sq_sum = dict.fromkeys(relations, 0.0)
+    for _, points in grid_blocks(model, grid_spec):
+        # a NaN field is reported as a NaN relation, not warned about
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            values = iter(bundle(*points))
+        for name, op in relations.items():
+            for _ in op.coefficients:
+                vals = next(values)
+                worst_max[name] = float(np.maximum(worst_max[name],
+                                                   np.max(np.abs(vals))))
+                sq_sum[name] += float(np.sum(vals ** 2))
+    count = 3 * math.prod(grid_spec)
+    return {name: {"max": worst_max[name],
+                   "rms": float(np.sqrt(sq_sum[name] / count))}
+            for name in relations}
 
 
 def derived_curvatures(model, lam) -> DerivedCurvatures:

@@ -19,7 +19,9 @@ transport identity driven by the fan Riccati solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,8 +31,8 @@ from .expr import CHUNK_POINTS
 from .fields import SMPoint, _as_field, compile_fields, require_finite, \
     sample_finite
 from .flow import ThermostatSpec, integrate
-from .geometry import derived_curvatures, validation_grid_points, \
-    velocity_pairing
+from .geometry import SurfaceModel, _grid_axes, derived_curvatures, \
+    grid_blocks, velocity_pairing
 from .jacobi import exterior_fan_r
 
 TWO_PI = 2.0 * np.pi
@@ -40,31 +42,72 @@ TWO_PI = 2.0 * np.pi
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and weights implementing integration against the bundle volume.
 
-    Interior nodes are flattened (x, y, theta) arrays with positive
-    weights; boundary nodes, when present, are (s, theta) pairs on the
-    unit circle with product trapezoid weights (the e^phi contraction
+    The interior nodes form a tensor grid over three axes (x, y and the
+    fiber angle on the torus; a radius, a polar angle and the fiber angle
+    on the disk), ordered as `geometry.grid_blocks` orders them.  A node's
+    weight is the cell weight of its first-axis index times e^{2 phi} at
+    the node.  `blocks()` yields nodes and weights for runs of at most
+    CHUNK_POINTS nodes, so a quadrature holds O(CHUNK_POINTS) values on any
+    grid; `x`, `y`, `theta` and `weights` give them as whole arrays, built
+    on first read.  Boundary nodes, when present, are (s, theta) pairs on
+    the unit circle with product trapezoid weights (the e^phi contraction
     density is applied by the boundary integrators, not baked in).
     """
 
     kind: str
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    weights: np.ndarray
+    model: SurfaceModel = dc_field(repr=False)
+    axes: tuple = dc_field(repr=False)
+    cell_weights: np.ndarray = dc_field(repr=False)
     boundary_s: Optional[np.ndarray] = None
     boundary_theta: Optional[np.ndarray] = None
     boundary_weights: Optional[np.ndarray] = None
 
     @property
+    def shape(self):
+        return tuple(len(a) for a in self.axes)
+
+    @property
     def n_nodes(self):
-        return self.x.size
+        return math.prod(self.shape)
+
+    def blocks(self, block=CHUNK_POINTS):
+        """(start, (x, y, theta), weights) for runs of at most block nodes,
+        in C order; start is the flat index of the run's first node."""
+        _, n1, n2 = self.shape
+        for lo, points in grid_blocks(self.model, self.shape, self.axes,
+                                      block):
+            first = np.arange(lo, lo + points[0].size) // (n1 * n2)
+            density = self.model.conformal_factor(points[0], points[1]) ** 2
+            yield lo, points, self.cell_weights[first] * density
+
+    @cached_property
+    def _whole(self):
+        """The nodes and weights of the one block of the whole grid."""
+        ((_, points, weights),) = self.blocks(self.n_nodes)
+        return (*points, weights)
+
+    @property
+    def x(self):
+        return self._whole[0]
+
+    @property
+    def y(self):
+        return self._whole[1]
+
+    @property
+    def theta(self):
+        return self._whole[2]
+
+    @property
+    def weights(self):
+        return self._whole[3]
 
     def total_measure(self):
-        return float(np.sum(self.weights))
+        return sum(float(np.sum(w)) for _, _, w in self.blocks())
 
 
 def _spec_tuple(n):
@@ -74,7 +117,8 @@ def _spec_tuple(n):
 
 
 def torus_quadrature(model, n=32):
-    """Periodic trapezoid tensor rule on the unit-square torus bundle.
+    """Periodic trapezoid tensor rule on the unit-square torus bundle, on
+    the nodes of the validation grid.
 
     Spectrally accurate for trigonometric data; exact (to rounding) for
     band-limited integrands resolved by the grid.
@@ -82,11 +126,10 @@ def torus_quadrature(model, n=32):
     if model.domain.kind != "torus":
         raise DomainError("torus_quadrature needs a torus model")
     nx, ny, nt = _spec_tuple(n)
-    x, y, theta = validation_grid_points(model, (nx, ny, nt))
     cell = (1.0 / nx) * (1.0 / ny) * (TWO_PI / nt)
-    density = model.conformal_factor(x, y) ** 2
-    return QuadratureGrid(kind="torus", x=x, y=y, theta=theta,
-                          weights=cell * density)
+    return QuadratureGrid(kind="torus", model=model,
+                          axes=_grid_axes(model, (nx, ny, nt)),
+                          cell_weights=np.full(nx, cell))
 
 
 def disk_quadrature(model, n=(16, 24, 24)):
@@ -101,20 +144,14 @@ def disk_quadrature(model, n=(16, 24, 24)):
     wr = 0.5 * gl_w
     alphas = np.linspace(0.0, TWO_PI, na, endpoint=False)
     ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
-    R, A, T = np.meshgrid(r, alphas, ts, indexing="ij")
-    WR, _, _ = np.meshgrid(wr, alphas, ts, indexing="ij")
-    x = (R * np.cos(A)).ravel()
-    y = (R * np.sin(A)).ravel()
-    theta = T.ravel()
-    w = (WR * R).ravel() * (TWO_PI / na) * (TWO_PI / nt)
-    w = w * model.conformal_factor(x, y) ** 2
 
     ns, ntb = 64, 64
     ss = np.linspace(0.0, TWO_PI, ns, endpoint=False)
     tbs = np.linspace(0.0, TWO_PI, ntb, endpoint=False)
     S, TB = np.meshgrid(ss, tbs, indexing="ij")
     wb = np.full(S.size, (TWO_PI / ns) * (TWO_PI / ntb))
-    return QuadratureGrid(kind="disk", x=x, y=y, theta=theta, weights=w,
+    return QuadratureGrid(kind="disk", model=model, axes=(r, alphas, ts),
+                          cell_weights=wr * r * (TWO_PI / na) * (TWO_PI / nt),
                           boundary_s=S.ravel(), boundary_theta=TB.ravel(),
                           boundary_weights=wb)
 
@@ -132,19 +169,17 @@ def liouville_integrate(grid, named_fields):
     """Integrals of the fields, given as {name: field}, over the bundle
     against the Liouville weights, as a list of floats in the given order.
 
-    The fields are compiled together and their kernel runs over blocks of
-    CHUNK_POINTS nodes under one np.errstate; each block adds its weighted
-    sum to each integral, so no integrand is ever held on the whole grid.
-    DomainError (`fields.require_finite`) names the first integrand that is
-    not finite at a node of a block, and the first such node.
+    The fields are compiled together and their kernel runs over the
+    grid's blocks (`QuadratureGrid.blocks`) under one np.errstate; each
+    block adds its weighted sum to each integral, so neither an integrand
+    nor a node or weight is ever held on the whole grid.  DomainError
+    (`fields.require_finite`) names the first integrand that is not finite
+    at a node of a block, and the first such node.
     """
     kernel = compile_fields(named_fields.values()).kernel
     labels = [f"integrand {name}" for name in named_fields]
     sums = [0.0] * len(named_fields)
-    for lo in range(0, grid.n_nodes, CHUNK_POINTS):
-        block = slice(lo, lo + CHUNK_POINTS)
-        w = grid.weights[block]
-        points = (grid.x[block], grid.y[block], grid.theta[block])
+    for lo, points, w in grid.blocks():
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             values = kernel(*points)
         require_finite(labels, values, points, (grid.n_nodes,), start=lo)

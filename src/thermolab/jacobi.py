@@ -50,7 +50,7 @@ from .errors import BlowupInsideWindow, NoConvergence, RiccatiUnavailable
 from .fields import SMPoint, compile_fields
 from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, DenseSolution, \
     Event, ThermostatSpec, integrate, integrate_orbit, integrate_to_boundary
-from .geometry import derived_curvatures, validation_grid_points
+from .geometry import derived_curvatures, grid_blocks
 
 RICCATI_R_CAP = 2 ** 10
 # the tolerances of conjugate-point and Riccati solves
@@ -349,12 +349,17 @@ def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6):
 
 def riccati_bound_constants(spec):
     """Constants B, C, A: B^2 >= sup|K_lambda|, C >= sup|lam I + V(lam)|,
-    the suprema taken over a 12 x 12 x 24 validation grid."""
+    the suprema taken over a 12 x 12 x 24 validation grid, folded block by
+    block (`geometry.grid_blocks`)."""
     dc = spec.coefficients().curvatures
-    xg, yg, tg = validation_grid_points(spec.model, (12, 12, 24))
-    Klam, div = compile_fields((dc.K_lambda, dc.lamI + dc.Vlam))(xg, yg, tg)
-    B = float(np.sqrt(np.max(np.abs(Klam))))
-    C = float(np.max(np.abs(div)))
+    bundle = compile_fields((dc.K_lambda, dc.lamI + dc.Vlam))
+    sup_Klam = sup_div = 0.0
+    for _, points in grid_blocks(spec.model, (12, 12, 24)):
+        Klam, div = bundle(*points)
+        sup_Klam = np.maximum(sup_Klam, np.max(np.abs(Klam)))
+        sup_div = np.maximum(sup_div, np.max(np.abs(div)))
+    B = float(np.sqrt(sup_Klam))
+    C = float(sup_div)
     return {"B": B, "C": C, "A": max(B, C)}
 
 

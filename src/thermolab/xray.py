@@ -38,8 +38,17 @@ from .geometry import velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 
-# 8-point Gauss-Legendre panel rule used by all ray quadratures
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre panel rule used by all ray quadratures: the bits
+# of np.polynomial.legendre.leggauss(8), written out so that a ray
+# transform does not import numpy.polynomial
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 # the spacing of the quadrature nodes along the rays of a ray matrix
 QUAD_SPACING = 0.02
 # the least ratio of neighbouring singular values that separates the

@@ -1,17 +1,20 @@
 """Hyperbolicity criterion and cohomological-equation residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from thermolab import anosov
 from thermolab.anosov import FIBER_BAND
 from thermolab.errors import DomainError, SolverDiverged
+from thermolab.expr import CHUNK_POINTS
 from thermolab.anosov import GridTransportOperator, cohomological_residual, \
     quadratic_form_rate, theoremD_criterion
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import ThermostatSpec, geodesic_spec
 from thermolab.geometry import build_surface_model, constant_curvature_model, \
-    flat_torus, velocity_pairing
+    derived_curvatures, flat_torus, validation_grid_points, velocity_pairing
 from thermolab.jacobi import integrate_jacobi
 
 
@@ -43,6 +46,41 @@ def test_criterion_theta_grid_invariance():
     a = theoremD_criterion(model, lam, (10, 10, 8)).sup_value
     b = theoremD_criterion(model, lam, (10, 10, 32)).sup_value
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_criterion_first_maximizer_across_blocks():
+    # with lam = 0 the quantity is K = 4 pi^2 a sin(2 pi x) e^{-2 a sin 2 pi x}
+    # for phi = a sin(2 pi x), the same bits on the whole x = 1/4 slice:
+    # its 96 x 96 nodes tie for the maximum from flat index 9216, inside
+    # the second block, through the third block
+    model = build_surface_model("conformal_torus", phi="0.1*sin(2*pi*x)")
+    grid_spec = (4, 96, 96)
+    values = derived_curvatures(model, 0.0).anosovD.eval(
+        *validation_grid_points(model, grid_spec))
+    ties = np.flatnonzero(values == values.max())
+    assert ties[0] == 9216 and ties[-1] == 18431
+    assert ties[0] // CHUNK_POINTS == 1 and ties[-1] // CHUNK_POINTS == 2
+    rep = theoremD_criterion(model, 0.0, grid_spec)
+    assert rep.sup_value == values.max()
+    assert (rep.argmax.x, rep.argmax.y, rep.argmax.theta) == (0.25, 0.0, 0.0)
+
+
+def test_criterion_memory_stays_blockwise():
+    # the scan folds a running maximum per block: its traced peak is the
+    # same on 24^3 and 48^3 nodes, where the quantity on the whole grid
+    # would add 48^3 x 8 bytes
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    lam = SMScalarField.from_expression("0.2*sin(2*pi*y)")
+    peaks = []
+    for n in (24, 48):
+        tracemalloc.start()
+        try:
+            theoremD_criterion(model, lam, (n, n, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 48 ** 3 * 8
 
 
 def test_rate_flat_degenerate():

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermolab
-from thermolab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, dumps, main
+from thermolab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, dumps, main, \
+    pestov_points
+from thermolab.geometry import euclidean_disk, flat_torus
 
 
 def write_config(tmp_path, name, cfg):
@@ -171,6 +173,26 @@ def test_pestov_command(tmp_path, capsys):
     assert out["max_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("make_model", [flat_torus, euclidean_disk],
+                         ids=["torus", "disk"])
+def test_pestov_points(make_model):
+    # Kronecker points inside the sample region (the unit square, or the
+    # disk of radius 0.9), the same for a seed, none shared by two seeds
+    model = make_model()
+    x, y, theta = pestov_points(model, 2000, 7)
+    if model.domain.kind == "disk":
+        assert np.all(np.hypot(x, y) <= 0.9)
+        assert np.max(np.hypot(x, y)) > 0.89
+    else:
+        assert np.all((0.0 <= x) & (x < 1.0) & (0.0 <= y) & (y < 1.0))
+    assert np.all((0.0 <= theta) & (theta < 2 * np.pi))
+    again = pestov_points(model, 2000, 7)
+    assert all(np.array_equal(a, b) for a, b in zip((x, y, theta), again))
+    for seed in (0, 8, 2 ** 31 - 1, 10 ** 30):
+        other = set(zip(*pestov_points(model, 2000, seed)))
+        assert not other & set(zip(x, y, theta)), seed
+
+
 def test_identity_command_torus(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "schema": 1,
@@ -312,14 +334,24 @@ SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
     ("invert", dict(SMALL_INVERT, rank=-3)),
     ("invert", dict(SMALL_INVERT, rank=0)),
     ("invert", dict(SMALL_INVERT, rank=100000)),
+    ("pestov", flat_torus_cfg(n_points=0)),
+    ("pestov", flat_torus_cfg(n_points=3.7)),
+    ("pestov", flat_torus_cfg(seed=-1)),
+    ("pestov", flat_torus_cfg(n_points=True)),
+    ("pestov", flat_torus_cfg(seed=2.5)),
 ], ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
-        "rank100000"])
+        "rank100000", "n_points0", "n_points3.7", "seed-1", "n_points-true",
+        "seed2.5"])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
                                            config):
     # the 16 rays of SMALL_INVERT give 16 singular values
     cfg = write_config(tmp_path, "c.json", config)
     assert main([command, "--config", cfg]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for key in ("n_points", "seed"):
+        if key in config:
+            assert f"{key} must be an integer" in err
 
 
 @pytest.mark.parametrize("command, text", [
@@ -379,9 +411,10 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert done.stdout.strip() == "False"
 
 
-def scipy_modules_after(tmp_path, *runs):
-    """The scipy modules loaded by a fresh interpreter after `lab` runs,
-    each a subcommand and its config; every run must exit 0."""
+def modules_after(tmp_path, prefix, *runs):
+    """The modules named prefix or prefix.* that a fresh interpreter has
+    loaded after `lab` runs, each a subcommand and its config; every run
+    must exit 0."""
     src = os.path.dirname(os.path.dirname(thermolab.__file__))
     argvs = [[sub, "--config", write_config(tmp_path, f"{i}.json", cfg),
               "--out", str(tmp_path / "out")]
@@ -389,7 +422,7 @@ def scipy_modules_after(tmp_path, *runs):
     code = ("import json, sys; from thermolab.cli import main; "
             f"codes = [main(argv) for argv in {argvs!r}]; "
             "print(json.dumps([codes, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')]))")
+            f"if m == {prefix!r} or m.startswith({prefix + '.'!r}))]))")
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
@@ -398,18 +431,34 @@ def scipy_modules_after(tmp_path, *runs):
     return modules
 
 
+# this fan and grid have a singular-value gap, so `lab invert` also takes
+# the principal angles
+DISK_FAN = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+            "phi_field": "1", "n_boundary": 12, "n_angles": 12}
+
+
 def test_lab_runs_on_numpy_alone(tmp_path):
     # ray matrices, their SVD and principal angles, the hyperbolicity scan,
     # the cohomology operator and its CG all run on numpy; scipy's import
     # would double the start-up time of these subcommands
-    # this fan and grid have a singular-value gap, so `lab invert` also
-    # takes the principal angles
-    disk = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
-            "phi_field": "1", "n_boundary": 12, "n_angles": 12}
-    assert scipy_modules_after(
-        tmp_path, ("xray", disk), ("invert", dict(disk, nodes=[8, 8])),
+    assert modules_after(
+        tmp_path, "scipy", ("xray", DISK_FAN),
+        ("invert", dict(DISK_FAN, nodes=[8, 8])),
         ("anosov", flat_torus_cfg(grid=[6, 6, 6])),
         ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=8))) == []
+
+
+def test_lab_loads_no_numpy_random_or_polynomial(tmp_path):
+    # pestov draws its points from a Kronecker sequence and the ray
+    # quadrature's Gauss-Legendre rule is written out, so neither the
+    # random generators nor the polynomial package are loaded
+    rays = (("xray", DISK_FAN), ("invert", dict(DISK_FAN, nodes=[8, 8])))
+    assert modules_after(
+        tmp_path, "numpy.random", ("validate", flat_torus_cfg()),
+        ("pestov", flat_torus_cfg(n_points=50, seed=3)),
+        ("identity", flat_torus_cfg(n_quad=8)),
+        ("anosov", flat_torus_cfg(grid=[6, 6, 6])), *rays) == []
+    assert modules_after(tmp_path, "numpy.polynomial", *rays) == []
 
 
 def test_anosov_command(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """Surface models: frames, commutation relations, derived curvatures."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from thermolab.errors import DomainError, ValidationFailed
+from thermolab.expr import CHUNK_POINTS
 from thermolab.fields import SMScalarField, _as_field, commutator, \
     compile_fields
-from thermolab.geometry import STRUCTURE_TOLERANCE, SyntheticSpec, \
-    build_surface_model, constant_curvature_model, \
-    derived_curvatures, euclidean_disk, flat_torus, \
+from thermolab.geometry import PLANE_WINDOW, STRUCTURE_TOLERANCE, \
+    TWO_PI, SyntheticSpec, build_surface_model, constant_curvature_model, \
+    derived_curvatures, euclidean_disk, flat_torus, grid_blocks, \
     validate_structure_relations, validation_grid_points, velocity_pairing
 
 # a few base points where the models' exponents are checked
@@ -239,3 +241,67 @@ def test_commutator_matches_second_order_definition(make_model, lam):
     want = compile_fields(definition)(*grid)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def _meshgrid_points(model, grid_spec):
+    """The validation grid built whole from meshgrids of its axes: the
+    reference the block iterator must reproduce bit for bit."""
+    nx, ny, nt = grid_spec
+    ts = np.linspace(0.0, TWO_PI, nt, endpoint=False)
+    if model.domain.kind == "disk":
+        R, A = np.meshgrid(np.linspace(0.1, 0.9, nx),
+                           np.linspace(0.0, TWO_PI, ny, endpoint=False),
+                           indexing="ij")
+        X3, T3 = np.meshgrid((R * np.cos(A)).ravel(), ts, indexing="ij")
+        Y3, _ = np.meshgrid((R * np.sin(A)).ravel(), ts, indexing="ij")
+        return X3.ravel(), Y3.ravel(), T3.ravel()
+    if model.domain.kind == "torus":
+        xs = np.linspace(0.0, 1.0, nx, endpoint=False)
+        ys = np.linspace(0.0, 1.0, ny, endpoint=False)
+    else:
+        (x0, x1), (y0, y1) = PLANE_WINDOW
+        xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+    return tuple(v.ravel() for v in np.meshgrid(xs, ys, ts, indexing="ij"))
+
+
+@pytest.mark.parametrize("grid_spec, blocks", [
+    ((8, 8, 8), (0, True)), ((32, 32, 32), (4, False)),
+    ((20, 20, 24), (1, True))],
+    ids=["one_block", "whole_blocks", "partial_block"])
+@pytest.mark.parametrize("make_model", [
+    flat_torus, euclidean_disk, lambda: constant_curvature_model(-1.0)],
+    ids=["torus", "disk", "plane"])
+def test_grid_blocks_concatenate_to_the_grid(make_model, grid_spec, blocks):
+    # runs of at most CHUNK_POINTS nodes, in C order, whose concatenation
+    # is the whole grid bit for bit, on grids of one block, of whole
+    # blocks and ending in a partial block
+    model = make_model()
+    whole, rest = divmod(int(np.prod(grid_spec)), CHUNK_POINTS)
+    assert (whole, rest > 0) == blocks
+    starts, parts = zip(*grid_blocks(model, grid_spec))
+    assert starts == tuple(range(0, int(np.prod(grid_spec)), CHUNK_POINTS))
+    assert all(0 < p[0].size <= CHUNK_POINTS for p in parts)
+    got = [np.concatenate(v) for v in zip(*parts)]
+    for g, one, ref in zip(got, validation_grid_points(model, grid_spec),
+                           _meshgrid_points(model, grid_spec)):
+        assert np.array_equal(g.view(np.uint64), one.view(np.uint64))
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64))
+
+
+def test_validation_memory_stays_blockwise():
+    # the 18 coefficient fields of the relations with lam are folded block
+    # by block, never held on the whole grid: the traced peak is the same
+    # on 24^3 and 48^3 nodes, where one field on the whole grid would add
+    # 48^3 x 8 bytes
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    lam = SMScalarField.from_expression("0.2*sin(2*pi*y)")
+    peaks = []
+    for n in (24, 48):
+        tracemalloc.start()
+        try:
+            validate_structure_relations(model, (n, n, n), lam=lam)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 48 ** 3 * 8

@@ -79,6 +79,37 @@ def test_liouville_integrate_matches_full_dot(n, blocks):
         assert got == want
 
 
+def test_disk_liouville_integrate_matches_whole_arrays():
+    # the disk rule built whole from meshgrids of its axes, as a polar
+    # Gauss-Legendre x trapezoid tensor rule: its nodes and weights, and
+    # the block sums over them, are those of the grid's blocks bit for bit
+    model = build_surface_model("conformal_disk", phi="0.2*(x^2 - y^2)")
+    nr, na, nt = 16, 24, 24
+    grid = disk_quadrature(model, (nr, na, nt))
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(nr)
+    r, wr = 0.5 * (gl_nodes + 1.0), 0.5 * gl_w
+    alphas = np.linspace(0.0, 2 * np.pi, na, endpoint=False)
+    ts = np.linspace(0.0, 2 * np.pi, nt, endpoint=False)
+    R, A, T = np.meshgrid(r, alphas, ts, indexing="ij")
+    WR, _, _ = np.meshgrid(wr, alphas, ts, indexing="ij")
+    x, y, theta = (R * np.cos(A)).ravel(), (R * np.sin(A)).ravel(), T.ravel()
+    w = (WR * R).ravel() * (2 * np.pi / na) * (2 * np.pi / nt)
+    w = w * model.conformal_factor(x, y) ** 2
+    for got, want in ((grid.x, x), (grid.y, y), (grid.theta, theta),
+                      (grid.weights, w)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert grid.n_nodes > CHUNK_POINTS
+    fields = {text: SMScalarField.from_expression(text) for text in (
+        "1", "x*sin(theta)", "exp(x*y)*cos(theta)^2")}
+    want = [0.0] * len(fields)
+    for lo in range(0, grid.n_nodes, CHUNK_POINTS):
+        block = slice(lo, lo + CHUNK_POINTS)
+        for i, f in enumerate(fields.values()):
+            want[i] += float(np.dot(w[block], f.eval(
+                x[block], y[block], theta[block])))
+    assert liouville_integrate(grid, fields) == want
+
+
 def test_liouville_integrate_names_first_nonfinite_node():
     # 1 / (x - 1/2) is inf on the nodes with x = 1/2, the first of which,
     # flat index 16 * 32 * 32, lies in the third block of CHUNK_POINTS

@@ -22,6 +22,15 @@ def entry_state(s, beta):
     return SMPoint(np.cos(s), np.sin(s), s + np.pi + beta)
 
 
+def test_panel_rule_is_leggauss_8():
+    # the written-out rule has the bits of numpy's 8-point Gauss-Legendre
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for got, want in ((thermolab.xray._GL_NODES, nodes),
+                      (thermolab.xray._GL_WEIGHTS, weights)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_chord_lengths():
     spec = disk_spec()
     pair = PairField.from_expressions(phi="1")
