@@ -22,8 +22,8 @@ import numpy as np
 from . import errors
 from .expr import parse_expression
 from .fields import SMPoint, SMScalarField
-from .geometry import build_surface_model, constant_curvature_model, \
-    validate_structure_relations
+from .geometry import PLANE_WINDOW, build_surface_model, \
+    constant_curvature_model, validate_structure_relations
 from .flow import ThermostatSpec, integrate_orbit, nontrapping_scan
 
 SCHEMA_VERSION = 1
@@ -285,15 +285,18 @@ def pestov_points(model, n, seed):
     """n sample points (x, y, theta) of `lab pestov`, the R3 Kronecker
     points frac(s + k (g^-1, g^-2, g^-3)), k = 1..n, with g^4 = g + 1 and
     the shift s = frac(seed (sqrt 2, sqrt 3, sqrt 5)), mapped to the disk
-    r <= 0.9 by area (r^2 and the polar angle uniform) or to the unit
-    square, and to a fiber angle in [0, 2 pi).  A seed repeats its points;
-    two seeds shift the sequence apart."""
+    r <= 0.9 by area (r^2 and the polar angle uniform), to PLANE_WINDOW or
+    to the unit square of the torus, and to a fiber angle in [0, 2 pi).  A
+    seed repeats its points; two seeds shift the sequence apart."""
     k = np.arange(1, n + 1)
     u, v, w = ((((seed * c) % 2 ** 64) / 2 ** 64 + k * step) % 1.0
                for c, step in zip(_SHIFT_NUMERATORS, _KRONECKER_STEP))
     if model.domain.kind == "disk":
         r, a = np.sqrt(0.81 * u), 2 * np.pi * v
         u, v = r * np.cos(a), r * np.sin(a)
+    elif model.domain.kind == "plane":
+        (x0, x1), (y0, y1) = PLANE_WINDOW
+        u, v = x0 + (x1 - x0) * u, y0 + (y1 - y0) * v
     return u, v, 2 * np.pi * w
 
 
@@ -426,13 +429,11 @@ COMMANDS = {
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lab", description="thermostat-flow numerical laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None,
-                       help="output directory (default: report to stdout)")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: report to stdout)")
+    parser.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
 
 

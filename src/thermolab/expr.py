@@ -46,7 +46,13 @@ class Expr:
         raise NotImplementedError
 
     def diff(self, var):
-        raise NotImplementedError
+        """The partial derivative in var, built once by the node type's rule
+        `_diff` and kept on the node: a subtree shared by several parents has
+        one derivative, which `Bundle` compiles once."""
+        memo = vars(self).setdefault("_derivatives", {})
+        if var not in memo:
+            memo[var] = self._diff(var)
+        return memo[var]
 
     def __call__(self, x, y, theta):
         return self.eval(x, y, theta)
@@ -93,7 +99,7 @@ class Const(Expr):
     def eval(self, x, y, theta):
         return self.value
 
-    def diff(self, var):
+    def _diff(self, var):
         return Const(0.0)
 
     def __str__(self):
@@ -112,7 +118,7 @@ class Var(Expr):
     def eval(self, x, y, theta):
         return {"x": x, "y": y, "theta": theta}[self.name]
 
-    def diff(self, var):
+    def _diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
 
     def __str__(self):
@@ -137,7 +143,7 @@ class Add(Binary):
     def eval(self, x, y, theta):
         return self.a.eval(x, y, theta) + self.b.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
 
@@ -147,7 +153,7 @@ class Sub(Binary):
     def eval(self, x, y, theta):
         return self.a.eval(x, y, theta) - self.b.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
 
 
@@ -157,7 +163,7 @@ class Mul(Binary):
     def eval(self, x, y, theta):
         return self.a.eval(x, y, theta) * self.b.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         return add(
             mul(self.a.diff(var), self.b),
             mul(self.a, self.b.diff(var)),
@@ -170,7 +176,7 @@ class Div(Binary):
     def eval(self, x, y, theta):
         return self.a.eval(x, y, theta) / self.b.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
         return div(
             sub(mul(da, self.b), mul(self.a, db)),
@@ -184,7 +190,7 @@ class Pow(Binary):
     def eval(self, x, y, theta):
         return self.a.eval(x, y, theta) ** self.b.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
         if isinstance(self.b, Const):
             # d(u^c) = c * u^(c-1) * u'
@@ -213,7 +219,7 @@ class Neg(Expr):
     def eval(self, x, y, theta):
         return -self.a.eval(x, y, theta)
 
-    def diff(self, var):
+    def _diff(self, var):
         return neg(self.a.diff(var))
 
     def __str__(self):
@@ -230,7 +236,7 @@ class Call(Expr):
     def eval(self, x, y, theta):
         return _FUNCTIONS[self.fn](self.a.eval(x, y, theta))
 
-    def diff(self, var):
+    def _diff(self, var):
         u, du = self.a, self.a.diff(var)
         if self.fn == "sin":
             outer = call("cos", u)

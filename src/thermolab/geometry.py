@@ -283,6 +283,16 @@ def _grid_axes(model, grid_spec):
     return xs, ys, np.linspace(0.0, TWO_PI, nt, endpoint=False)
 
 
+def runs_of(values, lo, hi, stride):
+    """values[(i // stride) % len(values)] for lo <= i < hi, gathered as
+    runs of stride equal entries: a grid axis along C-order flat indices."""
+    first, last = lo // stride, (hi - 1) // stride
+    counts = np.full(last - first + 1, stride)
+    counts[0] -= lo - first * stride
+    counts[-1] -= (last + 1) * stride - hi
+    return np.repeat(values[np.arange(first, last + 1) % len(values)], counts)
+
+
 def grid_blocks(model, grid_spec, axes=None, block=ex.CHUNK_POINTS):
     """The nodes of a tensor grid over the bundle, in C order over its
     three axes, as (start, (x, y, theta)) for runs of at most block nodes:
@@ -296,12 +306,13 @@ def grid_blocks(model, grid_spec, axes=None, block=ex.CHUNK_POINTS):
     """
     if axes is None:
         axes = _grid_axes(model, grid_spec)
-    shape = tuple(len(a) for a in axes)
+    _, n1, n2 = shape = tuple(len(a) for a in axes)
     size = math.prod(shape)
     for lo in range(0, size, block):
-        i, j, k = np.unravel_index(np.arange(lo, min(lo + block, size)),
-                                   shape)
-        u, v, theta = axes[0][i], axes[1][j], axes[2][k]
+        hi = min(lo + block, size)
+        u = runs_of(axes[0], lo, hi, n1 * n2)
+        v = runs_of(axes[1], lo, hi, n2)
+        theta = axes[2][np.arange(lo, hi) % n2]
         if model.domain.kind == "disk":
             u, v = u * np.cos(v), u * np.sin(v)
         yield lo, (u, v, theta)

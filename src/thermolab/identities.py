@@ -32,7 +32,7 @@ from .fields import SMPoint, _as_field, compile_fields, require_finite, \
     sample_finite
 from .flow import ThermostatSpec, integrate
 from .geometry import SurfaceModel, _grid_axes, derived_curvatures, \
-    grid_blocks, velocity_pairing
+    grid_blocks, runs_of, velocity_pairing
 from .jacobi import exterior_fan_r
 
 TWO_PI = 2.0 * np.pi
@@ -80,9 +80,10 @@ class QuadratureGrid:
         _, n1, n2 = self.shape
         for lo, points in grid_blocks(self.model, self.shape, self.axes,
                                       block):
-            first = np.arange(lo, lo + points[0].size) // (n1 * n2)
+            cells = runs_of(self.cell_weights, lo, lo + points[0].size,
+                            n1 * n2)
             density = self.model.conformal_factor(points[0], points[1]) ** 2
-            yield lo, points, self.cell_weights[first] * density
+            yield lo, points, cells * density
 
     @cached_property
     def _whole(self):

@@ -160,6 +160,17 @@ def test_transport_operator_matches_stencil():
         GridTransportOperator(model, lam, 1)
 
 
+def test_transport_operator_difference_matrix():
+    # D is the stencil applied to the columns of the identity, with the
+    # terms of coinciding offsets added (n <= 4), and exactly 0 at n = 2
+    model = flat_torus()
+    for n in range(2, 7):
+        op = GridTransportOperator(model, 0.0, n)
+        assert np.array_equal(op.D, _central_diff4(np.eye(n), 0, 1 / 12.0))
+        assert np.array_equal(op.D.T, -op.D)
+    assert not np.any(GridTransportOperator(model, 0.0, 2).D)
+
+
 def test_cohomology_rhs_orthogonal_to_range(monkeypatch):
     # on the flat torus with lam = 0 a constant is orthogonal to the range
     # of F: F^T 1 = -sum_a D_a(c_a / 12h_a) is exactly 0, since c_x and

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermolab
-from thermolab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, dumps, main, \
-    pestov_points
-from thermolab.geometry import euclidean_disk, flat_torus
+from thermolab.cli import COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, \
+    dumps, main, pestov_points
+from thermolab.geometry import PLANE_WINDOW, constant_curvature_model, \
+    euclidean_disk, flat_torus
 
 
 def write_config(tmp_path, name, cfg):
@@ -191,6 +192,31 @@ def test_pestov_points(make_model):
     for seed in (0, 8, 2 ** 31 - 1, 10 ** 30):
         other = set(zip(*pestov_points(model, 2000, seed)))
         assert not other & set(zip(x, y, theta)), seed
+
+
+def test_pestov_command_plane_window(tmp_path, capsys):
+    # a plane model is sampled on its window PLANE_WINDOW, where its
+    # exponent -log cos 2y is finite; the unit square would reach the
+    # singularity at y = pi/4
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "synthetic", "K": -4.0},
+        "n_points": 200})
+    assert main(["pestov", "--config", cfg]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["max_residual"] < 1e-6
+    x, y, _ = pestov_points(constant_curvature_model(-4.0), 200, 0)
+    (x0, x1), (y0, y1) = PLANE_WINDOW
+    assert np.all((x0 <= x) & (x < x1) & (y0 <= y) & (y < y1))
+
+
+def test_unknown_subcommand_exits_2_naming_choices(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg())
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--config", cfg])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'transport'" in err
+    assert all(repr(name) in err for name in COMMANDS)
 
 
 def test_identity_command_torus(tmp_path, capsys):

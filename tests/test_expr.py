@@ -71,6 +71,18 @@ def test_derivative_matches_fd(fn):
         assert d.eval(x, y, th) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def test_derivative_built_once_per_node():
+    # a derivative is kept on its node: asked again, the same object; a
+    # subtree shared by two parents has one derivative, which both reuse
+    e = parse_expression("exp(x*y)*sin(x) + x^3")
+    assert e.diff("x") is e.diff("x")
+    assert e.diff("y") is not e.diff("x")
+    shared = parse_expression("exp(x*y)")
+    f = shared * shared.diff("x") + shared
+    d = f.diff("x")
+    assert d.b is shared.diff("x")
+
+
 def test_theta_derivative():
     e = parse_expression("sin(theta)^2")
     d = e.diff("theta")

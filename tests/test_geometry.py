@@ -24,6 +24,25 @@ def worst(report):
     return max(r["max"] for r in report.values())
 
 
+def test_validation_fields_compile_to_the_tree_walk():
+    # the nine coefficient fields that validate the frame relations of the
+    # benchmark's curved torus, compiled together (derivatives built once
+    # per node and shared), give the floats of Expr.eval bit for bit
+    model = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    X, H, V = model.frame.X, model.frame.H, model.frame.V
+    relations = (commutator(V, X) - H,
+                 commutator(H, V) - X - model.I * H - model.J * V,
+                 commutator(X, H) - model.K * V)
+    fields = [c for op in relations for c in op.coefficients]
+    assert len(fields) == 9
+    points = validation_grid_points(model, (12, 12, 12))
+    for field, compiled in zip(fields, compile_fields(fields)(*points)):
+        walked = np.broadcast_to(field.expression.eval(*points),
+                                 compiled.shape)
+        assert np.array_equal(compiled, walked), str(field.expression)
+
+
 def test_flat_torus_structure():
     model = flat_torus()
     assert np.array_equal(model.phi.eval(XS, YS, 0.4), np.zeros(4))
