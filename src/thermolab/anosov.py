@@ -25,12 +25,17 @@ Three probes of long-time flow behaviour:
   `GridTransportOperator` applies the 4th-order periodic stencil of F
   as one product per axis with its n x n circulant difference matrix, so
   each conjugate-gradient matvec on the normal equations is one stencil
-  pass with F and one with its adjoint.  The conjugate gradients
-  (`_pcg`, a numpy loop) are preconditioned by the normal operator of F
-  with its coefficients averaged over the torus at each fiber angle,
-  which is block diagonal in the spatial Fourier modes
+  pass with F and one with its adjoint.  The fiber band is one real
+  orthonormal basis R of the fiber modes (`_fiber_band_basis`: 1,
+  cos m theta, sin m theta; Guillemin and Kazhdan, Topology 19, 1980):
+  the band projector is u -> (u R) R^T on the fiber axis.  The conjugate
+  gradients (`_pcg`, a numpy loop) are preconditioned by the normal
+  operator of F with its coefficients averaged over the torus at each
+  fiber angle, which is block diagonal in the spatial Fourier modes
   (`_frozen_preconditioner`; T. Chan, SIAM J. Sci. Stat. Comput. 9,
-  1988).  The module runs on numpy alone.
+  1988).  Its blocks act on R's coordinates, reached by u R on the fiber
+  axis and by one DFT-matrix product per spatial axis.  The module runs
+  on numpy alone, with no FFT.
 """
 
 from __future__ import annotations
@@ -237,19 +242,41 @@ class GridTransportOperator:
         return out
 
 
-def _fiber_band_projector(n, band):
-    """Orthogonal projection onto fiber Fourier modes |m| <= band.
+def _fiber_band_basis(n, band):
+    """R, the n x nb real orthonormal basis of the fiber modes |m| <= band
+    on an n-point fiber grid theta_j = 2 pi j / n.
 
-    It is the identity when an n-point fiber grid holds no mode above the
-    band, so those solves run with no transforms added.
+    Its columns are 1 / sqrt(n), then sqrt(2 / n) cos m theta and
+    sqrt(2 / n) sin m theta for 1 <= m <= band with m < n / 2, then
+    cos(n theta / 2) / sqrt(n) when n is even and n / 2 <= band.  So
+    nb = min(n, 2 band + 1), and R is square (an orthogonal matrix) when
+    the band holds the whole fiber grid (n <= 2 band + 1).  Its span is
+    that of the DFT rows with |frequency| <= band (the Nyquist row of an
+    even n > 2 band excluded)."""
+    theta = TWO_PI * np.arange(n) / n
+    cols = [np.full(n, 1.0 / np.sqrt(n))]
+    for m in range(1, min(band, (n - 1) // 2) + 1):
+        cols += [np.sqrt(2.0 / n) * np.cos(m * theta),
+                 np.sqrt(2.0 / n) * np.sin(m * theta)]
+    if n % 2 == 0 and n // 2 <= band:
+        cols.append(np.cos(n // 2 * theta) / np.sqrt(n))
+    return np.stack(cols, axis=1)
+
+
+def _fiber_band_projector(n, band):
+    """Orthogonal projection onto fiber Fourier modes |m| <= band,
+    u -> (u R) R^T on the fiber axis with R = `_fiber_band_basis`.
+
+    It is the identity when R is square, that is when an n-point fiber
+    grid holds no mode above the band, so those solves run with no
+    products added.
     """
-    if n // 2 <= band:
+    R = _fiber_band_basis(n, band)
+    if R.shape[1] == n:
         return lambda u: u
 
     def project(u):
-        c = np.fft.rfft(u, axis=2)
-        c[..., band + 1:] = 0.0
-        return np.fft.irfft(c, n=n, axis=2)
+        return ((u.reshape(-1, n) @ R) @ R.T).reshape(u.shape)
     return project
 
 
@@ -261,45 +288,72 @@ def _frozen_preconditioner(op):
     n x n theta-block per mode,
     B_k = diag(i s(k_x) c_x + i s(k_y) c_y) + diag(c_theta) D_theta,
     where s(k) = (8 sin a - sin 2a) / 6h, a = 2 pi k / n, is the symbol of
-    the 4th-order stencil and D_theta its periodic theta matrix.  With W
-    the orthonormal DFT rows of the fiber modes |m| <= FIBER_BAND, mode k
-    is preconditioned by W^H (W B_k^H B_k W^H + eps m I)^{-1} W, where m is
-    the largest entry of any B_k^H B_k and eps = PRECOND_EPS.  Each block
-    is Hermitian positive definite, so the map is symmetric positive
-    definite on the band and zero off it.  When the band holds the whole
-    fiber grid (n <= 2 FIBER_BAND), W is unitary and the map is
+    the 4th-order stencil and D_theta its periodic theta matrix.  With R
+    the real orthonormal basis of the fiber modes |m| <= FIBER_BAND
+    (`_fiber_band_basis`, n x nb), mode k is preconditioned by
+    R (R^T B_k^H B_k R + eps m I)^{-1} R^T, where m is the largest entry
+    of any B_k^H B_k and eps = PRECOND_EPS.  Each nb x nb block is
+    Hermitian positive definite, so the map is symmetric positive definite
+    on the band and zero off it.  When the band holds the whole fiber grid
+    (n <= 2 FIBER_BAND + 1), R is orthogonal and the map is
     (B_k^H B_k + eps m I)^{-1}.  Past that it inverts the band part of
     B_k^H B_k instead of taking the band part of the inverse: its blocks
     stay 17 x 17, and on the n=32 curved torus CG takes 28 operator
-    applies where the band part of the inverse takes 99.  The map is one
-    rfftn, one batched product with the blocks and one irfftn: W and W^H
-    are the fiber transforms of rfftn and irfftn on the band (with scales
-    sqrt(n) and 1/sqrt(n), which cancel).
+    applies where the band part of the inverse takes 99.
+
+    The map is a chain of matrix products, one per axis each way, like
+    `GridTransportOperator._difference`: u R on the fiber axis; the real
+    DFT rows of the half spectrum k_y <= n / 2 on the y axis (the modes
+    k_y > n / 2 of a real grid array are conjugates); the complex DFT
+    matrix on the x axis; the batched product with the blocks; then the
+    inverse DFTs, x first, the real part of the y synthesis, and R^T.
     """
     n = op.n
+    R = _fiber_band_basis(n, FIBER_BAND)
+    nb = R.shape[1]
+    h = n // 2 + 1
     cx, cy, ct = (c.mean(axis=(0, 1)) for c in (op.cx, op.cy, op.ct))
     a = TWO_PI * np.arange(n) / n
     s = (8.0 * np.sin(a) - np.sin(2.0 * a)) / (6.0 * op.h_xy)
     d_theta = op.D / (12.0 * op.h_t)
-    band = np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) <= FIBER_BAND)
-    W = np.fft.fft(np.eye(n), axis=0, norm="ortho")[band]
-    Wh = W.conj().T
-    # rfftn keeps the modes k_y <= n // 2; the others are conjugates
-    diag = 1j * (s[:, None, None] * cx + s[:n // 2 + 1, None] * cy)
-    # B_k W^H, whose Gram matrix is W B_k^H B_k W^H
-    BW = diag[..., None] * Wh + ct[:, None] * (d_theta @ Wh)
-    gram = np.matmul(BW.conj().swapaxes(-1, -2), BW)
+    # B_k = i diag(sig_k) + C on the modes (k_x, k_y) with k_y <= n // 2,
+    # sig_k = s(k_x) c_x + s(k_y) c_y and C = diag(c_theta) D_theta, so
+    # R^T B_k^H B_k R = R^T diag(sig_k^2) R + i (A_k - A_k^T) + (C R)^T C R
+    # with A_k = (C R)^T diag(sig_k) R: two products over theta for all
+    # modes at once
+    sig = (s[:, None, None] * cx + s[:h, None] * cy).reshape(-1, n)
+    C = ct[:, None] * d_theta
+    CR = C @ R
     # the diagonal of B_k^H B_k holds its largest entries: the squared
     # column norms of B_k (D_theta has a zero diagonal)
-    m = float((np.abs(diag) ** 2
-               + ((ct[:, None] * d_theta) ** 2).sum(axis=0)).max())
-    blocks = np.linalg.inv(gram + PRECOND_EPS * m * np.eye(len(W)))
+    m = float((sig ** 2 + (C ** 2).sum(axis=0)).max())
+    gram = np.empty((n, h, nb, nb), dtype=complex)
+    gram.real = (sig ** 2 @ (R[:, :, None] * R[:, None, :]).reshape(n, -1)
+                 ).reshape(gram.shape)
+    gram.real += CR.T @ CR + PRECOND_EPS * m * np.eye(nb)
+    A = (sig @ (CR[:, :, None] * R[:, None, :]).reshape(n, -1)).reshape(
+        gram.shape)
+    gram.imag = A - A.swapaxes(-1, -2)
+    blocks = np.linalg.inv(gram)
+    # the DFT matrix e^{-2 pi i jk / n}, its inverse on the x axis, and on
+    # the y axis the real and imaginary parts of its first h rows (forward)
+    # and of the real synthesis Re sum_k w_k e^{2 pi i jk / n} z_k / n
+    # (w_k = 2 but for k = 0 and k = n / 2, whose modes are real)
+    k = np.arange(n)
+    dft = np.exp(-1j * a[np.outer(k, k) % n])
+    inv_x = dft.conj() / n
+    w = np.where((k[:h] == 0) | (2 * k[:h] == n), 1.0, 2.0)
+    synth = dft[:, :h].conj() * w / n
+    fwd_y = np.concatenate([dft[:h].real, dft[:h].imag])
+    inv_y = np.concatenate([synth.real, -synth.imag], axis=1)
 
     def apply(u):
-        c = np.fft.rfftn(u, axes=(2, 0, 1))
-        out = np.zeros_like(c)
-        out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
-        return np.fft.irfftn(out, s=(n, n, n), axes=(2, 0, 1))
+        c = np.matmul(fwd_y, (u.reshape(-1, n) @ R).reshape(n, n, nb))
+        z = dft @ (c[:, :h] + 1j * c[:, h:]).reshape(n, -1)
+        z = np.matmul(blocks, z.reshape(n, h, nb, 1))
+        z = (inv_x @ z.reshape(n, -1)).reshape(n, h, nb)
+        c = np.matmul(inv_y, np.concatenate([z.real, z.imag], axis=1))
+        return (c.reshape(-1, nb) @ R.T).reshape(u.shape)
     return apply
 
 
@@ -308,21 +362,26 @@ def _pcg(normal, precondition, b):
     flat arrays, as scipy.sparse.linalg.cg runs them: they stop once the
     residual b - normal(x), updated step by step, has a norm of at most
     CG_TOL ||b||, or after CG_MAXITER iterations.  Returns x and the
-    number of iterations left unconverged: 0, or CG_MAXITER."""
+    number of iterations left unconverged: 0, or CG_MAXITER.  The
+    iterates are updated in place, through one scratch array."""
     x = np.zeros_like(b)
     r = b.copy()
+    p = np.zeros_like(b)
+    step = np.empty_like(b)
     tol = CG_TOL * np.linalg.norm(b)
-    p = rho_prev = None
+    rho_prev = None
     for _ in range(CG_MAXITER):
         if np.linalg.norm(r) <= tol:
             return x, 0
         z = precondition(r)
         rho = np.dot(r, z)
-        p = z if p is None else z + (rho / rho_prev) * p
+        if rho_prev is not None:
+            p *= rho / rho_prev
+        p += z
         q = normal(p)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
     return x, CG_MAXITER
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import errors
 from .expr import parse_expression
 from .fields import SMPoint, SMScalarField
-from .geometry import PLANE_WINDOW, build_surface_model, \
-    constant_curvature_model, validate_structure_relations
+from .geometry import build_surface_model, constant_curvature_model, \
+    validate_structure_relations
 from .flow import ThermostatSpec, integrate_orbit, nontrapping_scan
 
 SCHEMA_VERSION = 1
@@ -284,20 +284,13 @@ _SHIFT_NUMERATORS = tuple(math.isqrt(p << 128) for p in (2, 3, 5))
 def pestov_points(model, n, seed):
     """n sample points (x, y, theta) of `lab pestov`, the R3 Kronecker
     points frac(s + k (g^-1, g^-2, g^-3)), k = 1..n, with g^4 = g + 1 and
-    the shift s = frac(seed (sqrt 2, sqrt 3, sqrt 5)), mapped to the disk
-    r <= 0.9 by area (r^2 and the polar angle uniform), to PLANE_WINDOW or
-    to the unit square of the torus, and to a fiber angle in [0, 2 pi).  A
+    the shift s = frac(seed (sqrt 2, sqrt 3, sqrt 5)), mapped to the base
+    by the domain (`Domain.from_unit`) and to a fiber angle in [0, 2 pi).  A
     seed repeats its points; two seeds shift the sequence apart."""
     k = np.arange(1, n + 1)
     u, v, w = ((((seed * c) % 2 ** 64) / 2 ** 64 + k * step) % 1.0
                for c, step in zip(_SHIFT_NUMERATORS, _KRONECKER_STEP))
-    if model.domain.kind == "disk":
-        r, a = np.sqrt(0.81 * u), 2 * np.pi * v
-        u, v = r * np.cos(a), r * np.sin(a)
-    elif model.domain.kind == "plane":
-        (x0, x1), (y0, y1) = PLANE_WINDOW
-        u, v = x0 + (x1 - x0) * u, y0 + (y1 - y0) * v
-    return u, v, 2 * np.pi * w
+    return (*model.domain.from_unit(u, v), 2 * np.pi * w)
 
 
 def cmd_pestov(cfg):

@@ -54,6 +54,38 @@ class Domain:
         if not self.contains(p.x, p.y):
             raise DomainError(f"point ({p.x}, {p.y}) outside {self.kind} domain")
 
+    @property
+    def window(self):
+        """The base box ((x0, x1), (y0, y1)) that samples a torus (one
+        period) or a plane model (PLANE_WINDOW); None on the disk, which
+        is sampled in polar coordinates."""
+        if self.kind == "plane":
+            return PLANE_WINDOW
+        return ((0.0, 1.0), (0.0, 1.0)) if self.kind == "torus" else None
+
+    def base_axes(self, nx, ny):
+        """The two base axes of an nx x ny sample grid: the window, with
+        its edges on a plane and without its far edges on the periodic
+        torus, or on the disk radius and polar angle, strictly inside the
+        boundary to keep FD stencils inside."""
+        if self.kind == "disk":
+            return (np.linspace(0.1, 0.9, nx),
+                    np.linspace(0.0, TWO_PI, ny, endpoint=False))
+        (x0, x1), (y0, y1) = self.window
+        edges = self.kind != "torus"
+        return (np.linspace(x0, x1, nx, endpoint=edges),
+                np.linspace(y0, y1, ny, endpoint=edges))
+
+    def from_unit(self, u, v):
+        """Base points (x, y) for unit coordinates (u, v) in [0, 1)^2,
+        uniform by area over the sample region: the window, or on the
+        disk the disk r <= 0.9 (r^2 and the polar angle uniform)."""
+        if self.kind == "disk":
+            r, a = np.sqrt(0.81 * u), TWO_PI * v
+            return r * np.cos(a), r * np.sin(a)
+        (x0, x1), (y0, y1) = self.window
+        return x0 + (x1 - x0) * u, y0 + (y1 - y0) * v
+
 
 TORUS = Domain("torus")
 DISK = Domain("disk")
@@ -266,21 +298,11 @@ def velocity_pairing(model, w_x, w_y):
 
 
 def _grid_axes(model, grid_spec):
-    """The three axes of the validation grid of the given sizes: x, y on
-    the torus and the plane window, radius and polar angle on the disk
-    (strictly inside, to keep FD stencils inside), then the fiber angle."""
+    """The three axes of the validation grid of the given sizes: the
+    domain's base axes (`Domain.base_axes`), then the fiber angle."""
     nx, ny, nt = grid_spec
-    if model.domain.kind == "torus":
-        xs = np.linspace(0.0, 1.0, nx, endpoint=False)
-        ys = np.linspace(0.0, 1.0, ny, endpoint=False)
-    elif model.domain.kind == "disk":
-        xs = np.linspace(0.1, 0.9, nx)
-        ys = np.linspace(0.0, TWO_PI, ny, endpoint=False)
-    else:
-        (x0, x1), (y0, y1) = PLANE_WINDOW
-        xs = np.linspace(x0, x1, nx)
-        ys = np.linspace(y0, y1, ny)
-    return xs, ys, np.linspace(0.0, TWO_PI, nt, endpoint=False)
+    return (*model.domain.base_axes(nx, ny),
+            np.linspace(0.0, TWO_PI, nt, endpoint=False))
 
 
 def runs_of(values, lo, hi, stride):

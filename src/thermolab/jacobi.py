@@ -363,13 +363,13 @@ def riccati_bound_constants(spec):
     return {"B": B, "C": C, "A": max(B, C)}
 
 
-def comparison_w_plus(t, A, D=0.0):
+def _comparison_w_plus(t, A, D=0.0):
     """Closed-form solution of w' - A w + w^2 - A^2 = 0 (upper comparison)."""
     e = np.exp(-A * np.sqrt(5.0) * t + D)
     return A / (1.0 - e) + (A * (np.sqrt(5.0) - 1.0) / 2.0) * (1.0 + e) / (1.0 - e)
 
 
-def comparison_w_minus(t, A, E=0.0):
+def _comparison_w_minus(t, A, E=0.0):
     """Closed-form solution of w' + A w + w^2 - A^2 = 0 (lower comparison)."""
     p = np.exp(A * np.sqrt(5.0) * t + E)
     return -A * p / (p - 1.0) + (A * (1.0 + np.sqrt(5.0)) / 2.0) * (p + 1.0) / (p - 1.0)
@@ -384,11 +384,11 @@ def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
     """
     ts = np.linspace(0.5, 3.0, 11)
     h = 1e-20
-    wp = comparison_w_plus(ts, A, D)
-    dwp = np.imag(comparison_w_plus(ts + 1j * h, A, D)) / h
+    wp = _comparison_w_plus(ts, A, D)
+    dwp = np.imag(_comparison_w_plus(ts + 1j * h, A, D)) / h
     res_p = np.max(np.abs(dwp - A * wp + wp ** 2 - A ** 2))
-    wm = comparison_w_minus(ts, A, E)
-    dwm = np.imag(comparison_w_minus(ts + 1j * h, A, E)) / h
+    wm = _comparison_w_minus(ts, A, E)
+    dwm = np.imag(_comparison_w_minus(ts + 1j * h, A, E)) / h
     res_m = np.max(np.abs(dwm + A * wm + wm ** 2 - A ** 2))
     return {"w_plus": float(res_p), "w_minus": float(res_m)}
 

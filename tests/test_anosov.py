@@ -297,6 +297,61 @@ def test_preconditioner_symmetric_positive_definite_on_band(n):
         1e-12 * np.linalg.norm(Mw)
 
 
+def _fft_projector(n):
+    # the band projector as an rfft truncation on the fiber axis
+    def project(u):
+        if n // 2 <= FIBER_BAND:
+            return u
+        c = np.fft.rfft(u, axis=2)
+        c[..., FIBER_BAND + 1:] = 0.0
+        return np.fft.irfft(c, n=n, axis=2)
+    return project
+
+
+def _fft_preconditioner(op):
+    # the frozen-coefficient preconditioner written with FFTs: W the
+    # orthonormal DFT rows of the band, mode k of rfftn(u, axes=(2, 0, 1))
+    # mapped by W^H (W B_k^H B_k W^H + eps m I)^{-1} W
+    n = op.n
+    cx, cy, ct = (c.mean(axis=(0, 1)) for c in (op.cx, op.cy, op.ct))
+    a = 2 * np.pi * np.arange(n) / n
+    s = (8.0 * np.sin(a) - np.sin(2.0 * a)) / (6.0 * op.h_xy)
+    d_theta = op.D / (12.0 * op.h_t)
+    band = np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / n)) <= FIBER_BAND)
+    Wh = np.fft.fft(np.eye(n), axis=0, norm="ortho")[band].conj().T
+    diag = 1j * (s[:, None, None] * cx + s[:n // 2 + 1, None] * cy)
+    BW = diag[..., None] * Wh + ct[:, None] * (d_theta @ Wh)
+    m = float((np.abs(diag) ** 2
+               + ((ct[:, None] * d_theta) ** 2).sum(axis=0)).max())
+    blocks = np.linalg.inv(np.matmul(BW.conj().swapaxes(-1, -2), BW)
+                           + anosov.PRECOND_EPS * m * np.eye(len(band)))
+
+    def apply(u):
+        c = np.fft.rfftn(u, axes=(2, 0, 1))
+        out = np.zeros_like(c)
+        out[..., band] = np.matmul(blocks, c[..., band, None])[..., 0]
+        return np.fft.irfftn(out, s=(n, n, n), axes=(2, 0, 1))
+    return apply
+
+
+@pytest.mark.parametrize("n", [8, 16, 18, 24, 32])
+def test_band_maps_match_their_fft_form(n):
+    # the real fiber basis and the per-axis DFT products give the maps of
+    # the FFT formulas: the band spans agree, so the blocks do too; n = 18
+    # is the first even grid whose Nyquist mode lies off the band
+    op = GridTransportOperator(*_curved_torus(), n)
+    u = np.random.default_rng(n).standard_normal(op.X.shape)
+    for ours, theirs in (
+            (anosov._frozen_preconditioner(op), _fft_preconditioner(op)),
+            (anosov._fiber_band_projector(n, FIBER_BAND), _fft_projector(n))):
+        want = theirs(u)
+        assert np.linalg.norm(ours(u) - want) <= \
+            1e-12 * np.linalg.norm(want)
+    R = anosov._fiber_band_basis(n, FIBER_BAND)
+    assert R.shape == (n, min(n, 2 * FIBER_BAND + 1))
+    assert np.allclose(R.T @ R, np.eye(R.shape[1]), rtol=0.0, atol=1e-13)
+
+
 def test_cohomology_preconditioned_work(monkeypatch):
     # the benchmark's cohomology job took 2974 operator applies with
     # plain conjugate gradients

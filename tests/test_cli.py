@@ -487,6 +487,18 @@ def test_lab_loads_no_numpy_random_or_polynomial(tmp_path):
     assert modules_after(tmp_path, "numpy.polynomial", *rays) == []
 
 
+def test_lab_loads_no_numpy_fft(tmp_path):
+    # the cohomology solve reaches the fiber band and the spatial Fourier
+    # modes of its preconditioner by matrix products, on the full band
+    # (n = 8) and where the band is cut (n = 24)
+    assert modules_after(
+        tmp_path, "numpy.fft",
+        ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=8)),
+        ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=24)),
+        ("anosov", flat_torus_cfg(grid=[6, 6, 6])),
+        ("identity", flat_torus_cfg(n_quad=8))) == []
+
+
 def test_anosov_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "schema": 1, "surface": {"kind": "synthetic", "K": -1.0},

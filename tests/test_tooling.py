@@ -94,6 +94,52 @@ def test_readme_lists_match_the_package():
         assert hasattr(module, attr), f"thermolab.{modname}.{attr}"
         assert re.search(rf"\b{attr}\b", (ROOT / test_file).read_text()), \
             f"{test_file} does not exercise {modname}.{attr}"
+    # and the list is complete: it is every public function that `lab`
+    # cannot reach
+    assert sorted(f"{m}.{f}" for m, f, _ in probes) == unreached_functions()
+
+
+def unreached_functions():
+    """The public module-level functions of the package that no code path
+    from outside them reaches, by an AST name scan: a function is
+    unreached when every reference to it lies in the body of an unreached
+    function (private ones included).  A reference is a bare name, or an
+    attribute of a module bound by `from . import module`, not a name that
+    the function or class binds itself; a module-level import is not one,
+    the uses it serves are.  Module-level statements and class bodies are
+    reached."""
+    defined, refs = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = path.stem
+            where = node.name if isinstance(node, ast.FunctionDef) else None
+            # names a function or class binds itself are its own
+            local = {sub.id if isinstance(sub, ast.Name) else sub.arg
+                     for sub in ast.walk(node)
+                     if isinstance(sub, ast.arg) or isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Store)} \
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id not in local:
+                    refs.setdefault(sub.id, set()).add(where)
+                elif isinstance(sub, ast.Attribute) and \
+                        isinstance(sub.value, ast.Name) and \
+                        sub.value.id in modules:
+                    refs.setdefault(sub.attr, set()).add(where)
+    unreached = set(defined)
+    while True:
+        reached = {name for name in unreached
+                   if refs.get(name, set()) - unreached - {name}}
+        if not reached:
+            break
+        unreached -= reached
+    return sorted(f"{defined[name]}.{name}" for name in unreached
+                  if not name.startswith("_"))
 
 
 def test_package_imports_no_scipy():
