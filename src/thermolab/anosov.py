@@ -27,15 +27,15 @@ Three probes of long-time flow behaviour:
   each conjugate-gradient matvec on the normal equations is one stencil
   pass with F and one with its adjoint.  The fiber band is one real
   orthonormal basis R of the fiber modes (`_fiber_band_basis`: 1,
-  cos m theta, sin m theta; Guillemin and Kazhdan, Topology 19, 1980):
-  the band projector is u -> (u R) R^T on the fiber axis.  The conjugate
-  gradients (`_pcg`, a numpy loop) are preconditioned by the normal
-  operator of F with its coefficients averaged over the torus at each
-  fiber angle, which is block diagonal in the spatial Fourier modes
-  (`_frozen_preconditioner`; T. Chan, SIAM J. Sci. Stat. Comput. 9,
-  1988).  Its blocks act on R's coordinates, reached by u R on the fiber
-  axis and by one DFT-matrix product per spatial axis.  The module runs
-  on numpy alone, with no FFT.
+  cos m theta, sin m theta; Guillemin and Kazhdan, Topology 19, 1980),
+  and the unknown is held as its band coefficients c, u = c R^T on the
+  fiber axis.  The conjugate gradients (`_pcg`, a numpy loop) run on c,
+  preconditioned by the normal operator of F with its coefficients
+  averaged over the torus at each fiber angle, which is block diagonal in
+  the spatial Fourier modes (`_frozen_preconditioner`; T. Chan, SIAM J.
+  Sci. Stat. Comput. 9, 1988).  Its blocks act on c, reached by one
+  DFT-matrix product per spatial axis.  The module runs on numpy alone,
+  with no FFT.
 """
 
 from __future__ import annotations
@@ -263,25 +263,9 @@ def _fiber_band_basis(n, band):
     return np.stack(cols, axis=1)
 
 
-def _fiber_band_projector(n, band):
-    """Orthogonal projection onto fiber Fourier modes |m| <= band,
-    u -> (u R) R^T on the fiber axis with R = `_fiber_band_basis`.
-
-    It is the identity when R is square, that is when an n-point fiber
-    grid holds no mode above the band, so those solves run with no
-    products added.
-    """
-    R = _fiber_band_basis(n, band)
-    if R.shape[1] == n:
-        return lambda u: u
-
-    def project(u):
-        return ((u.reshape(-1, n) @ R) @ R.T).reshape(u.shape)
-    return project
-
-
 def _frozen_preconditioner(op):
-    """Preconditioner of the band-limited normal operator P F^T F P.
+    """Preconditioner of the normal operator R^T F^T F R on band
+    coefficients.
 
     Averaging c_x, c_y and c_theta over (x, y) at each theta freezes F into
     an operator that is diagonal in the (k_x, k_y) Fourier modes, with one
@@ -290,23 +274,22 @@ def _frozen_preconditioner(op):
     where s(k) = (8 sin a - sin 2a) / 6h, a = 2 pi k / n, is the symbol of
     the 4th-order stencil and D_theta its periodic theta matrix.  With R
     the real orthonormal basis of the fiber modes |m| <= FIBER_BAND
-    (`_fiber_band_basis`, n x nb), mode k is preconditioned by
-    R (R^T B_k^H B_k R + eps m I)^{-1} R^T, where m is the largest entry
-    of any B_k^H B_k and eps = PRECOND_EPS.  Each nb x nb block is
-    Hermitian positive definite, so the map is symmetric positive definite
-    on the band and zero off it.  When the band holds the whole fiber grid
-    (n <= 2 FIBER_BAND + 1), R is orthogonal and the map is
-    (B_k^H B_k + eps m I)^{-1}.  Past that it inverts the band part of
+    (`_fiber_band_basis`, n x nb), the coefficients of mode k are
+    preconditioned by (R^T B_k^H B_k R + eps m I)^{-1}, where m is the
+    largest entry of any B_k^H B_k and eps = PRECOND_EPS.  Each nb x nb
+    block is Hermitian positive definite, so the map, from (n, n, nb)
+    coefficient arrays to (n, n, nb), is symmetric positive definite.
+    Past n = 2 FIBER_BAND + 1 it inverts the band part of
     B_k^H B_k instead of taking the band part of the inverse: its blocks
     stay 17 x 17, and on the n=32 curved torus CG takes 28 operator
     applies where the band part of the inverse takes 99.
 
     The map is a chain of matrix products, one per axis each way, like
-    `GridTransportOperator._difference`: u R on the fiber axis; the real
-    DFT rows of the half spectrum k_y <= n / 2 on the y axis (the modes
-    k_y > n / 2 of a real grid array are conjugates); the complex DFT
-    matrix on the x axis; the batched product with the blocks; then the
-    inverse DFTs, x first, the real part of the y synthesis, and R^T.
+    `GridTransportOperator._difference`: the real DFT rows of the half
+    spectrum k_y <= n / 2 on the y axis (the modes k_y > n / 2 of a real
+    array are conjugates); the complex DFT matrix on the x axis; the
+    batched product with the blocks; then the inverse DFTs, x first, and
+    the real part of the y synthesis.
     """
     n = op.n
     R = _fiber_band_basis(n, FIBER_BAND)
@@ -347,13 +330,12 @@ def _frozen_preconditioner(op):
     fwd_y = np.concatenate([dft[:h].real, dft[:h].imag])
     inv_y = np.concatenate([synth.real, -synth.imag], axis=1)
 
-    def apply(u):
-        c = np.matmul(fwd_y, (u.reshape(-1, n) @ R).reshape(n, n, nb))
+    def apply(c):
+        c = np.matmul(fwd_y, c.reshape(n, n, nb))
         z = dft @ (c[:, :h] + 1j * c[:, h:]).reshape(n, -1)
         z = np.matmul(blocks, z.reshape(n, h, nb, 1))
         z = (inv_x @ z.reshape(n, -1)).reshape(n, h, nb)
-        c = np.matmul(inv_y, np.concatenate([z.real, z.imag], axis=1))
-        return (c.reshape(-1, nb) @ R.T).reshape(u.shape)
+        return np.matmul(inv_y, np.concatenate([z.real, z.imag], axis=1))
     return apply
 
 
@@ -393,22 +375,26 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
     h is a base scalar and (w_x, w_y) the components of a base 1-form theta,
     each 0 unless given; the right-hand side on the bundle is the one field
     h + e^{-phi}(w_x cos + w_y sin), sampled on the grid (or rhs_grid).
-    The unknowns u are restricted to fiber degree <= M = FIBER_BAND (fiber
-    Fourier modes |m| <= M), so the normalized residual is the distance from
-    the right-hand side to the coboundaries of fiber degree <= M.  It does
-    not depend on the grid once n > 2M + 2, where the fiber quadrature of
+    The unknowns are the band coefficients c of u = c R^T, R the real
+    orthonormal basis of the fiber Fourier modes |m| <= M = FIBER_BAND
+    (`_fiber_band_basis`), so u has fiber degree <= M and the normalized
+    residual is the distance from the right-hand side to the coboundaries
+    of fiber degree <= M.  It does not depend on the grid once
+    n > 2M + 2, where the fiber quadrature of
     F u is exact (for h = sin 2 pi x on the flat torus it is 1/3 at M = 8:
     1 / sqrt(M + 1) for even M, 1 / sqrt(M + 2) for odd M); for n <= 2M the
-    band holds the whole fiber grid and the solve runs on the full grid
-    with no projection.  Without a band the residual carries no fixed
+    band holds the whole fiber grid, R is square and the solve runs over
+    every grid array.  Without a band the residual carries no fixed
     meaning: for obstructed scalars on the flat torus the continuum L^2
     infimum over all u is 0, and on a full grid only the fiber nodes with
     cos theta = 0 are obstructed.  An odd full grid (odd n <= 2M + 1) has
     no such node and reads every right-hand side as exact (sin 2 pi x on
     the flat torus gives 0 at n = 9, 15 and 17), so it raises DomainError.
 
-    The normal equations are solved by conjugate gradients preconditioned
-    with the frozen-coefficient Fourier blocks of `_frozen_preconditioner`.
+    The normal equations R^T F^T F R c = R^T F^T rhs (R acting on the
+    fiber axis) are solved for c, n^2 nb numbers, by conjugate gradients
+    preconditioned with the frozen-coefficient Fourier blocks of
+    `_frozen_preconditioner`.
     The minimizer is a least-squares minimizer but not in general the
     minimum-norm one: where F has a null space on the band (the full n=16
     grid of a curved torus) it carries a part of that null space, which
@@ -434,12 +420,18 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
         (rhs,) = op.sample({f"right-hand side {field.expression}": field})
 
     shape = rhs.shape
-    project = _fiber_band_projector(n, FIBER_BAND)
-    b = project(op.apply_adjoint(rhs)).ravel()
+    R = _fiber_band_basis(n, FIBER_BAND)
 
-    def normal(v):
-        return project(op.apply_adjoint(op.apply(
-            project(v.reshape(shape))))).ravel()
+    def synthesize(c):
+        return (c.reshape(-1, R.shape[1]) @ R.T).reshape(shape)
+
+    def analyze(u):
+        return (u.reshape(-1, n) @ R).ravel()
+
+    b = analyze(op.apply_adjoint(rhs))
+
+    def normal(c):
+        return analyze(op.apply_adjoint(op.apply(synthesize(c))))
 
     # F^T rhs at roundoff level means rhs is orthogonal to the range:
     # the minimizer is u = 0 and CG would only chase noise; the scale is
@@ -458,8 +450,7 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
         # preconditioned CG from u = 0 returns a minimizer but, where F
         # has a null space on the band, not the minimum-norm one: the
         # preconditioner does not keep the iterates off that null space
-        sol, info = _pcg(normal, lambda v: precondition(
-            v.reshape(shape)).ravel(), b)
+        sol, info = _pcg(normal, lambda c: precondition(c).ravel(), b)
         if info > 0:
             # the normal equations are consistent but can stagnate near the
             # attainable floor; accept if the gradient is already tiny
@@ -470,7 +461,7 @@ def cohomological_residual(model, lam, h="0", w_x="0", w_y="0", n=32,
                     f"{FIBER_BAND}: preconditioned conjugate gradients hit "
                     f"the {CG_MAXITER}-iteration cap with normal-equation "
                     f"residual {grad:.3e}")
-        u = project(sol.reshape(shape))
+        u = synthesize(sol)
         u = u - float(np.mean(u))
         misfit = op.apply(u) - rhs
     rhs_norm = float(np.linalg.norm(rhs))

@@ -431,13 +431,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its usage message or help; a usage error is
+        # a configuration failure, not the numerical failure of its exit 2
+        return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
         cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CONFIG_ERRORS as e:
+    except (OSError,) + CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

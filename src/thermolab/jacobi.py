@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupInsideWindow, NoConvergence, RiccatiUnavailable
-from .fields import SMPoint, compile_fields
+from .fields import SMPoint, compile_fields, require_finite
 from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, DenseSolution, \
     Event, ThermostatSpec, integrate, integrate_orbit, integrate_to_boundary
 from .geometry import derived_curvatures, grid_blocks
@@ -350,12 +350,19 @@ def solve_riccati_limit(spec, p0: SMPoint, tol=1e-6):
 def riccati_bound_constants(spec):
     """Constants B, C, A: B^2 >= sup|K_lambda|, C >= sup|lam I + V(lam)|,
     the suprema taken over a 12 x 12 x 24 validation grid, folded block by
-    block (`geometry.grid_blocks`)."""
+    block (`geometry.grid_blocks`).  DomainError (`fields.require_finite`)
+    names the first of the two fields that is not finite at a node, and
+    the first such node: no bound can be read off it."""
     dc = spec.coefficients().curvatures
     bundle = compile_fields((dc.K_lambda, dc.lamI + dc.Vlam))
+    names = ("Riccati constant field K_lambda",
+             "Riccati constant field lam I + V(lam)")
+    shape = (12, 12, 24)
     sup_Klam = sup_div = 0.0
-    for _, points in grid_blocks(spec.model, (12, 12, 24)):
-        Klam, div = bundle(*points)
+    for lo, points in grid_blocks(spec.model, shape):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            Klam, div = bundle(*points)
+        require_finite(names, (Klam, div), points, shape, start=lo)
         sup_Klam = np.maximum(sup_Klam, np.max(np.abs(Klam)))
         sup_div = np.maximum(sup_div, np.max(np.abs(div)))
     B = float(np.sqrt(sup_Klam))

@@ -280,21 +280,17 @@ def _curved_torus():
 @pytest.mark.parametrize("n", [8, 16, 24, 32])
 def test_preconditioner_symmetric_positive_definite_on_band(n):
     # preconditioned CG needs a symmetric positive definite M on the band
+    # coefficients, the (n, n, nb) arrays it maps to (n, n, nb)
     op = GridTransportOperator(*_curved_torus(), n)
     precondition = anosov._frozen_preconditioner(op)
-    project = anosov._fiber_band_projector(n, FIBER_BAND)
+    shape = (n, n, anosov._fiber_band_basis(n, FIBER_BAND).shape[1])
     rng = np.random.default_rng(n)
-    u, v = (project(rng.standard_normal(op.X.shape)) for _ in range(2))
+    u, v = (rng.standard_normal(shape) for _ in range(2))
     Mu, Mv = precondition(u), precondition(v)
+    assert Mu.shape == Mv.shape == shape
     uMv = np.vdot(u, Mv)
     assert abs(uMv - np.vdot(Mu, v)) <= 1e-12 * abs(uMv)
     assert np.vdot(u, Mu) > 0.0
-    # it reads and writes only the band: M = P M P
-    w = rng.standard_normal(op.X.shape)
-    Mw = precondition(w)
-    assert np.linalg.norm(project(Mw) - Mw) <= 1e-12 * np.linalg.norm(Mw)
-    assert np.linalg.norm(precondition(project(w)) - Mw) <= \
-        1e-12 * np.linalg.norm(Mw)
 
 
 def _fft_projector(n):
@@ -338,16 +334,19 @@ def _fft_preconditioner(op):
 def test_band_maps_match_their_fft_form(n):
     # the real fiber basis and the per-axis DFT products give the maps of
     # the FFT formulas: the band spans agree, so the blocks do too; n = 18
-    # is the first even grid whose Nyquist mode lies off the band
+    # is the first even grid whose Nyquist mode lies off the band.  On grid
+    # arrays the preconditioner reads as synthesis after it and analysis
+    # before it, and the band projector as R R^T, both on the fiber axis
     op = GridTransportOperator(*_curved_torus(), n)
     u = np.random.default_rng(n).standard_normal(op.X.shape)
-    for ours, theirs in (
-            (anosov._frozen_preconditioner(op), _fft_preconditioner(op)),
-            (anosov._fiber_band_projector(n, FIBER_BAND), _fft_projector(n))):
-        want = theirs(u)
-        assert np.linalg.norm(ours(u) - want) <= \
-            1e-12 * np.linalg.norm(want)
     R = anosov._fiber_band_basis(n, FIBER_BAND)
+    frozen = anosov._frozen_preconditioner(op)
+    for ours, want in (
+            ((frozen(u.reshape(-1, n) @ R).reshape(-1, R.shape[1]) @ R.T),
+             _fft_preconditioner(op)(u)),
+            ((u.reshape(-1, n) @ R) @ R.T, _fft_projector(n)(u))):
+        assert np.linalg.norm(ours.reshape(u.shape) - want) <= \
+            1e-12 * np.linalg.norm(want)
     assert R.shape == (n, min(n, 2 * FIBER_BAND + 1))
     assert np.allclose(R.T @ R, np.eye(R.shape[1]), rtol=0.0, atol=1e-13)
 
@@ -372,20 +371,28 @@ def test_cohomology_preconditioned_work(monkeypatch):
 
 def test_pcg_matches_scipy_cg():
     # the numpy loop against scipy's preconditioned CG on the benchmark's
-    # cohomology job (n=16: the band holds the whole fiber grid)
+    # cohomology job (n=16: the band holds the whole fiber grid), both run
+    # on the band coefficients c of u = c R^T
     from scipy.sparse.linalg import LinearOperator, cg
     model, lam = _curved_torus()
     op = GridTransportOperator(model, lam, 16)
     (rhs,) = op.sample({"rhs": velocity_pairing(model, "2*pi*cos(2*pi*x)",
                                                  "0")})
-    b = op.apply_adjoint(rhs).ravel()
+    R = anosov._fiber_band_basis(16, FIBER_BAND)
     frozen = anosov._frozen_preconditioner(op)
 
-    def normal(v):
-        return op.apply_adjoint(op.apply(v.reshape(rhs.shape))).ravel()
+    def synthesize(c):
+        return (c.reshape(-1, R.shape[1]) @ R.T).reshape(rhs.shape)
 
-    def precondition(v):
-        return frozen(v.reshape(rhs.shape)).ravel()
+    def analyze(u):
+        return (u.reshape(-1, 16) @ R).ravel()
+
+    def normal(c):
+        return analyze(op.apply_adjoint(op.apply(synthesize(c))))
+
+    def precondition(c):
+        return frozen(c).ravel()
+    b = analyze(op.apply_adjoint(rhs))
     ours, info = anosov._pcg(normal, precondition, b)
     square = (b.size, b.size)
     theirs, their_info = cg(LinearOperator(square, matvec=normal), b,
@@ -394,9 +401,25 @@ def test_pcg_matches_scipy_cg():
                             M=LinearOperator(square, matvec=precondition))
     assert info == their_info == 0
     ours_res, theirs_res = (
-        np.linalg.norm(op.apply(u.reshape(rhs.shape)) - rhs)
-        / np.linalg.norm(rhs) for u in (ours, theirs))
+        np.linalg.norm(op.apply(synthesize(c)) - rhs) / np.linalg.norm(rhs)
+        for c in (ours, theirs))
     assert theirs_res / 10 <= ours_res <= 10 * theirs_res
+
+
+def test_cohomology_cg_runs_on_band_coefficients(monkeypatch):
+    # past n = 2M + 1 the CG vectors are the band coefficients, n^2 (2M + 1)
+    # numbers, not the n^3 of a grid array
+    sizes = []
+    pcg = anosov._pcg
+
+    def recording_pcg(normal, precondition, b):
+        sizes.append(b.size)
+        return pcg(normal, precondition, b)
+    monkeypatch.setattr(anosov, "_pcg", recording_pcg)
+    model, lam = _curved_torus()
+    res = cohomological_residual(model, lam, w_x="2*pi*cos(2*pi*x)", n=32)
+    assert sizes == [32 * 32 * (2 * FIBER_BAND + 1)]
+    assert res["residual"] < 1e-8
 
 
 def test_cohomology_nonfinite_fields_name_field_and_node():

@@ -209,14 +209,21 @@ def test_pestov_command_plane_window(tmp_path, capsys):
     assert np.all((x0 <= x) & (x < x1) & (y0 <= y) & (y < y1))
 
 
-def test_unknown_subcommand_exits_2_naming_choices(tmp_path, capsys):
+def test_unknown_subcommand_exits_1_naming_choices(tmp_path, capsys):
+    # a usage error is a configuration failure; exit 2 means a numerical one
     cfg = write_config(tmp_path, "c.json", flat_torus_cfg())
-    with pytest.raises(SystemExit) as exc:
-        main(["transport", "--config", cfg])
-    assert exc.value.code == 2
+    assert main(["transport", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "invalid choice: 'transport'" in err
     assert all(repr(name) in err for name in COMMANDS)
+
+
+def test_missing_config_exits_1_and_help_exits_0(capsys):
+    assert main(["validate"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "the following arguments are required: --config" in captured.err
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: lab" in capsys.readouterr().out
 
 
 def test_identity_command_torus(tmp_path, capsys):
@@ -517,6 +524,22 @@ def test_anosov_nonfinite_lambda_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grid node (0, 0, 0) of (8, 8, 8)" in captured.err
+
+
+def test_riccati_nonfinite_constants_are_config_error(tmp_path, capsys):
+    # lam = 1e-300 sqrt(0.35 - y) is NaN on the nodes of the synthetic
+    # window [-0.4, 0.4]^2 with y > 0.35, and so is K_lambda there; the
+    # orbit from the origin along the x axis and its Riccati limit stay at
+    # y = 0, so only the bound constants meet it.  No bound can be read
+    # off such a grid
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "synthetic", "K": -1.0},
+        "lambda": "1e-300*sqrt(0.35-y)", "initial": [0.0, 0.0, 0.0]})
+    assert main(["riccati", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Riccati constant field K_lambda is nan at grid node " \
+        "(0, 11, 0) of (12, 12, 24)" in captured.err
 
 
 def test_spectrum_csv(tmp_path):
