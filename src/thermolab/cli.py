@@ -47,9 +47,9 @@ NUMERICAL_ERRORS = (errors.StepFailure, errors.TrappedOrbit,
 def _format_float(v):
     if v != v:
         return "NaN"
-    if v == float("inf"):
+    if v == math.inf:
         return "Infinity"
-    if v == float("-inf"):
+    if v == -math.inf:
         return "-Infinity"
     text = f"{v:.17g}"
     # a float reads back as a float, with its sign: 1.0 and -0.0, not 1, -0
@@ -68,8 +68,10 @@ def dumps(obj, indent=0):
                          + dumps(obj[k], indent + 1))
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) \
-            else list(obj)
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if all(type(v) is float for v in seq):
+            # a flat float list (a 1-D float array's tolist()): one pass
+            return "[" + ", ".join(map(_format_float, seq)) + "]"
         return "[" + ", ".join(dumps(v, indent) for v in seq) + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
@@ -264,11 +266,14 @@ def cmd_riccati(cfg):
     from .jacobi import riccati_bound_constants, solve_riccati_limit
     spec = spec_from(cfg)
     p0 = initial_point(cfg, default=(0.0, 0.0, 0.3))
+    # first the constants: a field that is not finite on their grid is a
+    # configuration error, found in milliseconds, before the limit's walks
+    constants = riccati_bound_constants(spec)
     r_plus, r_minus = solve_riccati_limit(spec, p0,
                                           tol=float(cfg.get("tolerance",
                                                             1e-6)))
     bundle = {"experiment": "riccati", "r_plus": r_plus, "r_minus": r_minus,
-              "constants": riccati_bound_constants(spec)}
+              "constants": constants}
     return bundle, EXIT_OK
 
 

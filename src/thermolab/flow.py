@@ -18,13 +18,19 @@ integrates many orbits together, each with its own step size and time
 span: one loop iteration makes one attempt at the next step of every live
 orbit, with six RHS calls for all of them.  A single orbit takes a loop of
 its own, without masks or compaction, that drives the same step,
-controller, continuous extension and event refiner: on one orbit, the
-masked loop's small-array numpy calls take about three times as long.  A
-state is an orbit (width 3) or an orbit with a Jacobi field (width 6, see
-`jacobi`).  An `Event` is a function of the state whose zeros are refined
-on the steps' continuous extensions, to the tolerance of scipy's event
-finder: leaving the disk stops an orbit, the zeros of a Jacobi field are
-recorded.
+continuous extension and event refiner: on one orbit, the masked loop's
+small-array numpy calls take about three times as long.  Both loops share
+one step, `_attempt`, on flat states: it forms each stage state in place
+with numpy's dot (whose rounding fixes the bits) and writes the RHS
+values straight into the stage's row.  The one-orbit loop passes the
+spec's RHS itself, runs the step-size controller on Python floats and
+forms the extension coefficients of all its steps at the end, so that its
+attempt makes few numpy calls besides the six RHS calls; every float
+operation is the batched loop's.  A state is an orbit (width 3) or an
+orbit with a Jacobi field (width 6, see `jacobi`).  An `Event` is a
+function of the state whose zeros are refined on the steps' continuous
+extensions, to the tolerance of scipy's event finder: leaving the disk
+stops an orbit, the zeros of a Jacobi field are recorded.
 
 A run returns an `OrbitBatch`: each orbit's outcome, end and accepted
 steps, and the run's counters.  `OrbitBatch.state` is the one lookup of
@@ -349,7 +355,16 @@ def _rms(v):
     return np.sqrt((v * v).sum(axis=0)) / math.sqrt(v.shape[0])
 
 
-def _initial_step(derivative, y, f, direction, interval, rtol, atol):
+def _derivatives(rhs, s):
+    """rhs at the states s (d, N) as one (d, N) array: the ODEs are
+    autonomous, and constant outputs come as scalars."""
+    k = np.empty(s.shape)
+    for row, value in zip(k, rhs(0.0, s)):
+        row[...] = value
+    return k
+
+
+def _initial_step(rhs, y, f, direction, interval, rtol, atol):
     """Initial step sizes, as scipy's select_initial_step, for states
     (d, N) with derivatives f over spans of the given lengths."""
     scale = atol + np.abs(y) * rtol
@@ -357,7 +372,7 @@ def _initial_step(derivative, y, f, direction, interval, rtol, atol):
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1, d1)),
                     interval)
-    d2 = _rms((derivative(y + h0 * direction * f) - f) / scale) / h0
+    d2 = _rms((_derivatives(rhs, y + h0 * direction * f) - f) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(flat, 1, np.maximum(d1, d2))) ** (1 / 5))
@@ -365,19 +380,38 @@ def _initial_step(derivative, y, f, direction, interval, rtol, atol):
     return np.fmin(np.minimum(100 * h0, h1), interval)
 
 
-def _attempt(derivative, y, f, h, rtol, atol):
-    """One Dormand-Prince step of size h from the states y (d, ...) with
+def _attempt(rhs, y, f, h, rtol, atol):
+    """One Dormand-Prince step of size h from the flat states y with
     derivatives f: the new states, the seven stage derivatives K
-    (7, d, ...) and the error norm of each orbit."""
-    K = np.empty((7,) + y.shape)
-    stages = K.reshape(7, -1)   # a view: stage j's derivatives in row j
+    (7, y.size), one row per stage, and the error estimate of each state
+    value, scaled by its tolerance.  y holds one state, or the (d, N)
+    states of N orbits flattened, with h one step size per value.  Each
+    stage writes rhs(t, s) at the flat states s straight into its row of
+    K.
+
+    The stage states are formed in place as (a . K) h + y: the products
+    and sums of y + h (a . K), with numpy's dot for the stage sums.  So
+    are the new states and the error estimate.
+    """
+    K = np.empty((7, y.size))
     K[0] = f
     for s, a in enumerate(DP_A, start=1):
-        K[s] = derivative(y + h * np.dot(a, stages[:s]).reshape(y.shape))
-    y_new = y + h * np.dot(DP_B, stages[:6]).reshape(y.shape)
-    K[6] = derivative(y_new)
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    return y_new, K, _rms(h * np.dot(DP_E, stages).reshape(y.shape) / scale)
+        v = a.dot(K[:s])
+        v *= h
+        v += y
+        K[s] = rhs(0.0, v)      # the ODEs are autonomous
+    y_new = DP_B.dot(K[:6])
+    y_new *= h
+    y_new += y
+    K[6] = rhs(0.0, y_new)
+    scale = abs(y)
+    np.maximum(scale, abs(y_new), out=scale)
+    scale *= rtol
+    scale += atol
+    e = DP_E.dot(K)
+    e *= h
+    e /= scale
+    return y_new, K, e
 
 
 def _step_factor(error_norm, rejected):
@@ -391,6 +425,17 @@ def _step_factor(error_norm, rejected):
     factor = SAFETY * (error_norm + 1e-300) ** ERROR_EXPONENT
     return error_norm < 1, np.fmax(MIN_FACTOR, np.minimum(
         np.where(rejected, 1.0, MAX_FACTOR), factor))
+
+
+def _float_step_factor(error_norm, rejected):
+    """`_step_factor` on one orbit, in Python floats, bit for bit: ** is C
+    pow as for numpy, and a NaN factor gives MIN_FACTOR as np.fmax
+    does."""
+    factor = SAFETY * (error_norm + 1e-300) ** ERROR_EXPONENT
+    if factor != factor:
+        return False, MIN_FACTOR
+    return error_norm < 1, max(MIN_FACTOR, min(
+        1.0 if rejected else MAX_FACTOR, factor))
 
 
 def _extension_coefficients(K):
@@ -473,22 +518,15 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
         raise DomainError("integration times must be finite")
     direction = np.where(t1 >= t0, 1.0, -1.0)
 
-    def derivative(s):
-        values = rhs(0.0, s)           # the ODEs are autonomous
-        if s.ndim > 1:                 # constant outputs come as scalars
-            values = np.broadcast_arrays(*values)
-        return np.array(values)
-
     y = y.T
-    f = derivative(y)
-    h_abs = _initial_step(derivative, y, f, direction, np.abs(t1 - t0),
-                          rtol, atol)
+    f = _derivatives(rhs, y)
+    h_abs = _initial_step(rhs, y, f, direction, np.abs(t1 - t0), rtol, atol)
     if n == 1:
-        run = _one_orbit(derivative, y[:, 0], f[:, 0], float(t0[0]),
+        run = _one_orbit(rhs, y[:, 0], f[:, 0], float(t0[0]),
                          float(t1[0]), float(h_abs[0]), event, rtol, atol)
     else:
-        run = _all_orbits(derivative, y, f, t0, t1, direction, h_abs, event,
-                          rtol, atol)
+        run = _all_orbits(rhs, y, f, t0, t1, direction, h_abs, event, rtol,
+                          atol)
     outcome, end_time, end_state, steps, crossings, counts = run
 
     # each list starts with an empty entry
@@ -519,17 +557,21 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
         last_step=np.searchsorted(orbit, np.arange(n), side="right") - 1)
 
 
-def _all_orbits(derivative, y, f, t, t_end, direction, h_abs, event, rtol,
-                atol):
+def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
     """The loop of `integrate` over N orbits: states y (d, N).
 
     Returns the outcomes, end times and end states, the accepted steps and
     event crossings of each iteration, and the counters.
     """
-    n = y.shape[1]
+    dim, n = y.shape
+
+    def flat_rhs(t, s):
+        # rhs on the live orbits' flat states
+        return _derivatives(rhs, s.reshape(dim, -1)).reshape(-1)
+
     outcome = np.full(n, TRAPPED, dtype=np.int8)
     end_time = t_end.copy()
-    end_state = np.empty((n, y.shape[0]))
+    end_state = np.empty((n, dim))
     # per iteration: the accepted steps (orbit, t_old, t_new, h, y_old, Q),
     # and those across which the event fired (orbit, t_old, h, y_old, Q,
     # g_old, g_new)
@@ -549,7 +591,11 @@ def _all_orbits(derivative, y, f, t, t_end, direction, h_abs, event, rtol,
         t_new = t + h_abs * d
         t_new = np.where(d * (t_new - t_end) > 0, t_end, t_new)
         h = t_new - t
-        y_new, K, error_norm = _attempt(derivative, y, f, h, rtol, atol)
+        y_new, K, e = _attempt(flat_rhs, y.reshape(-1), f.reshape(-1),
+                               np.broadcast_to(h, y.shape).reshape(-1),
+                               rtol, atol)
+        y_new, K = y_new.reshape(dim, -1), K.reshape(7, dim, -1)
+        error_norm = _rms(e.reshape(dim, -1))
         ok, factor = _step_factor(error_norm, rejected)
         h_abs = np.abs(h) * factor
         rejected = ~ok
@@ -588,15 +634,22 @@ def _all_orbits(derivative, y, f, t, t_end, direction, h_abs, event, rtol,
             (iterations, accepted, rejected_steps))
 
 
-def _one_orbit(derivative, y, f, t, t_end, h_abs, event, rtol, atol):
+def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
     """The loop of `integrate` for one orbit: state y (d,), times floats.
 
-    The same step, controller and bookkeeping as `_all_orbits`, on one
-    orbit, without its masks and compaction.
+    The same step and bookkeeping as `_all_orbits`, on one orbit, without
+    its masks and compaction: the step calls rhs itself, whose d scalars
+    fill a row of K, the controller runs on Python floats
+    (`_float_step_factor`), and the extension coefficients of the
+    accepted steps are formed together at the end.
     """
+    dim = y.shape[0]
+    root = math.sqrt(dim)       # of the error norm, a root mean square
     d = 1.0 if t_end >= t else -1.0
     g = event.g(y) if event is not None else None
-    steps, crossings = [], []
+    # the accepted steps: their ends (the start first), sizes, start
+    # states and stage derivatives
+    times, hs, ys, Ks, crossings = [t], [], [], [], []
     outcome, attempts, rejected = TRAPPED, 0, False
     while True:
         attempts += 1
@@ -607,34 +660,40 @@ def _one_orbit(derivative, y, f, t, t_end, h_abs, event, rtol, atol):
         if d * (t_new - t_end) > 0:
             t_new = t_end
         h = t_new - t
-        y_new, K, error_norm = _attempt(derivative, y, f, h, rtol, atol)
-        ok, factor = _step_factor(error_norm, rejected)
-        h_abs = abs(h) * float(factor)
+        y_new, K, e = _attempt(rhs, y, f, h, rtol, atol)
+        e *= e
+        ok, factor = _float_step_factor(math.sqrt(e.sum()) / root, rejected)
+        h_abs = abs(h) * factor
         rejected = not ok
         if rejected:
             if h_abs < min_step:
                 outcome = STEP_FAILED
                 break
             continue
-        q = _extension_coefficients(K)
-        steps.append((t, t_new, h, y, q))
+        times.append(t_new)
+        hs.append(h)
+        ys.append(y)
+        Ks.append(K)
         fired = False
         if event is not None:
             g_new = event.g(y_new)
             if event.fires(g, g_new):
                 crossings.append((np.zeros(1, dtype=int), np.array([t]),
-                                  np.array([h]), y[None], q[None],
+                                  np.array([h]), y[None],
+                                  _extension_coefficients(K)[None],
                                   np.array([g]), np.array([g_new])))
                 fired = event.terminal
             g = g_new
         t, y, f = t_new, y_new, K[6]
         if fired or d * (t - t_end) >= 0:
             break
-    k, dim = len(steps), y.shape[0]
-    t_old, t_new, h, y_old, q = (np.array([step[j] for step in steps],
-                                          dtype=float) for j in range(5))
-    block = (np.zeros(k, dtype=int), t_old, t_new, h,
-             y_old.reshape(k, dim), q.reshape(k, dim, 4))
+    k = len(hs)
+    times = np.array(times)
+    # the stage derivatives as (7, d, k), each step's K.T @ DP_P
+    q = _extension_coefficients(np.array(Ks).reshape(k, 7, dim)
+                                .transpose(1, 2, 0))
+    block = (np.zeros(k, dtype=int), times[:-1], times[1:], np.array(hs),
+             np.array(ys).reshape(k, dim), q)
     return (np.array([outcome], dtype=np.int8), np.array([t]),
             np.array([y]), [block], crossings,
             (attempts, k, attempts - k))

@@ -117,6 +117,30 @@ def test_dumps_formats():
     assert "[-0.0, 10000000000000000.0, -3.0]" in text
 
 
+DUMPS_LEAVES = [1.0, -0.0, 0.1, 1e-300, 5e-324, math.nan, math.inf, -math.inf,
+                np.float64(2.0), 3, True, None]
+
+
+def test_dumps_flat_lists_match_the_general_form():
+    # a flat float list is formatted in one pass; every list must read as
+    # its elements formatted one by one, whether it takes that pass or not
+    def general(values):
+        return "[" + ", ".join(dumps(v) for v in values) + "]"
+    floats = [v for v in DUMPS_LEAVES if type(v) is float]
+    assert dumps(floats) == general(floats) == (
+        "[1.0, -0.0, 0.10000000000000001, 1e-300, "
+        "4.9406564584124654e-324, NaN, Infinity, -Infinity]")
+    for values in (floats, DUMPS_LEAVES, [[v] for v in DUMPS_LEAVES], []):
+        assert dumps(values) == general(values)
+        assert dumps(tuple(values)) == general(values)
+    assert dumps(np.array(floats)) == general(floats)
+    assert dumps(np.array(floats).reshape(2, 4)) == \
+        general([floats[:4], floats[4:]])
+    assert general(DUMPS_LEAVES).endswith(", 2.0, 3, true, null]")
+    for v in DUMPS_LEAVES:
+        assert dumps([v]) == "[" + dumps(v) + "]"
+
+
 _REPORT_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 18, 10 ** 18), st.floats(),
     st.floats().map(np.float64), st.text(max_size=6))
@@ -528,18 +552,20 @@ def test_anosov_nonfinite_lambda_is_config_error(tmp_path, capsys):
 
 def test_riccati_nonfinite_constants_are_config_error(tmp_path, capsys):
     # lam = 1e-300 sqrt(0.35 - y) is NaN on the nodes of the synthetic
-    # window [-0.4, 0.4]^2 with y > 0.35, and so is K_lambda there; the
-    # orbit from the origin along the x axis and its Riccati limit stay at
-    # y = 0, so only the bound constants meet it.  No bound can be read
-    # off such a grid
-    cfg = write_config(tmp_path, "c.json", {
-        "schema": 1, "surface": {"kind": "synthetic", "K": -1.0},
-        "lambda": "1e-300*sqrt(0.35-y)", "initial": [0.0, 0.0, 0.0]})
-    assert main(["riccati", "--config", cfg]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Riccati constant field K_lambda is nan at grid node " \
-        "(0, 11, 0) of (12, 12, 24)" in captured.err
+    # window [-0.4, 0.4]^2 with y > 0.35, and so is K_lambda there.  No
+    # bound can be read off such a grid.  The orbit from the origin along
+    # the x axis and its Riccati limit stay at y = 0; the one at theta = 0.3
+    # reaches y > 0.35, where the Riccati walks would fail their steps
+    # (exit 2), but the constants are taken first and refuse the config
+    for initial in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.3]):
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "surface": {"kind": "synthetic", "K": -1.0},
+            "lambda": "1e-300*sqrt(0.35-y)", "initial": initial})
+        assert main(["riccati", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Riccati constant field K_lambda is nan at grid node " \
+            "(0, 11, 0) of (12, 12, 24)" in captured.err
 
 
 def test_spectrum_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Orbit integration: unit speed, boundary exits, trapping."""
 
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import thermolab.flow
 from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
-    TRAPPED, ThermostatSpec, exit_time, geodesic_spec, integrate_orbit, \
-    integrate_to_boundary, nontrapping_scan
+    TRAPPED, ThermostatSpec, _float_step_factor, _step_factor, exit_time, \
+    geodesic_spec, integrate, integrate_orbit, integrate_to_boundary, \
+    nontrapping_scan
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
-from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
-    solve_riccati_finite
+from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, Y_ZEROS, \
+    integrate_jacobi, solve_riccati_finite
 
 
 def test_flat_geodesics_are_straight():
@@ -274,3 +276,50 @@ def test_nan_stages_fail_steps_without_warnings():
     assert str(err.value).startswith(
         "ray [0.3, 0.1, 0.2]: integration failed: step size below")
     assert np.geterr() == error_state
+
+
+# ---------------------------------------------------------------------------
+# The one-orbit loop: its float controller and its RHS calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rejected", [False, True])
+def test_float_controller_matches_step_factor(rejected):
+    # the one-orbit loop's controller on Python floats against the
+    # batched numpy one, bit for bit, also at 0, overflowing powers,
+    # infinite and NaN error norms
+    norms = [0.0, 1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, 7.5, 1e300,
+             math.inf, math.nan]
+    ok, factor = _step_factor(np.array(norms), np.full(len(norms), rejected))
+    for i, norm in enumerate(norms):
+        float_ok, float_factor = _float_step_factor(norm, rejected)
+        assert type(float_factor) is float
+        assert float_ok is bool(ok[i])
+        assert np.float64(float_factor).tobytes() == factor[i].tobytes()
+        scalar_ok, scalar_factor = _step_factor(np.float64(norm), rejected)
+        assert scalar_ok == float_ok
+        assert np.float64(scalar_factor).tobytes() == factor[i].tobytes()
+
+
+def test_rhs_calls_count_every_call():
+    # a flow orbit and a Jacobi run with its zeros, each through a counting
+    # rhs: rhs_calls is the true number of calls, two for the initial step
+    # and six per attempt, accepted or rejected
+    spec = ThermostatSpec(
+        build_surface_model("conformal_torus",
+                            phi="0.1*sin(2*pi*x)*cos(2*pi*y)"),
+        SMScalarField.from_expression("0.2*sin(2*pi*y)"))
+    for rhs, start, t_end, event in (
+            (spec.rhs(), [0.1, 0.2, 0.3], 40.0, None),
+            (spec.coefficients().rhs(), [0.6, 0.4, 1.1, 0.0, 0.0, 1.0],
+             10.0, Y_ZEROS)):
+        calls = []
+
+        def counted(t, s, rhs=rhs):
+            calls.append(1)
+            return rhs(t, s)
+        run = integrate(spec, [start], 0.0, t_end, rhs=counted, event=event)
+        assert len(calls) == run.rhs_calls == 2 + 6 * run.iterations
+        assert run.iterations == run.accepted + run.rejected
+        assert run.rejected > 0
+        assert run.accepted == run.solution(0).ts.size - 1
+    assert run.event_t.size > 1
