@@ -8,9 +8,11 @@ arbitrarily nested derivatives stay analytic.
 
 `Expr.eval` walks the tree and is the reference evaluator.  Fields and
 right-hand sides evaluate through `Bundle`, which compiles a list of
-trees once, on first use, into one straight-line numpy function that
-computes each common subexpression once and gives the same floats as the
-walk on arrays.
+trees once, on first use, into one straight-line program that computes
+each common subexpression once.  The program is bound to numpy ufuncs
+(`Bundle.kernel`, for float64 scalars and arrays, the same floats as the
+walk on arrays) and, for one point at a time, to Python floats
+(`Bundle.scalar`, the same bits as the kernel at float64 scalars).
 """
 
 from __future__ import annotations
@@ -511,7 +513,8 @@ def parse_expression(text):
 
 
 # ---------------------------------------------------------------------------
-# Compilation: a list of trees to one straight-line numpy function.
+# Compilation: a list of trees to one straight-line program, bound to numpy
+# ufuncs or to Python floats.
 # ---------------------------------------------------------------------------
 
 # points per block when a bundle evaluates a grid, and nodes per block of
@@ -519,9 +522,28 @@ def parse_expression(text):
 # bundle's temporaries and a grid probe's nodes and values hold
 CHUNK_POINTS = 8192
 
-# numpy ufuncs only: math.exp and friends, and the ** operator on numpy
-# scalars (C pow), differ from them in the last bit for some inputs
+# the function tables a compiled program is bound to.  The numpy binding
+# takes numpy ufuncs only: math.exp and friends, and the ** operator on
+# numpy scalars (C pow), differ from them in the last bit for some inputs.
 _UFUNCS = {**_FUNCTIONS, "power": np.power}
+
+# The float binding runs + - * / and negation on Python floats, which round
+# as numpy's float64 scalars do, and takes from `math` only the functions
+# on this allowlist: each is pinned bit for bit to its ufunc by a test in
+# tests/test_expr.py.  A function whose test fails on some platform leaves
+# the list; the test is never loosened.
+_MATH_ALLOWLIST = {"sin": math.sin, "cos": math.cos}
+
+
+def _on_floats(ufunc):
+    """ufunc as a function of Python floats that returns a Python float."""
+    if ufunc.nin == 2:
+        return lambda a, b: float(ufunc(a, b))
+    return lambda v: float(ufunc(v))
+
+
+_FLOATS = {name: _MATH_ALLOWLIST.get(name) or _on_floats(ufunc)
+           for name, ufunc in _UFUNCS.items()}
 
 _BINARY_CODE = {Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}",
                 Div: "{} / {}", Pow: "power({}, {})"}
@@ -600,6 +622,9 @@ def _straight_line(exprs):
 
 
 def _compile(exprs):
+    """The straight-line program of exprs, compiled once: bind(table)
+    gives f(x, y, theta) -> tuple of values, one per expression, that
+    applies the functions of table (`_UFUNCS` or `_FLOATS`)."""
     lines, outputs, constants = _straight_line(exprs)
     # drop each temporary after its last use, so that a grid block holds
     # only the live ones
@@ -624,32 +649,61 @@ def _compile(exprs):
          "    return bundle"])
     namespace = {}
     exec(compile(source, "<expr bundle>", "exec"), namespace)
-    return namespace["_bind"](**_UFUNCS, **constants)
+    bind = namespace["_bind"]
+    return lambda table: bind(**table, **constants)
 
 
 class Bundle:
-    """Expression trees evaluated together by one compiled function.
+    """Expression trees evaluated together by one compiled program.
 
-    The function is generated and compiled on first use and kept here.
+    The program is generated and compiled on first use and kept here,
+    with each of its two bindings, also built on first use.
     """
 
-    __slots__ = ("exprs", "_kernel")
+    __slots__ = ("exprs", "_bind", "_kernel", "_scalar")
 
     def __init__(self, exprs):
         self.exprs = tuple(exprs)
-        self._kernel = None
+        self._bind = self._kernel = self._scalar = None
+
+    def _program(self):
+        if self._bind is None:
+            self._bind = _compile(self.exprs)
+        return self._bind
 
     @property
     def kernel(self):
         """f(x, y, theta) -> tuple of values, one per expression.
 
-        It applies numpy operations to what it is given, so pass float64
-        scalars or arrays: Python floats raise ZeroDivisionError where
-        numpy gives inf or nan.
+        The program bound to numpy ufuncs: pass float64 scalars or arrays,
+        on which x/0 and sin(inf) give numpy's inf and nan under the
+        caller's np.errstate.
         """
         if self._kernel is None:
-            self._kernel = _compile(self.exprs)
+            self._kernel = self._program()(_UFUNCS)
         return self._kernel
+
+    @property
+    def scalar(self):
+        """f(x, y, theta) -> tuple of values at one point of Python floats.
+
+        The program bound to Python floats: the values have the bits of
+        `kernel` at the same float64 scalars, at a fraction of the cost of
+        a numpy call per operation.  A call that raises on floats (x/0,
+        math.sin(inf)) is evaluated again by `kernel` at float64 scalars,
+        so that inf and nan come out as numpy gives them.
+        """
+        if self._scalar is None:
+            program, kernel = self._program()(_FLOATS), self.kernel
+
+            def scalar(x, y, theta):
+                try:
+                    return program(x, y, theta)
+                except (ArithmeticError, ValueError):
+                    return kernel(np.float64(x), np.float64(y),
+                                  np.float64(theta))
+            self._scalar = scalar
+        return self._scalar
 
     def __call__(self, x, y, theta):
         """Values at broadcastable inputs as float arrays of their common

@@ -114,9 +114,27 @@ def _as_field(obj):
 
 def compile_fields(fields):
     """The fields as one `expr.Bundle`: calling it gives the tuple of their
-    values on a grid, evaluated in blocks; its `kernel` is the one
-    straight-line function behind it, for float64 scalars or blocks."""
+    values on a grid, evaluated in blocks.  Its one straight-line program
+    is bound to numpy ufuncs as `kernel`, for float64 scalars or blocks,
+    and to Python floats as `scalar`, for one point with the same bits."""
     return ex.Bundle([f.expression for f in fields])
+
+
+def state_split(bundle):
+    """split(s) -> (rows, at): the rows of a state s, whose first three are
+    (x, y, theta), and the binding of bundle to evaluate at them.  One
+    state (d,) gives Python floats and the float binding `scalar`, so that
+    arithmetic on the rows and the values runs on floats too; a (d, N)
+    block of states gives its float64 rows and the numpy `kernel`.  Both
+    give the same bits."""
+    kernel, scalar = bundle.kernel, bundle.scalar
+
+    def split(s):
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 1:
+            return s.tolist(), scalar
+        return s, kernel
+    return split
 
 
 def sample_finite(named_fields, x, y, theta, shape):

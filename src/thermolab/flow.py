@@ -7,9 +7,11 @@ The generator is F = X + lam V; in isothermal coordinates the orbit ODE is
     theta' = e^-phi (-phi_x sin(theta) + phi_y cos(theta)) + lam.
 
 The three coefficients are compiled once per spec, on the first
-`ThermostatSpec.rhs()` call, into one straight-line numpy function that
-shares exp(-phi), its partials and cos/sin(theta) between them (see
-`expr.Bundle`); it takes one state or a (3, N) block of states.
+`ThermostatSpec.rhs()` call, into one straight-line program that shares
+exp(-phi), its partials and cos/sin(theta) between them (see
+`expr.Bundle`).  The RHS takes one state, evaluated on Python floats by
+the program's float binding, or a (3, N) block of states, evaluated by
+its numpy binding; both give the same bits.
 
 Every ODE of the package is solved by `integrate`, a Dormand-Prince 5(4)
 integrator with the tableau, error norm, step controller and initial step
@@ -25,12 +27,13 @@ with numpy's dot (whose rounding fixes the bits) and writes the RHS
 values straight into the stage's row.  The one-orbit loop passes the
 spec's RHS itself, runs the step-size controller on Python floats and
 forms the extension coefficients of all its steps at the end, so that its
-attempt makes few numpy calls besides the six RHS calls; every float
-operation is the batched loop's.  A state is an orbit (width 3) or an
-orbit with a Jacobi field (width 6, see `jacobi`).  An `Event` is a
-function of the state whose zeros are refined on the steps' continuous
-extensions, to the tolerance of scipy's event finder: leaving the disk
-stops an orbit, the zeros of a Jacobi field are recorded.
+attempt makes few numpy calls, and its six RHS calls, on one state, run on
+Python floats; every float operation is the batched loop's.  A state is
+an orbit (width 3) or an orbit with a Jacobi field (width 6, see
+`jacobi`).  An `Event` is a function of the state whose zeros are refined
+on the steps' continuous extensions, to the tolerance of scipy's event
+finder: leaving the disk stops an orbit, the zeros of a Jacobi field are
+recorded.
 
 A run returns an `OrbitBatch`: each orbit's outcome, end and accepted
 steps, and the run's counters.  `OrbitBatch.state` is the one lookup of
@@ -55,7 +58,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, StepFailure, TrappedOrbit
-from .fields import SMPoint, SMScalarField, _as_field, compile_fields
+from .fields import SMPoint, SMScalarField, _as_field, compile_fields, \
+    state_split
 from .geometry import SurfaceModel, thermostat_generator
 
 DEFAULT_RTOL = 1e-10
@@ -126,12 +130,12 @@ class ThermostatSpec:
         """
         if self._rhs is None:
             gen = thermostat_generator(self.model, self.lam)
-            coeffs = compile_fields((gen.c_x, gen.c_y, gen.c_theta)).kernel
+            split = state_split(
+                compile_fields((gen.c_x, gen.c_y, gen.c_theta)))
 
             def f(t, s):
-                # float64 scalars, also for states given as Python lists
-                x, y, th = np.asarray(s, dtype=float)
-                return coeffs(x, y, th)
+                (x, y, th), at = split(s)
+                return at(x, y, th)
             object.__setattr__(self, "_rhs", f)
         return self._rhs
 
@@ -500,7 +504,8 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     states is an (N, d) array; orbit i starts at states[i] at time
     t_start[i] and runs to t_end[i] (a scalar time applies to every
     orbit).  rhs(t, s) is the spec's orbit RHS unless given (the Jacobi
-    system of `jacobi`); it is called on (d, N) blocks of states.  Each
+    system of `jacobi`); it is called on (d, N) blocks of states and, for
+    a single orbit, on one state (d,) after the initial step.  Each
     orbit takes the steps scipy's RK45 takes for it (same tableau, error
     norm, controller and initial step, up to rounding).  It stops at its
     end time, at the zero of a terminal event, or when its step size falls

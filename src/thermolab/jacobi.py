@@ -11,8 +11,9 @@ Dormand-Prince core of `flow.integrate`, which also locates the zeros of
 y (`Y_ZEROS`).  The coefficient fields come from
 `geometry.derived_curvatures`; the generator's three coefficients and
 lam, lam I, the core curvature and V(lam) are compiled into one
-straight-line function, which serves both the width-6 state and the
-width-7 state (x, y, theta, y1, z1, y2, z2) of two Jacobi columns.  Each
+straight-line program, which serves both the width-6 state and the
+width-7 state (x, y, theta, y1, z1, y2, z2) of two Jacobi columns; one
+state runs on Python floats, a block of states on numpy arrays.  Each
 spec builds its `JacobiCoefficients` once, on first use, and keeps it
 (`ThermostatSpec.coefficients()`), so the fields are derived and compiled
 once per spec.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupInsideWindow, NoConvergence, RiccatiUnavailable
-from .fields import SMPoint, compile_fields, require_finite
+from .fields import SMPoint, compile_fields, require_finite, state_split
 from .flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, DenseSolution, \
     Event, ThermostatSpec, integrate, integrate_orbit, integrate_to_boundary
 from .geometry import derived_curvatures, grid_blocks
@@ -75,20 +76,21 @@ class JacobiCoefficients:
     def __init__(self, spec: ThermostatSpec):
         self.curvatures = dc = derived_curvatures(spec.model, spec.lam)
         # the generator's coefficients and lam, lam I, core, V(lam)
-        fields = compile_fields((dc.F.c_x, dc.F.c_y, dc.F.c_theta, spec.lam,
-                                 dc.lamI, dc.core, dc.Vlam)).kernel
+        split = state_split(compile_fields((
+            dc.F.c_x, dc.F.c_y, dc.F.c_theta, spec.lam, dc.lamI, dc.core,
+            dc.Vlam)))
 
         def rhs(t, s):
-            x, y, th, a, jy, jz = np.asarray(s, dtype=float)
-            dx, dy, dth, lam, lamI, core, Vlam = fields(x, y, th)
+            (x, y, th, a, jy, jz), at = split(s)
+            dx, dy, dth, lam, lamI, core, Vlam = at(x, y, th)
             return (dx, dy, dth,
                     lam * jy,
                     lamI * jy + jz,
                     -core * jy + Vlam * jz)
 
         def columns_rhs(t, s):
-            x, y, th, y1, z1, y2, z2 = np.asarray(s, dtype=float)
-            dx, dy, dth, _, lamI, core, Vlam = fields(x, y, th)
+            (x, y, th, y1, z1, y2, z2), at = split(s)
+            dx, dy, dth, _, lamI, core, Vlam = at(x, y, th)
             return (dx, dy, dth,
                     lamI * y1 + z1, -core * y1 + Vlam * z1,
                     lamI * y2 + z2, -core * y2 + Vlam * z2)

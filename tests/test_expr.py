@@ -1,13 +1,16 @@
 """Expression language: parsing, precedence, evaluation, derivatives,
 and the compiled bundles checked against the tree walk."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import thermolab.expr
 from thermolab.errors import DomainError, ParseError, UnknownIdentifier
-from thermolab.expr import CHUNK_POINTS, VARIABLES, Bundle, \
-    _operands, _straight_line, parse_expression
+from thermolab.expr import CHUNK_POINTS, VARIABLES, Bundle, _FLOATS, \
+    _MATH_ALLOWLIST, _UFUNCS, _operands, _straight_line, parse_expression
 
 FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs", "sign"]
 
@@ -161,6 +164,113 @@ def test_bundle_scalars_match_bundle_grid(text):
             point = bundle.kernel(x[i], y[i], th[i])
             for value, column in zip(point, grid):
                 assert np.array_equal(value, column[i], equal_nan=True)
+
+
+def _same_bits(a, b):
+    """a and b are the same float64, bit for bit, or both NaN."""
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+@PROPERTY
+@given(EXPRESSIONS)
+def test_float_binding_matches_kernel(text):
+    # the float binding at Python floats against the numpy kernel at
+    # float64 scalars; GRID's zeros make the float program raise (x/0),
+    # so the fallback to the kernel is covered too
+    bundle = Bundle(_parse_with_derivatives(text))
+    x, y, th = GRID[:, :40]
+    with np.errstate(all="ignore"):
+        for i in range(x.size):
+            point = bundle.kernel(x[i], y[i], th[i])
+            floats = bundle.scalar(*(float(v[i]) for v in (x, y, th)))
+            assert len(floats) == len(point)
+            for value, expected in zip(floats, point):
+                assert _same_bits(value, expected), (text, i)
+
+
+@pytest.mark.parametrize("text, point, expected", [
+    ("1/x", (0.0, 0.0, 0.0), math.inf),           # ZeroDivisionError
+    ("sin(1/x)", (0.0, 0.0, 0.0), math.nan),      # 1/0, then sin(inf)
+    ("sin(x*x)", (1e200, 0.0, 0.0), math.nan),    # math.sin(inf) raises
+    ("cos(x*x) + 1/y", (1e200, 1.0, 0.0), math.nan),
+])
+def test_float_binding_falls_back_to_numpy(text, point, expected):
+    bundle = Bundle([parse_expression(text)])
+    with np.errstate(all="ignore"):
+        (value,) = bundle.scalar(*point)
+        (reference,) = bundle.kernel(*map(np.float64, point))
+    assert _same_bits(value, expected)
+    assert _same_bits(value, reference)
+
+
+# a fixed seeded sample for the math allowlist: signed zeros, subnormals,
+# multiples of pi/2 and their neighbours, and magnitudes up to 1e6
+_SAMPLE_RNG = np.random.default_rng(29)
+_HALF_PI_MULTIPLES = np.pi / 2 * np.concatenate(
+    [np.arange(-40.0, 41.0), _SAMPLE_RNG.integers(-636619, 636620, 200)])
+_ALLOWLIST_SAMPLE = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e6, -1e6],
+    _SAMPLE_RNG.uniform(-1.0, 1.0, 100) * 2.2250738585072014e-308,
+    _HALF_PI_MULTIPLES,
+    np.nextafter(_HALF_PI_MULTIPLES, np.inf),
+    np.nextafter(_HALF_PI_MULTIPLES, -np.inf),
+    (_SAMPLE_RNG.uniform(-1.0, 1.0, 3000)
+     * 10.0 ** _SAMPLE_RNG.uniform(-300.0, 6.0, 3000)),
+    _SAMPLE_RNG.uniform(-1e6, 1e6, 2000),
+])
+
+
+def test_float_table_takes_only_the_allowlist_from_math():
+    assert set(_FLOATS) == set(_UFUNCS)
+    for name, fn in _FLOATS.items():
+        if name in _MATH_ALLOWLIST:
+            assert fn is getattr(math, name)
+        else:
+            assert getattr(fn, "__module__", None) == "thermolab.expr"
+
+
+@pytest.mark.parametrize("name", sorted(_MATH_ALLOWLIST))
+def test_math_allowlist_matches_numpy(name):
+    # the float binding takes these functions from math (sin and cos):
+    # each must give its ufunc's bits at float64 scalars.  A function that
+    # fails here leaves the allowlist; this test is never loosened.
+    fn, ufunc = _MATH_ALLOWLIST[name], _UFUNCS[name]
+    for v in _ALLOWLIST_SAMPLE:
+        assert np.float64(fn(float(v))).tobytes() == \
+            ufunc(np.float64(v)).tobytes(), (name, float(v).hex())
+
+
+def test_bundle_compiled_once_for_both_bindings(monkeypatch):
+    # one compile per bundle, bound once to each table it is used with;
+    # a bundle evaluated on grids only never binds the float table
+    compiled, bound = [], []
+    compile_ = thermolab.expr._compile
+
+    def counted(exprs):
+        compiled.append(exprs)
+        bind = compile_(exprs)
+
+        def counted_bind(table):
+            bound.append(table)
+            return bind(table)
+        return counted_bind
+    monkeypatch.setattr(thermolab.expr, "_compile", counted)
+    e = parse_expression("sin(x)*exp(y) + theta/x")
+    x = np.linspace(0.5, 1.0, 5)
+    both = Bundle([e])
+    both(x, 0.2, 0.3)
+    assert both.scalar(0.5, 0.2, 0.3) == both.kernel(
+        np.float64(0.5), np.float64(0.2), np.float64(0.3))
+    both.scalar(0.7, 0.2, 0.3)
+    both(x, 0.4, 0.1)
+    assert len(compiled) == 1
+    assert bound == [_UFUNCS, _FLOATS]
+    grid_only = Bundle([e])
+    grid_only(x, 0.2, 0.3)
+    grid_only(np.ones((3, CHUNK_POINTS + 1)), 0.2, 0.3)
+    assert len(compiled) == 2
+    assert bound == [_UFUNCS, _FLOATS, _UFUNCS]
 
 
 @PROPERTY

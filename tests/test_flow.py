@@ -282,6 +282,27 @@ def test_nan_stages_fail_steps_without_warnings():
 # The one-orbit loop: its float controller and its RHS calls
 # ---------------------------------------------------------------------------
 
+def test_one_orbit_float_fallback_fails_steps_as_numpy_does():
+    # lam divides by zero at the start (x = 0.3) and takes sin(1/0) there
+    # (y = 0.2): the float binding raises at such stages and each is
+    # evaluated again by the numpy kernel, whose inf and nan reject every
+    # attempt, quietly under pytest's error::RuntimeWarning; the counts
+    # are those of the numpy kernel alone: 462 rejected attempts, then
+    # STEP_FAILED at the start
+    spec = ThermostatSpec(
+        build_surface_model("conformal_torus",
+                            phi="0.1*sin(2*pi*x)*cos(2*pi*y)"),
+        SMScalarField.from_expression("0.2/(x - 0.3) + sin(1/(y - 0.2))"))
+    for rhs, start in ((None, [0.3, 0.2, 0.0]),
+                       (spec.coefficients().rhs(),
+                        [0.3, 0.2, 0.0, 0.0, 0.0, 1.0])):
+        run = integrate(spec, [start], 0.0, 2.0, rhs=rhs)
+        assert list(run.outcome) == [STEP_FAILED]
+        assert (run.iterations, run.accepted) == (462, 0)
+        assert run.end_time.tolist() == [0.0]
+        assert run.end_state.tolist() == [start]
+
+
 @pytest.mark.parametrize("rejected", [False, True])
 def test_float_controller_matches_step_factor(rejected):
     # the one-orbit loop's controller on Python floats against the
