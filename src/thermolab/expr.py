@@ -689,16 +689,18 @@ class Bundle:
 
         The program bound to Python floats: the values have the bits of
         `kernel` at the same float64 scalars, at a fraction of the cost of
-        a numpy call per operation.  A call that raises on floats (x/0,
-        math.sin(inf)) is evaluated again by `kernel` at float64 scalars,
-        so that inf and nan come out as numpy gives them.
+        a numpy call per operation.  An int coordinate is taken as its
+        float, as a float64 array holds it (int arithmetic would lose the
+        sign of -0.0).  A call that raises on floats (x/0, math.sin(inf))
+        is evaluated again by `kernel` at float64 scalars, so that inf and
+        nan come out as numpy gives them.
         """
         if self._scalar is None:
             program, kernel = self._program()(_FLOATS), self.kernel
 
             def scalar(x, y, theta):
                 try:
-                    return program(x, y, theta)
+                    return program(float(x), float(y), float(theta))
                 except (ArithmeticError, ValueError):
                     return kernel(np.float64(x), np.float64(y),
                                   np.float64(theta))

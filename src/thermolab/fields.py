@@ -123,13 +123,16 @@ def compile_fields(fields):
 def state_split(bundle):
     """split(s) -> (rows, at): the rows of a state s, whose first three are
     (x, y, theta), and the binding of bundle to evaluate at them.  One
-    state (d,) gives Python floats and the float binding `scalar`, so that
-    arithmetic on the rows and the values runs on floats too; a (d, N)
-    block of states gives its float64 rows and the numpy `kernel`.  Both
-    give the same bits."""
+    state gives Python numbers and the float binding `scalar`, so that
+    arithmetic on the rows and the values runs on floats too: a list (the
+    one-orbit step's states) as it is, a 1-D array as its floats.  A
+    (d, N) block of states gives its float64 rows and the numpy `kernel`.
+    Both give the same bits."""
     kernel, scalar = bundle.kernel, bundle.scalar
 
     def split(s):
+        if type(s) is list:
+            return s, scalar
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
             return s.tolist(), scalar

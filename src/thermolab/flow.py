@@ -18,17 +18,18 @@ integrator with the tableau, error norm, step controller and initial step
 of scipy's RK45, so that each orbit takes the steps RK45 would take.  It
 integrates many orbits together, each with its own step size and time
 span: one loop iteration makes one attempt at the next step of every live
-orbit, with six RHS calls for all of them.  A single orbit takes a loop of
-its own, without masks or compaction, that drives the same step,
-continuous extension and event refiner: on one orbit, the masked loop's
-small-array numpy calls take about three times as long.  Both loops share
-one step, `_attempt`, on flat states: it forms each stage state in place
-with numpy's dot (whose rounding fixes the bits) and writes the RHS
-values straight into the stage's row.  The one-orbit loop passes the
-spec's RHS itself, runs the step-size controller on Python floats and
-forms the extension coefficients of all its steps at the end, so that its
-attempt makes few numpy calls, and its six RHS calls, on one state, run on
-Python floats; every float operation is the batched loop's.  A state is
+orbit, with six RHS calls for all of them.  Its step, `_attempt`, works
+on flat states: it forms each stage state in place with numpy's dot
+(whose rounding fixes the bits) and writes the RHS values straight into
+the stage's row.  A single orbit takes a loop of its own, without masks
+or compaction, with the same continuous extension and event refiner: on
+one orbit, the masked loop's small-array numpy calls take about three
+times as long.  Its step, `_float_attempt`, keeps numpy's dot for the
+stage sums and does the rest of `_attempt`'s arithmetic, operation for
+operation, on Python floats, with the state a list; its six RHS calls,
+on that list, run on Python floats too.  It runs the step-size controller
+on Python floats and forms the extension coefficients of all its steps
+at the end.  So both loops take the same steps, bit for bit.  A state is
 an orbit (width 3) or an orbit with a Jacobi field (width 6, see
 `jacobi`).  An `Event` is a function of the state whose zeros are refined
 on the steps' continuous extensions, to the tolerance of scipy's event
@@ -162,7 +163,8 @@ class Event:
     (direction -1), or either way (direction 0); its zero is then refined
     on the step's continuous extension.  A terminal event stops the orbit
     there.  g(s) and slope(s, ds), the derivative of g along ds, take
-    states as (d, n) blocks.
+    states as (d, n) blocks; g also takes one state as a list (the
+    one-orbit loop).
     """
 
     g: Callable
@@ -388,10 +390,10 @@ def _attempt(rhs, y, f, h, rtol, atol):
     """One Dormand-Prince step of size h from the flat states y with
     derivatives f: the new states, the seven stage derivatives K
     (7, y.size), one row per stage, and the error estimate of each state
-    value, scaled by its tolerance.  y holds one state, or the (d, N)
-    states of N orbits flattened, with h one step size per value.  Each
-    stage writes rhs(t, s) at the flat states s straight into its row of
-    K.
+    value, scaled by its tolerance.  y holds the (d, N) states of N orbits
+    flattened, with h one step size per value (the batched loop; one
+    orbit takes `_float_attempt`).  Each stage writes rhs(t, s) at the
+    flat states s straight into its row of K.
 
     The stage states are formed in place as (a . K) h + y: the products
     and sums of y + h (a . K), with numpy's dot for the stage sums.  So
@@ -416,6 +418,37 @@ def _attempt(rhs, y, f, h, rtol, atol):
     e *= h
     e /= scale
     return y_new, K, e
+
+
+def _float_attempt(rhs, y, f, h, rtol, atol):
+    """`_attempt` on one state y, a list of Python floats, bit for bit:
+    the new state as a list, the stage derivatives K (7, d), and the sum
+    of the squared scaled error estimates.
+
+    numpy's dot still forms the stage sums, whose rounding fixes the bits
+    (BLAS may fuse their products and sums); every other operation is
+    `_attempt`'s, in its order, on Python floats: the stage states
+    v h + y, the new state, the scale max(|y|, |y_new|) rtol + atol (NaN
+    if either is, as np.maximum gives), e h / scale, and the squares
+    summed left to right, as numpy sums fewer than eight values.
+    """
+    K = np.empty((7, len(y)))
+    K[0] = f
+    for s, a in enumerate(DP_A, start=1):
+        K[s] = rhs(0.0, [v * h + yj for v, yj in zip(a.dot(K[:s]).tolist(),
+                                                     y)])
+    y_new = [v * h + yj for v, yj in zip(DP_B.dot(K[:6]).tolist(), y)]
+    K[6] = rhs(0.0, y_new)
+    square_sum = 0.0
+    for e, yj, zj in zip(DP_E.dot(K).tolist(), y, y_new):
+        u, w = abs(yj), abs(zj)
+        scale = (u if u > w or u != u else w) * rtol + atol
+        try:
+            e = e * h / scale
+        except ZeroDivisionError:       # atol = 0 at a zero value
+            e = np.float64(e * h) / scale
+        square_sum += e * e
+    return y_new, K, square_sum
 
 
 def _step_factor(error_norm, rejected):
@@ -505,12 +538,12 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     t_start[i] and runs to t_end[i] (a scalar time applies to every
     orbit).  rhs(t, s) is the spec's orbit RHS unless given (the Jacobi
     system of `jacobi`); it is called on (d, N) blocks of states and, for
-    a single orbit, on one state (d,) after the initial step.  Each
-    orbit takes the steps scipy's RK45 takes for it (same tableau, error
-    norm, controller and initial step, up to rounding).  It stops at its
-    end time, at the zero of a terminal event, or when its step size falls
-    below the float spacing of t.  Returns an OrbitBatch; raises
-    DomainError for a start or end time that is not finite.
+    a single orbit, on one state, a list of d floats, after the initial
+    step.  Each orbit takes the steps scipy's RK45 takes for it (same
+    tableau, error norm, controller and initial step, up to rounding).  It
+    stops at its end time, at the zero of a terminal event, or when its
+    step size falls below the float spacing of t.  Returns an OrbitBatch;
+    raises DomainError for a start or end time that is not finite.
     """
     rhs = spec.rhs() if rhs is None else rhs
     y = np.array(states, dtype=float)
@@ -527,7 +560,7 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     f = _derivatives(rhs, y)
     h_abs = _initial_step(rhs, y, f, direction, np.abs(t1 - t0), rtol, atol)
     if n == 1:
-        run = _one_orbit(rhs, y[:, 0], f[:, 0], float(t0[0]),
+        run = _one_orbit(rhs, y[:, 0].tolist(), f[:, 0], float(t0[0]),
                          float(t1[0]), float(h_abs[0]), event, rtol, atol)
     else:
         run = _all_orbits(rhs, y, f, t0, t1, direction, h_abs, event, rtol,
@@ -640,20 +673,23 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
 
 
 def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
-    """The loop of `integrate` for one orbit: state y (d,), times floats.
+    """The loop of `integrate` for one orbit: state y, a list of d Python
+    floats, its derivative f (d,), times floats.
 
-    The same step and bookkeeping as `_all_orbits`, on one orbit, without
-    its masks and compaction: the step calls rhs itself, whose d scalars
-    fill a row of K, the controller runs on Python floats
-    (`_float_step_factor`), and the extension coefficients of the
-    accepted steps are formed together at the end.
+    The same steps and bookkeeping as `_all_orbits`, on one orbit, without
+    its masks and compaction: the step is `_float_attempt`, which calls
+    rhs itself on list states and fills a row of K with its d values, the
+    controller runs on Python floats (`_float_step_factor`), the event
+    takes list states, and the extension coefficients of the accepted
+    steps are formed together at the end.
     """
-    dim = y.shape[0]
+    dim = len(y)
     root = math.sqrt(dim)       # of the error norm, a root mean square
     d = 1.0 if t_end >= t else -1.0
     g = event.g(y) if event is not None else None
     # the accepted steps: their ends (the start first), sizes, start
-    # states and stage derivatives
+    # states (one flat list, so that no list object is kept per step) and
+    # stage derivatives
     times, hs, ys, Ks, crossings = [t], [], [], [], []
     outcome, attempts, rejected = TRAPPED, 0, False
     while True:
@@ -665,9 +701,9 @@ def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
         if d * (t_new - t_end) > 0:
             t_new = t_end
         h = t_new - t
-        y_new, K, e = _attempt(rhs, y, f, h, rtol, atol)
-        e *= e
-        ok, factor = _float_step_factor(math.sqrt(e.sum()) / root, rejected)
+        y_new, K, square_sum = _float_attempt(rhs, y, f, h, rtol, atol)
+        ok, factor = _float_step_factor(math.sqrt(square_sum) / root,
+                                        rejected)
         h_abs = abs(h) * factor
         rejected = not ok
         if rejected:
@@ -677,14 +713,14 @@ def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
             continue
         times.append(t_new)
         hs.append(h)
-        ys.append(y)
+        ys += y
         Ks.append(K)
         fired = False
         if event is not None:
             g_new = event.g(y_new)
             if event.fires(g, g_new):
                 crossings.append((np.zeros(1, dtype=int), np.array([t]),
-                                  np.array([h]), y[None],
+                                  np.array([h]), np.array([y]),
                                   _extension_coefficients(K)[None],
                                   np.array([g]), np.array([g_new])))
                 fired = event.terminal

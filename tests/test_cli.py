@@ -79,6 +79,33 @@ def test_validate_nan_field_is_validation_failure(tmp_path, capsys):
     assert out["residuals"]["[V,F]-H-V(lam)V"]["max"] <= 1e-13
 
 
+def test_nan_lambda_orbits_fail_quietly(tmp_path):
+    # lam = sqrt(x+0.5) is NaN for x < -0.5: the Jacobi run's orbit gets
+    # there and its step fails (exit 2, naming the stage and start state),
+    # while the flow orbit (default T = 5) does not; the RuntimeWarnings
+    # numpy would give for NaN stages reach neither stderr (a fresh
+    # process, outside pytest's warning filter)
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+        "lambda": "sqrt(x+0.5)"})
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    stderr = {}
+    for command, code in (("jacobi", EXIT_NUMERICAL), ("flow", EXIT_OK)):
+        done = subprocess.run(
+            [sys.executable, "-m", "thermolab.cli", command, "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        stderr[command] = done.stderr
+    assert stderr["jacobi"].startswith(
+        "numerical failure: Jacobi [0.1, 0.2, 0.3, 0.0, 0.0, 1.0]: "
+        "integration failed: step size below")
+    assert stderr["jacobi"].count("\n") == 1
+    assert stderr["flow"] == ""
+    assert (tmp_path / "out" / "flow.json").exists()
+
+
 def test_small_grid_rejected(tmp_path):
     cfg = write_config(tmp_path, "c.json", flat_torus_cfg(grid=[2, 2, 2]))
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG

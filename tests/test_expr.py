@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, \
+    strategies as st
 
 import thermolab.expr
 from thermolab.errors import DomainError, ParseError, UnknownIdentifier
@@ -172,7 +173,9 @@ def _same_bits(a, b):
     return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
 
 
-@PROPERTY
+# no shrinking: a failing example already names its expression and first
+# bad column, and shrinking one that loops over 40 columns took minutes
+@settings(PROPERTY, phases=[p for p in Phase if p is not Phase.shrink])
 @given(EXPRESSIONS)
 def test_float_binding_matches_kernel(text):
     # the float binding at Python floats against the numpy kernel at
@@ -180,13 +183,15 @@ def test_float_binding_matches_kernel(text):
     # so the fallback to the kernel is covered too
     bundle = Bundle(_parse_with_derivatives(text))
     x, y, th = GRID[:, :40]
+    bad = []
     with np.errstate(all="ignore"):
         for i in range(x.size):
             point = bundle.kernel(x[i], y[i], th[i])
             floats = bundle.scalar(*(float(v[i]) for v in (x, y, th)))
-            assert len(floats) == len(point)
-            for value, expected in zip(floats, point):
-                assert _same_bits(value, expected), (text, i)
+            if len(floats) != len(point) or not all(
+                    _same_bits(v, e) for v, e in zip(floats, point)):
+                bad.append(i)
+    assert not bad, f"{text!r}: {len(bad)} bad columns, first {bad[0]}"
 
 
 @pytest.mark.parametrize("text, point, expected", [

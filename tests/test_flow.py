@@ -11,9 +11,9 @@ import thermolab.flow
 from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
-    TRAPPED, ThermostatSpec, _float_step_factor, _step_factor, exit_time, \
-    geodesic_spec, integrate, integrate_orbit, integrate_to_boundary, \
-    nontrapping_scan
+    TRAPPED, ThermostatSpec, _attempt, _derivatives, _float_attempt, \
+    _float_step_factor, _rms, _step_factor, exit_time, geodesic_spec, \
+    integrate, integrate_orbit, integrate_to_boundary, nontrapping_scan
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, Y_ZEROS, \
     integrate_jacobi, solve_riccati_finite
@@ -109,6 +109,39 @@ def test_rhs_built_once_per_spec(monkeypatch):
     assert len(calls) == 1
     # the same values for a state given as a list or as an array
     assert f(0.0, [0.1, 0.2, 0.3]) == f(0.0, np.array([0.1, 0.2, 0.3]))
+
+
+def _same_bits(a, b):
+    """a and b hold the same float64 values, bit for bit, NaN equal to
+    NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and all(
+        u.tobytes() == v.tobytes() or (np.isnan(u) and np.isnan(v))
+        for u, v in zip(a.ravel(), b.ravel()))
+
+
+@pytest.mark.parametrize("lam", ["0.2*sin(2*pi*y)", "-x*y"])
+def test_rhs_list_states_match_array_states(lam):
+    # the one-orbit step hands the RHS closures lists, which go to the
+    # float binding as they are; a list of ints or with -0.0 gives the
+    # bits of the float64 array (with int arithmetic, -x*y at x = 0 would
+    # be 0, not -0.0)
+    spec = ThermostatSpec(
+        build_surface_model("conformal_torus",
+                            phi="0.1*sin(2*pi*x)*cos(2*pi*y)"),
+        SMScalarField.from_expression(lam))
+    coefficients = spec.coefficients()
+    for rhs, states in (
+            (spec.rhs(), [[0, 1, 0], [-0.0, 1, -0.0], [0.1, 0.2, 0.3]]),
+            (coefficients.rhs(), [[0, 1, 0, 0, 1, -1],
+                                  [-0.0, 0.5, 0, -0.0, -0.0, 1.0]]),
+            (coefficients.columns_rhs(), [[0, 1, 0, 1, 0, -0.0, 1],
+                                          [-0.0, 0, 2, 0, -1, 1, -0.0]])):
+        for state in states:
+            values = rhs(0.0, state)
+            assert all(type(v) is float for v in values)
+            assert _same_bits(values,
+                              rhs(0.0, np.array(state, dtype=float))), state
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +334,100 @@ def test_one_orbit_float_fallback_fails_steps_as_numpy_does():
         assert (run.iterations, run.accepted) == (462, 0)
         assert run.end_time.tolist() == [0.0]
         assert run.end_state.tolist() == [start]
+
+
+def _pinned_rhs_cases():
+    """(rhs, state) pairs of widths 3, 6 and 7, among them states from
+    which a step either way leaves lam's domain (NaN stages) and one where
+    the float binding falls back to numpy (the lam of the test above)."""
+    torus = build_surface_model("conformal_torus",
+                                phi="0.1*sin(2*pi*x)*cos(2*pi*y)")
+    smooth = ThermostatSpec(torus, SMScalarField.from_expression(
+        "0.2*sin(2*pi*y)"))
+    nan = ThermostatSpec(euclidean_disk(),
+                         SMScalarField.from_expression("sqrt(0.5 - x)"))
+    fallback = ThermostatSpec(torus, SMScalarField.from_expression(
+        "0.2/(x - 0.3) + sin(1/(y - 0.2))"))
+    cases = []
+    for spec, start in ((smooth, [0.1, 0.2, 0.3]), (nan, [0.49, 0.0, 0.1]),
+                        (nan, [0.49, 0.0, 3.2]), (fallback, [0.3, 0.2, 0.0])):
+        cases += [(spec.rhs(), start),
+                  (spec.coefficients().rhs(), start + [0.0, 0.0, 1.0]),
+                  (spec.coefficients().columns_rhs(),
+                   start + [1.0, 0.0, 0.0, 1.0])]
+    return cases
+
+
+def _both_attempts(rhs, flat_rhs, start, h, atol=DEFAULT_ATOL):
+    """One step from start by `_attempt`, as the batched loop runs it (on
+    flat_rhs, with one step size per value), and by `_float_attempt` (on
+    rhs, from a list); asserts that the new states, every stage row, the
+    error norms and the accept flags have the same bits, and returns the
+    stages K and the error norm."""
+    dim = len(start)
+    with np.errstate(all="ignore"):
+        f = np.array(flat_rhs(0.0, np.array(start)), dtype=float)
+        y_new, K, e = _attempt(flat_rhs, np.array(start), f,
+                               np.full(dim, h), DEFAULT_RTOL, atol)
+        norm = _rms(e.reshape(dim, 1))[0]
+        ok, _ = _step_factor(norm, False)
+        float_y_new, float_K, square_sum = _float_attempt(
+            rhs, list(start), f, h, DEFAULT_RTOL, atol)
+    float_norm = math.sqrt(square_sum) / math.sqrt(dim)
+    float_ok, _ = _float_step_factor(float_norm, False)
+    assert type(float_y_new) is list
+    assert _same_bits(float_y_new, y_new), start
+    for row, float_row in zip(K, float_K):
+        assert _same_bits(float_row, row), start
+    assert _same_bits(float_norm, norm), start
+    assert float_ok is bool(ok), start
+    return K, norm
+
+
+@pytest.mark.parametrize("h", [0.05, -0.05, 0.0])
+def test_float_attempt_matches_batched_attempt(h):
+    # the one-orbit step on Python floats against the batched step (the
+    # RHS on (d, 1) blocks by the numpy kernel), bit for bit, NaN stages
+    # and the float binding's fallback included
+    kinds = set()
+    for rhs, start in _pinned_rhs_cases():
+        dim = len(start)
+
+        def flat_rhs(t, s, rhs=rhs, dim=dim):
+            return _derivatives(rhs, s.reshape(dim, -1)).reshape(-1)
+        K, _ = _both_attempts(rhs, flat_rhs, start, h)
+        kinds.add((dim, start[0], np.isfinite(K).all()))
+    # every width, with finite stages, and NaN stages from each lam
+    for dim in (3, 6, 7):
+        assert {(dim, 0.1, True), (dim, 0.3, False)} <= kinds
+        if h != 0:
+            assert (dim, 0.49, False) in kinds
+
+
+def test_float_attempt_scale_propagates_nan():
+    # stages 2 and 4 infinite in the first coordinate: the 5th-order sum
+    # weighs them + and -, so the new value is NaN, while the error sum
+    # weighs both + and is inf; the error norm is NaN only because the
+    # scale max(|y|, |y_new|) is, as np.maximum gives it
+    calls = []
+
+    def rhs(t, s):
+        # call 1 gives f, then each step makes six: stage k is call k + 1
+        calls.append(1)
+        return [math.inf if len(calls) % 6 in (3, 5) else 1.0, 1.0, 1.0]
+    K, norm = _both_attempts(rhs, rhs, [0.1, 0.2, 0.3], 0.1)
+    assert np.isinf(K[[2, 4], 0]).all()
+    assert np.isfinite(np.delete(K, [2, 4], axis=0)).all()
+    assert math.isnan(norm)
+
+
+def test_float_attempt_zero_scale_gives_numpy_nan():
+    # atol = 0 at a coordinate that stays 0 (theta on a flat geodesic):
+    # the scaled error there is 0/0, NaN as numpy gives it, not a
+    # ZeroDivisionError
+    rhs = geodesic_spec(flat_torus()).rhs()
+    _, norm = _both_attempts(rhs, rhs, [0.1, 0.2, 0.0], 0.1, atol=0.0)
+    assert math.isnan(norm)
 
 
 @pytest.mark.parametrize("rejected", [False, True])
