@@ -101,7 +101,7 @@ def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
         k = int(np.argmax(vals))
         if sup is None or vals[k] > sup:
             sup = float(vals[k])
-            argmax = SMPoint(*(float(v[k]) for v in points))
+            argmax = SMPoint(*(v[k] for v in points))
     return CriterionReport(sup_value=sup, argmax=argmax,
                            anosov_flag=sup < 0.0)
 

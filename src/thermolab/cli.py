@@ -87,32 +87,26 @@ def dumps(obj, indent=0):
 def write_report(bundle, fmt, path):
     """Write a report bundle as deterministic JSON or plot-ready CSV.
 
-    CSV applies to tabular bundles: orbit traces (keys t, x, y, theta),
-    singular-value spectra (key sigma), and residual-vs-grid curves
-    (keys grid, residual); everything else falls back to JSON.
+    CSV applies to tabular bundles: orbit traces (keys t, x, y, theta, from
+    `lab flow`) and singular-value spectra (key sigma, from `lab invert`).
+    Any other bundle raises ValueError before the file is opened.
     """
     if fmt == "json":
-        with open(path, "w") as fh:
-            fh.write(dumps(bundle) + "\n")
-        return
-    if fmt != "csv":
+        rows = [dumps(bundle)]
+    elif fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
+    elif "sigma" in bundle:
+        rows = ["index,sigma"] + [f"{i},{float(s):.17g}"
+                                  for i, s in enumerate(bundle["sigma"])]
+    elif {"t", "x", "y", "theta"} <= set(bundle):
+        rows = ["t,x,y,theta"] + [
+            ",".join(f"{float(v):.17g}" for v in row) for row in zip(
+                bundle["t"], bundle["x"], bundle["y"], bundle["theta"])]
+    else:
+        raise ValueError(f"the {bundle['experiment']} report has no CSV "
+                         "layout; use --format json")
     with open(path, "w") as fh:
-        if "sigma" in bundle:
-            fh.write("index,sigma\n")
-            for i, s in enumerate(bundle["sigma"]):
-                fh.write(f"{i},{float(s):.17g}\n")
-        elif {"t", "x", "y", "theta"} <= set(bundle):
-            fh.write("t,x,y,theta\n")
-            for row in zip(bundle["t"], bundle["x"], bundle["y"],
-                           bundle["theta"]):
-                fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
-        elif {"grid", "residual"} <= set(bundle):
-            fh.write("grid,residual\n")
-            for g, r in zip(bundle["grid"], bundle["residual"]):
-                fh.write(f"{int(g)},{float(r):.17g}\n")
-        else:
-            raise ValueError("bundle has no tabular CSV layout; use json")
+        fh.write("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +190,7 @@ def spec_from(cfg):
 
 
 def initial_point(cfg, default=(0.1, 0.2, 0.3)):
-    s = cfg.get("initial", list(default))
-    return SMPoint(float(s[0]), float(s[1]), float(s[2]))
+    return SMPoint(*cfg.get("initial", default))
 
 
 def _grid_tuple(cfg, key, default):
@@ -336,9 +329,7 @@ def cmd_xray(cfg):
     horizon = float(cfg.get("horizon", 100.0))
     scan = nontrapping_scan(spec, grid_spec=(3, 4, 4), T_max=horizon) \
         if bool(cfg.get("trap_scan", True)) else {"trapped": []}
-    fan = transform_fan(spec, pair, ray_fan(
-        nb, na, margin_deg=float(cfg.get("margin_deg", 5.0))),
-        horizon=horizon)
+    fan = transform_fan(spec, pair, ray_fan(nb, na), horizon=horizon)
     records = [r for r in fan if r is not None]
     n_trapped = len(fan) - len(records)
     if n_trapped:
@@ -367,8 +358,7 @@ def cmd_invert(cfg):
                                       w_x=str(cfg.get("w_x", "0")),
                                       w_y=str(cfg.get("w_y", "0")))
     values = op.transform(pair)
-    G, _ = gauge_basis(node_grid, spacing=float(cfg.get("gauge_spacing",
-                                                        0.25)))
+    G, _ = gauge_basis(node_grid)
     try:
         kern = analyze_kernel(op, G)
         spectrum_info = {"gap_ratio": kern["gap_ratio"],
@@ -459,9 +449,12 @@ def main(argv=None):
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        ext = "json" if args.format == "json" else "csv"
-        path = os.path.join(args.out, f"{args.command}.{ext}")
-        write_report(bundle, args.format, path)
+        path = os.path.join(args.out, f"{args.command}.{args.format}")
+        try:
+            write_report(bundle, args.format, path)
+        except ValueError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         print(path)
     else:
         print(dumps(bundle))

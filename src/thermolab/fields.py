@@ -1,6 +1,8 @@
 """Scalar fields on the unit sphere bundle and first-order frame operators.
 
-An SMScalarField is one expression over (x, y, theta).  It evaluates
+A point of the bundle, an `SMPoint`, is the tuple (x, y, theta) of its
+coordinates, so that a list of points is an (N, 3) array-like.  An
+SMScalarField is one expression over (x, y, theta).  It evaluates
 through a compiled `expr.Bundle`, built on first use, and differentiates
 symbolically, so nested derivatives stay analytic.  A probe that needs
 several fields at the same points compiles them together with
@@ -15,6 +17,7 @@ exactly when three coefficient fields vanish.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +28,15 @@ from .errors import DomainError, ThermolabError
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class SMPoint:
-    """A point (x, y, theta) of the sphere bundle; theta normalized to [0, 2pi)."""
+class SMPoint(namedtuple("SMPoint", "x y theta")):
+    """A point (x, y, theta) of the sphere bundle, a 3-tuple of floats with
+    theta normalized to [0, 2pi): a list of points is an (N, 3) array-like,
+    and SMPoint(*row) takes a row back."""
 
-    x: float
-    y: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.theta])
+    def __new__(cls, x, y, theta):
+        return super().__new__(cls, float(x), float(y), float(theta) % TWO_PI)
 
 
 class SMScalarField:

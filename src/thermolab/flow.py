@@ -19,30 +19,30 @@ of scipy's RK45, so that each orbit takes the steps RK45 would take.  It
 integrates many orbits together, each with its own step size and time
 span: one loop iteration makes one attempt at the next step of every live
 orbit, with six RHS calls for all of them.  Its step, `_attempt`, works
-on flat states: it forms each stage state in place with numpy's dot
-(whose rounding fixes the bits) and writes the RHS values straight into
-the stage's row.  A single orbit takes a loop of its own, without masks
-or compaction, with the same continuous extension and event refiner: on
-one orbit, the masked loop's small-array numpy calls take about three
-times as long.  Its step, `_float_attempt`, keeps numpy's dot for the
-stage sums and does the rest of `_attempt`'s arithmetic, operation for
-operation, on Python floats, with the state a list; its six RHS calls,
-on that list, run on Python floats too.  It runs the step-size controller
-on Python floats and forms the extension coefficients of all its steps
-at the end.  So both loops take the same steps, bit for bit.  A state is
-an orbit (width 3) or an orbit with a Jacobi field (width 6, see
-`jacobi`).  An `Event` is a function of the state whose zeros are refined
-on the steps' continuous extensions, to the tolerance of scipy's event
-finder: leaving the disk stops an orbit, the zeros of a Jacobi field are
-recorded.
+on the (d, N) block of the live orbits' states: it forms each stage state
+in place with numpy's dot over the flattened stages (whose rounding fixes
+the bits) and writes the RHS values straight into the stage's rows.  A
+single orbit takes a loop of its own, without masks or compaction, with
+the same continuous extension and event refiner: on one orbit, the
+masked loop's small-array numpy calls take about three times as long.
+Its step, `_float_attempt`, keeps numpy's dot for the stage sums and does
+the rest of `_attempt`'s arithmetic, operation for operation, on Python
+floats, with the state a list; its six RHS calls, on that list, run on
+Python floats too.  It runs the step-size controller on Python floats
+and forms the extension coefficients of all its steps at the end.  So
+both loops take the same steps, bit for bit.  A state is an orbit (width
+3) or an orbit with Jacobi fields (width 6 or 7, see `jacobi`).  An
+`Event` is a function of the state whose zeros are refined on the steps'
+continuous extensions, to the tolerance of scipy's event finder: leaving
+the disk stops an orbit, the zeros of a Jacobi field are recorded.
 
-A run returns an `OrbitBatch`: each orbit's outcome, end and accepted
-steps, and the run's counters.  `OrbitBatch.state` is the one lookup of
-the step that covers a time; the `DenseSolution` of one orbit is a view of
-its run (`sol.run`) that reads its states through it.  A run whose step
-size falls below the float spacing of t raises StepFailure through
-`OrbitBatch.require_steps`, named by the stage and the orbit's start state
-or index.
+A run returns an `OrbitBatch`: each orbit's outcome, end, exit state
+(stored once) and accepted steps, and the run's counters.
+`OrbitBatch.state` is the one lookup of the step that covers a time; the
+`DenseSolution` of one orbit is a view of its run (`sol.run`) that reads
+its states through it.  A run whose step size falls below the float
+spacing of t raises StepFailure through `OrbitBatch.require_steps`, named
+by the stage and the orbit's start state or index.
 
 `integrate_orbit` follows one orbit and returns it as an `Orbit` with a
 dense solution.  `integrate_to_boundary` follows a batch of disk orbits
@@ -242,7 +242,7 @@ def integrate_orbit(spec, p0: SMPoint, t_span, stop_at_boundary=None,
     model.domain.require(p0)
     if stop_at_boundary is None:
         stop_at_boundary = model.domain.has_boundary
-    start = [p0.x, p0.y, p0.theta]
+    start = list(p0)
     run = integrate(spec, [start], *t_span,
                     event=BOUNDARY if stop_at_boundary else None,
                     rtol=rtol, atol=atol)
@@ -264,10 +264,11 @@ class OrbitBatch:
     direction[i].  outcome[i] is EXITED, TRAPPED or STEP_FAILED, and
     end_time[i] and end_state[i] are where the orbit stopped: the refined
     zero of a terminal event, its end time, or the time of the step that
-    failed.  The refined zeros of the run's event are kept in time order
-    (`event_times`).  The accepted steps are kept, sorted by orbit and then
-    by time, so that `state` can evaluate the continuous extension at many
-    (orbit, t) pairs at once and `solution` can give one orbit's.
+    failed; exit_state[i] is end_state[i] for an orbit that exited and NaN
+    for the others.  The refined zeros of the run's event are kept in time
+    order (`event_times`).  The accepted steps are kept, sorted by orbit
+    and then by time, so that `state` can evaluate the continuous extension
+    at many (orbit, t) pairs at once and `solution` can give one orbit's.
 
     The counters give the work done: loop iterations of the run, accepted
     and rejected steps summed over orbits, and batched RHS calls.
@@ -279,6 +280,7 @@ class OrbitBatch:
     outcome: np.ndarray
     end_time: np.ndarray
     end_state: np.ndarray
+    exit_state: np.ndarray
     iterations: int
     accepted: int
     rejected: int
@@ -294,12 +296,6 @@ class OrbitBatch:
     step_y: np.ndarray = dc_field(repr=False)
     step_q: np.ndarray = dc_field(repr=False)
     last_step: np.ndarray = dc_field(repr=False)  # last step of each orbit
-
-    @property
-    def exit_state(self):
-        """The states at the exits (NaN for orbits that did not exit)."""
-        return np.where((self.outcome == EXITED)[:, None], self.end_state,
-                        np.nan)
 
     def reason(self, i):
         """Why orbit i, which no event stopped, stopped."""
@@ -361,10 +357,11 @@ def _rms(v):
     return np.sqrt((v * v).sum(axis=0)) / math.sqrt(v.shape[0])
 
 
-def _derivatives(rhs, s):
-    """rhs at the states s (d, N) as one (d, N) array: the ODEs are
-    autonomous, and constant outputs come as scalars."""
-    k = np.empty(s.shape)
+def _derivatives(rhs, s, out=None):
+    """rhs at the states s (d, N) as one (d, N) array, written into out if
+    given: the ODEs are autonomous, and constant outputs come as
+    scalars."""
+    k = np.empty(s.shape) if out is None else out
     for row, value in zip(k, rhs(0.0, s)):
         row[...] = value
     return k
@@ -387,34 +384,34 @@ def _initial_step(rhs, y, f, direction, interval, rtol, atol):
 
 
 def _attempt(rhs, y, f, h, rtol, atol):
-    """One Dormand-Prince step of size h from the flat states y with
-    derivatives f: the new states, the seven stage derivatives K
-    (7, y.size), one row per stage, and the error estimate of each state
-    value, scaled by its tolerance.  y holds the (d, N) states of N orbits
-    flattened, with h one step size per value (the batched loop; one
-    orbit takes `_float_attempt`).  Each stage writes rhs(t, s) at the
-    flat states s straight into its row of K.
+    """One Dormand-Prince step of size h (N,) from the states y (d, N) of
+    N orbits with derivatives f (d, N): the new states (d, N), the seven
+    stage derivatives K (7, d, N), and the error estimate of each state
+    value (d, N), scaled by its tolerance.  Each stage writes rhs(t, s) at
+    its states s straight into the rows of K[s] (one orbit takes
+    `_float_attempt`).
 
     The stage states are formed in place as (a . K) h + y: the products
-    and sums of y + h (a . K), with numpy's dot for the stage sums.  So
-    are the new states and the error estimate.
+    and sums of y + h (a . K), with numpy's dot over the flattened stages
+    for the stage sums.  So are the new states and the error estimate.
     """
-    K = np.empty((7, y.size))
+    K = np.empty((7,) + y.shape)
     K[0] = f
+    stages = K.reshape(7, -1)
     for s, a in enumerate(DP_A, start=1):
-        v = a.dot(K[:s])
+        v = a.dot(stages[:s]).reshape(y.shape)
         v *= h
         v += y
-        K[s] = rhs(0.0, v)      # the ODEs are autonomous
-    y_new = DP_B.dot(K[:6])
+        _derivatives(rhs, v, K[s])      # the ODEs are autonomous
+    y_new = DP_B.dot(stages[:6]).reshape(y.shape)
     y_new *= h
     y_new += y
-    K[6] = rhs(0.0, y_new)
+    _derivatives(rhs, y_new, K[6])
     scale = abs(y)
     np.maximum(scale, abs(y_new), out=scale)
     scale *= rtol
     scale += atol
-    e = DP_E.dot(K)
+    e = DP_E.dot(stages).reshape(y.shape)
     e *= h
     e /= scale
     return y_new, K, e
@@ -585,7 +582,9 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     orbit = orbit[order]
     return OrbitBatch(
         spec=spec, t_start=t0, direction=direction, outcome=outcome,
-        end_time=end_time, end_state=end_state, iterations=counts[0],
+        end_time=end_time, end_state=end_state,
+        exit_state=np.where((outcome == EXITED)[:, None], end_state, np.nan),
+        iterations=counts[0],
         accepted=counts[1], rejected=counts[2],
         rhs_calls=2 + 6 * counts[0],   # the initial step's two, six a try
         event_orbit=e_ids[by_orbit], event_t=t_event[by_orbit],
@@ -602,11 +601,6 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
     event crossings of each iteration, and the counters.
     """
     dim, n = y.shape
-
-    def flat_rhs(t, s):
-        # rhs on the live orbits' flat states
-        return _derivatives(rhs, s.reshape(dim, -1)).reshape(-1)
-
     outcome = np.full(n, TRAPPED, dtype=np.int8)
     end_time = t_end.copy()
     end_state = np.empty((n, dim))
@@ -629,11 +623,8 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
         t_new = t + h_abs * d
         t_new = np.where(d * (t_new - t_end) > 0, t_end, t_new)
         h = t_new - t
-        y_new, K, e = _attempt(flat_rhs, y.reshape(-1), f.reshape(-1),
-                               np.broadcast_to(h, y.shape).reshape(-1),
-                               rtol, atol)
-        y_new, K = y_new.reshape(dim, -1), K.reshape(7, dim, -1)
-        error_norm = _rms(e.reshape(dim, -1))
+        y_new, K, e = _attempt(rhs, y, f, h, rtol, atol)
+        error_norm = _rms(e)
         ok, factor = _step_factor(error_norm, rejected)
         h_abs = np.abs(h) * factor
         rejected = ~ok
@@ -777,7 +768,7 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
     if r2 >= 1.0 - 1e-12:
         # on the boundary: leaving (or tangential) immediately counts as l=0
         f = spec.rhs()
-        d = f(0.0, [p0.x, p0.y, p0.theta])
+        d = f(0.0, list(p0))
         radial = direction * (d[0] * p0.x + d[1] * p0.y)
         if radial >= -1e-12:
             return 0.0

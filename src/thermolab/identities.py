@@ -455,7 +455,7 @@ def transport_expansion_residual(model, lam, psi, states):
     dc = spec.coefficients().curvatures
     psi_f = _as_field(psi)
     Fpsi = dc.F.apply(psi_f)
-    starts = np.array([[p.x, p.y, p.theta] for p in states], dtype=float)
+    starts = np.asarray(states, dtype=float).reshape(-1, 3)
     n = len(starts)
     # orbit k < n flows state k by -dt, orbit n + k by +dt
     ends = np.repeat([-dt, dt], n)
@@ -464,8 +464,7 @@ def transport_expansion_residual(model, lam, psi, states):
     shifted = shifts.state(np.arange(2 * n), ends)
     shifted[:, 2] %= TWO_PI
     points = np.vstack([starts, shifted])
-    r0, rm, rp = np.split(exterior_fan_r(
-        spec, [SMPoint(*q) for q in points]), 3)
+    r0, rm, rp = np.split(exterior_fan_r(spec, points), 3)
     # each field at the N states, then at their -dt and +dt shifts
     psi_v, Vlam_v, Fpsi_v, lamI_v, bigK_v = (
         np.split(v, 3) for v in compile_fields(
@@ -498,8 +497,8 @@ def check_second_identity(model, lam, psi, grid, rng=None):
     dc = spec.coefficients().curvatures
     psi_f = _as_field(psi)
     Fpsi = dc.F.apply(psi_f)
-    r_vals = exterior_fan_r(spec, [SMPoint(x, y, t) for x, y, t in
-                                   zip(grid.x, grid.y, grid.theta)])
+    r_vals = exterior_fan_r(spec, np.column_stack([grid.x, grid.y,
+                                                   grid.theta]))
 
     psi_v, Fpsi_v, Vlam_v, Fpsi_sq_v, bigK_psi_sq_v = compile_fields(
         (psi_f, Fpsi, dc.Vlam, Fpsi * Fpsi, dc.bigK * (psi_f * psi_f)))(

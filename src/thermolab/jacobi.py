@@ -143,7 +143,7 @@ def integrate_jacobi(spec, p0: SMPoint, t_span, initial=(0.0, 0.0, 1.0),
     The trajectory is sampled at the ends of its steps, or at t_eval; the
     zeros of y on the way are located, the start included when y(0) = 0.
     """
-    start = [p0.x, p0.y, p0.theta, *map(float, initial)]
+    start = [*p0, *map(float, initial)]
     run = integrate(spec, [start], *t_span, rhs=spec.coefficients().rhs(),
                     event=Y_ZEROS, rtol=rtol, atol=atol)
     run.require_steps("Jacobi", [start])
@@ -291,9 +291,9 @@ def riccati_doubling(spec, p0: SMPoint, sign="+"):
         raise ValueError("sign must be '+' or '-'")
     coeffs = spec.coefficients()
     rhs = coeffs.columns_rhs()
-    lamI = float(coeffs.curvatures.lamI.eval(p0.x, p0.y, p0.theta))
+    lamI = float(coeffs.curvatures.lamI.eval(*p0))
     direction = -1.0 if sign == "+" else 1.0
-    state = np.array([p0.x, p0.y, p0.theta, 1.0, 0.0, 0.0, 1.0])
+    state = np.array([*p0, 1.0, 0.0, 0.0, 1.0])
     t_now, R, zeros = 0.0, 1.0, []
     while True:
         while R - abs(t_now) > 1e-14:
@@ -405,16 +405,17 @@ def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
 def exterior_fan_r(spec, states, margin=0.1):
     """Fan-variant r (= z/y) at disk states from an exterior starting point.
 
-    For each state the backward orbit is continued `margin` beyond the
-    boundary; the Jacobi solution launched there from the vertical
-    direction defines r along the fan of orbits through that point.  All
-    states are integrated together, in three passes: backward to the
-    boundary, from the state to `margin` beyond it, and the Jacobi solution
-    from there forward to the state.  Raises RiccatiUnavailable when a
-    backward orbit is trapped or y vanishes before reaching the state.
+    states is an (N, 3) array-like of (x, y, theta): an array, or a list
+    of `SMPoint`s.  For each state the backward orbit is continued
+    `margin` beyond the boundary; the Jacobi solution launched there from
+    the vertical direction defines r along the fan of orbits through that
+    point.  All states are integrated together, in three passes: backward
+    to the boundary, from the state to `margin` beyond it, and the Jacobi
+    solution from there forward to the state.  Raises RiccatiUnavailable
+    when a backward orbit is trapped or y vanishes before reaching the
+    state.
     """
-    starts = np.array([[p.x, p.y, p.theta] for p in states],
-                      dtype=float).reshape(-1, 3)
+    starts = np.asarray(states, dtype=float).reshape(-1, 3)
     back = integrate_to_boundary(spec, starts, direction=-1)
     back.require_steps()
     if np.any(back.outcome != EXITED):

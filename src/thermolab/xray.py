@@ -221,8 +221,7 @@ def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
     model = spec.model
     if not model.domain.has_boundary:
         raise DomainError("the ray transform needs a disk model")
-    starts = np.array([[p.x, p.y, p.theta] for p in entries],
-                      dtype=float).reshape(-1, 3)
+    starts = np.array(entries, dtype=float).reshape(-1, 3)
     records = [None] * len(starts)
     interior = np.flatnonzero(starts[:, 0] ** 2 + starts[:, 1] ** 2
                               < 1.0 - 1e-12)
@@ -465,8 +464,7 @@ def assemble_discrete_operator(spec, node_grid, rays):
     dropped, with a warning that names each one and its reason; any other
     error propagates."""
     model = spec.model
-    orbits = integrate_to_boundary(
-        spec, np.array([[p.x, p.y, p.theta] for p in rays], dtype=float))
+    orbits = integrate_to_boundary(spec, rays)
     dropped = [f"ray {i}: {orbits.reason(i)}"
                for i in np.flatnonzero(orbits.outcome != EXITED)]
     if dropped:
@@ -585,7 +583,11 @@ def gauge_basis(node_grid, spacing=0.25):
 def _largest_gap(sigma):
     """Index i maximizing sigma[i]/sigma[i+1] on the descending spectrum
     (floored at 1e-14); returns (index, ratio).  IllConditioned if the
-    ratio is under MIN_GAP."""
+    ratio is under MIN_GAP, or if there are fewer than two singular values
+    and so no gap."""
+    if len(sigma) < 2:
+        raise IllConditioned(f"no singular-value gap: the ray matrix has "
+                             f"{len(sigma)} singular value(s)")
     s = np.maximum(sigma, 1e-14)
     ratios = s[:-1] / s[1:]
     i = int(np.argmax(ratios))

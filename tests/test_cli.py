@@ -607,3 +607,51 @@ def test_spectrum_csv(tmp_path):
     assert lines[0] == "index,sigma"
     sigmas = [float(l.split(",")[1]) for l in lines[1:]]
     assert sigmas == sorted(sigmas, reverse=True)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=16)),
+    ("validate", flat_torus_cfg())])
+def test_csv_without_layout_is_config_error(tmp_path, capsys, command,
+                                            config):
+    # only orbit traces (flow) and spectra (invert) have a CSV layout: any
+    # other report exits 1, and writes no file
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--format", "csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: the {command} report has no CSV")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_invert_ignores_gauge_spacing(tmp_path, capsys):
+    # the gauge bumps have the fixed spacing 0.25: a config that still sets
+    # the old key, even to 0, gets the report of one without it
+    config = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+              "phi_field": "1 - x^2 - y^2", "nodes": [6, 6],
+              "n_boundary": 8, "n_angles": 8, "rank": 60}
+    reports = []
+    for extra in ({}, {"gauge_spacing": 0}):
+        cfg = write_config(tmp_path, "c.json", dict(config, **extra))
+        assert main(["invert", "--config", cfg]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_invert_one_ray_fan_has_no_gap(tmp_path, capsys):
+    # one ray gives one singular value, and so no gap to truncate at: a
+    # numerical failure that names the gap, unless a rank is given
+    config = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+              "phi_field": "1", "nodes": [5, 6], "n_boundary": 1,
+              "n_angles": 1}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["invert", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no singular-value gap")
+    cfg = write_config(tmp_path, "c.json", dict(config, rank=1))
+    assert main(["invert", "--config", cfg]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["sigma"]) == 1
+    assert out["spectrum"] == {"gap_ratio": None}

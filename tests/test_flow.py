@@ -10,10 +10,11 @@ from scipy.integrate import solve_ivp
 import thermolab.flow
 from thermolab.errors import DomainError, StepFailure, TrappedOrbit
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import DEFAULT_ATOL, DEFAULT_RTOL, EXITED, STEP_FAILED, \
-    TRAPPED, ThermostatSpec, _attempt, _derivatives, _float_attempt, \
-    _float_step_factor, _rms, _step_factor, exit_time, geodesic_spec, \
-    integrate, integrate_orbit, integrate_to_boundary, nontrapping_scan
+from thermolab.flow import BOUNDARY, DEFAULT_ATOL, DEFAULT_RTOL, EXITED, \
+    STEP_FAILED, TRAPPED, ThermostatSpec, _attempt, _derivatives, \
+    _float_attempt, _float_step_factor, _rms, _step_factor, exit_time, \
+    geodesic_spec, integrate, integrate_orbit, integrate_to_boundary, \
+    nontrapping_scan
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, Y_ZEROS, \
     integrate_jacobi, solve_riccati_finite
@@ -220,6 +221,21 @@ def test_batch_trapped_ray_leaves_others_unchanged():
                                                   abs=1e-10)
 
 
+def test_exit_states_stored_once():
+    # an orbit that exits, one whose steps fail (lam is NaN past x = 0.5)
+    # and one stopped inside the disk at its end time: exit_state is
+    # end_state with NaN rows for the two that did not exit, stored once
+    spec = ThermostatSpec(euclidean_disk(),
+                          SMScalarField.from_expression("sqrt(0.5 - x)"))
+    run = integrate(spec, [[-0.3, 0.0, 3.0], [0.3, 0.1, 0.2], [0.0, 0.0, 0.0]],
+                    0.0, [100.0, 100.0, 0.1], event=BOUNDARY)
+    assert list(run.outcome) == [EXITED, STEP_FAILED, TRAPPED]
+    assert run.exit_state is run.exit_state
+    assert np.isfinite(run.end_state).all()
+    assert _same_bits(run.exit_state[0], run.end_state[0])
+    assert np.isnan(run.exit_state[1:]).all()
+
+
 def test_batch_needs_disk_states():
     spec = curved_disk_spec()
     with pytest.raises(DomainError, match="state 1"):
@@ -358,30 +374,33 @@ def _pinned_rhs_cases():
     return cases
 
 
-def _both_attempts(rhs, flat_rhs, start, h, atol=DEFAULT_ATOL):
+def _both_attempts(rhs, start, h, atol=DEFAULT_ATOL):
     """One step from start by `_attempt`, as the batched loop runs it (on
-    flat_rhs, with one step size per value), and by `_float_attempt` (on
-    rhs, from a list); asserts that the new states, every stage row, the
-    error norms and the accept flags have the same bits, and returns the
-    stages K and the error norm."""
+    a (d, 1) block, with one step size per orbit), and by `_float_attempt`
+    (from a list); asserts that the new states, every stage row, the error
+    norms and the accept flags have the same bits, and returns the stages K
+    (7, d) and the error norm."""
     dim = len(start)
+    y = np.array(start, dtype=float)
     with np.errstate(all="ignore"):
-        f = np.array(flat_rhs(0.0, np.array(start)), dtype=float)
-        y_new, K, e = _attempt(flat_rhs, np.array(start), f,
-                               np.full(dim, h), DEFAULT_RTOL, atol)
-        norm = _rms(e.reshape(dim, 1))[0]
+        f = _derivatives(rhs, y[:, None])[:, 0]
+        y_new, K, e = _attempt(rhs, y[:, None], f[:, None], np.array([h]),
+                               DEFAULT_RTOL, atol)
+        norm = _rms(e)[0]
         ok, _ = _step_factor(norm, False)
         float_y_new, float_K, square_sum = _float_attempt(
             rhs, list(start), f, h, DEFAULT_RTOL, atol)
     float_norm = math.sqrt(square_sum) / math.sqrt(dim)
     float_ok, _ = _float_step_factor(float_norm, False)
     assert type(float_y_new) is list
-    assert _same_bits(float_y_new, y_new), start
-    for row, float_row in zip(K, float_K):
+    assert (y_new.shape, K.shape, e.shape) == ((dim, 1), (7, dim, 1),
+                                               (dim, 1))
+    assert _same_bits(float_y_new, y_new[:, 0]), start
+    for row, float_row in zip(K[:, :, 0], float_K):
         assert _same_bits(float_row, row), start
     assert _same_bits(float_norm, norm), start
     assert float_ok is bool(ok), start
-    return K, norm
+    return K[:, :, 0], norm
 
 
 @pytest.mark.parametrize("h", [0.05, -0.05, 0.0])
@@ -391,12 +410,8 @@ def test_float_attempt_matches_batched_attempt(h):
     # and the float binding's fallback included
     kinds = set()
     for rhs, start in _pinned_rhs_cases():
-        dim = len(start)
-
-        def flat_rhs(t, s, rhs=rhs, dim=dim):
-            return _derivatives(rhs, s.reshape(dim, -1)).reshape(-1)
-        K, _ = _both_attempts(rhs, flat_rhs, start, h)
-        kinds.add((dim, start[0], np.isfinite(K).all()))
+        K, _ = _both_attempts(rhs, start, h)
+        kinds.add((len(start), start[0], np.isfinite(K).all()))
     # every width, with finite stages, and NaN stages from each lam
     for dim in (3, 6, 7):
         assert {(dim, 0.1, True), (dim, 0.3, False)} <= kinds
@@ -415,7 +430,7 @@ def test_float_attempt_scale_propagates_nan():
         # call 1 gives f, then each step makes six: stage k is call k + 1
         calls.append(1)
         return [math.inf if len(calls) % 6 in (3, 5) else 1.0, 1.0, 1.0]
-    K, norm = _both_attempts(rhs, rhs, [0.1, 0.2, 0.3], 0.1)
+    K, norm = _both_attempts(rhs, [0.1, 0.2, 0.3], 0.1)
     assert np.isinf(K[[2, 4], 0]).all()
     assert np.isfinite(np.delete(K, [2, 4], axis=0)).all()
     assert math.isnan(norm)
@@ -426,7 +441,7 @@ def test_float_attempt_zero_scale_gives_numpy_nan():
     # the scaled error there is 0/0, NaN as numpy gives it, not a
     # ZeroDivisionError
     rhs = geodesic_spec(flat_torus()).rhs()
-    _, norm = _both_attempts(rhs, rhs, [0.1, 0.2, 0.0], 0.1, atol=0.0)
+    _, norm = _both_attempts(rhs, [0.1, 0.2, 0.0], 0.1, atol=0.0)
     assert math.isnan(norm)
 
 

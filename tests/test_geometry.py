@@ -8,8 +8,8 @@ import pytest
 
 from thermolab.errors import DomainError, ValidationFailed
 from thermolab.expr import CHUNK_POINTS
-from thermolab.fields import SMScalarField, _as_field, commutator, \
-    compile_fields
+from thermolab.fields import SMPoint, SMScalarField, _as_field, \
+    commutator, compile_fields
 from thermolab.geometry import PLANE_WINDOW, STRUCTURE_TOLERANCE, \
     TWO_PI, SyntheticSpec, build_surface_model, constant_curvature_model, \
     derived_curvatures, euclidean_disk, flat_torus, grid_blocks, \
@@ -153,6 +153,21 @@ def test_field_eval_shape_and_dtype():
         scalar = field.eval(0.5, 0.2, 0.3)
         assert scalar.dtype == np.float64 and scalar.shape == ()
         assert scalar == want[2]
+
+
+def test_points_are_float_tuples():
+    # a point is the tuple of its float coordinates, theta in [0, 2 pi):
+    # a list of points is an (N, 3) array, and a row gives the point back
+    points = [SMPoint(1, np.float64(-0.5), 7.0), SMPoint(0.25, 0.5, -1.0),
+              SMPoint(0.0, 0.0, TWO_PI)]
+    rows = np.asarray(points)
+    assert rows.shape == (3, 3) and rows.dtype == np.float64
+    assert rows[:, 2].tolist() == [7.0 % TWO_PI, -1.0 % TWO_PI, 0.0]
+    for p, row in zip(points, rows):
+        assert all(type(v) is float for v in p)
+        assert 0.0 <= p.theta < TWO_PI
+        assert (p.x, p.y, p.theta) == tuple(row.tolist())
+        assert SMPoint(*row) == p
 
 
 def test_velocity_pairing():

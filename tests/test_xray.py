@@ -94,8 +94,7 @@ def test_fan_matches_one_ray_transform():
         assert rec.length == pytest.approx(one.length, abs=1e-10)
         assert rec.value == pytest.approx(one.value, abs=1e-10)
         for a, b in ((rec.entry, one.entry), (rec.exit, one.exit)):
-            assert np.allclose(a.as_array(), b.as_array(), rtol=0,
-                               atol=1e-10)
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
 
 
 def test_pair_keeps_its_integrand():
