@@ -81,7 +81,7 @@ class CriterionReport:
                 "anosov_flag": self.anosov_flag}
 
 
-def theoremD_criterion(model, lam, grid_spec=(24, 24, 24)) -> CriterionReport:
+def theoremD_criterion(model, lam, grid_spec) -> CriterionReport:
     """Scan the hyperbolicity quantity and flag a negative supremum.
 
     The quantity is evaluated block by block over the grid

@@ -20,7 +20,6 @@ import warnings
 import numpy as np
 
 from . import errors
-from .expr import parse_expression
 from .fields import SMPoint, SMScalarField
 from .geometry import build_surface_model, constant_curvature_model, \
     validate_structure_relations
@@ -127,8 +126,8 @@ def _finite_float(text):
 
 
 def _float_sized_int(text):
-    # commands read numbers with float(), which raises OverflowError on an
-    # integer past the float range
+    # the readers take numbers as floats, and float() raises OverflowError
+    # on an integer past the float range
     value = int(text)
     try:
         float(value)
@@ -139,6 +138,7 @@ def _float_sized_int(text):
 
 
 def load_config(path):
+    """The config: a JSON object of the schema, its keys unchecked."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_refuse_constant,
                         parse_float=_finite_float,
@@ -147,57 +147,82 @@ def load_config(path):
         raise ValueError("config must be a JSON object")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"config schema must be {SCHEMA_VERSION}")
-    for key in ("tolerance",):
-        if key in cfg and not float(cfg[key]) > 0:
-            raise ValueError(f"{key} must be positive")
-    for key, least in (("n_points", 1), ("seed", 0)):
-        if key in cfg and not (type(cfg[key]) is int and cfg[key] >= least):
-            raise ValueError(f"{key} must be an integer >= {least}, got "
-                             f"{cfg[key]!r}")
-    for key in ("grid", "n_quad", "n", "nodes"):
-        if key in cfg:
-            spec = cfg[key]
-            sizes = spec if isinstance(spec, list) else [spec]
-            if any(int(s) < 4 for s in sizes):
-                raise ValueError(f"{key} sizes must be >= 4")
-    if "surface" in cfg and not isinstance(cfg["surface"], dict):
-        raise ValueError("surface must be a JSON object")
-    if "initial" in cfg and not (
-            isinstance(cfg["initial"], list) and len(cfg["initial"]) == 3
-            and all(type(v) in (int, float) for v in cfg["initial"])):
-        raise ValueError("initial must be three numbers: x, y, theta")
     return cfg
 
 
+# A reader returns a key's value, or its default when the key is absent, and
+# raises ValueError naming the key for a value of another kind.  A number is
+# an int or a float: JSON true and false are not numbers.
+_NUMBER = (int, float)
+
+
+def _read(cfg, key, default, accepts, kind):
+    value = cfg.get(key, default)
+    if key in cfg and not accepts(value):
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
+def _count(cfg, key, default, least=1):
+    return _read(cfg, key, default, lambda v: type(v) is int and v >= least,
+                 f"an integer >= {least}")
+
+
+def _number(cfg, key, default, positive=False):
+    return float(_read(cfg, key, default, lambda v: type(v) in _NUMBER
+                       and (v > 0 or not positive),
+                       "a positive number" if positive else "a number"))
+
+
+def _flag(cfg, key, default):
+    return _read(cfg, key, default, lambda v: type(v) is bool, "true or false")
+
+
+def _sizes(cfg, key, default, n_axes=3):
+    """Grid sizes: an integer >= 4 for every axis, or a list of n_axes."""
+    def fits(v):
+        axes = v if isinstance(v, list) and len(v) == n_axes else [v]
+        return all(type(n) is int and n >= 4 for n in axes)
+    value = _read(cfg, key, default, fits,
+                  f"an integer >= 4 or a list of {n_axes} of them")
+    return (value,) * n_axes if type(value) is int else value
+
+
+def _state(cfg, key, default):
+    return SMPoint(*_read(cfg, key, default, lambda v: isinstance(v, list)
+                          and len(v) == 3
+                          and all(type(x) in _NUMBER for x in v),
+                          "three numbers: x, y, theta"))
+
+
+def _expression(cfg, key, default="0"):
+    return str(_read(cfg, key, default,
+                     lambda v: isinstance(v, str) or type(v) in _NUMBER,
+                     "an expression string or a number"))
+
+
 def field_from(cfg, key, default="0"):
-    return SMScalarField.from_expression(
-        parse_expression(str(cfg.get(key, default))))
+    return SMScalarField.from_expression(_expression(cfg, key, default))
 
 
 def model_from(cfg):
-    surf = cfg.get("surface", {"kind": "conformal_torus", "phi": "0"})
+    surf = _read(cfg, "surface", {}, lambda v: isinstance(v, dict),
+                 "a JSON object")
     kind = surf.get("kind", "conformal_torus")
     if kind == "synthetic":
-        return constant_curvature_model(float(surf.get("K", -1.0)))
-    return build_surface_model(kind, phi=parse_expression(
-        str(surf.get("phi", "0"))))
+        return constant_curvature_model(_number(surf, "K", -1.0))
+    return build_surface_model(kind, phi=_expression(surf, "phi"))
 
 
 def spec_from(cfg):
-    model = model_from(cfg)
-    lam = field_from(cfg, "lambda", "0")
-    return ThermostatSpec(model, lam)
+    lam = field_from(cfg, "lambda")
+    return ThermostatSpec(model_from(cfg), lam)
 
 
-def initial_point(cfg, default=(0.1, 0.2, 0.3)):
-    return SMPoint(*cfg.get("initial", default))
-
-
-def _grid_tuple(cfg, key, default):
-    g = cfg.get(key, default)
-    if isinstance(g, (int, float)):
-        return (int(g),) * len(default)
-    return tuple(int(v) for v in g)
+def pair_from(cfg):
+    from .xray import PairField
+    return PairField(*(field_from(cfg, key)
+                       for key in ("phi_field", "w_x", "w_y")))
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +230,25 @@ def _grid_tuple(cfg, key, default):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(cfg):
-    model = model_from(cfg)
-    lam = field_from(cfg, "lambda", "0")
-    grid = _grid_tuple(cfg, "grid", (8, 8, 8))
-    report = validate_structure_relations(model, grid, lam=lam)
+    lam = field_from(cfg, "lambda")
+    grid = _sizes(cfg, "grid", (8, 8, 8))
+    tolerance = _number(cfg, "tolerance", 1e-6, positive=True)
+    report = validate_structure_relations(model_from(cfg), grid, lam=lam)
     worst = float(np.max([r["max"] for r in report.values()]))
-    ok = worst <= float(cfg.get("tolerance", 1e-6))
+    ok = worst <= tolerance
     bundle = {"experiment": "validate", "residuals": report,
               "worst": worst, "passed": ok}
     return bundle, EXIT_OK if ok else EXIT_CONFIG
 
 
 def cmd_flow(cfg):
-    spec = spec_from(cfg)
-    p0 = initial_point(cfg)
-    T = float(cfg.get("T", 5.0))
-    n = int(cfg.get("n_samples", 200))
-    orbit = integrate_orbit(spec, p0, (0.0, T),
+    p0 = _state(cfg, "initial", (0.1, 0.2, 0.3))
+    T = _number(cfg, "T", 5.0)
+    n = _count(cfg, "n_samples", 200)
+    orbit = integrate_orbit(spec_from(cfg), p0, (0.0, T),
                             t_eval=np.linspace(0.0, T, n))
-    ts = orbit.t
     bundle = {"experiment": "flow",
-              "t": ts.tolist(),
+              "t": orbit.t.tolist(),
               "x": orbit.states[:, 0].tolist(),
               "y": orbit.states[:, 1].tolist(),
               "theta": (orbit.states[:, 2] % (2 * np.pi)).tolist(),
@@ -237,12 +260,11 @@ def cmd_flow(cfg):
 def cmd_jacobi(cfg):
     from .jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
         second_order_residual
-    spec = spec_from(cfg)
-    p0 = initial_point(cfg)
-    T = float(cfg.get("T", 5.0))
+    p0 = _state(cfg, "initial", (0.1, 0.2, 0.3))
+    T = _number(cfg, "T", 5.0)
     # the tolerances of detect_conjugate_points, so one solve gives both
     # the samples and the conjugate times
-    traj = integrate_jacobi(spec, p0, (0.0, T), rtol=JACOBI_RTOL,
+    traj = integrate_jacobi(spec_from(cfg), p0, (0.0, T), rtol=JACOBI_RTOL,
                             atol=JACOBI_ATOL,
                             t_eval=np.linspace(0.0, T, 100))
     bundle = {"experiment": "jacobi",
@@ -257,14 +279,13 @@ def cmd_jacobi(cfg):
 
 def cmd_riccati(cfg):
     from .jacobi import riccati_bound_constants, solve_riccati_limit
+    p0 = _state(cfg, "initial", (0.0, 0.0, 0.3))
+    tolerance = _number(cfg, "tolerance", 1e-6, positive=True)
     spec = spec_from(cfg)
-    p0 = initial_point(cfg, default=(0.0, 0.0, 0.3))
     # first the constants: a field that is not finite on their grid is a
     # configuration error, found in milliseconds, before the limit's walks
     constants = riccati_bound_constants(spec)
-    r_plus, r_minus = solve_riccati_limit(spec, p0,
-                                          tol=float(cfg.get("tolerance",
-                                                            1e-6)))
+    r_plus, r_minus = solve_riccati_limit(spec, p0, tol=tolerance)
     bundle = {"experiment": "riccati", "r_plus": r_plus, "r_minus": r_minus,
               "constants": constants}
     return bundle, EXIT_OK
@@ -293,10 +314,11 @@ def pestov_points(model, n, seed):
 
 def cmd_pestov(cfg):
     from .identities import check_pestov_pointwise
-    spec = spec_from(cfg)
     u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)")
-    points = pestov_points(spec.model, cfg.get("n_points", 1000),
-                           cfg.get("seed", 0))
+    n = _count(cfg, "n_points", 1000)
+    seed = _count(cfg, "seed", 0, least=0)
+    spec = spec_from(cfg)
+    points = pestov_points(spec.model, n, seed)
     rep = check_pestov_pointwise(spec.model, spec.lam, u, points)
     return {"experiment": "pestov", **rep}, EXIT_OK
 
@@ -304,10 +326,12 @@ def cmd_pestov(cfg):
 def cmd_identity(cfg):
     from .identities import check_integral_identity_boundary, \
         check_integral_identity_closed, quadrature_for
+    n = _sizes(cfg, "n_quad", None)
     spec = spec_from(cfg)
+    # u's default depends on the domain, so it is read after the build
     u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)"
                    if spec.model.domain.kind == "torus" else "x*sin(theta)")
-    grid = quadrature_for(spec.model, n=cfg.get("n_quad"))
+    grid = quadrature_for(spec.model, n)
     if spec.model.domain.has_boundary:
         rep = check_integral_identity_boundary(spec.model, spec.lam, u, grid)
         bundle = {"experiment": "identity", "boundary": rep.as_dict()}
@@ -319,17 +343,14 @@ def cmd_identity(cfg):
 
 
 def cmd_xray(cfg):
-    from .xray import PairField, ray_fan, transform_fan
+    from .xray import ray_fan, transform_fan
+    pair = pair_from(cfg)
+    rays = ray_fan(_count(cfg, "n_boundary", 20), _count(cfg, "n_angles", 20))
+    horizon = _number(cfg, "horizon", 100.0, positive=True)
+    trap_scan = _flag(cfg, "trap_scan", True)
     spec = spec_from(cfg)
-    pair = PairField.from_expressions(phi=str(cfg.get("phi_field", "0")),
-                                      w_x=str(cfg.get("w_x", "0")),
-                                      w_y=str(cfg.get("w_y", "0")))
-    nb = int(cfg.get("n_boundary", 20))
-    na = int(cfg.get("n_angles", 20))
-    horizon = float(cfg.get("horizon", 100.0))
-    scan = nontrapping_scan(spec, grid_spec=(3, 4, 4), T_max=horizon) \
-        if bool(cfg.get("trap_scan", True)) else {"trapped": []}
-    fan = transform_fan(spec, pair, ray_fan(nb, na), horizon=horizon)
+    scan = nontrapping_scan(spec, horizon) if trap_scan else {"trapped": []}
+    fan = transform_fan(spec, pair, rays, horizon=horizon)
     records = [r for r in fan if r is not None]
     n_trapped = len(fan) - len(records)
     if n_trapped:
@@ -346,21 +367,16 @@ def cmd_xray(cfg):
 
 
 def cmd_invert(cfg):
-    from .xray import PairField, PolarNodeGrid, analyze_kernel, \
+    from .xray import PolarNodeGrid, analyze_kernel, \
         assemble_discrete_operator, gauge_basis, ray_fan, reconstruct_pair
-    spec = spec_from(cfg)
-    nr, na = _grid_tuple(cfg, "nodes", (12, 12))
-    node_grid = PolarNodeGrid(nr, na)
-    rays = ray_fan(int(cfg.get("n_boundary", 20)),
-                   int(cfg.get("n_angles", 20)))
-    op = assemble_discrete_operator(spec, node_grid, rays)
-    pair = PairField.from_expressions(phi=str(cfg.get("phi_field", "0")),
-                                      w_x=str(cfg.get("w_x", "0")),
-                                      w_y=str(cfg.get("w_y", "0")))
+    node_grid = PolarNodeGrid(*_sizes(cfg, "nodes", (12, 12), n_axes=2))
+    rays = ray_fan(_count(cfg, "n_boundary", 20), _count(cfg, "n_angles", 20))
+    pair = pair_from(cfg)
+    rank = _count(cfg, "rank", None)
+    op = assemble_discrete_operator(spec_from(cfg), node_grid, rays)
     values = op.transform(pair)
-    G, _ = gauge_basis(node_grid)
     try:
-        kern = analyze_kernel(op, G)
+        kern = analyze_kernel(op, gauge_basis(node_grid)[0])
         spectrum_info = {"gap_ratio": kern["gap_ratio"],
                          "kernel_dim": kern["kernel_dim"],
                          "gauge_dim": kern["gauge_dim"],
@@ -368,9 +384,7 @@ def cmd_invert(cfg):
                              float(np.max(kern["principal_angles_deg"]))}
     except errors.IllConditioned:
         spectrum_info = {"gap_ratio": None}
-    rank = cfg.get("rank")
-    est = reconstruct_pair(op, values,
-                           rank=int(rank) if rank is not None else None)
+    est = reconstruct_pair(op, values, rank)
     bundle = {"experiment": "invert", "sigma": op.thin_svd[1].tolist(),
               "spectrum": spectrum_info,
               "phi_norm": float(np.linalg.norm(est.phi_values))}
@@ -379,21 +393,18 @@ def cmd_invert(cfg):
 
 def cmd_anosov(cfg):
     from .anosov import theoremD_criterion
-    model = model_from(cfg)
-    lam = field_from(cfg, "lambda", "0")
-    rep = theoremD_criterion(model, lam, _grid_tuple(cfg, "grid",
-                                                     (16, 16, 16)))
+    lam = field_from(cfg, "lambda")
+    grid = _sizes(cfg, "grid", (16, 16, 16))
+    rep = theoremD_criterion(model_from(cfg), lam, grid)
     return {"experiment": "anosov", **rep.as_dict()}, EXIT_OK
 
 
 def cmd_cohomology(cfg):
     from .anosov import cohomological_residual
-    model = model_from(cfg)
-    lam = field_from(cfg, "lambda", "0")
-    res = cohomological_residual(model, lam, h=field_from(cfg, "h"),
-                                 w_x=field_from(cfg, "w_x"),
-                                 w_y=field_from(cfg, "w_y"),
-                                 n=int(cfg.get("n", 32)))
+    lam, h, w_x, w_y = (field_from(cfg, key)
+                        for key in ("lambda", "h", "w_x", "w_y"))
+    n = _count(cfg, "n", 32, least=4)
+    res = cohomological_residual(model_from(cfg), lam, h, w_x, w_y, n)
     bundle = {"experiment": "cohomology", "residual": res["residual"],
               "rhs_norm": res["rhs_norm"], "grid": res["grid"],
               "minimizer_norm": float(np.linalg.norm(res["minimizer"]))}
@@ -433,14 +444,8 @@ def main(argv=None):
         # a configuration failure, not the numerical failure of its exit 2
         return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
-        cfg = load_config(args.config)
+        bundle, code = COMMANDS[args.command](load_config(args.config))
     except (OSError,) + CONFIG_ERRORS as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        bundle, code = COMMANDS[args.command](cfg)
-    except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERICAL_ERRORS as e:

@@ -339,7 +339,7 @@ class OrbitBatch:
         return DenseSolution(self, i, np.append(
             self.step_t[first:self.last_step[i] + 1], self.end_time[i]))
 
-    def sampled(self, i, t_eval=None):
+    def sampled(self, i, t_eval):
         """Orbit i's dense solution, with sample times and states (n, d):
         the ends of its steps, or the times of t_eval up to where it
         stopped."""
@@ -780,21 +780,21 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
     return float(orbit.exit_time)
 
 
-def nontrapping_scan(spec, grid_spec=(10, 10, 10), T_max=DEFAULT_HORIZON):
+def nontrapping_scan(spec, T_max):
     """List sampled interior states whose orbit fails to exit before T_max.
 
-    Every state is integrated forward and backward, all in one batch; a
-    trapped state is listed once, with its first trapped direction
-    (forward before backward).  Raises StepFailure naming the first state
-    whose integration failed.
+    The states are the 3 x 4 x 4 nodes of a grid in (r, polar angle,
+    theta), r in [0.05, 0.95].  Every state is integrated forward and
+    backward, all in one batch; a trapped state is listed once, with its
+    first trapped direction (forward before backward).  Raises StepFailure
+    naming the first state whose integration failed.
     """
     if not spec.model.domain.has_boundary:
         raise DomainError("nontrapping_scan needs a bounded (disk) domain")
-    nr, na, nt = grid_spec
     r, a, th = (v.ravel() for v in np.meshgrid(
-        np.linspace(0.05, 0.95, nr),
-        np.linspace(0.0, 2 * np.pi, na, endpoint=False),
-        np.linspace(0.0, 2 * np.pi, nt, endpoint=False), indexing="ij"))
+        np.linspace(0.05, 0.95, 3),
+        np.linspace(0.0, 2 * np.pi, 4, endpoint=False),
+        np.linspace(0.0, 2 * np.pi, 4, endpoint=False), indexing="ij"))
     states = np.column_stack([r * np.cos(a), r * np.sin(a), th])
     n = len(states)
     orbits = integrate_to_boundary(spec, np.vstack([states, states]),

@@ -157,8 +157,9 @@ def disk_quadrature(model, n=(16, 24, 24)):
                           boundary_weights=wb)
 
 
-def quadrature_for(model, n=None):
-    """Default grid for the model's domain kind."""
+def quadrature_for(model, n):
+    """The quadrature grid of sizes n on the model's domain; n = None
+    gives 32 on the torus and (16, 24, 24) on the disk."""
     if model.domain.kind == "torus":
         return torus_quadrature(model, 32 if n is None else n)
     if model.domain.kind == "disk":
@@ -481,15 +482,17 @@ def transport_expansion_residual(model, lam, psi, states):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_second_identity(model, lam, psi, grid, rng=None):
+def check_second_identity(model, lam, psi, grid):
     """The transport energy identity on the disk:
 
         int (F psi)^2 - int bigK psi^2 = int [F(psi) - r psi + psi V(lam)]^2
 
     for psi vanishing on the bundle boundary, with r the fan Riccati
     solution, which each grid node launches from its own exterior fan
-    (expensive).  The term breakdown includes the orbitwise expansion-step
-    residual at 5 random interior states.
+    (expensive).  Its five fields are read through `fields.sample_finite`
+    before any fan is integrated.  The term breakdown includes the
+    orbitwise expansion-step residual at 5 interior states drawn by
+    np.random.default_rng(0).
     """
     if grid.kind != "disk":
         raise DomainError("second identity needs a disk grid")
@@ -497,12 +500,12 @@ def check_second_identity(model, lam, psi, grid, rng=None):
     dc = spec.coefficients().curvatures
     psi_f = _as_field(psi)
     Fpsi = dc.F.apply(psi_f)
+    psi_v, Fpsi_v, Vlam_v, Fpsi_sq_v, bigK_psi_sq_v = sample_finite(
+        {"psi": psi_f, "F(psi)": Fpsi, "V(lam)": dc.Vlam,
+         "F(psi)^2": Fpsi * Fpsi, "bigK psi^2": dc.bigK * (psi_f * psi_f)},
+        grid.x, grid.y, grid.theta, grid.shape)
     r_vals = exterior_fan_r(spec, np.column_stack([grid.x, grid.y,
                                                    grid.theta]))
-
-    psi_v, Fpsi_v, Vlam_v, Fpsi_sq_v, bigK_psi_sq_v = compile_fields(
-        (psi_f, Fpsi, dc.Vlam, Fpsi * Fpsi, dc.bigK * (psi_f * psi_f)))(
-            grid.x, grid.y, grid.theta)
     rhs_integrand = (Fpsi_v - r_vals * psi_v + psi_v * Vlam_v) ** 2
     rhs = float(np.dot(grid.weights, rhs_integrand))
     integrals = {"Fpsi_sq": float(np.dot(grid.weights, Fpsi_sq_v)),
@@ -510,7 +513,7 @@ def check_second_identity(model, lam, psi, grid, rng=None):
     lhs = integrals["Fpsi_sq"] - integrals["bigK_psi_sq"]
 
     diagnostics = {"rhs_nonnegative": bool(rhs >= 0.0)}
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     states = []
     while len(states) < 5:
         x, y = rng.uniform(-0.6, 0.6, size=2)

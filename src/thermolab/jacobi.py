@@ -372,19 +372,19 @@ def riccati_bound_constants(spec):
     return {"B": B, "C": C, "A": max(B, C)}
 
 
-def _comparison_w_plus(t, A, D=0.0):
+def _comparison_w_plus(t, A, D):
     """Closed-form solution of w' - A w + w^2 - A^2 = 0 (upper comparison)."""
     e = np.exp(-A * np.sqrt(5.0) * t + D)
     return A / (1.0 - e) + (A * (np.sqrt(5.0) - 1.0) / 2.0) * (1.0 + e) / (1.0 - e)
 
 
-def _comparison_w_minus(t, A, E=0.0):
+def _comparison_w_minus(t, A, E):
     """Closed-form solution of w' + A w + w^2 - A^2 = 0 (lower comparison)."""
     p = np.exp(A * np.sqrt(5.0) * t + E)
     return -A * p / (p - 1.0) + (A * (1.0 + np.sqrt(5.0)) / 2.0) * (p + 1.0) / (p - 1.0)
 
 
-def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
+def comparison_ode_residuals(A, D=0.0, E=0.0):
     """Residuals of the comparison closed forms in their ODEs, at 11 times
     in [0.5, 3].
 
@@ -402,25 +402,25 @@ def comparison_ode_residuals(A=1.0, D=0.0, E=0.0):
     return {"w_plus": float(res_p), "w_minus": float(res_m)}
 
 
-def exterior_fan_r(spec, states, margin=0.1):
+def exterior_fan_r(spec, states):
     """Fan-variant r (= z/y) at disk states from an exterior starting point.
 
     states is an (N, 3) array-like of (x, y, theta): an array, or a list
-    of `SMPoint`s.  For each state the backward orbit is continued
-    `margin` beyond the boundary; the Jacobi solution launched there from
-    the vertical direction defines r along the fan of orbits through that
-    point.  All states are integrated together, in three passes: backward
-    to the boundary, from the state to `margin` beyond it, and the Jacobi
-    solution from there forward to the state.  Raises RiccatiUnavailable
-    when a backward orbit is trapped or y vanishes before reaching the
-    state.
+    of `SMPoint`s.  For each state the backward orbit is continued a
+    margin of 0.1 beyond the boundary; the Jacobi solution launched there
+    from the vertical direction defines r along the fan of orbits through
+    that point.  All states are integrated together, in three passes:
+    backward to the boundary, from the state to the margin beyond it, and
+    the Jacobi solution from there forward to the state.  Raises
+    RiccatiUnavailable when a backward orbit is trapped or y vanishes
+    before reaching the state.
     """
     starts = np.asarray(states, dtype=float).reshape(-1, 3)
     back = integrate_to_boundary(spec, starts, direction=-1)
     back.require_steps()
     if np.any(back.outcome != EXITED):
         raise RiccatiUnavailable("backward orbit trapped")
-    t0 = back.end_time - margin
+    t0 = back.end_time - 0.1
     ext = integrate(spec, starts, 0.0, t0)
     ext.require_steps()
     launch = np.column_stack([ext.end_state,

@@ -34,7 +34,7 @@ from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
 from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, integrate_orbit, \
     integrate_to_boundary
-from .geometry import velocity_pairing
+from .geometry import DISK, velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,8 +108,7 @@ class PairField:
 def _clamped(field):
     """The field's evaluator, extended by zero outside the closed disk."""
     def values(x, y, theta):
-        return np.where(x * x + y * y <= 1.0 + 1e-12,
-                        field.eval(x, y, theta), 0.0)
+        return np.where(DISK.contains(x, y), field.eval(x, y, theta), 0.0)
     return values
 
 
@@ -259,21 +258,18 @@ def transform_pair(spec, pair, entry: SMPoint):
     return record
 
 
-def ray_fan(n_boundary=20, n_angles=20, margin_deg=5.0):
+def ray_fan(n_boundary=20, n_angles=20):
     """Entry states: uniform boundary points x uniform inward angles.
 
-    The inward angle beta is measured from the inward normal and kept
-    away from tangency by the margin, since near-tangential rays carry
-    little information and degrade conditioning.
+    The inward angle beta is measured from the inward normal and kept 5
+    degrees away from tangency, since near-tangential rays carry little
+    information and degrade conditioning.
     """
-    margin = np.deg2rad(margin_deg)
+    margin = np.deg2rad(5.0)
     ss = np.linspace(0.0, TWO_PI, n_boundary, endpoint=False)
     betas = np.linspace(-0.5 * np.pi + margin, 0.5 * np.pi - margin, n_angles)
-    fan = []
-    for s in ss:
-        for b in betas:
-            fan.append(SMPoint(np.cos(s), np.sin(s), s + np.pi + b))
-    return fan
+    return [SMPoint(np.cos(s), np.sin(s), s + np.pi + b)
+            for s in ss for b in betas]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,7 @@ def chi_field(spec, q, state: SMPoint, tail=0.0):
     the value independent of the choice.
     """
     q = _as_field(q)
-    if state.x ** 2 + state.y ** 2 > 1.0 + 1e-12:
+    if not DISK.contains(state.x, state.y):
         return 0.0
     back = integrate_orbit(spec, state, (0.0, -DEFAULT_HORIZON),
                            stop_at_boundary=True)
@@ -546,26 +542,22 @@ class GaugeBump:
         return gx, gy
 
 
-def gauge_bumps(spacing=0.25):
-    """Bump functions whose supports lie inside the disk of radius 0.98."""
-    h = spacing
-    k_max = int(np.floor(1.0 / spacing))
-    centers = spacing * np.arange(-k_max, k_max + 1)
-    bumps = []
-    for cx in centers:
-        for cy in centers:
-            if np.hypot(abs(cx) + 2 * h, abs(cy) + 2 * h) <= 0.98:
-                bumps.append(GaugeBump(cx, cy, h))
-    return bumps
+def gauge_bumps():
+    """The bump functions of spacing and half-width h = 0.25 whose supports
+    lie inside the disk of radius 0.98: five, centered at (0, 0), (+-h, 0)
+    and (0, +-h)."""
+    h = 0.25
+    centers = h * np.arange(-4, 5)
+    return [GaugeBump(cx, cy, h) for cx in centers for cy in centers
+            if np.hypot(abs(cx) + 2 * h, abs(cy) + 2 * h) <= 0.98]
 
 
-def gauge_basis(node_grid, spacing=0.25):
-    """Discretized gauge pairs (0, d psi) for a basis of interior bumps.
+def gauge_basis(node_grid):
+    """Discretized gauge pairs (0, d psi) for the five interior bumps of
+    `gauge_bumps`, at spacing 0.25.
 
     Returns (matrix with one column per bump, list of bumps)."""
-    bumps = gauge_bumps(spacing)
-    if not bumps:
-        raise ValueError("no gauge bumps fit inside the disk at this spacing")
+    bumps = gauge_bumps()
     xs, ys = node_grid.node_xy()
     n = node_grid.n_nodes
     cols = np.zeros((3 * n, len(bumps)))
@@ -673,13 +665,12 @@ class PairEstimate:
         return dwy_dx - dwx_dy
 
 
-def reconstruct_pair(op, values, rank=None):
+def reconstruct_pair(op, values, rank):
     """Minimum-norm least squares through the truncated SVD.
 
-    The truncation rank defaults to the largest-gap index, discarding
-    the gauge directions; IllConditioned when the gap is insufficient
-    and no explicit rank is supplied.  ValueError for a rank outside
-    [1, number of singular values]."""
+    A rank of None truncates at the largest-gap index, discarding the
+    gauge directions; IllConditioned when the gap is insufficient.
+    ValueError for a rank outside [1, number of singular values]."""
     U, sigma, Vt = op.thin_svd
     if rank is None:
         rank = _largest_gap(sigma)[0] + 1

@@ -175,7 +175,7 @@ def test_criterion_7_xray_gauge_and_kernel():
                           abs(rec.length - 2 * np.sqrt(max(1 - d * d, 0.0))))
 
     node_grid = PolarNodeGrid(12, 12)
-    G, _ = gauge_basis(node_grid, spacing=0.25)
+    G, _ = gauge_basis(node_grid)
     svd_ok = True
     svd_detail = []
     for lam_val in (0.0, 0.3):

@@ -409,6 +409,33 @@ SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
                 "n_angles": 4}
 
 
+# values of the wrong kind that a command once coerced or let through, each
+# with the key its config error names: a quoted "false" ran the trap scan,
+# a horizon <= 0 traced rays of length 0 or less, 2.7 boundary points ran
+# 2, T true integrated to 1.0, "5" read as 5, 3.9 samples gave 3, K true
+# ran the unit sphere, and no boundary point gave an empty fan (exit 0 from
+# xray, "all rays trapped" from invert)
+SMALL_FAN = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+             "phi_field": "1", "n_boundary": 3, "n_angles": 3,
+             "horizon": 0.001}
+MISREAD_VALUES = [
+    ("xray", dict(SMALL_FAN, trap_scan="false"), "trap_scan"),
+    ("xray", dict(SMALL_FAN, horizon=-1), "horizon"),
+    ("xray", dict(SMALL_FAN, horizon=0), "horizon"),
+    ("xray", dict(SMALL_FAN, n_boundary=2.7), "n_boundary"),
+    ("xray", dict(SMALL_FAN, n_boundary=0), "n_boundary"),
+    ("invert", dict(SMALL_INVERT, n_boundary=0), "n_boundary"),
+    ("flow", flat_torus_cfg(T=True), "T"),
+    ("flow", flat_torus_cfg(T="5"), "T"),
+    ("flow", flat_torus_cfg(n_samples=3.9), "n_samples"),
+    ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "K": True}},
+     "K"),
+]
+MISREAD_IDS = ["trap_scan-string", "horizon-1", "horizon0", "n_boundary2.7",
+               "xray-n_boundary0", "invert-n_boundary0", "T-true",
+               "T-string", "n_samples3.9", "K-true"]
+
+
 @pytest.mark.parametrize("command, config", [
     ("invert", dict(SMALL_INVERT, nodes=[1, 12])),
     ("cohomology", flat_torus_cfg(h="sin(2*pi*x)", n=0)),
@@ -423,9 +450,10 @@ SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
     ("pestov", flat_torus_cfg(seed=-1)),
     ("pestov", flat_torus_cfg(n_points=True)),
     ("pestov", flat_torus_cfg(seed=2.5)),
-], ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
-        "rank100000", "n_points0", "n_points3.7", "seed-1", "n_points-true",
-        "seed2.5"])
+] + [(command, config) for command, config, _ in MISREAD_VALUES],
+    ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
+         "rank100000", "n_points0", "n_points3.7", "seed-1", "n_points-true",
+         "seed2.5"] + MISREAD_IDS)
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
                                            config):
     # the 16 rays of SMALL_INVERT give 16 singular values
@@ -436,6 +464,31 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
     for key in ("n_points", "seed"):
         if key in config:
             assert f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("command, config, key", MISREAD_VALUES,
+                         ids=MISREAD_IDS)
+def test_misread_values_name_their_key(tmp_path, capsys, command, config,
+                                       key):
+    # the command refuses the value before it builds the model or traces a
+    # ray, and prints no report
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key} must be ")
+
+
+def test_numbers_are_expressions(tmp_path, capsys):
+    # "lambda": 0.2 reads as the expression "0.2"
+    reports = []
+    for lam in (0.2, "0.2"):
+        cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
+            **{"lambda": lam, "T": 1.0, "n_samples": 5}))
+        assert main(["flow", "--config", cfg]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["unit_speed_defect"] < 1e-8
 
 
 @pytest.mark.parametrize("command, text", [

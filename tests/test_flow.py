@@ -81,7 +81,7 @@ def test_strong_thermostat_traps():
 
 def test_nontrapping_scan():
     spec = geodesic_spec(euclidean_disk())
-    scan = nontrapping_scan(spec, grid_spec=(3, 4, 4), T_max=10.0)
+    scan = nontrapping_scan(spec, T_max=10.0)
     assert scan["nontrapping_at_resolution"]
     assert scan["n_sampled"] == 3 * 4 * 4
 

@@ -189,7 +189,7 @@ def test_exterior_fan_r_flat():
     # flat fan solution launched a distance d behind the state: r = 1/d
     spec = geodesic_spec(euclidean_disk())
     p = SMPoint(0.2, 0.0, 0.0)
-    r = exterior_fan_r(spec, [p], margin=0.1)[0]
+    r = exterior_fan_r(spec, [p])[0]
     d = 0.2 - (-1.0) + 0.1  # backward distance to boundary plus margin
     assert r == pytest.approx(1.0 / d, abs=1e-8)
 

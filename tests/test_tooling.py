@@ -8,7 +8,10 @@ README names the `lab` subcommands and the probes that only the library
 reaches; a subcommand or probe added or deleted without README would
 otherwise go unnoticed.  No module of the package imports scipy, not even
 inside a function: `lab` runs on numpy alone, and a scipy import would put
-scipy's import time and memory on every run that reaches it.
+scipy's import time and memory on every run that reaches it.  Every default
+of a public function is both left and varied by some call: an option that
+every caller sets alike is a constant, and a default that no call leaves
+is a required argument.
 """
 
 import ast
@@ -140,6 +143,61 @@ def unreached_functions():
         unreached -= reached
     return sorted(f"{defined[name]}.{name}" for name in unreached
                   if not name.startswith("_"))
+
+
+def unvaried_defaults():
+    """The defaulted parameters of the package's public module-level
+    functions that the calls in `src/` and `tests/` do not vary, by an AST
+    scan.  A call is a call of the function's name, bare or as an
+    attribute; each call gives each defaulted parameter the source text of
+    its argument, or the default's own text when it leaves the parameter,
+    as every call with *args or **kwargs counts as doing.  A parameter is
+    flagged unless its texts include the default's and at least one
+    other: a default that no call leaves is a required argument, and one
+    that every call leaves alike is a constant."""
+    defaults = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    node.name.startswith("_"):
+                continue
+            a = node.args
+            positional = [arg.arg for arg in a.posonlyargs + a.args]
+            named = dict(zip(positional[len(positional) - len(a.defaults):],
+                             map(ast.unparse, a.defaults)))
+            named.update((arg.arg, ast.unparse(d))
+                         for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None)
+            if named:
+                defaults[node.name] = (f"{path.stem}.{node.name}",
+                                       positional, named)
+    texts = {(name, p): set() for name, (_, _, named) in defaults.items()
+             for p in named}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(
+            (ROOT / "tests").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name not in defaults:
+                continue
+            _, positional, named = defaults[name]
+            given = {} if any(
+                isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords) else {
+                **dict(zip(positional, map(ast.unparse, call.args))),
+                **{kw.arg: ast.unparse(kw.value) for kw in call.keywords}}
+            for p, default in named.items():
+                texts[name, p].add(given.get(p, default))
+    return sorted(f"{defaults[name][0]}({p})" for (name, p), seen
+                  in texts.items()
+                  if not (defaults[name][2][p] in seen and len(seen) > 1))
+
+
+def test_every_default_is_varied():
+    assert unvaried_defaults() == []
 
 
 def test_package_imports_no_scipy():

@@ -221,7 +221,7 @@ def test_polar_grid_interpolates_smooth_field():
 
 
 def test_ray_fan_size_and_margin():
-    fan = ray_fan(10, 8, margin_deg=5.0)
+    fan = ray_fan(10, 8)
     assert len(fan) == 80
     for p in fan:
         assert np.hypot(p.x, p.y) == pytest.approx(1.0)
@@ -347,9 +347,9 @@ def test_assembly_propagates_other_errors(monkeypatch):
 
 def test_gauge_basis_shape():
     grid = PolarNodeGrid(12, 12)
-    G, bumps = gauge_basis(grid, spacing=0.25)
+    G, bumps = gauge_basis(grid)
     assert G.shape == (3 * grid.n_nodes, len(bumps))
-    assert len(bumps) == len(gauge_bumps(0.25))
+    assert len(bumps) == len(gauge_bumps())
     # gauge vectors have no function component
     assert np.max(np.abs(G[:grid.n_nodes])) == 0.0
 
