@@ -145,8 +145,11 @@ def load_config(path):
                         parse_int=_float_sized_int)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"config schema must be {SCHEMA_VERSION}")
+    schema = cfg.get("schema")
+    # JSON true and 1.0 equal 1 in Python, but are not the integer 1
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(f"config schema must be the integer "
+                         f"{SCHEMA_VERSION}, got {schema!r}")
     return cfg
 
 

@@ -40,9 +40,11 @@ A run returns an `OrbitBatch`: each orbit's outcome, end, exit state
 (stored once) and accepted steps, and the run's counters.
 `OrbitBatch.state` is the one lookup of the step that covers a time; the
 `DenseSolution` of one orbit is a view of its run (`sol.run`) that reads
-its states through it.  A run whose step size falls below the float
-spacing of t raises StepFailure through `OrbitBatch.require_steps`, named
-by the stage and the orbit's start state or index.
+its states through it, while the ray transforms take their quadrature
+nodes on the steps themselves (`xray._step_integrals`).  A run whose step
+size falls below the float spacing of t raises StepFailure through
+`OrbitBatch.require_steps`, named by the stage and the orbit's start
+state or index.
 
 `integrate_orbit` follows one orbit and returns it as an `Orbit` with a
 dense solution.  `integrate_to_boundary` follows a batch of disk orbits
@@ -478,11 +480,18 @@ def _extension_coefficients(K):
     return K.T @ DP_P
 
 
+def _powers(s):
+    """(s, s^2, s^3, s^4) on a new last axis, each power the one before
+    times s: the bits of a cumprod, which multiplies left to right."""
+    s2 = s * s
+    s3 = s2 * s
+    return np.stack((s, s2, s3, s3 * s), axis=-1)
+
+
 def _extension(t_old, h, y_old, q, t):
     """States (n, d) at times t on steps' continuous extensions."""
     s = (t - t_old) / np.where(h == 0, 1.0, h)   # a step of size 0: y_old
-    p = np.cumprod(np.repeat(s[:, None], 4, axis=1), axis=1)
-    return h[:, None] * np.einsum("nck,nk->nc", q, p) + y_old
+    return h[:, None] * np.einsum("nck,nk->nc", q, _powers(s)) + y_old
 
 
 def _event_times(event, t_old, h, y_old, q, g_old, g_new):

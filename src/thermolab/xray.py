@@ -10,15 +10,22 @@ and inversion experiments: the numerical near-kernel is compared against
 the gauge space of pairs (0, d psi) with psi vanishing on the boundary.
 
 Rays are computed as fans.  `transform_fan` integrates all its rays in
-one batch (`flow.integrate_to_boundary`) and doubles the quadrature
-panels of all unconverged rays together; `transform_pair` is the fan of
-one ray.  `assemble_discrete_operator` integrates its rays the same way,
-and keeps the orbits, so that `DiscreteXRayOperator.transform` gives the
-transform of a pair along the same rays without integrating them again.
-The integrand phi + w(gamma') is one compiled field (`PairField.integrand`),
-built and compiled once per pair and model and kept on the pair
-(`PairField.clamped_integrand`); quadrature nodes are processed in blocks
-of at most `CHUNK_POINTS`.
+one batch (`flow.integrate_to_boundary`) and then integrates the pair on
+the accepted steps of that batch (`_step_integrals`): the continuous
+extension of a step is one polynomial, so each quadrature node has its
+step by construction, with no search.  Every step takes the same
+Gauss-Legendre panels, the last one cut at the exit, and the panels of
+all unconverged rays are doubled together.  `transform_pair` is the fan
+of one ray, and `chi_field` integrates on the steps of its backward
+orbit the same way.  `assemble_discrete_operator` integrates its rays as
+`transform_fan` does and keeps the orbits, so that
+`DiscreteXRayOperator.transform` gives the transform of a pair along the
+same rays without integrating them again; the ray matrix itself is a
+composite rule on [0, length] (`_panel_rules`), read through
+`OrbitBatch.state`.  The integrand phi + w(gamma') is one compiled field
+(`PairField.integrand`), built and compiled once per pair and model and
+kept on the pair (`PairField.clamped_integrand`); quadrature nodes are
+processed in blocks of at most `CHUNK_POINTS`.
 """
 
 from __future__ import annotations
@@ -32,15 +39,15 @@ import numpy as np
 from .errors import DomainError, IllConditioned, TrappedOrbit
 from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
-from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, integrate_orbit, \
+from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, _powers, integrate, \
     integrate_to_boundary
 from .geometry import DISK, velocity_pairing
 
 TWO_PI = 2.0 * np.pi
 
-# 8-point Gauss-Legendre panel rule used by all ray quadratures: the bits
-# of np.polynomial.legendre.leggauss(8), written out so that a ray
-# transform does not import numpy.polynomial
+# the 8-point Gauss-Legendre panel rule of the ray matrix: the bits of
+# np.polynomial.legendre.leggauss(8), written out, as the 4-point rule
+# below, so that a ray transform does not import numpy.polynomial
 _GL_NODES = np.array([
     -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
@@ -49,6 +56,17 @@ _GL_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
     0.22238103445337443, 0.10122853629037706])
+# the 4-point Gauss-Legendre rule of the step quadrature of the
+# transforms: the bits of np.polynomial.legendre.leggauss(4), and its nodes
+# and weights on [0, 1]
+_GL4_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                       0.33998104358485626, 0.8611363115940526])
+_GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                         0.6521451548625464, 0.34785484513745357])
+_STEP_NODES = 0.5 * (_GL4_NODES + 1.0)
+_STEP_WEIGHTS = 0.5 * _GL4_WEIGHTS
+# the most panels an orbit of the step quadrature takes
+MAX_PANELS = 4096
 # the spacing of the quadrature nodes along the rays of a ray matrix
 QUAD_SPACING = 0.02
 # the least ratio of neighbouring singular values that separates the
@@ -168,41 +186,85 @@ def _blocks(counts):
         lo = hi
 
 
-def _integrals(states_at, values_at, lo, hi):
-    """Composite Gauss-Legendre integrals of a state function over the
-    intervals [lo_i, hi_i] of orbits, the panels of every interval doubled
-    together until its change is below 1e-10 (or it has 4096 panels).
+def _step_integrals(orbits, index, values_at, name, labels=None):
+    """Integrals of values_at(x, y, theta) along the orbits `index` of an
+    OrbitBatch, each over its accepted steps from its start to its end
+    time: the last step is cut there (for an exit, at the refined zero of
+    the event).
 
-    states_at(i, t) gives the states (n, 3) of the orbits of intervals i
-    at the times t; values_at(x, y, theta) the integrand.
+    On the part [0, c] of a step that an orbit covers, its state is the
+    step's continuous extension y_old + h Q p(s) (`flow._extension`) at
+    s = c u, that is y_old + h Q diag(c, c^2, c^3, c^4) p(u), u in [0, 1].
+    Each step is split into 2^r equal panels of the 4-point Gauss-Legendre
+    rule in u, r = 0 first, so every step has the same nodes, and the
+    states of a block of at most CHUNK_POINTS nodes are one matrix product.
+    The panels of every orbit are doubled together until its integral
+    changes by less than 1e-10 or it has MAX_PANELS panels.  Raises
+    DomainError at the first node where values_at is not finite, naming
+    the field `name`, the node's (x, y, theta) and, when labels are given,
+    the orbit's label.
     """
-    hi = np.asarray(hi, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), hi.shape)
-    n = np.maximum(4, np.ceil(np.abs(hi - lo) / 0.25).astype(int))
-    totals = np.full(hi.size, np.nan)
-    todo = np.arange(hi.size)
+    index = np.asarray(index, dtype=int)
+    last = orbits.last_step[index]
+    first = np.where(index > 0, orbits.last_step[index - 1] + 1, 0)
+    n_steps = last - first + 1
+    owner = np.repeat(np.arange(index.size), n_steps)
+    k = np.arange(owner.size) + np.repeat(
+        first - (np.cumsum(n_steps) - n_steps), n_steps)
+    h = orbits.step_h[k]
+    cut = np.where(k == last[owner], (orbits.end_time[index][owner]
+                                      - orbits.step_t[k])
+                   / np.where(h == 0, 1.0, h), 1.0)
+    span = np.abs(h) * cut
+    scale = h[:, None] * _powers(cut)         # h diag(c, c^2, c^3, c^4)
+    totals = np.full(index.size, np.nan)
+    todo = np.arange(index.size)
+    panels = 1
     while todo.size:
+        # the composite rule on [0, 1] and the powers of its nodes
+        u = ((np.arange(panels)[:, None] + _STEP_NODES) / panels).ravel()
+        powers = _powers(u).T
+        weights = np.tile(_STEP_WEIGHTS / panels, panels)
+        live = np.flatnonzero(np.isin(owner, todo))
+        counts = n_steps[todo]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
         total = np.empty(todo.size)
-        for block in _blocks(n[todo] * _GL_NODES.size):
-            part = todo[block]
-            ts, ws, which = _panel_rules(lo[part], hi[part], n[part])
-            s = states_at(part[which], ts)
+        for block in _blocks(counts * u.size):
+            p = live[offsets[block.start]:offsets[block.stop]]
+            q = orbits.step_q[k[p]] * scale[p, None, :]
+            states = (q.reshape(-1, 4) @ powers).reshape(q.shape[:2] + u.shape)
+            states += orbits.step_y[k[p], :, None]
+            x, y, theta = states[:, 0], states[:, 1], states[:, 2]
+            with np.errstate(invalid="ignore", divide="ignore",
+                             over="ignore"):
+                values = values_at(x, y, theta)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                where = "" if labels is None else \
+                    f" on ray {labels[owner[p[i]]]}"
+                raise DomainError(
+                    f"{name} is {values[i, j]} at (x, y, theta) = "
+                    f"({x[i, j]:.17g}, {y[i, j]:.17g}, {theta[i, j]:.17g})"
+                    + where)
             total[block] = np.bincount(
-                which, weights=ws * values_at(s[:, 0], s[:, 1], s[:, 2]),
-                minlength=part.size)
-        settled = (np.abs(total - totals[todo]) < 1e-10) | (n[todo] >= 4096)
+                np.repeat(np.arange(block.stop - block.start),
+                          counts[block]),
+                weights=span[p] * (values @ weights))
+        settled = (np.abs(total - totals[todo]) < 1e-10) | \
+            (counts * panels >= MAX_PANELS)
         totals[todo] = total
-        n[todo] *= 2
         todo = todo[~settled]
+        panels *= 2
     return totals
 
 
-def _ray_values(orbits, pair, index):
+def _ray_values(orbits, pair, index, labels):
     """Transform values of the pair along the exited orbits `index` of an
-    OrbitBatch, each over [0, its exit time]."""
+    OrbitBatch, each over [0, its exit time]; labels name their rays."""
     integrand = pair.clamped_integrand(orbits.spec.model)
-    return _integrals(lambda i, t: orbits.state(index[i], t), integrand,
-                      0.0, orbits.end_time[index])
+    return _step_integrals(orbits, index, integrand,
+                           "integrand phi + w(gamma')", labels)
 
 
 def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
@@ -211,11 +273,12 @@ def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
     An entry may sit on the boundary pointing inward or in the interior;
     integration always runs boundary to boundary.  All rays are integrated
     together (`flow.integrate_to_boundary`): interior entries backward to
-    the boundary first, then every ray forward to its exit; the quadrature
-    panels of all unconverged rays are then doubled together.  Returns one
-    RayRecord per entry, None for a ray trapped past the horizon in either
-    direction; raises StepFailure naming the first ray whose integration
-    failed.
+    the boundary first, then every ray forward to its exit.  The pair is
+    integrated on the accepted steps of the rays (`_step_integrals`).
+    Returns one RayRecord per entry, None for a ray trapped past the
+    horizon in either direction; raises StepFailure naming the first ray
+    whose integration failed, and DomainError naming the first quadrature
+    node where the pair's integrand is not finite.
     """
     model = spec.model
     if not model.domain.has_boundary:
@@ -237,7 +300,7 @@ def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
     orbits = integrate_to_boundary(spec, starts[rays], horizon=horizon)
     orbits.require_steps("ray", rays)
     exited = np.flatnonzero(orbits.outcome == EXITED)
-    values = _ray_values(orbits, pair, exited)
+    values = _ray_values(orbits, pair, exited, rays[exited])
     for i, value in zip(exited, values):
         records[rays[i]] = RayRecord(
             entry=SMPoint(*starts[rays[i]]),
@@ -282,27 +345,26 @@ def chi_field(spec, q, state: SMPoint, tail=0.0):
 
     q is a bundle scalar, extended by zero outside the disk; chi
     vanishes identically outside and F(chi) = q inside.  `tail` extends
-    the integration start beyond the exit; the clamped integrand makes
-    the value independent of the choice.
+    the integration start beyond the exit, along the orbit of the exit
+    state; the clamped integrand makes the value independent of the
+    choice.
     """
     q = _as_field(q)
     if not DISK.contains(state.x, state.y):
         return 0.0
-    back = integrate_orbit(spec, state, (0.0, -DEFAULT_HORIZON),
-                           stop_at_boundary=True)
-    if back.exit_time is None:
+    back = integrate_to_boundary(spec, [state], direction=-1)
+    back.require_steps("orbit", [list(state)])
+    if back.outcome[0] != EXITED:
         raise TrappedOrbit("backward orbit trapped", horizon=DEFAULT_HORIZON)
-    t_cross = float(back.exit_time)
-    t_start = t_cross - tail
-    orbit, lo, hi = back, [t_cross], [0.0]
+    runs = [back]
     if tail > 0.0:
-        # split at the boundary crossing: the clamped integrand is only
-        # piecewise smooth there
-        orbit = integrate_orbit(spec, state, (0.0, t_start),
-                                stop_at_boundary=False)
-        lo, hi = [t_start, t_cross], [t_cross, 0.0]
-    return float(np.sum(_integrals(lambda i, t: orbit.sol(t).T, _clamped(q),
-                                   lo, hi)))
+        # the tail is an orbit of its own from the boundary crossing, where
+        # the clamped integrand is only piecewise smooth
+        runs.append(integrate(spec, back.exit_state, 0.0, -tail))
+        runs[-1].require_steps("orbit", [back.exit_state[0].tolist()])
+    values = _clamped(q)
+    return float(sum(_step_integrals(run, [0], values, "q")[0]
+                     for run in runs))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +507,11 @@ class DiscreteXRayOperator:
 
     def transform(self, pair):
         """Transform values of the pair along the rows' rays, with the
-        quadrature of `transform_fan`, on the orbits of the assembly."""
-        return _ray_values(self.orbits, pair, self.orbit_index)
+        quadrature of `transform_fan`, on the orbits of the assembly;
+        DomainError names the first node where the integrand is not
+        finite and its ray (its index in the assembled fan)."""
+        return _ray_values(self.orbits, pair, self.orbit_index,
+                           self.orbit_index)
 
 
 def assemble_discrete_operator(spec, node_grid, rays):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,23 @@ SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
                 "n_angles": 4}
 
 
+@pytest.mark.parametrize("command", ["xray", "invert"])
+def test_nonfinite_ray_integrand_is_config_error(tmp_path, capsys, command):
+    # log(x - 2) is NaN on the whole disk: the first quadrature node of the
+    # first ray names it, without a numpy warning, where every ray used to
+    # double its panels to the cap and report NaN
+    cfg = write_config(tmp_path, "c.json", dict(
+        SMALL_INVERT, phi_field="log(x - 2)"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"config error: integrand phi \+ w\(gamma'\) is nan at "
+        r"\(x, y, theta\) = \(\S+, \S+, \S+\) on ray 0\n", captured.err)
+
+
 # values of the wrong kind that a command once coerced or let through, each
 # with the key its config error names: a quoted "false" ran the trap scan,
 # a horizon <= 0 traced rays of length 0 or less, 2.7 boundary points ran
@@ -450,10 +468,12 @@ MISREAD_IDS = ["trap_scan-string", "horizon-1", "horizon0", "n_boundary2.7",
     ("pestov", flat_torus_cfg(seed=-1)),
     ("pestov", flat_torus_cfg(n_points=True)),
     ("pestov", flat_torus_cfg(seed=2.5)),
+    ("flow", flat_torus_cfg(schema=True)),
+    ("flow", flat_torus_cfg(schema=1.0)),
 ] + [(command, config) for command, config, _ in MISREAD_VALUES],
     ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
          "rank100000", "n_points0", "n_points3.7", "seed-1", "n_points-true",
-         "seed2.5"] + MISREAD_IDS)
+         "seed2.5", "schema-true", "schema1.0"] + MISREAD_IDS)
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
                                            config):
     # the 16 rays of SMALL_INVERT give 16 singular values
@@ -546,6 +566,20 @@ def test_cli_import_leaves_out_scipy_integrate():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_subcommand_modules():
+    # these modules serve some subcommands only, which import them on first
+    # use: `import thermolab.cli`, which every `lab` run pays, loads none
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    lazy = [f"thermolab.{m}" for m in ("anosov", "identities", "jacobi",
+                                       "xray")]
+    code = ("import json, sys, thermolab.cli; "
+            f"print(json.dumps([m for m in {lazy!r} if m in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 def modules_after(tmp_path, prefix, *runs):

@@ -486,3 +486,18 @@ def test_rhs_calls_count_every_call():
         assert run.rejected > 0
         assert run.accepted == run.solution(0).ts.size - 1
     assert run.event_t.size > 1
+
+
+def test_extension_powers_match_cumprod():
+    # s, s^2, s^3, s^4 as products left to right have the bits of the
+    # cumprod the continuous extension once took, on rows or on a grid
+    rng = np.random.default_rng(5)
+    s = np.concatenate([rng.uniform(-1.5, 1.5, 500), [0.0, -0.0, 1.0, 1e-80,
+                                                      np.nan, np.inf]])
+    want = np.cumprod(np.repeat(s[:, None], 4, axis=1), axis=1)
+    assert np.array_equal(thermolab.flow._powers(s).view(np.uint64),
+                          want.view(np.uint64))
+    grid = s[:-2].reshape(12, 42)
+    assert np.array_equal(thermolab.flow._powers(grid),
+                          np.cumprod(np.repeat(grid[..., None], 4, axis=2),
+                                     axis=2))

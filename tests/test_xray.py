@@ -6,12 +6,14 @@ import pytest
 import thermolab.xray
 from thermolab.errors import DomainError
 from thermolab.fields import SMPoint, SMScalarField
-from thermolab.flow import STEP_FAILED, ThermostatSpec, geodesic_spec
+from thermolab.flow import STEP_FAILED, OrbitBatch, ThermostatSpec, \
+    geodesic_spec, integrate_to_boundary
 from thermolab.geometry import build_surface_model, euclidean_disk
-from thermolab.xray import QUAD_SPACING, PairField, PolarNodeGrid, \
-    _panel_rules, _subspace_angles, assemble_discrete_operator, \
-    boundary_corrector, chi_field, corrected_pair, gauge_basis, gauge_bumps, \
-    ray_fan, reconstruct_pair, transform_fan, transform_pair
+from thermolab.xray import MAX_PANELS, QUAD_SPACING, PairField, \
+    PolarNodeGrid, _panel_rules, _step_integrals, _subspace_angles, \
+    assemble_discrete_operator, boundary_corrector, chi_field, \
+    corrected_pair, gauge_basis, gauge_bumps, ray_fan, reconstruct_pair, \
+    transform_fan, transform_pair
 
 
 def disk_spec():
@@ -28,6 +30,13 @@ def test_panel_rule_is_leggauss_8():
     for got, want in ((thermolab.xray._GL_NODES, nodes),
                       (thermolab.xray._GL_WEIGHTS, weights)):
         assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_step_rule_is_leggauss_4():
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    for got, want in ((thermolab.xray._GL4_NODES, nodes),
+                      (thermolab.xray._GL4_WEIGHTS, weights)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -75,6 +84,71 @@ def test_fan_chord_lengths():
         d = abs(np.sin(beta))
         assert rec.length == pytest.approx(2 * np.sqrt(1 - d * d), abs=1e-10)
         assert rec.value == pytest.approx(rec.length, abs=1e-10)
+
+
+def test_chord_integrals_closed_form():
+    # Euclidean disk, lam = 0: phi = 1 - x^2 - y^2 along the chord of
+    # length L at distance d = sqrt(1 - L^2/4) from the centre integrates to
+    # (1 - d^2) L - L^3/12 = L^3/6
+    fan = ray_fan(9, 11)
+    records = transform_fan(disk_spec(), PairField.from_expressions(
+        phi="1 - x^2 - y^2"), fan)
+    for rec in records:
+        assert abs(rec.value - rec.length ** 3 / 6) < 1e-12
+
+
+def test_exact_forms_closed_form():
+    # lam = 0.3 on the Euclidean disk: theta = theta_0 + 0.3 t on the
+    # computed orbits to rounding, so d psi for psi = x + 2y, whose pairing
+    # with gamma' = (cos theta, sin theta) depends on theta alone,
+    # integrates to psi(exit) - psi(entry) along the arc of the computed
+    # length; every ray's last step is cut at its exit
+    lam = 0.3
+    spec = ThermostatSpec(euclidean_disk(), SMScalarField.constant(lam))
+    fan = ray_fan(9, 11)
+    for rec in transform_fan(spec, PairField.gauge("x + 2*y"), fan):
+        th0 = rec.entry.theta
+        th1 = th0 + lam * rec.length
+        arc = (np.sin(th1) - np.sin(th0) - 2 * (np.cos(th1) - np.cos(th0))) \
+            / lam
+        assert abs(rec.value - arc) < 1e-12
+    # d(xy) pairs with the computed states: its identity holds to the
+    # orbits' own error at tolerance 1e-10 (1.1e-9 here), not to rounding
+    for rec in transform_fan(spec, PairField.gauge("x*y"), fan):
+        psi = rec.exit.x * rec.exit.y - rec.entry.x * rec.entry.y
+        assert abs(rec.value - psi) < 5e-9
+
+
+def test_step_quadrature_stops_at_the_panel_cap():
+    # an integrand that never settles: the ray doubles its panels until it
+    # has MAX_PANELS of them, and no further
+    orbits = integrate_to_boundary(disk_spec(), [entry_state(0.3, 0.2)])
+    panels = []
+
+    def noise(x, y, theta):
+        panels.append(x.shape[-1] // 4)      # per step, of 4 nodes each
+        return np.sin(1e6 * x)
+    _step_integrals(orbits, [0], noise, "noise")
+    steps = orbits.last_step[0] + 1
+    assert steps > 1 and panels == [2 ** r for r in range(len(panels))]
+    assert steps * panels[-1] >= MAX_PANELS > steps * panels[-2]
+
+
+def test_transforms_search_no_steps(monkeypatch):
+    # each quadrature node lies on a known step, so neither transform nor
+    # chi looks a node's step up through OrbitBatch.state
+    spec = disk_spec()
+    rays = ray_fan(4, 3)
+    op = assemble_discrete_operator(spec, PolarNodeGrid(5, 6), rays)
+
+    def no_lookup(self, orbits, t):
+        raise AssertionError("OrbitBatch.state called")
+    monkeypatch.setattr(OrbitBatch, "state", no_lookup)
+    pair = PairField.from_expressions(phi="1")
+    lengths = [rec.length for rec in transform_fan(spec, pair, rays)]
+    assert np.allclose(op.transform(pair), lengths, rtol=0, atol=1e-12)
+    assert chi_field(spec, "1", SMPoint(0.2, 0.0, 0.0), tail=0.5) == \
+        pytest.approx(1.2, abs=1e-10)
 
 
 def test_fan_matches_one_ray_transform():
