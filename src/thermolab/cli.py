@@ -23,7 +23,8 @@ from . import errors
 from .fields import SMPoint, SMScalarField
 from .geometry import build_surface_model, constant_curvature_model, \
     validate_structure_relations
-from .flow import ThermostatSpec, integrate_orbit, nontrapping_scan
+from .flow import ThermostatSpec, integrate_orbit, integrate_to_boundary, \
+    scan_orbits, scan_report
 
 SCHEMA_VERSION = 1
 
@@ -346,26 +347,28 @@ def cmd_identity(cfg):
 
 
 def cmd_xray(cfg):
-    from .xray import ray_fan, transform_fan
+    from .xray import fan_columns, ray_fan
     pair = pair_from(cfg)
-    rays = ray_fan(_count(cfg, "n_boundary", 20), _count(cfg, "n_angles", 20))
+    rays = np.array(ray_fan(_count(cfg, "n_boundary", 20),
+                            _count(cfg, "n_angles", 20)))
     horizon = _number(cfg, "horizon", 100.0, positive=True)
     trap_scan = _flag(cfg, "trap_scan", True)
     spec = spec_from(cfg)
-    scan = nontrapping_scan(spec, horizon) if trap_scan else {"trapped": []}
-    fan = transform_fan(spec, pair, rays, horizon=horizon)
-    records = [r for r in fan if r is not None]
-    n_trapped = len(fan) - len(records)
+    # one batch: the fan's rays forward, then the trap scan's orbits
+    scan, scan_direction = scan_orbits() if trap_scan else (
+        np.empty((0, 3)), np.empty(0))
+    orbits = integrate_to_boundary(
+        spec, np.vstack([rays, scan]),
+        np.concatenate([np.ones(len(rays)), scan_direction]), horizon)
+    # a scan state's failure is named before any ray's
+    trapped = scan_report(orbits, len(rays))["trapped"] if trap_scan else []
+    columns = fan_columns(orbits, pair, rays)
+    n_trapped = len(rays) - len(columns["value"])
     if n_trapped:
         warnings.warn(f"{n_trapped} rays trapped past horizon {horizon}; "
                       "emitting the partial fan")
-    bundle = {"experiment": "xray",
-              "entry_s": [r.entry_s for r in records],
-              "entry_angle": [r.entry_angle for r in records],
-              "length": [r.length for r in records],
-              "value": [r.value for r in records],
-              "n_trapped": n_trapped,
-              "warnings": n_trapped + len(scan["trapped"])}
+    bundle = {"experiment": "xray", **columns, "n_trapped": n_trapped,
+              "warnings": n_trapped + len(trapped)}
     return bundle, EXIT_OK
 
 

@@ -41,15 +41,19 @@ A run returns an `OrbitBatch`: each orbit's outcome, end, exit state
 `OrbitBatch.state` is the one lookup of the step that covers a time; the
 `DenseSolution` of one orbit is a view of its run (`sol.run`) that reads
 its states through it, while the ray transforms take their quadrature
-nodes on the steps themselves (`xray._step_integrals`).  A run whose step
-size falls below the float spacing of t raises StepFailure through
-`OrbitBatch.require_steps`, named by the stage and the orbit's start
-state or index.
+nodes on the steps themselves (`xray._step_integrals`).  An orbit fails
+when its step size falls below the float spacing of t, or when it accepts
+a step that stops short of its end time and is shorter than
+STALL_SPACINGS float spacings of that end time; a run with a failed orbit
+raises StepFailure through `OrbitBatch.require_steps`, named by the stage
+and the orbit's start state or index.
 
 `integrate_orbit` follows one orbit and returns it as an `Orbit` with a
 dense solution.  `integrate_to_boundary` follows a batch of disk orbits
 until each leaves the disk; the per-orbit loops of the ray transform and
-the trapping scan run on it.
+the trapping scan run on it.  The trapping scan is its orbits
+(`scan_orbits`) and a reader of their outcomes (`scan_report`), so that
+`lab xray` can integrate them in the batch of its fan.
 """
 
 from __future__ import annotations
@@ -105,11 +109,16 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 # event zeros are refined to EVENT_TOL * (1 + |t|), as by scipy's brentq
 EVENT_TOL = 4 * np.finfo(float).eps
+# an accepted step that stops short of its orbit's end time and is shorter
+# than STALL_SPACINGS float spacings of that end time makes no headway: the
+# orbit fails (a state pressed against the edge of a field's domain, where
+# every longer step is NaN, would take such steps without end)
+STALL_SPACINGS = 10
 
 # outcome of each orbit of a run
 EXITED = 0        # stopped by a terminal event (left the disk); zero refined
 TRAPPED = 1       # reached its end time (the horizon, still inside the disk)
-STEP_FAILED = 2   # step size fell below the float spacing of t
+STEP_FAILED = 2   # step size fell below the float spacing of t, or stalled
 
 
 @dataclass(frozen=True)
@@ -309,9 +318,12 @@ class OrbitBatch:
 
     def require_steps(self, name="state", index=None):
         """Raise StepFailure for the first orbit whose integration failed,
-        naming it "{name} {index[i]}" (index: a label per orbit, such as
-        its start state; the orbit numbers by default)."""
-        for i in np.flatnonzero(self.outcome == STEP_FAILED)[:1]:
+        naming it "{name} {index[i]}".  index labels the orbits checked,
+        the first len(index) of the batch, each by a label such as its
+        start state; by default every orbit is checked, by its number."""
+        checked = self.outcome if index is None else \
+            self.outcome[:len(index)]
+        for i in np.flatnonzero(checked == STEP_FAILED)[:1]:
             label = i if index is None else index[i]
             raise StepFailure(f"{name} {label}: {self.reason(i)}")
 
@@ -547,8 +559,11 @@ def integrate(spec, states, t_start, t_end, rhs=None, event=None,
     a single orbit, on one state, a list of d floats, after the initial
     step.  Each orbit takes the steps scipy's RK45 takes for it (same
     tableau, error norm, controller and initial step, up to rounding).  It
-    stops at its end time, at the zero of a terminal event, or when its
-    step size falls below the float spacing of t.  Returns an OrbitBatch;
+    stops at its end time, at the zero of a terminal event, or when it
+    fails: its step size falls below the float spacing of t, or it accepts
+    a step that stops short of its end time and is shorter than
+    STALL_SPACINGS float spacings of that end time (RK45 would go on with
+    such steps).  Returns an OrbitBatch;
     raises DomainError for a start or end time that is not finite.
     """
     rhs = spec.rhs() if rhs is None else rhs
@@ -623,6 +638,7 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
     d = direction
     g = event.g(y) if event is not None else None
     rejected = np.zeros(n, dtype=bool)    # the current step was rejected
+    stall = STALL_SPACINGS * np.abs(np.spacing(t_end))
     while ids.size:
         iterations += 1
         # as in RK45, a new step is at least min_step, and an orbit whose
@@ -635,9 +651,11 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
         y_new, K, e = _attempt(rhs, y, f, h, rtol, atol)
         error_norm = _rms(e)
         ok, factor = _step_factor(error_norm, rejected)
+        stalled = ok & (t_new != t_end) & (np.abs(h) < stall)
+        ok &= ~stalled
         h_abs = np.abs(h) * factor
         rejected = ~ok
-        failed = rejected & (h_abs < min_step)
+        failed = stalled | (rejected & (h_abs < min_step))
         outcome[ids[failed]] = STEP_FAILED
         end_time[ids[failed]] = t[failed]
         n_ok = int(np.count_nonzero(ok))
@@ -663,8 +681,8 @@ def _all_orbits(rhs, y, f, t, t_end, direction, h_abs, event, rtol, atol):
         if stop.any():
             end_state[ids[stop]] = y[:, stop].T
             keep = ~stop
-            ids, t, d, t_end, h_abs, rejected = (
-                v[keep] for v in (ids, t, d, t_end, h_abs, rejected))
+            ids, t, d, t_end, stall, h_abs, rejected = (
+                v[keep] for v in (ids, t, d, t_end, stall, h_abs, rejected))
             y, f = y[:, keep], f[:, keep]
             if event is not None:
                 g = g[keep]
@@ -692,6 +710,7 @@ def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
     # stage derivatives
     times, hs, ys, Ks, crossings = [t], [], [], [], []
     outcome, attempts, rejected = TRAPPED, 0, False
+    stall = STALL_SPACINGS * math.ulp(t_end)
     while True:
         attempts += 1
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
@@ -711,6 +730,9 @@ def _one_orbit(rhs, y, f, t, t_end, h_abs, event, rtol, atol):
                 outcome = STEP_FAILED
                 break
             continue
+        if t_new != t_end and abs(h) < stall:
+            outcome = STEP_FAILED
+            break
         times.append(t_new)
         hs.append(h)
         ys += y
@@ -747,7 +769,7 @@ def integrate_to_boundary(spec, states, direction=1, horizon=DEFAULT_HORIZON):
     all orbits or one per orbit.  Each orbit starts at t = 0 and stops at
     the first accepted step across which 1 - x^2 - y^2 goes from >= 0 to
     <= 0 (the boundary event of `integrate_orbit`), at the horizon, or when
-    its step size falls below the float spacing of t.  The tolerances are
+    its integration fails (see `integrate`).  The tolerances are
     DEFAULT_RTOL and DEFAULT_ATOL, as for `integrate_orbit`.  Returns an
     OrbitBatch.
     """
@@ -789,29 +811,30 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
     return float(orbit.exit_time)
 
 
-def nontrapping_scan(spec, T_max):
-    """List sampled interior states whose orbit fails to exit before T_max.
-
-    The states are the 3 x 4 x 4 nodes of a grid in (r, polar angle,
-    theta), r in [0.05, 0.95].  Every state is integrated forward and
-    backward, all in one batch; a trapped state is listed once, with its
-    first trapped direction (forward before backward).  Raises StepFailure
-    naming the first state whose integration failed.
-    """
-    if not spec.model.domain.has_boundary:
-        raise DomainError("nontrapping_scan needs a bounded (disk) domain")
+def scan_orbits():
+    """The orbits of the trapping scan: the 3 x 4 x 4 nodes of a grid in
+    (r, polar angle, theta), r in [0.05, 0.95], each forward and then each
+    backward.  Returns their (96, 3) start states and their directions."""
     r, a, th = (v.ravel() for v in np.meshgrid(
         np.linspace(0.05, 0.95, 3),
         np.linspace(0.0, 2 * np.pi, 4, endpoint=False),
         np.linspace(0.0, 2 * np.pi, 4, endpoint=False), indexing="ij"))
     states = np.column_stack([r * np.cos(a), r * np.sin(a), th])
-    n = len(states)
-    orbits = integrate_to_boundary(spec, np.vstack([states, states]),
-                                   direction=np.repeat([1.0, -1.0], n),
-                                   horizon=T_max)
+    return np.vstack([states, states]), np.repeat([1.0, -1.0], len(states))
+
+
+def scan_report(orbits, first):
+    """The report of `nontrapping_scan`, read off the orbits first, first +
+    1, ... of a batch that integrated `scan_orbits()` to the boundary in
+    that order.  A trapped state is listed once, with its first trapped
+    direction (forward before backward).  Raises StepFailure naming the
+    first state, and direction, whose integration failed, the states taken
+    in order and each forward first."""
+    states, _ = scan_orbits()
+    n = len(states) // 2
     trapped = []
-    for k, (x, y, theta) in enumerate(states):
-        for direction, i in ((1, k), (-1, n + k)):
+    for k, (x, y, theta) in enumerate(states[:n]):
+        for direction, i in ((1, first + k), (-1, first + n + k)):
             if orbits.outcome[i] == STEP_FAILED:
                 raise StepFailure(f"state ({x:.17g}, {y:.17g}, {theta:.17g}), "
                                   f"direction {direction}: "
@@ -823,3 +846,18 @@ def nontrapping_scan(spec, T_max):
                 break
     return {"n_sampled": n, "trapped": trapped,
             "nontrapping_at_resolution": not trapped}
+
+
+def nontrapping_scan(spec, T_max):
+    """List sampled interior states whose orbit fails to exit before T_max.
+
+    The states and directions are `scan_orbits()`, integrated in one batch
+    and read by `scan_report`; `lab xray` integrates them in the batch of
+    its fan and reads them the same way.  Raises StepFailure naming the
+    first state whose integration failed.
+    """
+    if not spec.model.domain.has_boundary:
+        raise DomainError("nontrapping_scan needs a bounded (disk) domain")
+    states, direction = scan_orbits()
+    return scan_report(integrate_to_boundary(spec, states, direction,
+                                             horizon=T_max), 0)

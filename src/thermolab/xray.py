@@ -17,12 +17,16 @@ step by construction, with no search.  Every step takes the same
 Gauss-Legendre panels, the last one cut at the exit, and the panels of
 all unconverged rays are doubled together.  `transform_pair` is the fan
 of one ray, and `chi_field` integrates on the steps of its backward
-orbit the same way.  `assemble_discrete_operator` integrates its rays as
+orbit the same way.  `fan_columns` reads a fan's report columns off its
+rows of a batch that may hold other orbits too: `lab xray` integrates the
+trapping scan's orbits (`flow.scan_orbits`) in the batch of its fan, and
+builds no RayRecord.  `assemble_discrete_operator` integrates its rays as
 `transform_fan` does and keeps the orbits, so that
 `DiscreteXRayOperator.transform` gives the transform of a pair along the
 same rays without integrating them again; the ray matrix itself is a
 composite rule on [0, length] (`_panel_rules`), read through
-`OrbitBatch.state`.  The integrand phi + w(gamma') is one compiled field
+`OrbitBatch.state`; the operator's RayRecords are built on first read.
+The integrand phi + w(gamma') is one compiled field
 (`PairField.integrand`), built and compiled once per pair and model and
 kept on the pair (`PairField.clamped_integrand`); quadrature nodes are
 processed in blocks of at most `CHUNK_POINTS`.
@@ -267,6 +271,28 @@ def _ray_values(orbits, pair, index, labels):
                            "integrand phi + w(gamma')", labels)
 
 
+def fan_columns(orbits, pair, entries):
+    """The columns of a fan's report, read off the batch whose first
+    len(entries) orbits are the fan's rays, integrated forward from its
+    boundary entries (an (n, 3) array) by `flow.integrate_to_boundary`.
+
+    For each ray that exited, in fan order: `entry_s`, the polar angle of
+    its entry in [0, 2 pi); `entry_angle`, its entry theta; `length`, its
+    exit time; and `value`, the pair's transform along it (`_ray_values`).
+    Raises StepFailure naming the first ray, by its index in the fan, whose
+    integration failed, and DomainError naming the first quadrature node
+    where the pair's integrand is not finite.
+    """
+    entries = np.asarray(entries, dtype=float)
+    orbits.require_steps("ray", range(len(entries)))
+    exited = np.flatnonzero(orbits.outcome[:len(entries)] == EXITED)
+    x, y, theta = entries[exited].T
+    return {"entry_s": (np.arctan2(y, x) % TWO_PI).tolist(),
+            "entry_angle": theta.tolist(),
+            "length": orbits.end_time[exited].tolist(),
+            "value": _ray_values(orbits, pair, exited, exited).tolist()}
+
+
 def transform_fan(spec, pair, entries, horizon=DEFAULT_HORIZON):
     """Ray transform of the pair along the orbit through each entry state.
 
@@ -326,11 +352,14 @@ def ray_fan(n_boundary=20, n_angles=20):
 
     The inward angle beta is measured from the inward normal and kept 5
     degrees away from tangency, since near-tangential rays carry little
-    information and degrade conditioning.
+    information and degrade conditioning.  One angle is the inward normal,
+    beta = 0.
     """
     margin = np.deg2rad(5.0)
     ss = np.linspace(0.0, TWO_PI, n_boundary, endpoint=False)
-    betas = np.linspace(-0.5 * np.pi + margin, 0.5 * np.pi - margin, n_angles)
+    # np.linspace(a, b, 1) is [a], the angle 5 degrees off tangency
+    betas = np.linspace(-0.5 * np.pi + margin, 0.5 * np.pi - margin,
+                        n_angles) if n_angles > 1 else np.zeros(1)
     return [SMPoint(np.cos(s), np.sin(s), s + np.pi + b)
             for s in ss for b in betas]
 
@@ -485,17 +514,27 @@ class DiscreteXRayOperator:
 
     Columns are [phi nodes | w_x nodes | w_y nodes]; rows are the rays
     that exited within the horizon.  n_dropped counts the rays that were
-    trapped or whose integration failed.  The operator keeps the orbits it
-    integrated (orbit_index[k] is the orbit of row k), so that `transform`
-    can integrate pairs along its rays.
+    trapped or whose integration failed.  The operator keeps the entry
+    states it was given and the orbits it integrated from them
+    (orbit_index[k] is the orbit of row k), so that `transform` can
+    integrate pairs along its rays.
     """
 
     matrix: np.ndarray
-    rays: list
     node_grid: PolarNodeGrid
     n_dropped: int
+    entries: list = dc_field(repr=False)
     orbits: OrbitBatch = dc_field(repr=False)
     orbit_index: np.ndarray = dc_field(repr=False)
+
+    @cached_property
+    def rays(self):
+        """One RayRecord per row, with value 0: built on first read and
+        kept."""
+        return [RayRecord(entry=self.entries[i],
+                          exit=SMPoint(*self.orbits.exit_state[i]),
+                          length=float(self.orbits.end_time[i]), value=0.0)
+                for i in self.orbit_index]
 
     @cached_property
     def thin_svd(self):
@@ -552,11 +591,8 @@ def assemble_discrete_operator(spec, node_grid, rays):
             matrix[block, k * n:(k + 1) * n] = np.bincount(
                 bins, weights=(w[:, None] * weight).ravel(),
                 minlength=size).reshape(-1, n)
-    records = [RayRecord(entry=rays[i], exit=SMPoint(*orbits.exit_state[i]),
-                         length=float(orbits.end_time[i]), value=0.0)
-               for i in kept]
-    return DiscreteXRayOperator(matrix=matrix, rays=records,
-                                node_grid=node_grid, n_dropped=len(dropped),
+    return DiscreteXRayOperator(matrix=matrix, node_grid=node_grid,
+                                n_dropped=len(dropped), entries=rays,
                                 orbits=orbits, orbit_index=kept)
 
 

@@ -13,8 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermolab
+import thermolab.flow
+import thermolab.xray
 from thermolab.cli import COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, \
-    dumps, main, pestov_points
+    dumps, main, pair_from, pestov_points, spec_from
+from thermolab.flow import nontrapping_scan
+from thermolab.xray import ray_fan, transform_fan
 from thermolab.geometry import PLANE_WINDOW, constant_curvature_model, \
     euclidean_disk, flat_torus
 
@@ -311,6 +315,104 @@ def test_xray_trapped_partial_fan(tmp_path, capsys):
     assert main(["xray", "--config", cfg]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["warnings"] > 0
+
+
+# the shape of the benchmark's ray fans: a conformal disk, a thermostat and
+# a pair that vary over the disk, and 400 rays
+RAY_FAN = {"schema": 1,
+           "surface": {"kind": "conformal_disk",
+                       "phi": "0.04*(x^2+y^2)+0.005*x*y"},
+           "lambda": "0.2-0.01*x", "phi_field": "exp(-(x^2+y^2))",
+           "w_x": "0.3*y", "w_y": "-0.3*x", "n_boundary": 20, "n_angles": 20}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("xray", {"trap_scan": True}), ("xray", {"trap_scan": False}),
+    ("invert", {"nodes": [12, 12], "rank": 280})])
+def test_fan_commands_integrate_one_batch(tmp_path, capsys, monkeypatch,
+                                          command, extra):
+    # `lab xray` integrates its fan and its trap scan together, and `lab
+    # invert` reads its pair's transform on the orbits of its ray matrix
+    calls = []
+    integrate = thermolab.flow.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return integrate(*args, **kwargs)
+    for module in (thermolab.flow, thermolab.xray):
+        monkeypatch.setattr(module, "integrate", counted)
+    cfg = write_config(tmp_path, "c.json", dict(RAY_FAN, **extra))
+    assert main([command, "--config", cfg]) == EXIT_OK
+    scan = 96 if extra.get("trap_scan") else 0
+    assert calls == [400 + scan]
+
+
+@pytest.mark.parametrize("config, tolerance", [
+    (RAY_FAN, 1e-15),
+    # interior circles of radius 1/5 are trapped, the rays exit; the
+    # tight circles amplify rounding (7.8e-15 in a length, measured)
+    ({"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+      "lambda": "5", "phi_field": "1", "w_x": "y", "n_boundary": 3,
+      "n_angles": 3, "horizon": 5.0}, 1e-12)], ids=["fan", "trapping"])
+def test_xray_report_is_the_library_routes(tmp_path, capsys, config,
+                                           tolerance):
+    # the report read off the one batch is the report of the trap scan and
+    # the transform run as batches of their own: the same rays, warnings
+    # and entries, and lengths and values up to the rounding of the
+    # batched step, whose stage sums may round apart at another width
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["xray", "--config", cfg]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)
+    spec, horizon = spec_from(config), config.get("horizon", 100.0)
+    trapped = nontrapping_scan(spec, horizon)["trapped"]
+    records = transform_fan(spec, pair_from(config), ray_fan(
+        config["n_boundary"], config["n_angles"]), horizon=horizon)
+    kept = [r for r in records if r is not None]
+    assert got["n_trapped"] == len(records) - len(kept)
+    assert got["warnings"] == got["n_trapped"] + len(trapped)
+    assert got["entry_s"] == [r.entry_s for r in kept]
+    assert got["entry_angle"] == [r.entry_angle for r in kept]
+    for key in ("length", "value"):
+        want = [getattr(r, key) for r in kept]
+        assert np.max(np.abs(np.subtract(got[key], want))) <= tolerance
+
+
+def test_xray_names_a_scan_failure_before_any_ray(tmp_path, capsys):
+    # lam = sqrt(x - 0.9) is NaN at every scan state and on most of the
+    # fan's rays: the first scan state is named, forward, as when the scan
+    # ran in a batch of its own before the fan; with no scan, the first
+    # failed ray (ray 0 stays where x > 0.9)
+    config = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+              "lambda": "sqrt(x - 0.9)", "phi_field": "1",
+              "n_boundary": 4, "n_angles": 4}
+    for trap_scan, named in ((True, "state (0.050000000000000003, 0, 0), "
+                              "direction 1"), (False, "ray 1")):
+        cfg = write_config(tmp_path, "c.json", dict(config,
+                                                    trap_scan=trap_scan))
+        assert main(["xray", "--config", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: {named}: integration failed: step size "
+            "below")
+
+
+def test_stalled_orbit_exits_2_at_once(tmp_path):
+    # lam = sqrt(0.5 - x) is NaN past x = 0.5, where the orbit from
+    # (0.5, 0, 0) heads: every step into x > 0.5 is rejected until one of
+    # about 5e-17 rounds x back to 0.5 and is accepted.  Such steps stay
+    # above RK45's least step while t is small, and the run took them
+    # without end, storing each; now the first one fails the orbit
+    cfg = write_config(tmp_path, "c.json", {
+        "schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
+        "lambda": "sqrt(0.5 - x)", "initial": [0.5, 0, 0], "T": 5})
+    src = os.path.dirname(os.path.dirname(thermolab.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "thermolab.cli", "flow", "--config", cfg],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == EXIT_NUMERICAL
+    assert done.stderr == ("numerical failure: orbit [0.5, 0.0, 0.0]: "
+                           "integration failed: step size below the float "
+                           "spacing at t=0.0\n")
 
 
 def test_invert_ill_conditioned_is_numerical_failure(tmp_path):

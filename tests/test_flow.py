@@ -14,7 +14,7 @@ from thermolab.flow import BOUNDARY, DEFAULT_ATOL, DEFAULT_RTOL, EXITED, \
     STEP_FAILED, TRAPPED, ThermostatSpec, _attempt, _derivatives, \
     _float_attempt, _float_step_factor, _rms, _step_factor, exit_time, \
     geodesic_spec, integrate, integrate_orbit, integrate_to_boundary, \
-    nontrapping_scan
+    nontrapping_scan, scan_orbits, scan_report
 from thermolab.geometry import build_surface_model, euclidean_disk, flat_torus
 from thermolab.jacobi import JACOBI_ATOL, JACOBI_RTOL, Y_ZEROS, \
     integrate_jacobi, solve_riccati_finite
@@ -84,6 +84,24 @@ def test_nontrapping_scan():
     scan = nontrapping_scan(spec, T_max=10.0)
     assert scan["nontrapping_at_resolution"]
     assert scan["n_sampled"] == 3 * 4 * 4
+
+
+def test_nontrapping_scan_is_its_orbits_then_its_reader():
+    # the scan's orbits may ride in a larger batch: read off rows 5.., the
+    # report is the library scan's
+    spec = ThermostatSpec(euclidean_disk(), SMScalarField.constant(5.0))
+    states, direction = scan_orbits()
+    assert states.shape == (96, 3)
+    assert np.array_equal(states[:48], states[48:])
+    assert direction.tolist() == [1.0] * 48 + [-1.0] * 48
+    fan = np.array([[1.0, 0.0, np.pi]] * 5)
+    batch = integrate_to_boundary(spec, np.vstack([fan, states]),
+                                  np.concatenate([np.ones(5), direction]),
+                                  horizon=5.0)
+    report = scan_report(batch, 5)
+    assert report == nontrapping_scan(spec, T_max=5.0)
+    assert report["trapped"][0] == {"x": 0.05, "y": 0.0, "theta": 0.0,
+                                    "direction": 1}
 
 
 def test_backward_integration():
@@ -325,6 +343,28 @@ def test_nan_stages_fail_steps_without_warnings():
     assert str(err.value).startswith(
         "ray [0.3, 0.1, 0.2]: integration failed: step size below")
     assert np.geterr() == error_state
+
+
+def test_steps_that_make_no_headway_fail():
+    # lam = sqrt(0.5 - x) is NaN past x = 0.5, and an orbit heading there
+    # is pressed against that edge: each longer step is NaN and rejected,
+    # until a step of about 5e-17 rounds x back to 0.5 and is accepted.
+    # Such steps stay above RK45's least step 10 ulp(t) while t is small,
+    # and the run would take some 1e15 of them.  An accepted step shorter
+    # than 10 float spacings of the end time that stops short of it fails
+    # the orbit instead, in the one-orbit loop and in the batched one
+    spec = ThermostatSpec(euclidean_disk(),
+                          SMScalarField.from_expression("sqrt(0.5 - x)"))
+    one = integrate(spec, [[0.5, 0.0, 0.0]], 0.0, 5.0)
+    assert one.outcome.tolist() == [STEP_FAILED]
+    assert one.end_time.tolist() == [0.0]
+    batch = integrate_to_boundary(spec, [[0.05, 0.0, 0.0], [-0.3, 0.0, 3.0]])
+    assert batch.outcome.tolist() == [STEP_FAILED, EXITED]
+    assert 0.45 < batch.end_time[0] < 0.46
+    assert 0.5 - 1e-9 < batch.end_state[0, 0] <= 0.5
+    assert batch.accepted + batch.rejected < 2000
+    with pytest.raises(StepFailure, match="step size below"):
+        batch.require_steps("ray", [[0.05, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

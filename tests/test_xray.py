@@ -301,6 +301,29 @@ def test_ray_fan_size_and_margin():
         assert np.hypot(p.x, p.y) == pytest.approx(1.0)
 
 
+def test_one_angle_fan_shoots_along_the_inward_normal():
+    # np.linspace(a, b, 1) is [a]: one angle used to aim 5 degrees off
+    # tangency, at beta = -85 degrees
+    for n_boundary in (1, 4):
+        for s, p in zip(np.linspace(0.0, 2 * np.pi, n_boundary,
+                                    endpoint=False),
+                        ray_fan(n_boundary, 1)):
+            assert p.theta == (s + np.pi) % (2 * np.pi)
+    betas = [p.theta - np.pi for p in ray_fan(1, 3)]
+    assert np.rad2deg(betas) == pytest.approx([-85.0, 0.0, 85.0])
+
+
+def test_operator_builds_its_records_on_first_read():
+    rays = ray_fan(4, 3)
+    op = assemble_discrete_operator(disk_spec(), PolarNodeGrid(4, 6), rays)
+    assert "rays" not in vars(op)
+    assert [r.entry for r in op.rays] == rays
+    assert op.rays is op.rays
+    for i, r in zip(op.orbit_index, op.rays):
+        assert r.length == op.orbits.end_time[i]
+        assert r.exit == SMPoint(*op.orbits.exit_state[i])
+
+
 def test_discrete_operator_matches_transform():
     spec = disk_spec()
     grid = PolarNodeGrid(10, 10)
