@@ -2,13 +2,12 @@
 
 A JSON config (schema 1) names the surface, the thermostat intensity, and
 any scalar/1-form fields as expression strings; the subcommand picks the
-experiment.  Reports are serialized deterministically (sorted keys,
-17-significant-digit floats) so repeated runs produce byte-identical
-files.  Exit codes: 0 success, 1 configuration/validation failure,
-2 numerical failure.
+experiment, and its table KEYS[subcommand] is every key it takes, each
+with its reader and default.  Reports are serialized deterministically
+(sorted keys, 17-significant-digit floats) so repeated runs produce
+byte-identical files.  Exit codes: 0 success, 1 configuration/validation
+failure, 2 numerical failure.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -33,7 +32,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 CONFIG_ERRORS = (errors.ParseError, errors.ValidationFailed,
-                 errors.DomainError, KeyError, TypeError, ValueError)
+                 errors.DomainError, ValueError)
 NUMERICAL_ERRORS = (errors.StepFailure, errors.TrappedOrbit,
                     errors.BlowupInsideWindow, errors.NoConvergence,
                     errors.RiccatiUnavailable, errors.IllConditioned,
@@ -113,37 +112,105 @@ def write_report(bundle, fmt, path):
 # config ingestion
 # ---------------------------------------------------------------------------
 
-def _refuse_constant(name):
-    # JSON has no NaN or Infinity; Python's parser accepts them as literals
-    raise ValueError(f"the non-finite literal {name} is not a number")
+# A number is an int or a float that fits a float: JSON true and false are
+# not numbers, nor are NaN, Infinity and 1e400 (which reads as inf)
+def _is_number(v):
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _finite_float(text):
-    # a JSON number too large for a float would read as inf
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"the number {text} does not fit a float")
-    return value
+def _is_int(v, least):
+    return type(v) is int and least <= v <= sys.float_info.max
 
 
-def _float_sized_int(text):
-    # the readers take numbers as floats, and float() raises OverflowError
-    # on an integer past the float range
-    value = int(text)
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"the {len(text)}-digit integer in the config "
-                         "does not fit a float") from None
-    return value
+# A reader is (kind, accepts, convert): a value it accepts reads as
+# convert(value), any other is refused as not of the kind
+def _sizes(n_axes):
+    """Grid sizes: an integer >= 4 for every axis, or a list of n_axes."""
+    return (f"an integer >= 4 or a list of {n_axes} of them",
+            lambda v: all(_is_int(n, 4) for n in (
+                v if isinstance(v, list) and len(v) == n_axes else [v])),
+            lambda v: (v,) * n_axes if type(v) is int else v)
 
 
-def load_config(path):
-    """The config: a JSON object of the schema, its keys unchecked."""
+_count = ("an integer >= 1", lambda v: _is_int(v, 1), int)
+_natural = ("an integer >= 0", lambda v: _is_int(v, 0), int)
+_side = ("an integer >= 4", lambda v: _is_int(v, 4), int)
+_number = ("a number", _is_number, float)
+_positive = ("a positive number", lambda v: _is_number(v) and v > 0, float)
+_flag = ("true or false", lambda v: type(v) is bool, bool)
+_state = ("three numbers: x, y, theta", lambda v: isinstance(v, list)
+          and len(v) == 3 and all(map(_is_number, v)), lambda v: SMPoint(*v))
+_field = ("an expression string or a number",
+          lambda v: isinstance(v, str) or _is_number(v),
+          lambda v: SMScalarField.from_expression(str(v)))
+
+# the keys of a surface object besides its kind, by kind
+_CONFORMAL = (("phi", _field, "0"),)
+SURFACES = {"conformal_torus": _CONFORMAL, "conformal_disk": _CONFORMAL,
+            "synthetic": (("K", _number, -1.0),)}
+
+
+def _surface_of(value):
+    kind = value.get("kind", "conformal_torus")
+    if not isinstance(kind, str) or kind not in SURFACES:
+        raise ValueError(f"surface.kind must be one of {', '.join(SURFACES)}"
+                         f", got {kind!r}")
+    return {"kind": kind, **_values(SURFACES[kind], value)}
+
+
+_surface = ("a JSON object", lambda v: isinstance(v, dict), _surface_of)
+
+
+def _values(table, cfg):
+    """cfg's values of a table's (key, reader, default) entries, read in
+    table order.  An absent key reads its default; a default of None stays
+    None, and a callable default is called on the values before it."""
+    values = {}
+    for key, (kind, accepts, convert), default in table:
+        value = cfg[key] if key in cfg else \
+            default(values) if callable(default) else default
+        if key in cfg and not accepts(value):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+        values[key] = None if value is None else convert(value)
+    return values
+
+
+# Each subcommand's keys: every key its config may set besides schema
+SPEC = (("surface", _surface, {}), ("lambda", _field, "0"))
+PAIR = (("phi_field", _field, "0"), ("w_x", _field, "0"), ("w_y", _field, "0"))
+FAN = (("n_boundary", _count, 20), ("n_angles", _count, 20))
+_INITIAL = ("initial", _state, [0.1, 0.2, 0.3])
+_TIME = ("T", _number, 5.0)
+_TOLERANCE = ("tolerance", _positive, 1e-6)
+KEYS = {
+    "validate": SPEC + (("grid", _sizes(3), 8), _TOLERANCE),
+    "flow": SPEC + (_INITIAL, _TIME, ("n_samples", _count, 200)),
+    "jacobi": SPEC + (_INITIAL, _TIME),
+    "riccati": SPEC + (("initial", _state, [0.0, 0.0, 0.3]), _TOLERANCE),
+    "pestov": SPEC + (("u", _field, "sin(2*pi*x)*cos(theta)"),
+                      ("n_points", _count, 1000), ("seed", _natural, 0)),
+    "identity": SPEC + (("u", _field, lambda values: "sin(2*pi*x)*cos(theta)"
+                         if values["surface"]["kind"] == "conformal_torus"
+                         else "x*sin(theta)"), ("n_quad", _sizes(3), None)),
+    "xray": SPEC + PAIR + FAN + (("horizon", _positive, 100.0),
+                                 ("trap_scan", _flag, True)),
+    "invert": SPEC + PAIR + FAN + (("nodes", _sizes(2), 12),
+                                   ("rank", _count, None)),
+    "anosov": SPEC + (("grid", _sizes(3), 16),),
+    "cohomology": SPEC + (("h", _field, "0"), *PAIR[1:], ("n", _side, 32)),
+}
+# keys of options now fixed, ignored with a note
+RETIRED_KEYS = ("gauge_spacing", "margin_deg")
+# one fan config serves both ray subcommands: each ignores the other's keys
+RAY_KEYS = {"xray": ("nodes", "rank"), "invert": ("horizon", "trap_scan")}
+
+
+def load_config(path, sub):
+    """The values of lab sub's keys in the JSON config at path, read by
+    KEYS[sub].  Any other key, and a surface key its kind does not take,
+    raises ValueError naming the key and the subcommand."""
     with open(path) as fh:
-        cfg = json.load(fh, parse_constant=_refuse_constant,
-                        parse_float=_finite_float,
-                        parse_int=_float_sized_int)
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     schema = cfg.get("schema")
@@ -151,106 +218,60 @@ def load_config(path):
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"config schema must be the integer "
                          f"{SCHEMA_VERSION}, got {schema!r}")
-    return cfg
+    keys = {key for key, _, _ in KEYS[sub]}.union(RAY_KEYS.get(sub, ()))
+    for key in cfg:
+        if key in RETIRED_KEYS:
+            print(f"note: lab {sub} ignores the key {key}", file=sys.stderr)
+        elif key not in keys and key != "schema":
+            raise ValueError(f"{key} is not a config key of lab {sub}")
+    values = _values(KEYS[sub], cfg)
+    surface = values["surface"]
+    for key in cfg.get("surface", {}):
+        if key not in surface:
+            raise ValueError(f"surface.{key} is not a config key of lab {sub}"
+                             f" on a {surface['kind']} surface")
+    return values
 
 
-# A reader returns a key's value, or its default when the key is absent, and
-# raises ValueError naming the key for a value of another kind.  A number is
-# an int or a float: JSON true and false are not numbers.
-_NUMBER = (int, float)
+def model_from(surface):
+    if surface["kind"] == "synthetic":
+        return constant_curvature_model(surface["K"])
+    return build_surface_model(surface["kind"], phi=surface["phi"].expression)
 
 
-def _read(cfg, key, default, accepts, kind):
-    value = cfg.get(key, default)
-    if key in cfg and not accepts(value):
-        raise ValueError(f"{key} must be {kind}, got {value!r}")
-    return value
-
-
-def _count(cfg, key, default, least=1):
-    return _read(cfg, key, default, lambda v: type(v) is int and v >= least,
-                 f"an integer >= {least}")
-
-
-def _number(cfg, key, default, positive=False):
-    return float(_read(cfg, key, default, lambda v: type(v) in _NUMBER
-                       and (v > 0 or not positive),
-                       "a positive number" if positive else "a number"))
-
-
-def _flag(cfg, key, default):
-    return _read(cfg, key, default, lambda v: type(v) is bool, "true or false")
-
-
-def _sizes(cfg, key, default, n_axes=3):
-    """Grid sizes: an integer >= 4 for every axis, or a list of n_axes."""
-    def fits(v):
-        axes = v if isinstance(v, list) and len(v) == n_axes else [v]
-        return all(type(n) is int and n >= 4 for n in axes)
-    value = _read(cfg, key, default, fits,
-                  f"an integer >= 4 or a list of {n_axes} of them")
-    return (value,) * n_axes if type(value) is int else value
-
-
-def _state(cfg, key, default):
-    return SMPoint(*_read(cfg, key, default, lambda v: isinstance(v, list)
-                          and len(v) == 3
-                          and all(type(x) in _NUMBER for x in v),
-                          "three numbers: x, y, theta"))
-
-
-def _expression(cfg, key, default="0"):
-    return str(_read(cfg, key, default,
-                     lambda v: isinstance(v, str) or type(v) in _NUMBER,
-                     "an expression string or a number"))
-
-
-def field_from(cfg, key, default="0"):
-    return SMScalarField.from_expression(_expression(cfg, key, default))
-
-
-def model_from(cfg):
-    surf = _read(cfg, "surface", {}, lambda v: isinstance(v, dict),
-                 "a JSON object")
-    kind = surf.get("kind", "conformal_torus")
-    if kind == "synthetic":
-        return constant_curvature_model(_number(surf, "K", -1.0))
-    return build_surface_model(kind, phi=_expression(surf, "phi"))
+def _spec(values):
+    return ThermostatSpec(model_from(values["surface"]), values["lambda"])
 
 
 def spec_from(cfg):
-    lam = field_from(cfg, "lambda")
-    return ThermostatSpec(model_from(cfg), lam)
+    """The thermostat spec of a config's surface and lambda keys."""
+    return _spec(_values(SPEC, cfg))
 
 
 def pair_from(cfg):
+    """The function/1-form pair of a config's phi_field, w_x and w_y."""
     from .xray import PairField
-    return PairField(*(field_from(cfg, key)
-                       for key in ("phi_field", "w_x", "w_y")))
+    return PairField(*_values(PAIR, cfg).values())
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns a report bundle)
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg):
-    lam = field_from(cfg, "lambda")
-    grid = _sizes(cfg, "grid", (8, 8, 8))
-    tolerance = _number(cfg, "tolerance", 1e-6, positive=True)
-    report = validate_structure_relations(model_from(cfg), grid, lam=lam)
+def cmd_validate(opt):
+    report = validate_structure_relations(model_from(opt["surface"]),
+                                          opt["grid"], lam=opt["lambda"])
     worst = float(np.max([r["max"] for r in report.values()]))
-    ok = worst <= tolerance
+    ok = worst <= opt["tolerance"]
     bundle = {"experiment": "validate", "residuals": report,
               "worst": worst, "passed": ok}
     return bundle, EXIT_OK if ok else EXIT_CONFIG
 
 
-def cmd_flow(cfg):
-    p0 = _state(cfg, "initial", (0.1, 0.2, 0.3))
-    T = _number(cfg, "T", 5.0)
-    n = _count(cfg, "n_samples", 200)
-    orbit = integrate_orbit(spec_from(cfg), p0, (0.0, T),
-                            t_eval=np.linspace(0.0, T, n))
+def cmd_flow(opt):
+    T = opt["T"]
+    orbit = integrate_orbit(_spec(opt), opt["initial"], (0.0, T),
+                            t_eval=np.linspace(0.0, T, opt["n_samples"]))
     bundle = {"experiment": "flow",
               "t": orbit.t.tolist(),
               "x": orbit.states[:, 0].tolist(),
@@ -261,15 +282,14 @@ def cmd_flow(cfg):
     return bundle, EXIT_OK
 
 
-def cmd_jacobi(cfg):
+def cmd_jacobi(opt):
     from .jacobi import JACOBI_ATOL, JACOBI_RTOL, integrate_jacobi, \
         second_order_residual
-    p0 = _state(cfg, "initial", (0.1, 0.2, 0.3))
-    T = _number(cfg, "T", 5.0)
+    T = opt["T"]
     # the tolerances of detect_conjugate_points, so one solve gives both
     # the samples and the conjugate times
-    traj = integrate_jacobi(spec_from(cfg), p0, (0.0, T), rtol=JACOBI_RTOL,
-                            atol=JACOBI_ATOL,
+    traj = integrate_jacobi(_spec(opt), opt["initial"], (0.0, T),
+                            rtol=JACOBI_RTOL, atol=JACOBI_ATOL,
                             t_eval=np.linspace(0.0, T, 100))
     bundle = {"experiment": "jacobi",
               "t": traj.t.tolist(),
@@ -281,15 +301,14 @@ def cmd_jacobi(cfg):
     return bundle, EXIT_OK
 
 
-def cmd_riccati(cfg):
+def cmd_riccati(opt):
     from .jacobi import riccati_bound_constants, solve_riccati_limit
-    p0 = _state(cfg, "initial", (0.0, 0.0, 0.3))
-    tolerance = _number(cfg, "tolerance", 1e-6, positive=True)
-    spec = spec_from(cfg)
+    spec = _spec(opt)
     # first the constants: a field that is not finite on their grid is a
     # configuration error, found in milliseconds, before the limit's walks
     constants = riccati_bound_constants(spec)
-    r_plus, r_minus = solve_riccati_limit(spec, p0, tol=tolerance)
+    r_plus, r_minus = solve_riccati_limit(spec, opt["initial"],
+                                          tol=opt["tolerance"])
     bundle = {"experiment": "riccati", "r_plus": r_plus, "r_minus": r_minus,
               "constants": constants}
     return bundle, EXIT_OK
@@ -316,26 +335,19 @@ def pestov_points(model, n, seed):
     return (*model.domain.from_unit(u, v), 2 * np.pi * w)
 
 
-def cmd_pestov(cfg):
+def cmd_pestov(opt):
     from .identities import check_pestov_pointwise
-    u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)")
-    n = _count(cfg, "n_points", 1000)
-    seed = _count(cfg, "seed", 0, least=0)
-    spec = spec_from(cfg)
-    points = pestov_points(spec.model, n, seed)
-    rep = check_pestov_pointwise(spec.model, spec.lam, u, points)
+    spec = _spec(opt)
+    points = pestov_points(spec.model, opt["n_points"], opt["seed"])
+    rep = check_pestov_pointwise(spec.model, spec.lam, opt["u"], points)
     return {"experiment": "pestov", **rep}, EXIT_OK
 
 
-def cmd_identity(cfg):
+def cmd_identity(opt):
     from .identities import check_integral_identity_boundary, \
         check_integral_identity_closed, quadrature_for
-    n = _sizes(cfg, "n_quad", None)
-    spec = spec_from(cfg)
-    # u's default depends on the domain, so it is read after the build
-    u = field_from(cfg, "u", "sin(2*pi*x)*cos(theta)"
-                   if spec.model.domain.kind == "torus" else "x*sin(theta)")
-    grid = quadrature_for(spec.model, n)
+    spec, u = _spec(opt), opt["u"]
+    grid = quadrature_for(spec.model, opt["n_quad"])
     if spec.model.domain.has_boundary:
         rep = check_integral_identity_boundary(spec.model, spec.lam, u, grid)
         bundle = {"experiment": "identity", "boundary": rep.as_dict()}
@@ -346,14 +358,11 @@ def cmd_identity(cfg):
     return bundle, EXIT_OK
 
 
-def cmd_xray(cfg):
-    from .xray import fan_columns, ray_fan
-    pair = pair_from(cfg)
-    rays = np.array(ray_fan(_count(cfg, "n_boundary", 20),
-                            _count(cfg, "n_angles", 20)))
-    horizon = _number(cfg, "horizon", 100.0, positive=True)
-    trap_scan = _flag(cfg, "trap_scan", True)
-    spec = spec_from(cfg)
+def cmd_xray(opt):
+    from .xray import PairField, fan_columns, ray_fan
+    rays = np.array(ray_fan(opt["n_boundary"], opt["n_angles"]))
+    horizon, trap_scan = opt["horizon"], opt["trap_scan"]
+    spec = _spec(opt)
     # one batch: the fan's rays forward, then the trap scan's orbits
     scan, scan_direction = scan_orbits() if trap_scan else (
         np.empty((0, 3)), np.empty(0))
@@ -362,6 +371,7 @@ def cmd_xray(cfg):
         np.concatenate([np.ones(len(rays)), scan_direction]), horizon)
     # a scan state's failure is named before any ray's
     trapped = scan_report(orbits, len(rays))["trapped"] if trap_scan else []
+    pair = PairField(opt["phi_field"], opt["w_x"], opt["w_y"])
     columns = fan_columns(orbits, pair, rays)
     n_trapped = len(rays) - len(columns["value"])
     if n_trapped:
@@ -372,15 +382,14 @@ def cmd_xray(cfg):
     return bundle, EXIT_OK
 
 
-def cmd_invert(cfg):
-    from .xray import PolarNodeGrid, analyze_kernel, \
+def cmd_invert(opt):
+    from .xray import PairField, PolarNodeGrid, analyze_kernel, \
         assemble_discrete_operator, gauge_basis, ray_fan, reconstruct_pair
-    node_grid = PolarNodeGrid(*_sizes(cfg, "nodes", (12, 12), n_axes=2))
-    rays = ray_fan(_count(cfg, "n_boundary", 20), _count(cfg, "n_angles", 20))
-    pair = pair_from(cfg)
-    rank = _count(cfg, "rank", None)
-    op = assemble_discrete_operator(spec_from(cfg), node_grid, rays)
-    values = op.transform(pair)
+    node_grid = PolarNodeGrid(*opt["nodes"])
+    rays = ray_fan(opt["n_boundary"], opt["n_angles"])
+    op = assemble_discrete_operator(_spec(opt), node_grid, rays)
+    values = op.transform(PairField(opt["phi_field"], opt["w_x"],
+                                    opt["w_y"]))
     try:
         kern = analyze_kernel(op, gauge_basis(node_grid)[0])
         spectrum_info = {"gap_ratio": kern["gap_ratio"],
@@ -390,27 +399,24 @@ def cmd_invert(cfg):
                              float(np.max(kern["principal_angles_deg"]))}
     except errors.IllConditioned:
         spectrum_info = {"gap_ratio": None}
-    est = reconstruct_pair(op, values, rank)
+    est = reconstruct_pair(op, values, opt["rank"])
     bundle = {"experiment": "invert", "sigma": op.thin_svd[1].tolist(),
               "spectrum": spectrum_info,
               "phi_norm": float(np.linalg.norm(est.phi_values))}
     return bundle, EXIT_OK
 
 
-def cmd_anosov(cfg):
+def cmd_anosov(opt):
     from .anosov import theoremD_criterion
-    lam = field_from(cfg, "lambda")
-    grid = _sizes(cfg, "grid", (16, 16, 16))
-    rep = theoremD_criterion(model_from(cfg), lam, grid)
+    rep = theoremD_criterion(model_from(opt["surface"]), opt["lambda"],
+                             opt["grid"])
     return {"experiment": "anosov", **rep.as_dict()}, EXIT_OK
 
 
-def cmd_cohomology(cfg):
+def cmd_cohomology(opt):
     from .anosov import cohomological_residual
-    lam, h, w_x, w_y = (field_from(cfg, key)
-                        for key in ("lambda", "h", "w_x", "w_y"))
-    n = _count(cfg, "n", 32, least=4)
-    res = cohomological_residual(model_from(cfg), lam, h, w_x, w_y, n)
+    res = cohomological_residual(model_from(opt["surface"]), opt["lambda"],
+                                 opt["h"], opt["w_x"], opt["w_y"], opt["n"])
     bundle = {"experiment": "cohomology", "residual": res["residual"],
               "rhs_norm": res["rhs_norm"], "grid": res["grid"],
               "minimizer_norm": float(np.linalg.norm(res["minimizer"]))}
@@ -450,27 +456,28 @@ def main(argv=None):
         # a configuration failure, not the numerical failure of its exit 2
         return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
-        bundle, code = COMMANDS[args.command](load_config(args.config))
+        opt = load_config(args.config, args.command)
     except (OSError,) + CONFIG_ERRORS as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        bundle, code = COMMANDS[args.command](opt)
+    except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.command}.{args.format}")
         try:
+            os.makedirs(args.out, exist_ok=True)
             write_report(bundle, args.format, path)
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        print(path)
-    else:
-        print(dumps(bundle))
+    print(path if args.out else dumps(bundle))
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,10 +24,6 @@ class StepFailure(ThermolabError):
 class TrappedOrbit(ThermolabError):
     """Orbit did not reach the boundary before the configured horizon."""
 
-    def __init__(self, message, horizon=None):
-        super().__init__(message)
-        self.horizon = horizon
-
 
 class BlowupInsideWindow(ThermolabError):
     """Jacobi solution vanished strictly inside the requested window."""
@@ -66,4 +62,3 @@ class UnknownIdentifier(ParseError):
 
     def __init__(self, name, offset):
         super().__init__(f"unknown identifier '{name}'", offset)
-        self.name = name

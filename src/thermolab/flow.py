@@ -806,8 +806,7 @@ def exit_time(spec, p0: SMPoint, direction=1, horizon=DEFAULT_HORIZON):
     orbit = integrate_orbit(spec, p0, (0.0, direction * horizon),
                             stop_at_boundary=True)
     if orbit.exit_time is None:
-        raise TrappedOrbit(
-            f"no boundary hit within horizon {horizon}", horizon=horizon)
+        raise TrappedOrbit(f"no boundary hit within horizon {horizon}")
     return float(orbit.exit_time)
 
 

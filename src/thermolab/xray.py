@@ -342,8 +342,7 @@ def transform_pair(spec, pair, entry: SMPoint):
     """
     (record,) = transform_fan(spec, pair, [entry])
     if record is None:
-        raise TrappedOrbit(f"orbit trapped past horizon {DEFAULT_HORIZON}",
-                           horizon=DEFAULT_HORIZON)
+        raise TrappedOrbit(f"orbit trapped past horizon {DEFAULT_HORIZON}")
     return record
 
 
@@ -384,7 +383,7 @@ def chi_field(spec, q, state: SMPoint, tail=0.0):
     back = integrate_to_boundary(spec, [state], direction=-1)
     back.require_steps("orbit", [list(state)])
     if back.outcome[0] != EXITED:
-        raise TrappedOrbit("backward orbit trapped", horizon=DEFAULT_HORIZON)
+        raise TrappedOrbit("backward orbit trapped")
     runs = [back]
     if tail > 0.0:
         # the tail is an orbit of its own from the boundary crossing, where
@@ -572,7 +571,7 @@ def assemble_discrete_operator(spec, node_grid, rays):
                       + "; ".join(dropped))
     kept = np.flatnonzero(orbits.outcome == EXITED)
     if not kept.size:
-        raise TrappedOrbit("all rays trapped", horizon=DEFAULT_HORIZON)
+        raise TrappedOrbit("all rays trapped")
     lengths = orbits.end_time[kept]
     n_panels = np.maximum(2, np.ceil(lengths / (8 * QUAD_SPACING)).astype(int))
     n = node_grid.n_nodes

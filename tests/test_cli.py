@@ -572,10 +572,17 @@ MISREAD_IDS = ["trap_scan-string", "horizon-1", "horizon0", "n_boundary2.7",
     ("pestov", flat_torus_cfg(seed=2.5)),
     ("flow", flat_torus_cfg(schema=True)),
     ("flow", flat_torus_cfg(schema=1.0)),
+    ("anosov", flat_torus_cfg(lamda="0.3")),
+    ("xray", dict(SMALL_FAN, trapscan=False)),
+    ("validate", {"schema": 1,
+                  "surface": {"kind": "conformal_torus", "K": -1.0}}),
+    ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "phi": "0"}}),
+    ("validate", {"schema": 1, "surface": {"kind": ["synthetic"]}}),
 ] + [(command, config) for command, config, _ in MISREAD_VALUES],
     ids=["nodes", "n0", "n2", "initial", "surface", "rank-3", "rank0",
          "rank100000", "n_points0", "n_points3.7", "seed-1", "n_points-true",
-         "seed2.5", "schema-true", "schema1.0"] + MISREAD_IDS)
+         "seed2.5", "schema-true", "schema1.0", "lamda", "trapscan",
+         "torus-K", "synthetic-phi", "kind-list"] + MISREAD_IDS)
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command,
                                            config):
     # the 16 rays of SMALL_INVERT give 16 singular values
@@ -599,6 +606,81 @@ def test_misread_values_name_their_key(tmp_path, capsys, command, config,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {key} must be ")
+
+
+# keys outside the subcommand's table, or outside its surface kind's: each
+# is refused, naming the key and the subcommand, before any model is built
+REFUSED_KEYS = [
+    ("anosov", flat_torus_cfg(lamda="0.3"), "lamda", "lab anosov"),
+    ("xray", dict(SMALL_FAN, trapscan=False), "trapscan", "lab xray"),
+    ("validate", {"schema": 1,
+                  "surface": {"kind": "conformal_torus", "K": -1.0}},
+     "surface.K", "lab validate"),
+    ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "phi": "0"}},
+     "surface.phi", "lab riccati"),
+    ("identity", flat_torus_cfg(n=8), "n", "lab identity"),
+]
+
+
+@pytest.mark.parametrize("command, config, key, sub", REFUSED_KEYS,
+                         ids=[key for _, _, key, _ in REFUSED_KEYS])
+def test_refused_key_builds_no_model(tmp_path, capsys, monkeypatch, command,
+                                     config, key, sub):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(thermolab.cli, "build_surface_model", no_model)
+    monkeypatch.setattr(thermolab.cli, "constant_curvature_model", no_model)
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key} is not a config "
+                                   f"key of {sub}")
+
+
+def test_retired_keys_are_noted(tmp_path, capsys):
+    # a retired key leaves the report as it was, with one line on stderr
+    reports = []
+    for extra in ({}, {"margin_deg": -30, "gauge_spacing": 0}):
+        cfg = write_config(tmp_path, "c.json", dict(SMALL_FAN, horizon=5.0,
+                                                    **extra))
+        assert main(["xray", "--config", cfg]) == EXIT_OK
+        reports.append(capsys.readouterr())
+    assert reports[0].out == reports[1].out
+    assert reports[1].err == reports[0].err + (
+        "note: lab xray ignores the key margin_deg\n"
+        "note: lab xray ignores the key gauge_spacing\n")
+
+
+# the surfaces on which a subcommand's defaults give a report: the ray
+# transforms need a boundary and the Riccati limit negative curvature
+REPORT_SURFACES = {"riccati": {"kind": "synthetic"},
+                   "xray": {"kind": "conformal_disk"},
+                   "invert": {"kind": "conformal_disk"}}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_table_defaults_are_the_defaults(tmp_path, capsys, command):
+    # every key of the subcommand's table set to its table default, the
+    # surface's keys included, gives the report of the minimal config; a
+    # key whose default is absent (rank, n_quad) stays absent
+    minimal = {"schema": 1}
+    if command in REPORT_SURFACES:
+        minimal["surface"] = REPORT_SURFACES[command]
+    kind = minimal.get("surface", {}).get("kind", "conformal_torus")
+    full = {"schema": 1, "surface": {"kind": kind, **{
+        key: default for key, _, default in thermolab.cli.SURFACES[kind]}}}
+    for key, _, default in thermolab.cli.KEYS[command]:
+        if callable(default):
+            default = default(full)
+        if key != "surface" and default is not None:
+            full[key] = default
+    outputs = []
+    for config in (minimal, full):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_numbers_are_expressions(tmp_path, capsys):

@@ -6,17 +6,19 @@ attributes of their results; a rename or deletion in the package would
 otherwise surface only when the benchmark runs with `--trace 1`.
 README names the `lab` subcommands and the probes that only the library
 reaches; a subcommand or probe added or deleted without README would
-otherwise go unnoticed.  No module of the package imports scipy, not even
-inside a function: `lab` runs on numpy alone, and a scipy import would put
-scipy's import time and memory on every run that reaches it.  Every default
-of a public function is both left and varied by some call: an option that
-every caller sets alike is a constant, and a default that no call leaves
-is a required argument.
+otherwise go unnoticed, and so would a `lab` config key, or its kind or
+default, that README's key tables do not match.  No module of the package
+imports scipy, not even inside a function: `lab` runs on numpy alone, and
+a scipy import would put scipy's import time and memory on every run that
+reaches it.  Every default of a public function is both left and varied by
+some call: an option that every caller sets alike is a constant, and a
+default that no call leaves is a required argument.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -100,6 +102,44 @@ def test_readme_lists_match_the_package():
     # and the list is complete: it is every public function that `lab`
     # cannot reach
     assert sorted(f"{m}.{f}" for m, f, _ in probes) == unreached_functions()
+
+
+def key_rows(tables):
+    """README's rows for key tables, a dict of owner: (key, reader,
+    default) entries: one row per key, kind and default, with the owners
+    that read it so in table order, or `all`.  An absent default reads
+    `absent`, and a default that follows the surface's kind reads its
+    value on each kind."""
+    def shown(default):
+        if default is None:
+            return "absent"
+        if not callable(default):
+            return f"`{json.dumps(default)}`"
+        kinds = {}
+        for kind in cli.SURFACES:
+            kinds.setdefault(default({"surface": {"kind": kind}}),
+                             []).append(f"`{kind}`")
+        return ", ".join(f"`{json.dumps(value)}` ({', '.join(names)})"
+                         for value, names in kinds.items())
+    owners = {}
+    for owner, table in tables.items():
+        for key, (kind, _, _), default in table:
+            owners.setdefault((key, kind, shown(default)),
+                              []).append(f"`{owner}`")
+    return [f"| `{key}` | "
+            f"{'all' if len(names) == len(tables) else ', '.join(names)} | "
+            f"{kind} | {default} |"
+            for (key, kind, default), names in owners.items()]
+
+
+def test_readme_key_tables_match_the_cli():
+    # every key each subcommand reads, its kind and its default; and every
+    # key of each surface kind
+    text = README.read_text()
+    for header, tables in (("| key | read by |", cli.KEYS),
+                           ("| surface key | kinds |", cli.SURFACES)):
+        table = text.split(header, 1)[1].split("\n\n", 1)[0]
+        assert table.splitlines()[2:] == key_rows(tables), header
 
 
 def unreached_functions():
