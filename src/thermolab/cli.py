@@ -179,6 +179,7 @@ def _values(table, cfg):
 SPEC = (("surface", _surface, {}), ("lambda", _field, "0"))
 PAIR = (("phi_field", _field, "0"), ("w_x", _field, "0"), ("w_y", _field, "0"))
 FAN = (("n_boundary", _count, 20), ("n_angles", _count, 20))
+_NODES = ("nodes", _sizes(2), 12)
 _INITIAL = ("initial", _state, [0.1, 0.2, 0.3])
 _TIME = ("T", _number, 5.0)
 _TOLERANCE = ("tolerance", _positive, 1e-6)
@@ -192,17 +193,16 @@ KEYS = {
     "identity": SPEC + (("u", _field, lambda values: "sin(2*pi*x)*cos(theta)"
                          if values["surface"]["kind"] == "conformal_torus"
                          else "x*sin(theta)"), ("n_quad", _sizes(3), None)),
+    # lab xray checks nodes but does not use it, so that a lab invert config
+    # runs lab xray on the same rays (as tests/test_cli.py does)
     "xray": SPEC + PAIR + FAN + (("horizon", _positive, 100.0),
-                                 ("trap_scan", _flag, True)),
-    "invert": SPEC + PAIR + FAN + (("nodes", _sizes(2), 12),
-                                   ("rank", _count, None)),
+                                 ("trap_scan", _flag, True), _NODES),
+    "invert": SPEC + PAIR + FAN + (_NODES, ("rank", _count, None)),
     "anosov": SPEC + (("grid", _sizes(3), 16),),
     "cohomology": SPEC + (("h", _field, "0"), *PAIR[1:], ("n", _side, 32)),
 }
 # keys of options now fixed, ignored with a note
 RETIRED_KEYS = ("gauge_spacing", "margin_deg")
-# one fan config serves both ray subcommands: each ignores the other's keys
-RAY_KEYS = {"xray": ("nodes", "rank"), "invert": ("horizon", "trap_scan")}
 
 
 def load_config(path, sub):
@@ -218,7 +218,7 @@ def load_config(path, sub):
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"config schema must be the integer "
                          f"{SCHEMA_VERSION}, got {schema!r}")
-    keys = {key for key, _, _ in KEYS[sub]}.union(RAY_KEYS.get(sub, ()))
+    keys = {key for key, _, _ in KEYS[sub]}
     for key in cfg:
         if key in RETIRED_KEYS:
             print(f"note: lab {sub} ignores the key {key}", file=sys.stderr)
@@ -243,6 +243,11 @@ def _spec(values):
     return ThermostatSpec(model_from(values["surface"]), values["lambda"])
 
 
+def _pair(values):
+    from .xray import PairField
+    return PairField(values["phi_field"], values["w_x"], values["w_y"])
+
+
 def spec_from(cfg):
     """The thermostat spec of a config's surface and lambda keys."""
     return _spec(_values(SPEC, cfg))
@@ -250,8 +255,7 @@ def spec_from(cfg):
 
 def pair_from(cfg):
     """The function/1-form pair of a config's phi_field, w_x and w_y."""
-    from .xray import PairField
-    return PairField(*_values(PAIR, cfg).values())
+    return _pair(_values(PAIR, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def cmd_identity(opt):
 
 
 def cmd_xray(opt):
-    from .xray import PairField, fan_columns, ray_fan
+    from .xray import fan_columns, ray_fan
     rays = np.array(ray_fan(opt["n_boundary"], opt["n_angles"]))
     horizon, trap_scan = opt["horizon"], opt["trap_scan"]
     spec = _spec(opt)
@@ -371,8 +375,7 @@ def cmd_xray(opt):
         np.concatenate([np.ones(len(rays)), scan_direction]), horizon)
     # a scan state's failure is named before any ray's
     trapped = scan_report(orbits, len(rays))["trapped"] if trap_scan else []
-    pair = PairField(opt["phi_field"], opt["w_x"], opt["w_y"])
-    columns = fan_columns(orbits, pair, rays)
+    columns = fan_columns(orbits, _pair(opt), rays)
     n_trapped = len(rays) - len(columns["value"])
     if n_trapped:
         warnings.warn(f"{n_trapped} rays trapped past horizon {horizon}; "
@@ -383,13 +386,12 @@ def cmd_xray(opt):
 
 
 def cmd_invert(opt):
-    from .xray import PairField, PolarNodeGrid, analyze_kernel, \
+    from .xray import PolarNodeGrid, analyze_kernel, \
         assemble_discrete_operator, gauge_basis, ray_fan, reconstruct_pair
     node_grid = PolarNodeGrid(*opt["nodes"])
     rays = ray_fan(opt["n_boundary"], opt["n_angles"])
     op = assemble_discrete_operator(_spec(opt), node_grid, rays)
-    values = op.transform(PairField(opt["phi_field"], opt["w_x"],
-                                    opt["w_y"]))
+    values = op.transform(_pair(opt))
     try:
         kern = analyze_kernel(op, gauge_basis(node_grid)[0])
         spectrum_info = {"gap_ratio": kern["gap_ratio"],
@@ -476,8 +478,11 @@ def main(argv=None):
         except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-    print(path if args.out else dumps(bundle))
+        print(path)
+    else:
+        print(dumps(bundle))
     return code
+
 
 if __name__ == "__main__":
     sys.exit(main())

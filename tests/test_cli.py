@@ -550,10 +550,11 @@ MISREAD_VALUES = [
     ("flow", flat_torus_cfg(n_samples=3.9), "n_samples"),
     ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "K": True}},
      "K"),
+    ("xray", dict(SMALL_FAN, nodes="x"), "nodes"),
 ]
 MISREAD_IDS = ["trap_scan-string", "horizon-1", "horizon0", "n_boundary2.7",
                "xray-n_boundary0", "invert-n_boundary0", "T-true",
-               "T-string", "n_samples3.9", "K-true"]
+               "T-string", "n_samples3.9", "K-true", "xray-nodes-string"]
 
 
 @pytest.mark.parametrize("command, config", [
@@ -619,6 +620,8 @@ REFUSED_KEYS = [
     ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "phi": "0"}},
      "surface.phi", "lab riccati"),
     ("identity", flat_torus_cfg(n=8), "n", "lab identity"),
+    ("xray", dict(SMALL_FAN, rank=5), "rank", "lab xray"),
+    ("invert", dict(SMALL_INVERT, horizon=5.0), "horizon", "lab invert"),
 ]
 
 
@@ -701,7 +704,10 @@ def test_numbers_are_expressions(tmp_path, capsys):
     ("flow", '{"schema": 1, "n_samples": 1e400}'),
     ("validate", '{"schema": 1, "grid": 1e400}'),
     ("flow", '{"schema": 1, "T": 1' + '0' * 400 + '}'),
-], ids=["NaN", "1e400", "n_samples-1e400", "grid-1e400", "int-1e400"])
+    ("xray", '{"schema": 1, "nodes": NaN}'),
+    ("xray", '{"schema": 1, "nodes": 1e400}'),
+], ids=["NaN", "1e400", "n_samples-1e400", "grid-1e400", "int-1e400",
+        "xray-nodes-NaN", "xray-nodes-1e400"])
 def test_non_finite_time_span_is_config_error(tmp_path, command, text):
     # JSON reads NaN as a literal and 1e400 as inf; a run over such a span
     # never ends, so it runs in a subprocess with a timeout
