@@ -4,9 +4,10 @@ A JSON config (schema 1) names the surface, the thermostat intensity, and
 any scalar/1-form fields as expression strings; the subcommand picks the
 experiment, and its table KEYS[subcommand] is every key it takes, each
 with its reader and default.  Reports are serialized deterministically
-(sorted keys, 17-significant-digit floats) so repeated runs produce
-byte-identical files.  Exit codes: 0 success, 1 configuration/validation
-failure, 2 numerical failure.
+(sorted keys, 17-significant-digit floats), so repeated runs with one BLAS
+thread (LAB_THREADS=1) produce byte-identical files.  Exit codes: 0
+success, 1 for an `errors.ConfigError` or a refused allocation, 2 for an
+`errors.NumericalError`; the class hierarchy of `errors` is the policy.
 """
 
 import argparse
@@ -30,13 +31,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-CONFIG_ERRORS = (errors.ParseError, errors.ValidationFailed,
-                 errors.DomainError, ValueError)
-NUMERICAL_ERRORS = (errors.StepFailure, errors.TrappedOrbit,
-                    errors.BlowupInsideWindow, errors.NoConvergence,
-                    errors.RiccatiUnavailable, errors.IllConditioned,
-                    errors.SolverDiverged)
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +82,29 @@ def write_report(bundle, fmt, path):
 
     CSV applies to tabular bundles: orbit traces (keys t, x, y, theta, from
     `lab flow`) and singular-value spectra (key sigma, from `lab invert`).
-    Any other bundle raises ValueError before the file is opened.
+    Any other bundle raises ConfigError before the file is opened, and so
+    does an OSError of making path's directory or writing path.
     """
-    if fmt == "json":
-        rows = [dumps(bundle)]
-    elif fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    elif "sigma" in bundle:
-        rows = ["index,sigma"] + [f"{i},{float(s):.17g}"
-                                  for i, s in enumerate(bundle["sigma"])]
-    elif {"t", "x", "y", "theta"} <= set(bundle):
-        rows = ["t,x,y,theta"] + [
-            ",".join(f"{float(v):.17g}" for v in row) for row in zip(
-                bundle["t"], bundle["x"], bundle["y"], bundle["theta"])]
-    else:
-        raise ValueError(f"the {bundle['experiment']} report has no CSV "
-                         "layout; use --format json")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        if fmt == "json":
+            rows = [dumps(bundle)]
+        elif fmt != "csv":
+            raise errors.ConfigError(f"unknown format {fmt!r}")
+        elif "sigma" in bundle:
+            rows = ["index,sigma"] + [f"{i},{float(s):.17g}"
+                                      for i, s in enumerate(bundle["sigma"])]
+        elif {"t", "x", "y", "theta"} <= set(bundle):
+            rows = ["t,x,y,theta"] + [
+                ",".join(f"{float(v):.17g}" for v in row) for row in zip(
+                    bundle["t"], bundle["x"], bundle["y"], bundle["theta"])]
+        else:
+            raise errors.ConfigError(f"the {bundle['experiment']} report has "
+                                     "no CSV layout; use --format json")
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+    except OSError as e:
+        raise errors.ConfigError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +149,16 @@ SURFACES = {"conformal_torus": _CONFORMAL, "conformal_disk": _CONFORMAL,
             "synthetic": (("K", _number, -1.0),)}
 
 
-def _surface_of(value):
-    kind = value.get("kind", "conformal_torus")
-    if not isinstance(kind, str) or kind not in SURFACES:
-        raise ValueError(f"surface.kind must be one of {', '.join(SURFACES)}"
-                         f", got {kind!r}")
-    return {"kind": kind, **_values(SURFACES[kind], value)}
-
-
-_surface = ("a JSON object", lambda v: isinstance(v, dict), _surface_of)
+def _surface(kinds=tuple(SURFACES), by=""):
+    """The reader of a surface object whose kind is one of kinds; by names
+    the subcommand that takes only those."""
+    def read(value):
+        kind = value.get("kind", "conformal_torus")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise errors.ConfigError(f"surface.kind must be one of "
+                                     f"{', '.join(kinds)}{by}, got {kind!r}")
+        return {"kind": kind, **_values(SURFACES[kind], value)}
+    return "a JSON object", lambda v: isinstance(v, dict), read
 
 
 def _values(table, cfg):
@@ -170,16 +170,19 @@ def _values(table, cfg):
         value = cfg[key] if key in cfg else \
             default(values) if callable(default) else default
         if key in cfg and not accepts(value):
-            raise ValueError(f"{key} must be {kind}, got {value!r}")
+            raise errors.ConfigError(f"{key} must be {kind}, got {value!r}")
         values[key] = None if value is None else convert(value)
     return values
 
 
+def _on_torus(values):
+    return values["surface"]["kind"] == "conformal_torus"
+
+
 # Each subcommand's keys: every key its config may set besides schema
-SPEC = (("surface", _surface, {}), ("lambda", _field, "0"))
+SPEC = (("surface", _surface(), {}), ("lambda", _field, "0"))
 PAIR = (("phi_field", _field, "0"), ("w_x", _field, "0"), ("w_y", _field, "0"))
 FAN = (("n_boundary", _count, 20), ("n_angles", _count, 20))
-_NODES = ("nodes", _sizes(2), 12)
 _INITIAL = ("initial", _state, [0.1, 0.2, 0.3])
 _TIME = ("T", _number, 5.0)
 _TOLERANCE = ("tolerance", _positive, 1e-6)
@@ -190,14 +193,17 @@ KEYS = {
     "riccati": SPEC + (("initial", _state, [0.0, 0.0, 0.3]), _TOLERANCE),
     "pestov": SPEC + (("u", _field, "sin(2*pi*x)*cos(theta)"),
                       ("n_points", _count, 1000), ("seed", _natural, 0)),
-    "identity": SPEC + (("u", _field, lambda values: "sin(2*pi*x)*cos(theta)"
-                         if values["surface"]["kind"] == "conformal_torus"
-                         else "x*sin(theta)"), ("n_quad", _sizes(3), None)),
-    # lab xray checks nodes but does not use it, so that a lab invert config
-    # runs lab xray on the same rays (as tests/test_cli.py does)
+    # the quadratures cover the torus and the disk, not the synthetic plane
+    "identity": (("surface", _surface(("conformal_torus", "conformal_disk"),
+                                      " for lab identity"), {}), SPEC[1],
+                 ("u", _field, lambda values: "sin(2*pi*x)*cos(theta)"
+                  if _on_torus(values) else "x*sin(theta)"),
+                 ("n_quad", _sizes(3), lambda values: 32
+                  if _on_torus(values) else (16, 24, 24))),
     "xray": SPEC + PAIR + FAN + (("horizon", _positive, 100.0),
-                                 ("trap_scan", _flag, True), _NODES),
-    "invert": SPEC + PAIR + FAN + (_NODES, ("rank", _count, None)),
+                                 ("trap_scan", _flag, True)),
+    "invert": SPEC + PAIR + FAN + (("nodes", _sizes(2), 12),
+                                   ("rank", _count, None)),
     "anosov": SPEC + (("grid", _sizes(3), 16),),
     "cohomology": SPEC + (("h", _field, "0"), *PAIR[1:], ("n", _side, 32)),
 }
@@ -207,29 +213,33 @@ RETIRED_KEYS = ("gauge_spacing", "margin_deg")
 
 def load_config(path, sub):
     """The values of lab sub's keys in the JSON config at path, read by
-    KEYS[sub].  Any other key, and a surface key its kind does not take,
-    raises ValueError naming the key and the subcommand."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    KEYS[sub].  A file that cannot be read or parsed, any other key, and a
+    surface key its kind does not take raise ConfigError."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise errors.ConfigError(str(e)) from e
     if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+        raise errors.ConfigError("config must be a JSON object")
     schema = cfg.get("schema")
     # JSON true and 1.0 equal 1 in Python, but are not the integer 1
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise ValueError(f"config schema must be the integer "
-                         f"{SCHEMA_VERSION}, got {schema!r}")
+        raise errors.ConfigError(f"config schema must be the integer "
+                                 f"{SCHEMA_VERSION}, got {schema!r}")
     keys = {key for key, _, _ in KEYS[sub]}
     for key in cfg:
         if key in RETIRED_KEYS:
             print(f"note: lab {sub} ignores the key {key}", file=sys.stderr)
         elif key not in keys and key != "schema":
-            raise ValueError(f"{key} is not a config key of lab {sub}")
+            raise errors.ConfigError(f"{key} is not a config key of lab {sub}")
     values = _values(KEYS[sub], cfg)
     surface = values["surface"]
     for key in cfg.get("surface", {}):
         if key not in surface:
-            raise ValueError(f"surface.{key} is not a config key of lab {sub}"
-                             f" on a {surface['kind']} surface")
+            raise errors.ConfigError(f"surface.{key} is not a config key of "
+                                     f"lab {sub} on a {surface['kind']} "
+                                     "surface")
     return values
 
 
@@ -459,28 +469,22 @@ def main(argv=None):
         return EXIT_OK if e.code == 0 else EXIT_CONFIG
     try:
         opt = load_config(args.config, args.command)
-    except (OSError,) + CONFIG_ERRORS as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         bundle, code = COMMANDS[args.command](opt)
-    except CONFIG_ERRORS as e:
+        if args.out:
+            path = os.path.join(args.out, f"{args.command}.{args.format}")
+            write_report(bundle, args.format, path)
+    except errors.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERICAL_ERRORS as e:
+    except errors.NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        path = os.path.join(args.out, f"{args.command}.{args.format}")
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            write_report(bundle, args.format, path)
-        except (OSError, ValueError) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(path)
-    else:
-        print(dumps(bundle))
+    except MemoryError as e:
+        # numpy refused an allocation that the config's sizes ask for
+        print(f"config error: lab {args.command} ran out of memory: {e}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    print(path if args.out else dumps(bundle))
     return code
 
 

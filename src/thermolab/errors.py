@@ -1,11 +1,26 @@
-"""Exception hierarchy shared by all thermolab modules."""
+"""Exception hierarchy shared by all thermolab modules.
+
+Every package error derives from one of two bases, and the base decides
+how `lab` ends: a `ConfigError` (the config's surface, thermostat, fields
+or options were refused) exits 1, a `NumericalError` (a computation on an
+accepted config failed) exits 2.  `ConfigError` is also a `ValueError`,
+so a caller that catches `ValueError` for a bad argument still does.
+"""
 
 
 class ThermolabError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationFailed(ThermolabError):
+class ConfigError(ThermolabError, ValueError):
+    """A config, or a value it sets, was refused: `lab` exits 1."""
+
+
+class NumericalError(ThermolabError):
+    """A computation on an accepted config failed: `lab` exits 2."""
+
+
+class ValidationFailed(ConfigError):
     """A declared model violates its structure relations beyond tolerance."""
 
     def __init__(self, message, residuals=None):
@@ -13,19 +28,19 @@ class ValidationFailed(ThermolabError):
         self.residuals = residuals or {}
 
 
-class DomainError(ThermolabError):
+class DomainError(ConfigError):
     """Point or field outside the model's domain, or non-periodic torus data."""
 
 
-class StepFailure(ThermolabError):
+class StepFailure(NumericalError):
     """Adaptive ODE controller failed to take a step."""
 
 
-class TrappedOrbit(ThermolabError):
+class TrappedOrbit(NumericalError):
     """Orbit did not reach the boundary before the configured horizon."""
 
 
-class BlowupInsideWindow(ThermolabError):
+class BlowupInsideWindow(NumericalError):
     """Jacobi solution vanished strictly inside the requested window."""
 
     def __init__(self, message, times=None):
@@ -33,23 +48,23 @@ class BlowupInsideWindow(ThermolabError):
         self.times = times or []
 
 
-class NoConvergence(ThermolabError):
+class NoConvergence(NumericalError):
     """R-doubling schedule failed to converge or lost monotonicity."""
 
 
-class RiccatiUnavailable(ThermolabError):
+class RiccatiUnavailable(NumericalError):
     """Conjugate points block the construction of the r field."""
 
 
-class IllConditioned(ThermolabError):
+class IllConditioned(NumericalError):
     """Singular value spectrum lacks the required gap."""
 
 
-class SolverDiverged(ThermolabError):
+class SolverDiverged(NumericalError):
     """Iterative least-squares solver exceeded its iteration cap."""
 
 
-class ParseError(ThermolabError):
+class ParseError(ConfigError):
     """Expression text failed to parse."""
 
     def __init__(self, message, offset):

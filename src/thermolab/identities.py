@@ -158,13 +158,13 @@ def disk_quadrature(model, n=(16, 24, 24)):
 
 
 def quadrature_for(model, n):
-    """The quadrature grid of sizes n on the model's domain; n = None
-    gives 32 on the torus and (16, 24, 24) on the disk."""
+    """The quadrature grid of sizes n on the model's domain, a torus or a
+    disk."""
     if model.domain.kind == "torus":
-        return torus_quadrature(model, 32 if n is None else n)
+        return torus_quadrature(model, n)
     if model.domain.kind == "disk":
-        return disk_quadrature(model, (16, 24, 24) if n is None else n)
-    raise DomainError(f"no default quadrature for domain {model.domain.kind!r}")
+        return disk_quadrature(model, n)
+    raise DomainError(f"no quadrature for domain {model.domain.kind!r}")
 
 
 def liouville_integrate(grid, named_fields):

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, TrappedOrbit
+from .errors import ConfigError, DomainError, IllConditioned, TrappedOrbit
 from .expr import CHUNK_POINTS
 from .fields import SMPoint, SMScalarField, _as_field
 from .flow import DEFAULT_HORIZON, EXITED, OrbitBatch, _powers, integrate, \
@@ -770,13 +770,13 @@ def reconstruct_pair(op, values, rank):
 
     A rank of None truncates at the largest-gap index, discarding the
     gauge directions; IllConditioned when the gap is insufficient.
-    ValueError for a rank outside [1, number of singular values]."""
+    ConfigError (a ValueError) for a rank outside [1, sigma.size]."""
     U, sigma, Vt = op.thin_svd
     if rank is None:
         rank = _largest_gap(sigma)[0] + 1
     elif not 1 <= rank <= sigma.size:
-        raise ValueError(f"rank {rank} is outside [1, {sigma.size}], the "
-                         "singular values of the ray matrix")
+        raise ConfigError(f"rank {rank} is outside [1, {sigma.size}], the "
+                          "singular values of the ray matrix")
     coeffs = (U[:, :rank].T @ np.asarray(values, dtype=float)) / sigma[:rank]
     solution = Vt[:rank].T @ coeffs
     n = op.node_grid.n_nodes

@@ -516,9 +516,11 @@ SMALL_INVERT = {"schema": 1, "surface": {"kind": "conformal_disk", "phi": "0"},
 def test_nonfinite_ray_integrand_is_config_error(tmp_path, capsys, command):
     # log(x - 2) is NaN on the whole disk: the first quadrature node of the
     # first ray names it, without a numpy warning, where every ray used to
-    # double its panels to the cap and report NaN
-    cfg = write_config(tmp_path, "c.json", dict(
-        SMALL_INVERT, phi_field="log(x - 2)"))
+    # double its panels to the cap and report NaN; lab xray takes no nodes
+    config = dict(SMALL_INVERT, phi_field="log(x - 2)")
+    if command == "xray":
+        del config["nodes"]
+    cfg = write_config(tmp_path, "c.json", config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", cfg]) == EXIT_CONFIG
@@ -550,11 +552,10 @@ MISREAD_VALUES = [
     ("flow", flat_torus_cfg(n_samples=3.9), "n_samples"),
     ("riccati", {"schema": 1, "surface": {"kind": "synthetic", "K": True}},
      "K"),
-    ("xray", dict(SMALL_FAN, nodes="x"), "nodes"),
 ]
 MISREAD_IDS = ["trap_scan-string", "horizon-1", "horizon0", "n_boundary2.7",
                "xray-n_boundary0", "invert-n_boundary0", "T-true",
-               "T-string", "n_samples3.9", "K-true", "xray-nodes-string"]
+               "T-string", "n_samples3.9", "K-true"]
 
 
 @pytest.mark.parametrize("command, config", [
@@ -639,6 +640,85 @@ def test_refused_key_builds_no_model(tmp_path, capsys, monkeypatch, command,
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {key} is not a config "
                                    f"key of {sub}")
+
+
+def test_identity_refuses_a_synthetic_surface_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    # a plane has no quadrature: the refusal names the kind and lab
+    # identity, n_quad given or not, before any model is built
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(thermolab.cli, "build_surface_model", no_model)
+    monkeypatch.setattr(thermolab.cli, "constant_curvature_model", no_model)
+    for extra in ({}, {"n_quad": 8}):
+        cfg = write_config(tmp_path, "c.json", {
+            "schema": 1, "surface": {"kind": "synthetic"}, **extra})
+        assert main(["identity", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: surface.kind must be one of conformal_torus, "
+            "conformal_disk for lab identity, got 'synthetic'\n")
+
+
+@pytest.mark.parametrize("base, code, prefix", [
+    ("NumericalError", EXIT_NUMERICAL, "numerical failure: "),
+    ("ConfigError", EXIT_CONFIG, "config error: ")])
+def test_error_base_decides_the_exit_code(tmp_path, capsys, monkeypatch,
+                                          base, code, prefix):
+    # a class that cli never names exits by the base it derives from
+    failure = type("UnnamedFailure", (getattr(thermolab.errors, base),), {})
+
+    def command(opt):
+        raise failure("the stage failed at (0.1, 0.2, 0.3)")
+    monkeypatch.setitem(COMMANDS, "flow", command)
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg())
+    assert main(["flow", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == prefix + "the stage failed at (0.1, 0.2, 0.3)\n"
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+def test_other_errors_are_not_config_errors(tmp_path, capsys, monkeypatch,
+                                            error):
+    # a ValueError that is no ConfigError is a fault of the program: it
+    # leaves main with its traceback, not as a config error
+    def command(opt):
+        raise error("SVD did not converge")
+    monkeypatch.setitem(COMMANDS, "invert", command)
+    cfg = write_config(tmp_path, "c.json", SMALL_INVERT)
+    with pytest.raises(error):
+        main(["invert", "--config", cfg])
+    assert capsys.readouterr().err == ""
+
+
+def test_refused_allocation_is_config_error(tmp_path, capsys, monkeypatch):
+    # sizes numpy cannot allocate, as n_points 10^12 in lab pestov, exit 1
+    # naming the subcommand, with no traceback
+    def command(opt):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setitem(COMMANDS, "pestov", command)
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg(
+        n_points=10 ** 12))
+    assert main(["pestov", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: lab pestov ran out of memory: "
+                            "Unable to allocate 7.28 TiB for an array\n")
+
+
+def test_unreadable_config_and_unwritable_report_are_config_errors(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", flat_torus_cfg())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["--config", str(tmp_path / "absent.json")],
+                 ["--config", cfg, "--out", str(blocker / "out")]):
+        assert main(["validate", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: [Errno ")
 
 
 def test_retired_keys_are_noted(tmp_path, capsys):

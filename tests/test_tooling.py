@@ -7,22 +7,25 @@ otherwise surface only when the benchmark runs with `--trace 1`.
 README names the `lab` subcommands and the probes that only the library
 reaches; a subcommand or probe added or deleted without README would
 otherwise go unnoticed, and so would a `lab` config key, or its kind or
-default, that README's key tables do not match.  No module of the package
-imports scipy, not even inside a function: `lab` runs on numpy alone, and
-a scipy import would put scipy's import time and memory on every run that
-reaches it.  Every default of a public function is both left and varied by
-some call: an option that every caller sets alike is a constant, and a
-default that no call leaves is a required argument.
+default, that README's key tables do not match; and so would an error
+class that README's exit-code table leaves out or files under the wrong
+base.  No module of the package imports scipy, not even inside a
+function: `lab` runs on numpy alone, and a scipy import would put scipy's
+import time and memory on every run that reaches it.  Every default of a
+public function is both left and varied by some call: an option that
+every caller sets alike is a constant, and a default that no call leaves
+is a required argument.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
 
-from thermolab import anosov, cli, fields, flow, jacobi
+from thermolab import anosov, cli, errors, fields, flow, jacobi
 from thermolab.fields import SMPoint, SMScalarField
 from thermolab.geometry import euclidean_disk, flat_torus
 from thermolab.identities import torus_quadrature
@@ -140,6 +143,35 @@ def test_readme_key_tables_match_the_cli():
                            ("| surface key | kinds |", cli.SURFACES)):
         table = text.split(header, 1)[1].split("\n\n", 1)[0]
         assert table.splitlines()[2:] == key_rows(tables), header
+
+
+def test_readme_exit_codes_match_the_error_classes():
+    # every error class but the root and the numerical base is in exactly
+    # one row, under a base it derives from, whose exit code it gets
+    text = README.read_text()
+    table = text.split("| exit | base | classes |", 1)[1].split("\n\n")[0]
+    codes = {"ConfigError": cli.EXIT_CONFIG,
+             "NumericalError": cli.EXIT_NUMERICAL}
+    named = []
+    for row in table.splitlines()[2:]:
+        code, base, classes = row.split("|")[1:4]
+        base = base.strip(" `")
+        if base not in codes:
+            continue
+        assert code.strip(" `") == str(codes[base]), row
+        for name in re.findall(r"`(\w+)`", classes):
+            assert issubclass(getattr(errors, name), getattr(errors, base)), \
+                row
+            named.append(name)
+    defined = {name for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+    assert sorted(named) == sorted(
+        defined - {"ThermolabError", "NumericalError"})
+    # and each class derives from exactly one base
+    for name in defined - {"ThermolabError", *codes}:
+        cls = getattr(errors, name)
+        assert sum(issubclass(cls, getattr(errors, base))
+                   for base in codes) == 1, name
 
 
 def unreached_functions():
